@@ -8,7 +8,7 @@ configuration).
 
 Exit codes: 0 pass, 1 usage error, 2 validation error (bad files or
 wiring), 3 numeric failure. All outputs are deterministic given
-``--seed``; ``TREE_MOTION_THREADS`` caps internal parallelism.
+``--seed``.
 """
 
 from __future__ import annotations

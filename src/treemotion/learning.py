@@ -12,8 +12,6 @@ between the two strategies directly measurable.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +23,6 @@ from .maps import DiffeoChain
 from .params import ParamVector
 from .policies import NaturalGradientLeaf
 from .tree import TransformTree
-
-
-def thread_count() -> int:
-    """Worker cap from ``TREE_MOTION_THREADS`` (default 1)."""
-    try:
-        n = int(os.environ.get("TREE_MOTION_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def suggest_length_scale(points, factor: float = 0.45) -> float:
@@ -104,45 +93,16 @@ def _sample_loss_grad(tree, params, loss, lam, q, qdot):
 
 def loss_and_gradient(tree: TransformTree, params: ParamVector, demos_or_samples,
                       loss: LossSpec):
-    """Loss value and weight gradient in one pass over the samples.
-
-    Per-sample contributions are independent; with
-    ``TREE_MOTION_THREADS > 1`` they are evaluated in contiguous blocks
-    and reduced in block order, so the sum is the same whatever the
-    scheduling.
-    """
+    """Loss value and weight gradient in one pass over the samples."""
     if isinstance(demos_or_samples, DemoSet):
         samples = list(demos_or_samples.samples())
     else:
         samples = list(demos_or_samples)
     lam = loss.lam_for(tree) if loss.kind == "subtask_space" else None
-    workers = thread_count()
-    if workers == 1 or len(samples) < 2 * workers:
-        total = 0.0
-        grad = params.zeros_like()
-        for q, qdot in samples:
-            value, g = _sample_loss_grad(tree, params, loss, lam, q, qdot)
-            total += value
-            grad += g
-        return total, grad
-
-    blocks = np.array_split(np.arange(len(samples)), workers)
-
-    def run_block(idx):
-        total = 0.0
-        grad = params.zeros_like()
-        for i in idx:
-            q, qdot = samples[i]
-            value, g = _sample_loss_grad(tree, params, loss, lam, q, qdot)
-            total += value
-            grad += g
-        return total, grad
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_block, blocks))
     total = 0.0
     grad = params.zeros_like()
-    for value, g in results:
+    for q, qdot in samples:
+        value, g = _sample_loss_grad(tree, params, loss, lam, q, qdot)
         total += value
         grad += g
     return total, grad
@@ -358,10 +318,15 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
                 "the independent baseline is only defined for those"
             )
         alpha = opts.alpha
-        for _ in range(opts.iterations):
-            value, grad = _baseline_leaf_loss_grad(tree, theta, leaf, samples)
+        for it in range(opts.iterations + 1):
+            # The final iterate is checked like every earlier one.
+            last = it == opts.iterations
+            value, grad = _baseline_leaf_loss_grad(tree, theta, leaf, samples,
+                                                   want_grad=not last)
             if not np.isfinite(value):
                 raise NumericError(f"baseline loss for leaf {leaf} is not finite")
+            if last:
+                break
             if alpha is None:
                 gnorm = float(np.linalg.norm(grad))
                 if gnorm < 1e-15:

@@ -287,9 +287,10 @@ class CouplingLayer:
         na = dim // 2
         idx = np.arange(dim)
         if flip:
-            self.ia, self.ib = idx[dim - na:], idx[: dim - na]
+            self._sa, self._sb = slice(dim - na, dim), slice(0, dim - na)
         else:
-            self.ia, self.ib = idx[:na], idx[na:]
+            self._sa, self._sb = slice(0, na), slice(na, dim)
+        self.ia, self.ib = idx[self._sa], idx[self._sb]
         self.flip = bool(flip)
         nb = dim - na
         self.s_net = RFFNet(na, nb, n_features, length_scale, seed=seed)
@@ -320,18 +321,30 @@ class CouplingLayer:
         out[self.ib] = (y[self.ib] - t) * np.exp(-s)
         return out
 
-    def jacobian(self, y, theta_s, theta_t):
+    def value_and_jacobian(self, y, theta_s, theta_t):
+        """``(forward(y), jacobian(y))`` from one feature evaluation per net.
+
+        Every entry is computed by the same expressions, in the same
+        order, as the separate evaluations, so both results are
+        bit-identical to them.
+        """
         a = y[self.ia]
         b = y[self.ib]
-        s = self.s_net.value(a, theta_s)
-        E = np.exp(s)
-        J = np.zeros((self.dim, self.dim))
-        J[self.ia, self.ia] = 1.0
-        J[np.ix_(self.ib, self.ib)] = np.diag(E)
-        dba = (b * E)[:, None] * self.s_net.input_jacobian(a, theta_s)
-        dba += self.t_net.input_jacobian(a, theta_t)
-        J[np.ix_(self.ib, self.ia)] = dba
-        return J
+        fs, gs = self.s_net.features_and_slope(a)
+        ft, gt = self.t_net.features_and_slope(a)
+        E = np.exp(theta_s.T @ fs)
+        out = np.empty_like(y)
+        out[self.ia] = a
+        out[self.ib] = b * E + theta_t.T @ ft
+        J = np.eye(self.dim)
+        J[self.ib, self.ib] = E
+        dba = (b * E)[:, None] * (theta_s.T @ (gs[:, None] * self.s_net.frequencies))
+        dba += theta_t.T @ (gt[:, None] * self.t_net.frequencies)
+        J[self._sb, self._sa] = dba
+        return out, J
+
+    def jacobian(self, y, theta_s, theta_t):
+        return self.value_and_jacobian(y, theta_s, theta_t)[1]
 
 
 class DiffeoChain(DifferentiableMap):
@@ -372,6 +385,9 @@ class DiffeoChain(DifferentiableMap):
         if not self._learnable:
             self._frozen = self.init_values()
             self.n_params = 0
+        self._no_tangents = np.zeros((dim, 0))
+        # (weight block, x, tape) of the last value_vjp forward pass
+        self._value_tape = None
 
     def init_values(self) -> np.ndarray:
         if self._init_scale == 0.0:
@@ -412,9 +428,8 @@ class DiffeoChain(DifferentiableMap):
         y = np.asarray(x, dtype=float)
         J = np.eye(self.in_dim)
         for m, ly in enumerate(self.layers):
-            ts, tt = self._layer_thetas(block, m)
-            J = ly.jacobian(y, ts, tt) @ J
-            y = ly.forward(y, ts, tt)
+            y, J_layer = ly.value_and_jacobian(y, *self._layer_thetas(block, m))
+            J = J_layer @ J
         return y, J
 
     # -- reverse-mode support ----------------------------------------------
@@ -518,9 +533,22 @@ class DiffeoChain(DifferentiableMap):
         if not self.is_learnable:
             return
         block = self._block(params)
-        empty = np.zeros((self.in_dim, 0))
-        _, _, caches = self._aug_forward(block, x, empty)
-        self._aug_reverse(caches, cotangent, empty, grad_out[self.param_slice])
+        x = np.asarray(x, dtype=float)
+        # The latent goal is the same input for every sample, so its
+        # forward tape is kept while the weights (compared by value, as
+        # callers may write params.values in place) and x stay the same.
+        memo = self._value_tape
+        if (memo is not None and np.array_equal(memo[0], block)
+                and np.array_equal(memo[1], x)):
+            caches = memo[2]
+        else:
+            # The tape holds views of the weights it was built from, so it
+            # is built from private copies that nothing else can write.
+            block, x = block.copy(), x.copy()
+            _, _, caches = self._aug_forward(block, x, self._no_tangents)
+            self._value_tape = (block, x, caches)
+        self._aug_reverse(caches, cotangent, self._no_tangents,
+                          grad_out[self.param_slice])
 
     def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out):
         if not self.is_learnable:

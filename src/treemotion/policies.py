@@ -91,9 +91,24 @@ class LatentQuadraticPotential(Potential):
         if chain.in_dim != self.goal.size:
             raise StructureError("latent potential goal dimension != chain dimension")
         self.chain = chain
+        # (chain weights, goal image) of the last evaluation
+        self._image_memo = None
 
     def goal_image(self, params):
-        return self.chain.value(self.goal, params)
+        """``chain(goal)``, recomputed only when the chain weights change.
+
+        The weights are compared by value, not identity, because callers
+        may write ``params.values`` in place. The returned array is
+        read-only since every caller shares it.
+        """
+        block = self.chain._block(params)
+        memo = self._image_memo
+        if memo is not None and np.array_equal(memo[0], block):
+            return memo[1]
+        image = self.chain.value(self.goal, params)
+        image.flags.writeable = False
+        self._image_memo = (block.copy(), image)
+        return image
 
     def value(self, z, params):
         d = z - self.goal_image(params)
@@ -257,7 +272,14 @@ class CholeskyMetricNet(Metric):
             fan_in = h
         self._shapes += [(self.dim, fan_in), (self.dim,)]
         self._shapes += [(self.n_off, fan_in), (self.n_off,)] if self.n_off else []
-        self.n_params = int(sum(int(np.prod(s)) for s in self._shapes))
+        # (start, stop, shape) of each weight array within the block
+        self._views = []
+        off = 0
+        for shape in self._shapes:
+            size = int(np.prod(shape))
+            self._views.append((off, off + size, shape))
+            off += size
+        self.n_params = off
         self._learnable = bool(learnable)
         self._frozen = None
         if not self._learnable:
@@ -296,13 +318,7 @@ class CholeskyMetricNet(Metric):
             if self.param_slice is None:
                 raise StructureError("learnable metric net has no parameter slice")
             block = params.values[self.param_slice]
-        out = []
-        off = 0
-        for shape in self._shapes:
-            size = int(np.prod(shape))
-            out.append(block[off: off + size].reshape(shape))
-            off += size
-        return out
+        return [block[start:stop].reshape(shape) for start, stop, shape in self._views]
 
     def _forward(self, x, weights):
         acts = [np.asarray(x, dtype=float)]
@@ -364,11 +380,8 @@ class CholeskyMetricNet(Metric):
                 grads[2 * i + 1] = cpre
             ch = weights[2 * i].T @ cpre
         if grads is not None:
-            off = 0
-            for g, shape in zip(grads, self._shapes):
-                size = int(np.prod(shape))
-                grad_block[off: off + size] += g.ravel()
-                off += size
+            for g, (start, stop, _) in zip(grads, self._views):
+                grad_block[start:stop] += g.ravel()
         return ch  # cotangent on the network input
 
     def param_vjp(self, x, params, S, grad_out):

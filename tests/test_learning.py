@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from treemotion.errors import StructureError
-from treemotion.fixtures import synthesize_conflicting_demos
+from treemotion.errors import NumericError, StructureError
+from treemotion.fixtures import conflicting_demo_fixture, synthesize_conflicting_demos
 from treemotion.learning import (
     TrainOptions,
     _baseline_leaf_loss_grad,
@@ -311,3 +311,13 @@ def test_baseline_reduces_its_own_objective():
     after, _ = _baseline_leaf_loss_grad(tree, trained, 2,
                                         list(demos2.samples()), want_grad=False)
     assert after < before
+
+
+def test_baseline_checks_its_final_iterate():
+    # At this fixture seed the last step takes leaf 3's weights to about
+    # 2e7, where its own loss is NaN.
+    tree, params, demos, _, _ = conflicting_demo_fixture(seed=14)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="leaf 3 "):
+        train_independent_baseline(tree, params, demos,
+                                   TrainOptions(alpha=None, iterations=2))

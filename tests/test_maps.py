@@ -258,3 +258,95 @@ def test_frozen_chain_needs_no_params(rng):
     x = rng.uniform(-1.0, 1.0, 2)
     y = chain.value(x, None)
     np.testing.assert_allclose(chain.inverse(y, None), x, atol=1e-9)
+
+
+def _unfused_layer_jacobian(ly, y, ts, tt):
+    """A coupling layer's Jacobian assembled block by block, without the
+    fused kernel: the reference the fused kernel must match bit for bit."""
+    a, b = y[ly.ia], y[ly.ib]
+    E = np.exp(ly.s_net.value(a, ts))
+    J = np.zeros((ly.dim, ly.dim))
+    J[ly.ia, ly.ia] = 1.0
+    J[np.ix_(ly.ib, ly.ib)] = np.diag(E)
+    dba = (b * E)[:, None] * ly.s_net.input_jacobian(a, ts)
+    dba += ly.t_net.input_jacobian(a, tt)
+    J[np.ix_(ly.ib, ly.ia)] = dba
+    return J
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fused_chain_kernel_is_bit_identical_to_layer_composition(dim):
+    rng = np.random.default_rng(41 + dim)
+    for trial in range(10):
+        chain, params = make_learnable_chain(dim, seed=trial, theta_scale=0.5,
+                                             n_layers=3, n_features=7)
+        assert {ly.flip for ly in chain.layers} == {False, True}
+        block = params.values[chain.param_slice]
+        x = rng.uniform(-1.5, 1.5, dim)
+        y, J = x, np.eye(dim)
+        for m, ly in enumerate(chain.layers):
+            ts, tt = chain._layer_thetas(block, m)
+            J_layer = _unfused_layer_jacobian(ly, y, ts, tt)
+            y_next = ly.forward(y, ts, tt)
+            fused_y, fused_J = ly.value_and_jacobian(y, ts, tt)
+            assert np.array_equal(fused_y, y_next)
+            assert np.array_equal(fused_J, J_layer)
+            assert np.array_equal(ly.jacobian(y, ts, tt), J_layer)
+            J = J_layer @ J
+            y = y_next
+        value, jac = chain.value_and_jacobian(x, params)
+        assert np.array_equal(value, y)
+        assert np.array_equal(jac, J)
+        assert np.array_equal(chain.value(x, params), y)
+
+
+def _value_vjp(chain, x, params, cot):
+    grad = params.zeros_like()
+    chain.value_vjp(x, params, cot, grad)
+    return grad
+
+
+def test_value_vjp_memo_follows_weights_and_input(rng):
+    chain, params = make_learnable_chain(3, seed=5, n_layers=3, n_features=6)
+    cot = rng.normal(0.0, 1.0, 3)
+
+    def fresh(p, x):
+        # an identically built chain whose memo is empty
+        twin = DiffeoChain(3, seed=5, n_layers=3, n_features=6)
+        twin.param_slice = chain.param_slice
+        return _value_vjp(twin, x, p, cot)
+
+    x = rng.uniform(-1.0, 1.0, 3)
+    g0 = _value_vjp(chain, x, params, cot)
+    assert np.array_equal(g0, fresh(params, x))
+    assert np.array_equal(_value_vjp(chain, x, params, cot), g0)
+
+    # weights written in place
+    params.values[:] = rng.normal(0.0, 0.3, params.size)
+    g1 = _value_vjp(chain, x, params, cot)
+    assert not np.array_equal(g1, g0)
+    assert np.array_equal(g1, fresh(params, x))
+
+    # a new vector from with_values, and a new input
+    other = params.with_values(rng.normal(0.0, 0.3, params.size))
+    x2 = rng.uniform(-1.0, 1.0, 3)
+    for p, xx in ((other, x), (other, x2), (params, x2)):
+        assert np.array_equal(_value_vjp(chain, xx, p, cot), fresh(p, xx))
+
+    # overwriting the vector a tape was built from leaves the tape intact
+    saved = params.copy()
+    _value_vjp(chain, x, params, cot)
+    params.values[:] = 0.0
+    assert np.array_equal(_value_vjp(chain, x, saved, cot), fresh(saved, x))
+
+
+def test_value_vjp_memos_of_two_chains_do_not_mix(rng):
+    a, pa = make_learnable_chain(2, seed=1, n_layers=2, n_features=5)
+    b, pb = make_learnable_chain(2, seed=2, n_layers=2, n_features=5)
+    x = rng.uniform(-1.0, 1.0, 2)
+    cot = rng.normal(0.0, 1.0, 2)
+    first = {id(a): _value_vjp(a, x, pa, cot), id(b): _value_vjp(b, x, pb, cot)}
+    assert not np.array_equal(first[id(a)], first[id(b)])
+    for _ in range(3):
+        for chain, p in ((a, pa), (b, pb)):
+            assert np.array_equal(_value_vjp(chain, x, p, cot), first[id(chain)])

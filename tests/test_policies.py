@@ -270,3 +270,36 @@ def test_equilibrium_is_fixed_point():
     )
     np.testing.assert_allclose(evaluate_policy(tree, goal), 0.0, atol=1e-10)
     assert root_potential(tree, goal) == 0.0
+
+
+def test_goal_image_follows_chain_weights(rng):
+    def latent(seed):
+        chain = DiffeoChain(2, n_layers=3, n_features=6, seed=seed)
+        builder = ParamRegistryBuilder()
+        chain.param_slice = builder.register(
+            "chain", rng.normal(0.0, 0.3, chain.n_params))
+        return LatentQuadraticPotential(np.array([0.4, -0.2]), chain), builder.build()
+
+    def image(pot, params):
+        out = pot.goal_image(params)
+        assert np.array_equal(out, pot.chain.value(pot.goal, params))
+        return out
+
+    pot, params = latent(12)
+    first = image(pot, params)
+    assert pot.goal_image(params) is first
+    with pytest.raises(ValueError):
+        first[0] = 1.0  # shared by every caller, so read-only
+
+    # weights written in place, then a new vector from with_values
+    params.values[:] = rng.normal(0.0, 0.3, params.size)
+    assert not np.array_equal(image(pot, params), first)
+    other = params.with_values(rng.normal(0.0, 0.3, params.size))
+    image(pot, other)
+
+    # two parameter vectors, and two chains, alternating
+    pot2, params2 = latent(13)
+    for _ in range(2):
+        image(pot, params)
+        image(pot, other)
+        image(pot2, params2)
