@@ -28,7 +28,6 @@ from .fixtures import (
 )
 from .gradients import (
     PolicyGradient,
-    loss_gradient,
     policy_param_jacobian,
     policy_vjp,
 )
@@ -71,11 +70,9 @@ from .policies import (
     QuadraticPotential,
     RawVMLeaf,
     ZeroPotential,
-    cholesky_metric,
     handcrafted_attractor,
     handcrafted_barrier,
     handcrafted_damper,
-    natural_gradient_force,
 )
 from .rollout import (
     LyapunovReport,
@@ -137,7 +134,6 @@ __all__ = [
     "TreeMotionError",
     "ZeroPotential",
     "backward_pass",
-    "cholesky_metric",
     "conflicting_demo_fixture",
     "descent_rate",
     "evaluate_policy",
@@ -151,10 +147,8 @@ __all__ = [
     "joint_loss",
     "leaf_evaluate",
     "loss_and_gradient",
-    "loss_gradient",
     "loss_value",
     "lyapunov_check",
-    "natural_gradient_force",
     "policy_param_jacobian",
     "policy_vjp",
     "random_tree",

@@ -1,4 +1,4 @@
-"""Analytic weight gradients of the composed policy and of scalar losses.
+"""Analytic weight gradients of the composed policy.
 
 The gradients are reverse-accumulated by hand through the four
 composition stages. With ``u = M_root^{-1} g`` for a cotangent ``g`` on
@@ -17,6 +17,9 @@ edge higher on their path (so their own inputs carry no weight
 dependence); the structures built here satisfy that by construction and
 anything else is rejected up front. A finite-difference oracle for all
 of this lives in the verification helpers and the test suite.
+
+``run_pipeline`` is the one evaluation that keeps its node states; the
+losses, the trainer and the rollouts build on it.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericError, SingularMetricError, StructureError
-from .losses import DemoSet, LossSpec, _sample_subtask_grad, anchor_jacobian
+from .errors import StructureError
 from .params import ParamVector
 from .tree import (
-    SINGULAR_EIG_TOL,
     TransformTree,
     backward_pass,
     forward_pass,
     leaf_evaluate,
+    solve_root,
 )
 
 
@@ -82,31 +84,13 @@ def check_gradient_structure(tree: TransformTree) -> None:
     tree._grad_structure_checked = True
 
 
-def run_pipeline(tree: TransformTree, q, params: ParamVector) -> PipelineCache:
+def run_pipeline(tree: TransformTree, q, params: ParamVector | None) -> PipelineCache:
     """Evaluate the four stages once and keep everything the reverse
     pass needs (coordinates, edge Jacobians, leaf outputs, root factor)."""
     states = forward_pass(tree, q, params)
     leaf_evaluate(tree, states, params)
     backward_pass(tree, states)
-    M_root = states[0].pulled_metric
-    if not np.all(np.isfinite(M_root)):
-        raise NumericError("root metric contains non-finite entries")
-    try:
-        factor = scipy.linalg.cho_factor(M_root, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        min_eig = float(np.linalg.eigvalsh(M_root).min())
-        raise SingularMetricError(
-            f"root metric is singular (min eigenvalue {min_eig:.3e}); "
-            "gradients require M_root > 0"
-        ) from exc
-    if float(np.diagonal(factor[0]).min()) ** 2 < SINGULAR_EIG_TOL:
-        min_eig = float(np.linalg.eigvalsh(M_root).min())
-        if min_eig < SINGULAR_EIG_TOL:
-            raise SingularMetricError(
-                f"root metric min eigenvalue {min_eig:.3e} is below "
-                f"{SINGULAR_EIG_TOL}; gradients require M_root > 0"
-            )
-    pi = scipy.linalg.cho_solve(factor, states[0].pulled_force, check_finite=False)
+    pi, factor = solve_root(states[0].pulled_metric, states[0].pulled_force)
     return PipelineCache(states=states, pi=pi, cho_factor=factor)
 
 
@@ -168,26 +152,3 @@ def policy_param_jacobian(tree: TransformTree, q,
     for i in range(d):
         pipeline_vjp(tree, cache, params, basis[i], jac[i])
     return PolicyGradient(jacobian=jac)
-
-
-def loss_gradient(loss: LossSpec, demos: DemoSet, tree: TransformTree,
-                  params: ParamVector) -> np.ndarray:
-    """Gradient of the demo loss: ordered sum of per-sample reverse passes."""
-    grad = params.zeros_like()
-    if loss.kind == "joint_space":
-        for q, qdot in demos.samples():
-            cache = run_pipeline(tree, q, params)
-            g = 2.0 * (cache.pi - qdot)
-            pipeline_vjp(tree, cache, params, g, grad)
-        return grad
-    if loss.kind == "subtask_space":
-        lam = loss.lam_for(tree)
-        for q, qdot in demos.samples():
-            cache = run_pipeline(tree, q, params)
-            anchors = [anchor_jacobian(tree, leaf, q, params) for leaf in tree.leaves]
-            _, g = _sample_subtask_grad(tree, lam, anchors, cache.pi, qdot)
-            pipeline_vjp(tree, cache, params, g, grad)
-        return grad
-    raise StructureError(
-        "independent_baseline has per-leaf objectives; see train_independent_baseline"
-    )

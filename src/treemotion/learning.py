@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, StructureError
 from .gradients import pipeline_vjp, run_pipeline
-from .losses import DemoSet, LossSpec, _sample_subtask_grad
+from .losses import DemoSet, LossSpec, loss_samples, loss_value, sample_loss
 from .maps import DiffeoChain
 from .params import ParamVector
 from .policies import NaturalGradientLeaf
@@ -63,64 +63,27 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# Fused loss + gradient over demo samples
+# Loss + gradient: evaluated pass, per-sample loss, reverse pass
 # ---------------------------------------------------------------------------
-
-
-def _anchor_from_states(tree, states, leaf):
-    J = np.eye(tree.root_dim)
-    for edge in tree.path_to(leaf):
-        if isinstance(edge.map, DiffeoChain):
-            break
-        J = states[edge.child].jac_to_parent @ J
-    return J
-
-
-def _sample_loss_grad(tree, params, loss, lam, q, qdot):
-    cache = run_pipeline(tree, q, params)
-    if loss.kind == "joint_space":
-        r = qdot - cache.pi
-        value = float(r @ r)
-        g = -2.0 * r
-    else:
-        anchors = [_anchor_from_states(tree, cache.states, leaf)
-                   for leaf in tree.leaves]
-        value, g = _sample_subtask_grad(tree, lam, anchors, cache.pi, qdot)
-    grad = params.zeros_like()
-    pipeline_vjp(tree, cache, params, g, grad)
-    return value, grad
 
 
 def loss_and_gradient(tree: TransformTree, params: ParamVector, demos_or_samples,
                       loss: LossSpec):
-    """Loss value and weight gradient in one pass over the samples."""
-    if isinstance(demos_or_samples, DemoSet):
-        samples = list(demos_or_samples.samples())
-    else:
-        samples = list(demos_or_samples)
-    lam = loss.lam_for(tree) if loss.kind == "subtask_space" else None
+    """Loss value and weight gradient in one pass over the samples: the
+    gradient ``train`` descends and ``gradcheck`` checks."""
+    samples, lam = loss_samples(loss, tree, demos_or_samples)
     total = 0.0
     grad = params.zeros_like()
     for q, qdot in samples:
-        value, g = _sample_loss_grad(tree, params, loss, lam, q, qdot)
-        total += value
-        grad += g
-    return total, grad
-
-
-def _loss_only(tree, params, samples, loss, lam):
-    total = 0.0
-    for q, qdot in samples:
         cache = run_pipeline(tree, q, params)
-        if loss.kind == "joint_space":
-            r = qdot - cache.pi
-            total += float(r @ r)
-        else:
-            anchors = [_anchor_from_states(tree, cache.states, leaf)
-                       for leaf in tree.leaves]
-            value, _ = _sample_subtask_grad(tree, lam, anchors, cache.pi, qdot)
-            total += value
-    return total
+        value, g = sample_loss(tree, loss, lam, cache, qdot)
+        # A per-sample buffer fixes the order of the sum; joint-loss
+        # training amplifies any reordering within two steps.
+        g_theta = params.zeros_like()
+        pipeline_vjp(tree, cache, params, g, g_theta)
+        total += value
+        grad += g_theta
+    return total, grad
 
 
 def _backtracking_alpha(eval_loss, theta0, loss0, grad, alpha0=1.0,
@@ -158,12 +121,8 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
     """
     if opts is None:
         opts = TrainOptions()
-    if loss.kind == "independent_baseline":
-        raise StructureError("use train_independent_baseline for the per-leaf scheme")
+    all_samples, _ = loss_samples(loss, tree, demos)
     loss.validate_for_training(tree)
-    lam = loss.lam_for(tree) if loss.kind == "subtask_space" else None
-
-    all_samples = list(demos.samples())
     rng = np.random.default_rng(opts.seed)
     theta = params.copy()
     last_finite = theta
@@ -195,8 +154,7 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
                 alpha = 0.0
             else:
                 alpha = _backtracking_alpha(
-                    lambda v: _loss_only(tree, theta.with_values(v), samples,
-                                         loss, lam),
+                    lambda v: loss_value(loss, tree, theta.with_values(v), samples),
                     theta.values, value, grad,
                 )
         if opts.momentum > 0.0:
@@ -212,7 +170,7 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
     if status == "completed":
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                final = _loss_only(tree, theta, all_samples, loss, lam)
+                final = loss_value(loss, tree, theta, all_samples)
             except NumericError:
                 final = np.inf
         if np.isfinite(final):

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
+from .gradients import PipelineCache, run_pipeline
 from .maps import DiffeoChain
 from .params import ParamVector
-from .tree import TransformTree, evaluate_policy
+from .tree import TransformTree
 
 
 @dataclass
@@ -140,39 +141,52 @@ class LossSpec:
 
 
 # ---------------------------------------------------------------------------
-# Subtask anchors
+# Per-sample loss
 # ---------------------------------------------------------------------------
 
 
-def anchor_jacobian(tree: TransformTree, leaf: int, q,
-                    params: ParamVector | None = None) -> np.ndarray:
-    """Jacobian of the fixed portion of the root-to-leaf map at ``q``.
-
-    Walks the path and stops before the first latent (diffeo-chain)
-    edge, i.e. at the node whose space the user actually named.
-    """
-    x = np.asarray(q, dtype=float)
+def _anchor_jacobian(tree: TransformTree, states, leaf: int) -> np.ndarray:
+    """Jacobian of the fixed portion of the root-to-leaf map, chained from
+    the edge Jacobians in ``states`` up to the first latent (diffeo-chain)
+    edge, i.e. to the node whose space the user actually named."""
     J = np.eye(tree.root_dim)
     for edge in tree.path_to(leaf):
         if isinstance(edge.map, DiffeoChain):
             break
-        x, J_edge = edge.map.value_and_jacobian(x, params)
-        J = J_edge @ J
+        J = states[edge.child].jac_to_parent @ J
     return J
 
 
-def _sample_subtask_grad(tree, lam, anchors, pi, qdot):
-    """Per-sample loss and its gradient with respect to ``pi``."""
-    r = qdot - pi
-    loss = 0.0
-    g = np.zeros_like(pi)
-    for lk, J in zip(lam, anchors):
+def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
+                qdot) -> tuple[float, np.ndarray]:
+    """One sample's loss and its cotangent on ``pi``, from the sample's
+    ``run_pipeline`` pass and validated ``lam`` (``None`` for joint)."""
+    r = qdot - cache.pi
+    if loss.kind == "joint_space":
+        return float(r @ r), -2.0 * r
+    value = 0.0
+    g = np.zeros_like(cache.pi)
+    for lk, leaf in zip(lam, tree.leaves):
         if lk == 0.0:
             continue
+        J = _anchor_jacobian(tree, cache.states, leaf)
         Jr = J @ r
-        loss += lk * float(Jr @ Jr)
+        value += lk * float(Jr @ Jr)
         g -= 2.0 * lk * (J.T @ Jr)
-    return loss, g
+    return value, g
+
+
+def loss_samples(loss: LossSpec, tree: TransformTree, demos_or_samples):
+    """``(samples, lam)`` of a summed demo loss; ``lam`` is ``None`` for the
+    joint loss, and the per-leaf baseline kind is rejected."""
+    if loss.kind == "independent_baseline":
+        raise StructureError(
+            "independent_baseline is trained per leaf; see train_independent_baseline"
+        )
+    lam = loss.lam_for(tree) if loss.kind == "subtask_space" else None
+    if isinstance(demos_or_samples, DemoSet):
+        return list(demos_or_samples.samples()), lam
+    return list(demos_or_samples), lam
 
 
 # ---------------------------------------------------------------------------
@@ -180,41 +194,24 @@ def _sample_subtask_grad(tree, lam, anchors, pi, qdot):
 # ---------------------------------------------------------------------------
 
 
-def subtask_loss(tree: TransformTree, params: ParamVector, demos: DemoSet,
+def loss_value(loss: LossSpec, tree: TransformTree, params: ParamVector | None,
+               demos) -> float:
+    """Demo loss summed over the samples of ``demos`` (a ``DemoSet`` or a
+    list of ``(q, qdot)`` pairs)."""
+    samples, lam = loss_samples(loss, tree, demos)
+    total = 0.0
+    for q, qdot in samples:
+        total += sample_loss(tree, loss, lam, run_pipeline(tree, q, params), qdot)[0]
+    return total
+
+
+def subtask_loss(tree: TransformTree, params: ParamVector | None, demos: DemoSet,
                  lam) -> float:
     """Velocity deviation summed over subtask spaces, weighted by ``lam``."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (len(tree.leaves),):
-        raise StructureError(
-            f"lam has {lam.size} entries, tree has {len(tree.leaves)} leaves"
-        )
-    total = 0.0
-    for q, qdot in demos.samples():
-        pi = evaluate_policy(tree, q, params)
-        r = qdot - pi
-        for lk, leaf in zip(lam, tree.leaves):
-            if lk == 0.0:
-                continue
-            Jr = anchor_jacobian(tree, leaf, q, params) @ r
-            total += lk * float(Jr @ Jr)
-    return total
+    return loss_value(LossSpec("subtask_space", lam), tree, params, demos)
 
 
-def joint_loss(tree: TransformTree, params: ParamVector, demos: DemoSet) -> float:
-    """Plain joint-space velocity regression error."""
-    total = 0.0
-    for q, qdot in demos.samples():
-        r = qdot - evaluate_policy(tree, q, params)
-        total += float(r @ r)
-    return total
-
-
-def loss_value(loss: LossSpec, tree: TransformTree, params: ParamVector,
+def joint_loss(tree: TransformTree, params: ParamVector | None,
                demos: DemoSet) -> float:
-    if loss.kind == "joint_space":
-        return joint_loss(tree, params, demos)
-    if loss.kind == "subtask_space":
-        return subtask_loss(tree, params, demos, loss.lam_for(tree))
-    raise StructureError(
-        "independent_baseline is trained per leaf; see train_independent_baseline"
-    )
+    """Plain joint-space velocity regression error."""
+    return loss_value(LossSpec("joint_space"), tree, params, demos)

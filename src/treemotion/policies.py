@@ -393,11 +393,6 @@ class CholeskyMetricNet(Metric):
         return self._vjp(x, params, S, None)
 
 
-def cholesky_metric(net: CholeskyMetricNet, w, params):
-    """``(L, M)`` of the Cholesky-parameterized importance weight at ``w``."""
-    return net.decompose(w, params)
-
-
 # ---------------------------------------------------------------------------
 # Leaf policies
 # ---------------------------------------------------------------------------
@@ -540,11 +535,6 @@ class NaturalGradientLeaf(LeafPolicy):
         if self.metric.is_learnable:
             out.append(("metric", self.metric))
         return out
-
-
-def natural_gradient_force(leaf: LeafPolicy, z, params, parent_coord=None):
-    """Force/weight pair ``(p, M)`` of a leaf at ``z``."""
-    return leaf.evaluate(z, params, parent_coord=parent_coord)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from .gradients import run_pipeline
 from .losses import Trajectory
 from .params import ParamVector
-from .tree import (
-    TransformTree,
-    backward_pass,
-    forward_pass,
-    leaf_evaluate,
-    leaf_potential_sum,
-    resolve,
-)
+from .tree import TransformTree, evaluate_policy, leaf_potential_sum
 
 
 @dataclass
@@ -50,21 +44,6 @@ class LyapunovReport:
         return self.n_violations == 0
 
 
-def _full_eval(tree, q, params, want_potential):
-    states = forward_pass(tree, q, params)
-    leaf_evaluate(tree, states, params)
-    backward_pass(tree, states)
-    phi = leaf_potential_sum(tree, states, params) if want_potential else None
-    return resolve(states), states[0].pulled_force, phi
-
-
-def _velocity(tree, q, params):
-    states = forward_pass(tree, q, params)
-    leaf_evaluate(tree, states, params)
-    backward_pass(tree, states)
-    return resolve(states)
-
-
 def integrate(tree: TransformTree, params: ParamVector | None, q0,
               dt: float = 1e-3, max_steps: int = 100_000,
               grad_tol: float = 1e-6, record_potential: bool = True) -> RolloutResult:
@@ -84,21 +63,22 @@ def integrate(tree: TransformTree, params: ParamVector | None, q0,
     t = 0.0
     try:
         for _ in range(max_steps + 1):
-            pi1, p_root, phi = _full_eval(tree, q, params, record_potential)
+            cache = run_pipeline(tree, q, params)
+            pi1 = cache.pi
+            if record_potential:
+                phis.append(leaf_potential_sum(tree, cache.states, params))
             ts.append(t)
             qs.append(q.copy())
             qds.append(pi1)
-            if record_potential:
-                phis.append(phi)
-            terminal = float(np.linalg.norm(p_root))
+            terminal = float(np.linalg.norm(cache.states[0].pulled_force))
             if terminal <= grad_tol:
                 status = "converged"
                 break
             if len(ts) == max_steps + 1:
                 break
-            k2 = _velocity(tree, q + 0.5 * dt * pi1, params)
-            k3 = _velocity(tree, q + 0.5 * dt * k2, params)
-            k4 = _velocity(tree, q + dt * k3, params)
+            k2 = evaluate_policy(tree, q + 0.5 * dt * pi1, params)
+            k3 = evaluate_policy(tree, q + 0.5 * dt * k2, params)
+            k4 = evaluate_policy(tree, q + dt * k3, params)
             q = q + (dt / 6.0) * (pi1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
     except NumericError as exc:
@@ -143,8 +123,5 @@ def descent_rate(tree: TransformTree, params: ParamVector | None, q) -> float:
     Nonpositive (up to solver roundoff) whenever the root metric is
     positive definite; useful as a state-by-state stability probe.
     """
-    states = forward_pass(tree, q, params)
-    leaf_evaluate(tree, states, params)
-    backward_pass(tree, states)
-    pi = resolve(states)
-    return float(-states[0].pulled_force @ pi)
+    cache = run_pipeline(tree, q, params)
+    return float(-cache.states[0].pulled_force @ cache.pi)

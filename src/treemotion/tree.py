@@ -9,7 +9,8 @@ leaf spaces where policies live. One policy evaluation is:
    weight ``M``;
 3. backward pass: pull ``(p, M)`` to the root through ``J^T p`` and
    ``J^T M J``, reusing shared subpaths once;
-4. resolve: solve ``M_root u = p_root`` for the configuration velocity.
+4. resolve: solve ``M_root u = p_root`` for the configuration velocity
+   (``solve_root``, the one SPD solve, also used by the reverse pass).
 
 ``flat_solve`` answers the same weighted least-squares problem without
 the tree recursion (explicit root-to-leaf compositions and stacked
@@ -71,7 +72,8 @@ class TransformTree:
     Construction validates the wiring and assigns parameter slices to
     every learnable component (edge maps in child order, then leaf
     components in leaf order), so ``init_params()`` yields the matching
-    flat vector.
+    flat vector. A component another tree bound to a different slice
+    raises ``StructureError``; reuse at the same slice is allowed.
     """
 
     def __init__(self, node_dims, edges, leaf_policies):
@@ -142,20 +144,28 @@ class TransformTree:
                 node = edge.parent
             self._paths[leaf] = path[::-1]
 
-        # Parameter slice assignment (deterministic order).
+        # Parameter slice assignment (deterministic order). Components read
+        # their weights through their slice, so one that another tree bound
+        # to a different slice is rejected before anything is rebound.
         self._components: list[tuple[str, object]] = []
-        offset = 0
         for e in self.edges:
             if e.map.n_params > 0:
-                e.map.param_slice = slice(offset, offset + e.map.n_params)
                 self._components.append((f"edge[{e.parent}->{e.child}].map", e.map))
-                offset += e.map.n_params
         for node in self.leaves:
             for suffix, comp in self.leaf_policies[node].components():
                 if comp.n_params > 0:
-                    comp.param_slice = slice(offset, offset + comp.n_params)
                     self._components.append((f"leaf[{node}].{suffix}", comp))
-                    offset += comp.n_params
+        slices, offset = [], 0
+        for name, comp in self._components:
+            slices.append(slice(offset, offset + comp.n_params))
+            offset += comp.n_params
+            if comp.param_slice not in (None, slices[-1]):
+                raise StructureError(
+                    f"component {name} is bound to weights {comp.param_slice.start}:"
+                    f"{comp.param_slice.stop} of another tree; build a new one"
+                )
+        for (_, comp), sl in zip(self._components, slices):
+            comp.param_slice = sl
         self.n_params = offset
 
     # -- introspection ------------------------------------------------------
@@ -238,23 +248,24 @@ def backward_pass(tree: TransformTree, states: list[NodeState]) -> list[NodeStat
     return states
 
 
-def _min_eig_or_nan(M: np.ndarray) -> float:
-    if not np.all(np.isfinite(M)):
-        return float("nan")
-    return float(np.linalg.eigvalsh(M).min())
+def solve_root(M: np.ndarray, p: np.ndarray,
+               regularization: float = 0.0) -> tuple[np.ndarray, tuple | None]:
+    """Solve ``(M + reg I) u = p``; returns ``(u, cho_factor)``.
 
-
-def _resolve_spd(M: np.ndarray, p: np.ndarray, regularization: float) -> np.ndarray:
+    Without regularization ``M`` must be positive definite, else
+    ``SingularMetricError``; the factor (``None`` on the regularized
+    route) is kept for the reverse pass.
+    """
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(p))):
         raise NumericError("root system contains non-finite entries")
     if regularization > 0.0:
         # Eigendecomposition pseudo-solve of (M + reg I) u = p.
         w, V = np.linalg.eigh(M)
-        return V @ ((V.T @ p) / (w + regularization))
+        return V @ ((V.T @ p) / (w + regularization)), None
     try:
         factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        min_eig = _min_eig_or_nan(M)
+        min_eig = float(np.linalg.eigvalsh(M).min())
         raise SingularMetricError(
             f"root metric is singular (Cholesky failed, min eigenvalue "
             f"{min_eig:.3e}); pass a positive regularization to proceed"
@@ -267,13 +278,13 @@ def _resolve_spd(M: np.ndarray, p: np.ndarray, regularization: float) -> np.ndar
                 f"root metric min eigenvalue {min_eig:.3e} is below "
                 f"{SINGULAR_EIG_TOL}; pass a positive regularization to proceed"
             )
-    return scipy.linalg.cho_solve(factor, p, check_finite=False)
+    return scipy.linalg.cho_solve(factor, p, check_finite=False), factor
 
 
 def resolve(states: list[NodeState], regularization: float = 0.0) -> np.ndarray:
     """Solve the root system ``(M_root + reg I) u = p_root``."""
-    return _resolve_spd(states[0].pulled_metric, states[0].pulled_force,
-                        regularization)
+    return solve_root(states[0].pulled_metric, states[0].pulled_force,
+                      regularization)[0]
 
 
 def evaluate_policy(tree: TransformTree, q, params: ParamVector | None = None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TreeMotionError
-from .gradients import loss_gradient
+from .learning import loss_and_gradient
 from .losses import DemoSet, LossSpec, loss_value
 from .params import ParamVector
 from .tree import TransformTree, evaluate_policy, flat_solve, forward_pass
@@ -102,13 +102,14 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
 def gradcheck_report(tree: TransformTree, params: ParamVector, demos: DemoSet,
                      loss: LossSpec, h: float = 1e-5, tol: float = 1e-4,
                      corrupt: float = 0.0) -> dict:
-    """Analytic loss gradient against central finite differences.
+    """The trainer's analytic loss gradient (``loss_and_gradient``)
+    against central finite differences.
 
     ``corrupt`` adds a constant to the analytic gradient before the
     comparison; it exists so a deliberately broken gradient can be shown
     to fail (negative control for the check itself).
     """
-    analytic = loss_gradient(loss, demos, tree, params)
+    analytic = loss_and_gradient(tree, params, demos, loss)[1]
     if corrupt:
         analytic = analytic + corrupt
     fd = np.zeros_like(analytic)

@@ -18,8 +18,12 @@ from treemotion.fixtures import (
     stability_seed_states,
     three_link_stability_fixture,
 )
-from treemotion.gradients import loss_gradient
-from treemotion.learning import TrainOptions, train, train_independent_baseline
+from treemotion.learning import (
+    TrainOptions,
+    loss_and_gradient,
+    train,
+    train_independent_baseline,
+)
 from treemotion.losses import LossSpec, joint_loss, loss_value, subtask_loss
 from treemotion.maps import DiffeoChain, IdentityMap, RFFNet
 from treemotion.params import ParamRegistryBuilder
@@ -210,7 +214,7 @@ def test_criterion_6_gradient_correctness():
     worst_rel = 0.0
     worst_abs_small = 0.0
     for tree, params, demos, loss in cases:
-        g = loss_gradient(loss, demos, tree, params)
+        g = loss_and_gradient(tree, params, demos, loss)[1]
         fd = fd_grad_wrt_params(lambda p: loss_value(loss, tree, p, demos),
                                 params, h=1e-5)
         small = np.abs(fd) < 1e-3

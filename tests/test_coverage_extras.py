@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from treemotion.fixtures import synthesize_conflicting_demos
-from treemotion.gradients import loss_gradient
-from treemotion.learning import TrainOptions, train
+from treemotion.learning import TrainOptions, loss_and_gradient, train
 from treemotion.losses import DemoSet, LossSpec, Trajectory, loss_value, subtask_loss
 from treemotion.maps import (
     DiffeoChain,
@@ -88,7 +87,7 @@ def test_subtask_metric_input_evaluates_and_differentiates():
     np.testing.assert_allclose(pi, flat_solve(tree, q, params), atol=1e-12)
     demos = DemoSet([Trajectory(np.array([0.0]), q[None, :], qdot[None, :])])
     loss = LossSpec("joint_space")
-    g = loss_gradient(loss, demos, tree, params)
+    g = loss_and_gradient(tree, params, demos, loss)[1]
     fd = fd_grad_wrt_params(lambda p: loss_value(loss, tree, p, demos), params)
     denom = np.maximum(np.abs(fd), 1e-3)
     assert (np.abs(g - fd) / denom).max() < 1e-4

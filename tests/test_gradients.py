@@ -4,12 +4,12 @@ import pytest
 from treemotion.errors import StructureError
 from treemotion.fixtures import gradcheck_cases
 from treemotion.gradients import (
-    loss_gradient,
     policy_param_jacobian,
     policy_vjp,
     run_pipeline,
     pipeline_vjp,
 )
+from treemotion.learning import loss_and_gradient
 from treemotion.losses import DemoSet, LossSpec, Trajectory, loss_value
 from treemotion.maps import DiffeoChain, IdentityMap
 from treemotion.policies import ConstantMetric, RawVMLeaf, handcrafted_damper
@@ -74,7 +74,7 @@ def test_loss_gradient_zero_at_global_minimum():
     demos = DemoSet([Trajectory(np.array([0.0, 0.1]),
                                 np.array([[0.3, 0.1], [-0.2, 0.4]]),
                                 np.stack([qdot, qdot]))])
-    g = loss_gradient(LossSpec("joint_space"), demos, tree, params)
+    g = loss_and_gradient(tree, params, demos, LossSpec("joint_space"))[1]
     assert np.linalg.norm(g) < 1e-8
 
 
@@ -85,7 +85,7 @@ def test_loss_gradient_single_scalar_matches_fd():
     demos = DemoSet([Trajectory(np.array([0.0]), np.array([[0.5]]),
                                 np.array([[1.2]]))])
     loss = LossSpec("joint_space")
-    g = loss_gradient(loss, demos, tree, params)
+    g = loss_and_gradient(tree, params, demos, loss)[1]
     fd = fd_grad_wrt_params(lambda p: loss_value(loss, tree, p, demos), params)
     assert abs(g[0] - fd[0]) / max(abs(fd[0]), 1e-3) < 1e-4
 
@@ -93,7 +93,7 @@ def test_loss_gradient_single_scalar_matches_fd():
 def test_subtask_gradient_all_zero_weights_is_zero(rng):
     tree, params, demos, _ = gradcheck_cases(1)[0]
     lam = np.zeros(len(tree.leaves))
-    g = loss_gradient(LossSpec("subtask_space", lam), demos, tree, params)
+    g = loss_and_gradient(tree, params, demos, LossSpec("subtask_space", lam))[1]
     np.testing.assert_allclose(g, 0.0)
 
 
@@ -102,9 +102,10 @@ def test_gradient_scales_exactly_with_weights():
     for tree, params, demos, loss in gradcheck_cases(2):
         if loss.kind != "subtask_space":
             continue
-        g1 = loss_gradient(LossSpec("subtask_space", loss.lam), demos, tree, params)
-        g2 = loss_gradient(LossSpec("subtask_space", 2.0 * loss.lam), demos, tree,
-                           params)
+        g1 = loss_and_gradient(tree, params, demos,
+                               LossSpec("subtask_space", loss.lam))[1]
+        g2 = loss_and_gradient(tree, params, demos,
+                               LossSpec("subtask_space", 2.0 * loss.lam))[1]
         assert np.array_equal(g2, 2.0 * g1)
 
 
@@ -114,7 +115,7 @@ def test_jacobian_chain_rule_matches_loss_gradient():
     q = demos.trajectories[0].q[0]
     qdot = demos.trajectories[0].qdot[0]
     one = DemoSet([Trajectory(np.array([0.0]), q[None, :], qdot[None, :])])
-    direct = loss_gradient(loss, one, tree, params)
+    direct = loss_and_gradient(tree, params, one, loss)[1]
     J = policy_param_jacobian(tree, q, params).jacobian
     pi = evaluate_policy(tree, q, params)
     composed = J.T @ (2.0 * (pi - qdot))
@@ -124,7 +125,9 @@ def test_jacobian_chain_rule_matches_loss_gradient():
 def test_fd_oracle_sweep_over_mixed_cases():
     h = 1e-5
     for tree, params, demos, loss in gradcheck_cases(8):
-        g = loss_gradient(loss, demos, tree, params)
+        value, g = loss_and_gradient(tree, params, demos, loss)
+        # The trainer's loss and the reported loss are one computation.
+        assert value == loss_value(loss, tree, params, demos)
         fd = fd_grad_wrt_params(lambda p: loss_value(loss, tree, p, demos),
                                 params, h=h)
         small = np.abs(fd) < 1e-3
@@ -154,7 +157,7 @@ def test_raw_leaf_with_learnable_metric_matches_fd(rng):
     qdot = rng.uniform(-1.0, 1.0, 2)
     demos = DemoSet([Trajectory(np.array([0.0]), q[None, :], qdot[None, :])])
     loss = LossSpec("joint_space")
-    g = loss_gradient(loss, demos, tree, params)
+    g = loss_and_gradient(tree, params, demos, loss)[1]
     fd = fd_grad_wrt_params(lambda p: loss_value(loss, tree, p, demos), params)
     denom = np.maximum(np.abs(fd), 1e-3)
     assert (np.abs(g - fd) / denom).max() < 1e-4

@@ -6,6 +6,7 @@ from treemotion.fixtures import conflicting_demo_fixture, synthesize_conflicting
 from treemotion.learning import (
     TrainOptions,
     _baseline_leaf_loss_grad,
+    loss_and_gradient,
     suggest_length_scale,
     train,
     train_independent_baseline,
@@ -15,6 +16,7 @@ from treemotion.losses import (
     LossSpec,
     Trajectory,
     joint_loss,
+    loss_value,
     subtask_loss,
     velocities_by_central_difference,
 )
@@ -121,6 +123,19 @@ def test_loss_spec_validation():
         spec.validate_for_training(tree)
     with pytest.raises(StructureError):
         LossSpec("subtask_space", np.array([1.0, 1.0])).lam_for(tree)
+
+
+def test_summed_losses_reject_the_baseline_kind_and_bad_weights():
+    tree, params = theta_policy_tree(2)
+    demos = demo_from_samples([[0.0, 0.0]], [[1.0, 1.0]])
+    baseline = LossSpec("independent_baseline")
+    with pytest.raises(StructureError, match="trained per leaf"):
+        loss_and_gradient(tree, params, demos, baseline)
+    with pytest.raises(StructureError, match="trained per leaf"):
+        loss_value(baseline, tree, params, demos)
+    for lam in ([-1.0], [np.nan]):
+        with pytest.raises(StructureError, match="finite and nonnegative"):
+            subtask_loss(tree, params, demos, lam)
 
 
 # ---------------------------------------------------------------------------

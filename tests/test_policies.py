@@ -14,11 +14,9 @@ from treemotion.policies import (
     NaturalGradientLeaf,
     QuadraticPotential,
     RawVMLeaf,
-    cholesky_metric,
     handcrafted_attractor,
     handcrafted_barrier,
     handcrafted_damper,
-    natural_gradient_force,
 )
 from treemotion.tree import (
     Edge,
@@ -49,7 +47,7 @@ def standalone_net(dim, **kw):
 def test_cholesky_zero_weights_gives_identity():
     net, params = standalone_net(2, hidden=(4,), eps=1.0, seed=0)
     params.values[:] = 0.0
-    L, M = cholesky_metric(net, np.array([0.3, -0.4]), params)
+    L, M = net.decompose(np.array([0.3, -0.4]), params)
     np.testing.assert_allclose(L, np.eye(2))
     np.testing.assert_allclose(M, np.eye(2))
 
@@ -62,7 +60,7 @@ def test_cholesky_head_arithmetic():
     off = 4 * 2 + 4 + 2 * 4
     params.values[off: off + 2] = [-2.0, 0.0]
     params.values[off + 2 + 4: off + 2 + 4 + 1] = [3.0]
-    L, M = cholesky_metric(net, np.zeros(2), params)
+    L, M = net.decompose(np.zeros(2), params)
     np.testing.assert_allclose(L, [[2.5, 0.0], [3.0, 0.5]])
     np.testing.assert_allclose(M, [[6.25, 7.5], [7.5, 9.25]])
 
@@ -116,7 +114,7 @@ def test_cholesky_lower_triangular_structure(rng):
 
 def test_quadratic_equilibrium_force_is_zero():
     leaf = handcrafted_attractor(np.array([0.7, -0.3]), gain=2.0)
-    p, M = natural_gradient_force(leaf, np.array([0.7, -0.3]), None)
+    p, M = leaf.evaluate(np.array([0.7, -0.3]), None)
     np.testing.assert_allclose(p, 0.0)
     np.testing.assert_allclose(M, np.eye(2))
 
@@ -125,7 +123,7 @@ def test_latent_quadratic_with_identity_chain():
     chain = DiffeoChain(2, n_layers=2, n_features=4, learnable=False, seed=0)
     leaf = NaturalGradientLeaf(2, LatentQuadraticPotential(np.zeros(2), chain),
                                ConstantMetric(np.eye(2)))
-    p, _ = natural_gradient_force(leaf, np.array([2.0, 0.0]), None)
+    p, _ = leaf.evaluate(np.array([2.0, 0.0]), None)
     np.testing.assert_allclose(p, [-2.0, 0.0])
 
 

@@ -3,9 +3,13 @@ import pytest
 
 from treemotion.errors import SingularMetricError, StructureError
 from treemotion.fixtures import random_tree
+from treemotion.gradients import run_pipeline
 from treemotion.maps import DifferentiableMap, IdentityMap, LinearMap, PlanarArmFK
 from treemotion.policies import (
+    CholeskyMetricNet,
     ConstantMetric,
+    NaturalGradientLeaf,
+    QuadraticPotential,
     RawVMLeaf,
     handcrafted_attractor,
     handcrafted_damper,
@@ -152,6 +156,10 @@ def test_backward_matches_flat_composition_on_random_trees(rng):
             b += J.T @ p
         np.testing.assert_allclose(states[0].pulled_force, b, atol=1e-12)
         np.testing.assert_allclose(states[0].pulled_metric, A, atol=1e-12)
+        # The evaluation shared by gradients, losses and rollouts solves the
+        # same root system bit for bit.
+        assert np.array_equal(run_pipeline(tree, q, params).pi,
+                              evaluate_policy(tree, q, params))
 
 
 def test_backward_metrics_stay_symmetric_psd(rng):
@@ -336,3 +344,35 @@ def test_validation_rejects_double_parent():
              Edge(0, 1, IdentityMap(2))],
             {2: raw_leaf([0.0, 0.0], np.eye(2))},
         )
+
+
+def test_learnable_component_cannot_move_to_a_second_tree():
+    net = CholeskyMetricNet(2, hidden=(4,), seed=0)
+
+    def build(first, second):
+        return TransformTree(
+            [2, 2, 2],
+            [Edge(0, 1, IdentityMap(2)), Edge(0, 2, IdentityMap(2))],
+            {1: first, 2: second},
+        )
+
+    t1 = build(RawVMLeaf(np.zeros(2), ConstantMetric(np.eye(2)), learnable=True),
+               NaturalGradientLeaf(2, QuadraticPotential(np.ones(2)), net))
+    p1 = t1.init_params()
+    assert net.param_slice == slice(2, 2 + net.n_params)
+    q = np.array([0.3, -0.2])
+    before = evaluate_policy(t1, q, p1)
+
+    # The net would move to 0:n_params; the fresh leaf listed first must
+    # not be bound either, so it stays usable in another tree.
+    fresh = RawVMLeaf(np.zeros(2), ConstantMetric(np.eye(2)), learnable=True)
+    with pytest.raises(StructureError, match="bound to weights 2:"):
+        build(NaturalGradientLeaf(2, QuadraticPotential(np.ones(2)), net), fresh)
+    assert net.param_slice == slice(2, 2 + net.n_params)
+    assert fresh.param_slice is None
+    assert np.array_equal(evaluate_policy(t1, q, p1), before)
+
+    # Reuse at the same slice is allowed.
+    t3 = build(fresh, NaturalGradientLeaf(2, QuadraticPotential(np.ones(2)), net))
+    assert t3.n_params == t1.n_params
+    assert np.array_equal(evaluate_policy(t3, q, p1), before)
