@@ -66,7 +66,7 @@ def check_gradient_structure(tree: TransformTree) -> None:
     if getattr(tree, "_grad_structure_checked", False):
         return
     for e in tree.edges:
-        if e.map.n_params == 0:
+        if not e.map.is_learnable:
             continue
         if e.child not in tree.leaves:
             raise StructureError(
@@ -75,7 +75,7 @@ def check_gradient_structure(tree: TransformTree) -> None:
         node = e.parent
         while node != 0:
             up = tree.parent_edge(node)
-            if up.map.n_params > 0:
+            if up.map.is_learnable:
                 raise StructureError(
                     f"{e.name()}: learnable edge below another learnable edge "
                     f"({up.name()}) is not supported"

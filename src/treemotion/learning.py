@@ -54,6 +54,18 @@ class TrainOptions:
     minibatch: int | None = None
     momentum: float = 0.0
 
+    def validate(self) -> None:
+        """Reject settings that would train silently wrong (a negative
+        step climbs the loss, an empty minibatch trains on nothing)."""
+        if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise StructureError(f"alpha must be None or finite > 0, got {self.alpha}")
+        if self.iterations < 0:
+            raise StructureError(f"iterations must be >= 0, got {self.iterations}")
+        if self.minibatch is not None and self.minibatch < 1:
+            raise StructureError(f"minibatch must be None or >= 1, got {self.minibatch}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise StructureError(f"momentum must be in [0, 1), got {self.momentum}")
+
 
 @dataclass
 class TrainResult:
@@ -121,6 +133,7 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
     """
     if opts is None:
         opts = TrainOptions()
+    opts.validate()
     all_samples, _ = loss_samples(loss, tree, demos)
     loss.validate_for_training(tree)
     rng = np.random.default_rng(opts.seed)
@@ -261,14 +274,15 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
     """
     if opts is None:
         opts = TrainOptions()
+    opts.validate()
     samples = list(demos.samples())
     theta = params.copy()
     for leaf in tree.leaves:
         policy = tree.leaf_policies[leaf]
         _, chain_edge = _leaf_fixed_prefix(tree, leaf)
-        chain_learnable = chain_edge is not None and chain_edge.map.is_learnable
-        leaf_learnable = policy.is_learnable or chain_learnable
-        if not leaf_learnable:
+        parts = [c for _, c in policy.components()]
+        parts += [chain_edge.map] if chain_edge is not None else []
+        if not any(c.is_learnable for c in parts):
             continue
         if not isinstance(policy, NaturalGradientLeaf):
             raise StructureError(

@@ -10,10 +10,14 @@ which the gradient engine relies on.
 
 Conventions
 -----------
-* ``value(x, params)`` -> child coordinates, shape ``(out_dim,)``.
-* ``jacobian(x, params)`` -> ``(out_dim, in_dim)``.
-* Parameterized maps read their weights from ``params`` through the
-  slice assigned at tree construction (or from frozen values).
+* ``value_and_jacobian(x, params)`` -> ``(y, J)``: child coordinates,
+  shape ``(out_dim,)``, and the Jacobian, shape ``(out_dim, in_dim)``.
+  It is the one method a map implements; ``value`` and ``jacobian``
+  take its two halves, so the Jacobian ``check`` verifies is the one the
+  forward pass uses.
+* Parameterized maps read their weights through
+  :meth:`~treemotion.params.Learnable.weights`: the slice assigned at
+  tree construction, or frozen values.
 """
 
 from __future__ import annotations
@@ -21,42 +25,30 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .params import ParamVector
+from .params import Learnable, ParamVector
 
 
-class DifferentiableMap:
+class DifferentiableMap(Learnable):
     """Smooth map between node coordinate spaces.
 
-    Subclasses set ``in_dim``/``out_dim`` and implement ``value`` and
-    ``jacobian``. Maps are immutable after construction; all state
-    mutation goes through the external parameter vector.
+    Subclasses set ``in_dim``/``out_dim`` and implement
+    ``value_and_jacobian`` only. Maps are immutable after construction;
+    all state mutation goes through the external parameter vector.
     """
 
     in_dim: int
     out_dim: int
-    #: number of learnable coefficients (0 for fixed maps)
-    n_params: int = 0
-    #: slice into the flat parameter vector, assigned at tree build time
-    param_slice: slice | None = None
+
+    def value_and_jacobian(self, x: np.ndarray, params: ParamVector | None = None):
+        raise NotImplementedError
 
     def value(self, x: np.ndarray, params: ParamVector | None = None) -> np.ndarray:
-        raise NotImplementedError
+        return self.value_and_jacobian(x, params)[0]
 
     def jacobian(self, x: np.ndarray, params: ParamVector | None = None) -> np.ndarray:
-        raise NotImplementedError
-
-    def value_and_jacobian(self, x, params=None):
-        return self.value(x, params), self.jacobian(x, params)
+        return self.value_and_jacobian(x, params)[1]
 
     # -- gradient support, overridden by parameterized maps ----------------
-
-    @property
-    def is_learnable(self) -> bool:
-        return self.n_params > 0 and self.param_slice is not None
-
-    def init_values(self) -> np.ndarray:
-        """Initial weights registered into the parameter vector."""
-        return np.zeros(0)
 
     def value_vjp(self, x, params, cotangent, grad_out) -> None:
         """Accumulate ``(d value / d theta)^T cotangent`` into ``grad_out``."""
@@ -79,11 +71,8 @@ class IdentityMap(DifferentiableMap):
         self.in_dim = self.out_dim = int(dim)
         self._eye = np.eye(self.in_dim)
 
-    def value(self, x, params=None):
-        return np.asarray(x, dtype=float)
-
-    def jacobian(self, x, params=None):
-        return self._eye
+    def value_and_jacobian(self, x, params=None):
+        return np.asarray(x, dtype=float), self._eye
 
 
 class LinearMap(DifferentiableMap):
@@ -100,11 +89,8 @@ class LinearMap(DifferentiableMap):
         if self.offset.shape != (self.out_dim,):
             raise StructureError("linear map offset has the wrong length")
 
-    def value(self, x, params=None):
-        return self.matrix @ x + self.offset
-
-    def jacobian(self, x, params=None):
-        return self.matrix
+    def value_and_jacobian(self, x, params=None):
+        return self.matrix @ x + self.offset, self.matrix
 
 
 class PlanarArmFK(DifferentiableMap):
@@ -130,28 +116,10 @@ class PlanarArmFK(DifferentiableMap):
         self.in_dim = n
         self.out_dim = 2
 
-    def _cumangles(self, q):
-        return np.cumsum(q[: self.point])
-
-    def value(self, x, params=None):
-        c = self._cumangles(np.asarray(x, dtype=float))
-        L = self.lengths[: self.point]
-        return np.array([np.dot(L, np.cos(c)), np.dot(L, np.sin(c))])
-
-    def jacobian(self, x, params=None):
-        c = self._cumangles(np.asarray(x, dtype=float))
+    def value_and_jacobian(self, x, params=None):
+        c = np.cumsum(np.asarray(x, dtype=float)[: self.point])
         L = self.lengths[: self.point]
         # d x / d q_j = -sum_{i >= j} L_i sin c_i  (and +cos for the y row)
-        sx = L * np.sin(c)
-        cx = L * np.cos(c)
-        J = np.zeros((2, self.in_dim))
-        J[0, : self.point] = -np.cumsum(sx[::-1])[::-1]
-        J[1, : self.point] = np.cumsum(cx[::-1])[::-1]
-        return J
-
-    def value_and_jacobian(self, x, params=None):
-        c = self._cumangles(np.asarray(x, dtype=float))
-        L = self.lengths[: self.point]
         sx = L * np.sin(c)
         cx = L * np.cos(c)
         J = np.zeros((2, self.in_dim))
@@ -174,25 +142,13 @@ class DistanceToPoint(DifferentiableMap):
         self.in_dim = self.center.size
         self.out_dim = 1
 
-    def _delta_r(self, x):
+    def value_and_jacobian(self, x, params=None):
         delta = np.asarray(x, dtype=float) - self.center
         r = float(np.linalg.norm(delta))
         if r < self.DEGENERATE_RADIUS:
             raise DomainError(
                 f"distance map evaluated within {self.DEGENERATE_RADIUS} of its center"
             )
-        return delta, r
-
-    def value(self, x, params=None):
-        _, r = self._delta_r(x)
-        return np.array([r])
-
-    def jacobian(self, x, params=None):
-        delta, r = self._delta_r(x)
-        return (delta / r)[None, :]
-
-    def value_and_jacobian(self, x, params=None):
-        delta, r = self._delta_r(x)
         return np.array([r]), (delta / r)[None, :]
 
 
@@ -378,13 +334,10 @@ class DiffeoChain(DifferentiableMap):
         ]
         self._offsets = np.cumsum([0] + [ly.n_weights for ly in self.layers])
         self.n_params = int(self._offsets[-1])
-        self._learnable = bool(learnable)
         self._init_scale = float(init_scale)
         self._seed = int(seed)
-        self._frozen = None
-        if not self._learnable:
-            self._frozen = self.init_values()
-            self.n_params = 0
+        if not learnable:
+            self.freeze()
         self._no_tangents = np.zeros((dim, 0))
         # (weight block, x, tape) of the last value_vjp forward pass
         self._value_tape = None
@@ -395,36 +348,27 @@ class DiffeoChain(DifferentiableMap):
         rng = np.random.default_rng(self._seed + 17)
         return rng.normal(0.0, self._init_scale, size=int(self._offsets[-1]))
 
-    def _block(self, params: ParamVector | None) -> np.ndarray:
-        if self._frozen is not None:
-            return self._frozen
-        if self.param_slice is None:
-            raise StructureError("learnable chain has no assigned parameter slice")
-        return params.values[self.param_slice]
-
     def _layer_thetas(self, block, m):
         ly = self.layers[m]
         return ly.split_theta(block[self._offsets[m]: self._offsets[m + 1]])
 
     def value(self, x, params=None):
-        block = self._block(params)
+        # Cheaper than value_and_jacobian: no layer Jacobians.
+        block = self.weights(params)
         y = np.asarray(x, dtype=float)
         for m, ly in enumerate(self.layers):
             y = ly.forward(y, *self._layer_thetas(block, m))
         return y
 
     def inverse(self, y, params=None):
-        block = self._block(params)
+        block = self.weights(params)
         x = np.asarray(y, dtype=float)
         for m in range(len(self.layers) - 1, -1, -1):
             x = self.layers[m].inverse(x, *self._layer_thetas(block, m))
         return x
 
-    def jacobian(self, x, params=None):
-        return self.value_and_jacobian(x, params)[1]
-
     def value_and_jacobian(self, x, params=None):
-        block = self._block(params)
+        block = self.weights(params)
         y = np.asarray(x, dtype=float)
         J = np.eye(self.in_dim)
         for m, ly in enumerate(self.layers):
@@ -532,7 +476,7 @@ class DiffeoChain(DifferentiableMap):
     def value_vjp(self, x, params, cotangent, grad_out):
         if not self.is_learnable:
             return
-        block = self._block(params)
+        block = self.weights(params)
         x = np.asarray(x, dtype=float)
         # The latent goal is the same input for every sample, so its
         # forward tape is kept while the weights (compared by value, as
@@ -553,7 +497,7 @@ class DiffeoChain(DifferentiableMap):
     def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out):
         if not self.is_learnable:
             return
-        block = self._block(params)
+        block = self.weights(params)
         V = np.atleast_2d(np.asarray(tangents, dtype=float))
         if V.shape[0] != self.in_dim:
             V = V.T

@@ -4,6 +4,10 @@ All learnable pieces of a tree (coupling-layer weights, metric networks,
 learnable leaf velocities) read their coefficients from one flat vector.
 The registry records which slice belongs to which component so parameters
 can be serialized, diffed and updated as a single array.
+
+Every such piece derives from :class:`Learnable`, the one place that
+decides where a component's weights come from: its frozen copy, else
+the slice a tree bound it to, else a ``StructureError``.
 """
 
 from __future__ import annotations
@@ -134,3 +138,38 @@ class ParamRegistryBuilder:
         else:
             values = np.zeros(0)
         return ParamVector(values, list(self._entries))
+
+
+class Learnable:
+    """A component whose weights are a slice of the flat parameter vector.
+
+    Subclasses set ``n_params`` and implement ``init_values``. A tree
+    binds ``param_slice`` when it is built, once per component however
+    many times the component occurs in it. ``freeze()`` fixes the weights
+    at ``init_values()`` instead; a frozen component takes no slice.
+    """
+
+    #: number of learnable coefficients (0 for fixed or frozen components)
+    n_params: int = 0
+    #: slice into the flat parameter vector, assigned at tree build time
+    param_slice: slice | None = None
+    _frozen: np.ndarray | None = None
+
+    @property
+    def is_learnable(self) -> bool:
+        return self.n_params > 0
+
+    def init_values(self) -> np.ndarray:
+        """Initial weights registered into the parameter vector."""
+        return np.zeros(0)
+
+    def freeze(self) -> None:
+        self._frozen = self.init_values()
+        self.n_params = 0
+
+    def weights(self, params: ParamVector | None) -> np.ndarray:
+        if self._frozen is not None:
+            return self._frozen
+        if self.param_slice is None:
+            raise StructureError(f"{type(self).__name__} has no assigned parameter slice")
+        return params.values[self.param_slice]

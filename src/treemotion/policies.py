@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .maps import DiffeoChain
+from .params import Learnable
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ class LatentQuadraticPotential(Potential):
         may write ``params.values`` in place. The returned array is
         read-only since every caller shares it.
         """
-        block = self.chain._block(params)
+        block = self.chain.weights(params)
         memo = self._image_memo
         if memo is not None and np.array_equal(memo[0], block):
             return memo[1]
@@ -171,18 +172,8 @@ class BarrierPotential(Potential):
 # ---------------------------------------------------------------------------
 
 
-class Metric:
+class Metric(Learnable):
     """State-dependent SPD importance weight."""
-
-    n_params: int = 0
-    param_slice: slice | None = None
-
-    @property
-    def is_learnable(self) -> bool:
-        return self.n_params > 0
-
-    def init_values(self) -> np.ndarray:
-        return np.zeros(0)
 
     def value(self, x, params) -> np.ndarray:
         raise NotImplementedError
@@ -280,11 +271,8 @@ class CholeskyMetricNet(Metric):
             self._views.append((off, off + size, shape))
             off += size
         self.n_params = off
-        self._learnable = bool(learnable)
-        self._frozen = None
-        if not self._learnable:
-            self._frozen = self.init_values()
-            self.n_params = 0
+        if not learnable:
+            self.freeze()
 
     def init_values(self) -> np.ndarray:
         """Seeded init: He-scaled trunk, small heads, diagonal bias at 1.
@@ -312,12 +300,7 @@ class CholeskyMetricNet(Metric):
         return np.concatenate(chunks)
 
     def _weights(self, params):
-        if self._frozen is not None:
-            block = self._frozen
-        else:
-            if self.param_slice is None:
-                raise StructureError("learnable metric net has no parameter slice")
-            block = params.values[self.param_slice]
+        block = self.weights(params)
         return [block[start:stop].reshape(shape) for start, stop, shape in self._views]
 
     def _forward(self, x, weights):
@@ -385,7 +368,7 @@ class CholeskyMetricNet(Metric):
         return ch  # cotangent on the network input
 
     def param_vjp(self, x, params, S, grad_out):
-        if not (self._learnable and self.param_slice is not None):
+        if not self.is_learnable:
             return
         self._vjp(x, params, S, grad_out[self.param_slice])
 
@@ -416,15 +399,12 @@ class LeafPolicy:
         raise NotImplementedError
 
     def components(self):
-        """Learnable sub-components as ``(suffix, component)`` pairs."""
+        """Weight-carrying sub-components as ``(suffix, component)``
+        pairs; a tree binds the learnable ones."""
         return []
 
-    @property
-    def is_learnable(self) -> bool:
-        return any(c.n_params > 0 for _, c in self.components())
 
-
-class RawVMLeaf(LeafPolicy):
+class RawVMLeaf(LeafPolicy, Learnable):
     """Explicit ``(v, M)`` leaf; the velocity may be a learnable constant.
 
     With ``zero_potential=True`` (the damper) the leaf declares the
@@ -438,27 +418,20 @@ class RawVMLeaf(LeafPolicy):
         self.velocity = np.asarray(velocity, dtype=float)
         self.dim = self.velocity.size
         self.metric = metric
-        self.learnable_velocity = bool(learnable)
-        self.param_slice: slice | None = None
-        self.n_params = self.dim if self.learnable_velocity else 0
         if zero_potential and np.any(self.velocity != 0.0):
             raise StructureError("a zero-potential raw leaf must have v = 0")
-        if zero_potential and self.learnable_velocity:
+        if zero_potential and learnable:
             raise StructureError("a zero-potential raw leaf cannot be learnable")
         self._zero_potential = bool(zero_potential)
+        self.n_params = self.dim
+        if not learnable:
+            self.freeze()
 
     def init_values(self):
         return self.velocity.copy()
 
-    def _v(self, params):
-        if self.learnable_velocity:
-            if self.param_slice is None:
-                raise StructureError("learnable velocity has no parameter slice")
-            return params.values[self.param_slice]
-        return self.velocity
-
     def evaluate(self, z, params, parent_coord=None):
-        v = self._v(params)
+        v = self.weights(params)
         M = self.metric.value(z, params)
         return M @ v, M
 
@@ -466,22 +439,17 @@ class RawVMLeaf(LeafPolicy):
         return 0.0 if self._zero_potential else None
 
     def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None):
-        v = self._v(params)
+        v = self.weights(params)
         M = self.metric.value(z, params)
         # p = M v couples the force cotangent into the metric cotangent.
         S = cot_M + np.outer(cot_p, v)
         self.metric.param_vjp(z, params, S, grad_out)
-        if self.learnable_velocity:
+        if self.is_learnable:
             grad_out[self.param_slice] += M @ cot_p
         return self.metric.input_vjp(z, params, S)
 
     def components(self):
-        out = []
-        if self.learnable_velocity:
-            out.append(("velocity", self))
-        if self.metric.is_learnable:
-            out.append(("metric", self.metric))
-        return out
+        return [("velocity", self), ("metric", self.metric)]
 
 
 class NaturalGradientLeaf(LeafPolicy):
@@ -531,10 +499,7 @@ class NaturalGradientLeaf(LeafPolicy):
         return c_z
 
     def components(self):
-        out = []
-        if self.metric.is_learnable:
-            out.append(("metric", self.metric))
-        return out
+        return [("metric", self.metric)]
 
 
 # ---------------------------------------------------------------------------

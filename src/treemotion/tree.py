@@ -31,7 +31,7 @@ import scipy.linalg
 
 from .errors import NumericError, SingularMetricError, StructureError
 from .maps import DifferentiableMap
-from .params import ParamRegistryBuilder, ParamVector
+from .params import Learnable, ParamRegistryBuilder, ParamVector
 from .policies import LeafPolicy
 
 #: absolute eigenvalue floor below which the root metric counts as singular
@@ -72,8 +72,11 @@ class TransformTree:
     Construction validates the wiring and assigns parameter slices to
     every learnable component (edge maps in child order, then leaf
     components in leaf order), so ``init_params()`` yields the matching
-    flat vector. A component another tree bound to a different slice
-    raises ``StructureError``; reuse at the same slice is allowed.
+    flat vector. A component that occurs several times (one metric net
+    shared by two leaves, say) is bound once, under the name of its
+    first occurrence, and the gradients of all its uses add into that
+    slice. A component another tree bound to a different slice raises
+    ``StructureError``; reuse at the same slice is allowed.
     """
 
     def __init__(self, node_dims, edges, leaf_policies):
@@ -144,17 +147,17 @@ class TransformTree:
                 node = edge.parent
             self._paths[leaf] = path[::-1]
 
-        # Parameter slice assignment (deterministic order). Components read
-        # their weights through their slice, so one that another tree bound
-        # to a different slice is rejected before anything is rebound.
-        self._components: list[tuple[str, object]] = []
-        for e in self.edges:
-            if e.map.n_params > 0:
-                self._components.append((f"edge[{e.parent}->{e.child}].map", e.map))
-        for node in self.leaves:
-            for suffix, comp in self.leaf_policies[node].components():
-                if comp.n_params > 0:
-                    self._components.append((f"leaf[{node}].{suffix}", comp))
+        # Parameter slice assignment (deterministic order), one slice per
+        # component object. Components read their weights through their
+        # slice, so one that another tree bound to a different slice is
+        # rejected before anything is rebound.
+        uses = [(f"edge[{e.parent}->{e.child}].map", e.map) for e in self.edges]
+        uses += [(f"leaf[{node}].{suffix}", comp) for node in self.leaves
+                 for suffix, comp in self.leaf_policies[node].components()]
+        self._components: list[tuple[str, Learnable]] = []
+        for name, comp in uses:
+            if comp.is_learnable and all(comp is not c for _, c in self._components):
+                self._components.append((name, comp))
         slices, offset = [], 0
         for name, comp in self._components:
             slices.append(slice(offset, offset + comp.n_params))

@@ -32,8 +32,8 @@ def fd_jacobian(f, x, h: float = FD_STEP) -> np.ndarray:
 def check_tree(tree: TransformTree, params: ParamVector | None = None,
                n_points: int = 10, seed: int = 0,
                flat_tol: float = 1e-10, jac_tol: float = 1e-5) -> dict:
-    """Probe a tree at seeded points: staged-vs-flat agreement and
-    analytic-vs-FD edge Jacobians.
+    """Probe a tree at seeded points: staged-vs-flat agreement, and the
+    edge Jacobians the forward pass records against finite differences.
 
     Returns a JSON-ready report with per-failure detail; ``"status"`` is
     ``"pass"`` or ``"numeric_failure"``.
@@ -68,8 +68,8 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
         states = forward_pass(tree, q, params)
         for e in tree.edges:
             x = states[e.parent].coord
+            J = states[e.child].jac_to_parent  # the Jacobian the evaluation uses
             try:
-                J = e.map.jacobian(x, params)
                 J_fd = fd_jacobian(lambda z: e.map.value(z, params), x)
             except TreeMotionError as exc:
                 failures.append({

@@ -255,6 +255,19 @@ def test_cli_train_reruns_are_byte_identical(tmp_path, spec_path, demo_path):
     assert outs[0] == outs[1]
 
 
+def test_cli_train_rejects_out_of_range_options(tmp_path, spec_path, demo_path):
+    out = tmp_path / "params.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loss": {"kind": "joint"}, "alpha": -0.05}))
+    proc = run_cli("train", spec_path, "--demos", demo_path,
+                   "--config", str(config), "--out", str(out))
+    assert proc.returncode == 2 and "alpha" in proc.stderr
+    proc = run_cli("train", spec_path, "--demos", demo_path,
+                   "--iterations", "-4", "--out", str(out))
+    assert proc.returncode == 2 and "iterations" in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_train_abort_writes_partial(tmp_path, spec_path, demo_path):
     out = tmp_path / "params.json"
     proc = run_cli("train", spec_path, "--demos", demo_path,

@@ -195,6 +195,27 @@ def test_train_deterministic_history():
     assert np.array_equal(r1.params.values, r2.params.values)
 
 
+@pytest.mark.parametrize("bad", [
+    {"alpha": -0.05}, {"alpha": 0.0}, {"alpha": float("inf")}, {"alpha": float("nan")},
+    {"iterations": -4},
+    {"minibatch": -120}, {"minibatch": 0},
+    {"momentum": -0.1}, {"momentum": 1.0},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_trainers_reject_out_of_range_options(bad):
+    tree, params = theta_policy_tree(2)
+    demos = demo_from_samples([[0.0, 0.0]], [[1.0, 1.0]])
+    opts = TrainOptions(**bad)
+    with pytest.raises(StructureError, match=next(iter(bad))):
+        train(tree, params, demos, LossSpec("joint_space"), opts)
+    # Fields set after construction (as the CLI flags do) are checked too.
+    opts = TrainOptions()
+    for key, value in bad.items():
+        setattr(opts, key, value)
+    chain_tree, chain_params, _ = latent_leaf_tree(seed=7)
+    with pytest.raises(StructureError, match=next(iter(bad))):
+        train_independent_baseline(chain_tree, chain_params, demos, opts)
+
+
 def test_train_rejects_baseline_kind():
     tree, params = theta_policy_tree(2)
     demos = demo_from_samples([[0.0, 0.0]], [[1.0, 1.0]])

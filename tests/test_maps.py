@@ -42,14 +42,14 @@ def test_planar_arm_fk_jacobian_matches_fd(rng):
     fk = PlanarArmFK([1.0, 1.0, 1.0], "ee")
     for _ in range(10):
         q = rng.uniform(-np.pi, np.pi, 3)
-        np.testing.assert_allclose(fk.jacobian(q), fd_jacobian(fk.value, q),
-                                   atol=1e-6)
+        np.testing.assert_allclose(fk.value_and_jacobian(q)[1],
+                                   fd_jacobian(fk.value, q), atol=1e-6)
 
 
 def test_planar_arm_fk_intermediate_point_has_zero_trailing_columns():
     fk = PlanarArmFK([1.0, 1.0, 1.0], point=2)
     q = np.array([0.3, -0.2, 0.9])
-    J = fk.jacobian(q)
+    J = fk.value_and_jacobian(q)[1]
     assert J.shape == (2, 3)
     np.testing.assert_allclose(J[:, 2], 0.0)
     np.testing.assert_allclose(J, fd_jacobian(fk.value, q), atol=1e-6)
@@ -68,8 +68,8 @@ def test_distance_to_point_random_jacobians(rng):
     d = DistanceToPoint([0.5, -0.7])
     for _ in range(10):
         x = rng.uniform(2.0, 4.0, 2)
-        np.testing.assert_allclose(d.jacobian(x), fd_jacobian(d.value, x),
-                                   atol=1e-6)
+        np.testing.assert_allclose(d.value_and_jacobian(x)[1],
+                                   fd_jacobian(d.value, x), atol=1e-6)
 
 
 def test_distance_to_point_degenerate_center():

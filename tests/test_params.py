@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from treemotion.errors import SpecFormatError, StructureError
-from treemotion.params import ParamRegistryBuilder, ParamVector
+from treemotion.maps import DiffeoChain
+from treemotion.params import Learnable, ParamRegistryBuilder, ParamVector
+from treemotion.policies import CholeskyMetricNet
 
 
 def test_registry_must_be_contiguous_and_cover_values():
@@ -51,3 +53,40 @@ def test_with_values_checks_shape():
     assert fresh.registry == params.registry
     with pytest.raises(StructureError):
         params.with_values(np.zeros(3))
+
+
+def test_learnable_weights_come_from_frozen_copy_or_bound_slice():
+    class Velocity(Learnable):
+        n_params = 2
+
+        def init_values(self):
+            return np.array([0.5, -0.5])
+
+    bound, frozen = Velocity(), Velocity()
+    frozen.freeze()
+    assert bound.is_learnable and not frozen.is_learnable
+    np.testing.assert_array_equal(frozen.weights(None), [0.5, -0.5])
+    with pytest.raises(StructureError, match="no assigned parameter slice"):
+        bound.weights(None)
+    builder = ParamRegistryBuilder()
+    bound.param_slice = builder.register("v", np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(bound.weights(builder.build()), [1.0, 2.0])
+
+
+def test_unbound_learnable_components_raise_in_their_vjps():
+    # A learnable chain or net that no tree bound has no weights to
+    # differentiate: a silent zero gradient would hide the mistake.
+    chain = DiffeoChain(2, n_layers=1, n_features=3)
+    with pytest.raises(StructureError):
+        chain.value_vjp(np.zeros(2), None, np.ones(2), np.zeros(chain.n_params))
+    with pytest.raises(StructureError):
+        chain.pullback_vjp(np.zeros(2), None, np.ones(2), np.eye(2), np.eye(2),
+                           np.zeros(chain.n_params))
+    net = CholeskyMetricNet(2, hidden=(3,))
+    with pytest.raises(StructureError):
+        net.param_vjp(np.zeros(2), None, np.eye(2), np.zeros(net.n_params))
+    # Frozen components have nothing to differentiate and stay silent.
+    DiffeoChain(2, n_layers=1, n_features=3, learnable=False).value_vjp(
+        np.zeros(2), None, np.ones(2), np.zeros(0))
+    CholeskyMetricNet(2, hidden=(3,), learnable=False).param_vjp(
+        np.zeros(2), None, np.eye(2), np.zeros(0))

@@ -3,7 +3,7 @@ import pytest
 
 from treemotion.errors import SingularMetricError, StructureError
 from treemotion.fixtures import random_tree
-from treemotion.gradients import run_pipeline
+from treemotion.gradients import policy_vjp, run_pipeline
 from treemotion.maps import DifferentiableMap, IdentityMap, LinearMap, PlanarArmFK
 from treemotion.policies import (
     CholeskyMetricNet,
@@ -24,6 +24,9 @@ from treemotion.tree import (
     leaf_evaluate,
     resolve,
 )
+from treemotion.verify import check_tree
+
+from conftest import fd_grad_wrt_params
 
 
 class SquareFirst(DifferentiableMap):
@@ -31,11 +34,8 @@ class SquareFirst(DifferentiableMap):
 
     in_dim, out_dim = 2, 1
 
-    def value(self, x, params=None):
-        return np.array([x[0] ** 2])
-
-    def jacobian(self, x, params=None):
-        return np.array([[2.0 * x[0], 0.0]])
+    def value_and_jacobian(self, x, params=None):
+        return np.array([x[0] ** 2]), np.array([[2.0 * x[0], 0.0]])
 
 
 def single_leaf_tree(dim, policy, mapping=None):
@@ -376,3 +376,43 @@ def test_learnable_component_cannot_move_to_a_second_tree():
     t3 = build(fresh, NaturalGradientLeaf(2, QuadraticPotential(np.ones(2)), net))
     assert t3.n_params == t1.n_params
     assert np.array_equal(evaluate_policy(t3, q, p1), before)
+
+
+def test_component_shared_by_two_leaves_is_bound_once():
+    net = CholeskyMetricNet(2, hidden=(4,), seed=3)
+    tree = TransformTree(
+        [2, 2, 2, 2],
+        [Edge(0, 1, IdentityMap(2)),
+         Edge(0, 2, LinearMap(np.array([[1.0, 0.5], [-0.3, 1.2]]))),
+         Edge(0, 3, IdentityMap(2))],
+        {1: NaturalGradientLeaf(2, QuadraticPotential(np.array([0.4, -0.2])), net),
+         2: NaturalGradientLeaf(2, QuadraticPotential(np.array([-0.3, 0.6])), net),
+         3: handcrafted_damper(0.5, 2)},
+    )
+    params = tree.init_params()
+    assert tree.n_params == net.n_params == 27
+    assert params.registry == [("leaf[1].metric", 0, 27)]
+    # Both leaves' gradients add into the one slice.
+    q = np.array([0.3, -0.7])
+    cot = np.array([0.8, -1.1])
+    grad = policy_vjp(tree, q, params, cot)
+    fd = fd_grad_wrt_params(lambda p: float(cot @ evaluate_policy(tree, q, p)), params)
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+
+def test_check_tree_verifies_the_jacobian_the_forward_pass_uses():
+    class SkewedFK(PlanarArmFK):
+        def value_and_jacobian(self, x, params=None):
+            y, J = super().value_and_jacobian(x, params)
+            return y, J + 1e-3
+
+    def arm_tree(fk):
+        return TransformTree(
+            [3, 2, 3], [Edge(0, 1, fk), Edge(0, 2, IdentityMap(3))],
+            {1: handcrafted_attractor([1.5, 0.8]), 2: handcrafted_damper(0.3, 3)},
+        )
+
+    assert check_tree(arm_tree(PlanarArmFK([1.0, 1.0, 1.0])))["status"] == "pass"
+    report = check_tree(arm_tree(SkewedFK([1.0, 1.0, 1.0])))
+    assert report["status"] == "numeric_failure"
+    assert {f["kind"] for f in report["failures"]} == {"jacobian_mismatch"}
