@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -77,7 +76,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--demos", required=True,
                    help="demo CSV file, directory of CSVs, or comma list")
     p.add_argument("--config", help="training config JSON")
-    p.add_argument("--loss", choices=["subtask", "joint", "independent"],
+    p.add_argument("--loss", choices=list(tmio.LOSS_KIND_ALIASES),
                    help="override the configured loss kind")
     p.add_argument("--lambda", dest="lam",
                    help="comma-separated per-leaf weights for the subtask loss")
@@ -143,9 +142,7 @@ def _cmd_train(args) -> int:
     else:
         loss, opts = LossSpec("subtask_space"), TrainOptions()
     if args.loss:
-        kind = {"subtask": "subtask_space", "joint": "joint_space",
-                "independent": "independent_baseline"}[args.loss]
-        loss = LossSpec(kind, loss.lam)
+        loss = LossSpec(tmio.LOSS_KIND_ALIASES[args.loss], loss.lam)
     if args.lam is not None:
         loss = LossSpec(loss.kind, _parse_vector(args.lam))
     if loss.kind == "subtask_space" and loss.lam is None:
@@ -163,18 +160,18 @@ def _cmd_train(args) -> int:
         lam_eval = loss.lam if loss.lam is not None else _default_lam(tree)
         history = [subtask_loss(tree, params, demos, lam_eval),
                    subtask_loss(tree, trained, demos, lam_eval)]
-        tmio.save_params(args.out, trained)
+        trained.save(args.out)
         tmio.write_history_csv(history_path, history)
         return EXIT_OK
 
     result = train(tree, params, demos, loss, opts)
     tmio.write_history_csv(history_path, result.history)
     if result.status != "completed":
-        tmio.save_params(args.out + ".partial", result.params)
+        result.params.save(args.out + ".partial")
         print(f"training aborted ({result.status}); last finite parameters "
               f"written to {args.out}.partial", file=sys.stderr)
         return EXIT_NUMERIC
-    tmio.save_params(args.out, result.params)
+    result.params.save(args.out)
     return EXIT_OK
 
 
@@ -208,10 +205,8 @@ def _cmd_gradcheck(args) -> int:
     else:
         lam = _parse_vector(args.lam) if args.lam is not None else _default_lam(tree)
         loss = LossSpec("subtask_space", lam)
-    # Test hook: corrupt the analytic gradient to prove the check can fail.
-    corrupt = float(os.environ.get("TREE_MOTION_GRADCHECK_CORRUPT", "0") or 0)
     report = gradcheck_report(tree, params, demos, loss, h=args.fd_step,
-                              tol=args.tol, corrupt=corrupt)
+                              tol=args.tol)
     print(json.dumps(report, indent=1))
     return EXIT_OK if report["status"] == "pass" else EXIT_NUMERIC
 

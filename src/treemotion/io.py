@@ -58,6 +58,9 @@ MAP_KINDS = ("identity", "linear", "planar_arm_fk", "distance_to_point",
 POLICY_KINDS = ("natural_gradient", "raw_vm", "damper", "attractor", "barrier")
 METRIC_KINDS = ("constant", "cholesky_net", "inverse_square")
 POTENTIAL_KINDS = ("zero", "quadratic", "latent_quadratic", "barrier")
+# Short loss names accepted by training configs and ``tree-motion train --loss``.
+LOSS_KIND_ALIASES = {"subtask": "subtask_space", "joint": "joint_space",
+                     "independent": "independent_baseline"}
 
 
 def _require(spec: dict, key: str, context: str):
@@ -347,9 +350,7 @@ def parse_training_config(data: dict):
     ``(LossSpec, TrainOptions)``."""
     loss_spec = data.get("loss", {"kind": "subtask_space"})
     kind = _require(loss_spec, "kind", "training config loss")
-    aliases = {"subtask": "subtask_space", "joint": "joint_space",
-               "independent": "independent_baseline"}
-    kind = aliases.get(kind, kind)
+    kind = LOSS_KIND_ALIASES.get(kind, kind)
     lam = loss_spec.get("lambda")
     try:
         loss = LossSpec(kind, None if lam is None else np.asarray(lam, dtype=float))
@@ -380,10 +381,6 @@ def write_history_csv(path, history) -> None:
         writer.writerow(["iteration", "loss"])
         for i, value in enumerate(history):
             writer.writerow([i, repr(float(value))])
-
-
-def save_params(path, params: ParamVector) -> None:
-    params.save(path)
 
 
 def load_params(path, tree: TransformTree | None = None) -> ParamVector:

@@ -211,11 +211,17 @@ def _leaf_fixed_prefix(tree, leaf):
 def _baseline_leaf_loss_grad(tree, params, leaf, samples, want_grad=True):
     """Objective for one leaf: match the leaf-mapped demo velocity with
     the leaf's own flow ``v = -M^{-1} grad(Phi)``, ignoring every other
-    leaf. Returns ``(loss, grad)``; the gradient only touches this
-    leaf's slices."""
+    leaf. The leaf is evaluated and differentiated through its own
+    ``evaluate`` and ``vjp``. Returns ``(loss, grad)``; the gradient only
+    touches this leaf's slices."""
     policy = tree.leaf_policies[leaf]
     prefix, chain_edge = _leaf_fixed_prefix(tree, leaf)
     chain = chain_edge.map if chain_edge is not None else None
+    if chain is None and getattr(policy, "metric_input", None) == "subtask":
+        raise StructureError(
+            "subtask metric input without a latent edge is ambiguous "
+            "for the baseline objective"
+        )
     total = 0.0
     grad = params.zeros_like() if want_grad else None
     for q, qdot in samples:
@@ -231,31 +237,17 @@ def _baseline_leaf_loss_grad(tree, params, leaf, samples, want_grad=True):
         else:
             w = x
             y = zdot
-        if isinstance(policy, NaturalGradientLeaf) and policy.metric_input == "subtask":
-            if chain is None:
-                raise StructureError(
-                    "subtask metric input without a latent edge is ambiguous "
-                    "for the baseline objective"
-                )
-            w_metric = x  # subtask coordinate just below the latent edge
-        else:
-            w_metric = w
-        gphi = policy.pot.grad(w, params)
-        M = policy.metric.value(w_metric, params)
-        v = np.linalg.solve(M, -gphi)
+        # x is the subtask coordinate just below the latent edge.
+        p, M = policy.evaluate(w, params, parent_coord=x)
+        v = np.linalg.solve(M, p)
         r = y - v
         total += float(r @ r)
         if not want_grad:
             continue
         rho = np.linalg.solve(M, r)
-        # d loss = 2 r.(dJ zdot) + 2 rho.dM v + 2 rho.d(grad Phi)
-        policy.pot.grad_param_vjp(w, params, 2.0 * rho, grad)
-        c_w = policy.pot.grad_input_vjp(w, params, 2.0 * rho)
-        S = 2.0 * np.outer(rho, v)
-        policy.metric.param_vjp(w_metric, params, S, grad)
-        if not (isinstance(policy, NaturalGradientLeaf)
-                and policy.metric_input == "subtask"):
-            c_w = c_w + policy.metric.input_vjp(w_metric, params, S)
+        # v = M^{-1} p: d loss = 2 r.(dJ zdot) - 2 rho.dp + 2 rho.dM v
+        c_w = policy.vjp(w, params, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
+                         parent_coord=x)
         if chain is not None and chain.is_learnable:
             chain.pullback_vjp(x, params, c_w, zdot[:, None],
                                (2.0 * r)[:, None], grad)

@@ -8,10 +8,14 @@ root policy a natural gradient flow. Raw leaves carry an explicit
 velocity and metric; the handcrafted damper/attractor/barrier are thin
 constructors over these two classes.
 
-Every leaf also exposes the reverse-mode hooks used by the gradient
-engine: ``vjp`` accumulates weight gradients given cotangents on
-``(p, M)`` and returns the cotangent with respect to the leaf's input
-coordinate (needed when the leaf hangs below a learnable edge map).
+Every leaf also exposes the reverse-mode hook used by the gradient
+engine, the per-leaf baseline and ``gradcheck``: ``vjp`` accumulates
+weight gradients given cotangents on ``(p, M)`` and returns the
+cotangent with respect to the leaf's input coordinate (needed when the
+leaf hangs below a learnable edge map). It is built from one reverse
+rule per component: ``Potential.grad_param_vjp`` and
+``Metric.param_vjp`` each add their weight gradient into ``grad_out``
+and return the cotangent on their own input.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ from .params import Learnable
 
 
 class Potential:
-    """Scalar potential on a leaf space; forces are its negated gradient."""
+    """Scalar potential on a leaf space; forces are its negated gradient.
+
+    A subclass implements ``value``, ``grad`` and ``grad_param_vjp``.
+    """
 
     def value(self, z, params) -> float:
         raise NotImplementedError
@@ -37,13 +44,10 @@ class Potential:
     def grad(self, z, params) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_input_vjp(self, z, params, cot) -> np.ndarray:
-        """Hessian-vector product ``(d grad / d z)^T cot``."""
+    def grad_param_vjp(self, z, params, cot, grad_out) -> np.ndarray:
+        """Add ``(d grad / d theta)^T cot`` into ``grad_out`` and return
+        the Hessian-vector product ``(d grad / d z)^T cot``."""
         raise NotImplementedError
-
-    def grad_param_vjp(self, z, params, cot, grad_out) -> None:
-        """Accumulate ``(d grad / d theta)^T cot`` for explicit weight use."""
-        return None
 
 
 class ZeroPotential(Potential):
@@ -53,7 +57,7 @@ class ZeroPotential(Potential):
     def grad(self, z, params):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    def grad_input_vjp(self, z, params, cot):
+    def grad_param_vjp(self, z, params, cot, grad_out):
         return np.zeros_like(np.asarray(cot, dtype=float))
 
 
@@ -73,7 +77,7 @@ class QuadraticPotential(Potential):
     def grad(self, z, params):
         return self.gain * (z - self.goal)
 
-    def grad_input_vjp(self, z, params, cot):
+    def grad_param_vjp(self, z, params, cot, grad_out):
         return self.gain * cot
 
 
@@ -118,12 +122,11 @@ class LatentQuadraticPotential(Potential):
     def grad(self, z, params):
         return z - self.goal_image(params)
 
-    def grad_input_vjp(self, z, params, cot):
-        return np.asarray(cot, dtype=float)
-
     def grad_param_vjp(self, z, params, cot, grad_out):
         # grad Phi = z - chain(goal): only the goal image carries weights.
-        self.chain.value_vjp(self.goal, params, -np.asarray(cot, dtype=float), grad_out)
+        cot = np.asarray(cot, dtype=float)
+        self.chain.value_vjp(self.goal, params, -cot, grad_out)
+        return cot
 
 
 class BarrierPotential(Potential):
@@ -160,7 +163,7 @@ class BarrierPotential(Potential):
             return np.zeros(1)
         return np.array([-self.gain * (self.margin**2 - z0**2) / z0**2])
 
-    def grad_input_vjp(self, z, params, cot):
+    def grad_param_vjp(self, z, params, cot, grad_out):
         z0 = self._z(z)
         if z0 >= self.margin:
             return np.zeros(1)
@@ -173,15 +176,19 @@ class BarrierPotential(Potential):
 
 
 class Metric(Learnable):
-    """State-dependent SPD importance weight."""
+    """State-dependent SPD importance weight.
+
+    A subclass implements ``value``, and ``param_vjp`` when the matrix
+    depends on its input or has weights.
+    """
 
     def value(self, x, params) -> np.ndarray:
         raise NotImplementedError
 
-    def param_vjp(self, x, params, S, grad_out) -> None:
-        return None
-
-    def input_vjp(self, x, params, S) -> np.ndarray:
+    def param_vjp(self, x, params, S, grad_out) -> np.ndarray:
+        """Add the weight gradient of ``<S, M(x)>`` into ``grad_out`` (if
+        the metric is learnable and ``grad_out`` is not None) and return
+        its gradient with respect to ``x``."""
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -227,7 +234,7 @@ class InverseSquareMetric(Metric):
         z0 = self._z(x)
         return np.array([[self.weight * (self.margin / z0) ** 2]])
 
-    def input_vjp(self, x, params, S):
+    def param_vjp(self, x, params, S, grad_out):
         z0 = self._z(x)
         dm = -2.0 * self.weight * self.margin**2 / z0**3
         return np.array([float(S[0, 0]) * dm])
@@ -331,8 +338,10 @@ class CholeskyMetricNet(Metric):
     def value(self, x, params):
         return self.decompose(x, params)[1]
 
-    def _vjp(self, x, params, S, grad_block):
+    def param_vjp(self, x, params, S, grad_out):
         weights = self._weights(params)
+        learn = grad_out is not None and self.is_learnable
+        grad_block = grad_out[self.param_slice] if learn else None
         acts, pres, d_raw, o_raw = self._forward(x, weights)
         L = np.zeros((self.dim, self.dim))
         L[np.diag_indices(self.dim)] = np.abs(d_raw) + self.eps
@@ -367,13 +376,9 @@ class CholeskyMetricNet(Metric):
                 grad_block[start:stop] += g.ravel()
         return ch  # cotangent on the network input
 
-    def param_vjp(self, x, params, S, grad_out):
-        if not self.is_learnable:
-            return
-        self._vjp(x, params, S, grad_out[self.param_slice])
-
     def input_vjp(self, x, params, S):
-        return self._vjp(x, params, S, None)
+        # Kept only as a target of the perfbench per-layer tracer.
+        return self.param_vjp(x, params, S, None)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +448,10 @@ class RawVMLeaf(LeafPolicy, Learnable):
         M = self.metric.value(z, params)
         # p = M v couples the force cotangent into the metric cotangent.
         S = cot_M + np.outer(cot_p, v)
-        self.metric.param_vjp(z, params, S, grad_out)
+        c_z = self.metric.param_vjp(z, params, S, grad_out)
         if self.is_learnable:
             grad_out[self.param_slice] += M @ cot_p
-        return self.metric.input_vjp(z, params, S)
+        return c_z
 
     def components(self):
         return [("velocity", self), ("metric", self.metric)]
@@ -491,11 +496,10 @@ class NaturalGradientLeaf(LeafPolicy):
 
     def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None):
         x_m = self._metric_coord(z, parent_coord)
-        self.pot.grad_param_vjp(z, params, -cot_p, grad_out)
-        self.metric.param_vjp(x_m, params, cot_M, grad_out)
-        c_z = -self.pot.grad_input_vjp(z, params, cot_p)
+        c_z = self.pot.grad_param_vjp(z, params, -cot_p, grad_out)
+        c_m = self.metric.param_vjp(x_m, params, cot_M, grad_out)
         if self.metric_input == "latent":
-            c_z = c_z + self.metric.input_vjp(x_m, params, cot_M)
+            c_z = c_z + c_m
         return c_z
 
     def components(self):

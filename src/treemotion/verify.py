@@ -13,7 +13,8 @@ from .errors import TreeMotionError
 from .learning import loss_and_gradient
 from .losses import DemoSet, LossSpec, loss_value
 from .params import ParamVector
-from .tree import TransformTree, evaluate_policy, flat_solve, forward_pass
+from .tree import (TransformTree, evaluate_policy, flat_solve, forward_pass,
+                   root_potential)
 
 FD_STEP = 1e-6
 
@@ -100,18 +101,10 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
 
 
 def gradcheck_report(tree: TransformTree, params: ParamVector, demos: DemoSet,
-                     loss: LossSpec, h: float = 1e-5, tol: float = 1e-4,
-                     corrupt: float = 0.0) -> dict:
+                     loss: LossSpec, h: float = 1e-5, tol: float = 1e-4) -> dict:
     """The trainer's analytic loss gradient (``loss_and_gradient``)
-    against central finite differences.
-
-    ``corrupt`` adds a constant to the analytic gradient before the
-    comparison; it exists so a deliberately broken gradient can be shown
-    to fail (negative control for the check itself).
-    """
+    against central finite differences."""
     analytic = loss_and_gradient(tree, params, demos, loss)[1]
-    if corrupt:
-        analytic = analytic + corrupt
     fd = np.zeros_like(analytic)
     for i in range(params.size):
         up = params.copy()
@@ -144,13 +137,4 @@ def gradcheck_report(tree: TransformTree, params: ParamVector, demos: DemoSet,
 def potential_gradient_fd(tree: TransformTree, q, params: ParamVector | None = None,
                           h: float = FD_STEP) -> np.ndarray:
     """Finite-difference gradient of the summed root potential."""
-    from .tree import root_potential
-
-    q = np.asarray(q, dtype=float)
-    g = np.zeros_like(q)
-    for i in range(q.size):
-        e = np.zeros_like(q)
-        e[i] = h
-        g[i] = (root_potential(tree, q + e, params)
-                - root_potential(tree, q - e, params)) / (2.0 * h)
-    return g
+    return fd_jacobian(lambda x: root_potential(tree, x, params), q, h)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -14,12 +13,9 @@ from treemotion.rollout import integrate
 from treemotion.fixtures import three_link_stability_fixture, stability_seed_states
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "treemotion.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     return proc
 
 
@@ -141,11 +137,11 @@ def test_params_round_trip_and_registry_mismatch(tmp_path, spec_path):
     tree = tmio.load_tree(spec_path)
     params = tree.init_params()
     path = tmp_path / "params.json"
-    tmio.save_params(str(path), params)
+    params.save(str(path))
     back = tmio.load_params(str(path), tree)
     np.testing.assert_array_equal(back.values, params.values)
     other = ParamVector(np.zeros(3), [("stray", 0, 3)])
-    tmio.save_params(str(path), other)
+    other.save(str(path))
     with pytest.raises(SpecFormatError, match="registry"):
         tmio.load_params(str(path), tree)
 
@@ -277,13 +273,22 @@ def test_cli_train_abort_writes_partial(tmp_path, spec_path, demo_path):
     assert not out.exists()
 
 
-def test_cli_gradcheck_passes_and_corrupt_hook_fails(spec_path, demo_path):
+def test_cli_gradcheck_passes_and_corrupt_hook_fails(spec_path, demo_path,
+                                                    monkeypatch):
     ok = run_cli("gradcheck", spec_path, "--demos", demo_path)
     assert ok.returncode == 0
     assert json.loads(ok.stdout)["status"] == "pass"
-    bad = run_cli("gradcheck", spec_path, "--demos", demo_path,
-                  env_extra={"TREE_MOTION_GRADCHECK_CORRUPT": "0.05"})
-    assert bad.returncode == 3
+    # Negative control: a gradient off by 0.05 must fail the check.
+    from treemotion import cli, verify
+
+    exact = verify.loss_and_gradient
+
+    def off_by_005(*args):
+        value, grad = exact(*args)
+        return value, grad + 0.05
+
+    monkeypatch.setattr(verify, "loss_and_gradient", off_by_005)
+    assert cli.main(["gradcheck", spec_path, "--demos", demo_path]) == 3
 
 
 def test_cli_rollout_equilibrium_and_domain_error(tmp_path):

@@ -14,6 +14,7 @@ from treemotion.policies import (
     NaturalGradientLeaf,
     QuadraticPotential,
     RawVMLeaf,
+    ZeroPotential,
     handcrafted_attractor,
     handcrafted_barrier,
     handcrafted_damper,
@@ -29,7 +30,7 @@ from treemotion.tree import (
 )
 from treemotion.verify import potential_gradient_fd
 
-from conftest import fd_jacobian
+from conftest import fd_grad_wrt_params, fd_jacobian
 
 
 def standalone_net(dim, **kw):
@@ -301,3 +302,88 @@ def test_goal_image_follows_chain_weights(rng):
         image(pot, params)
         image(pot, other)
         image(pot2, params2)
+
+
+# ---------------------------------------------------------------------------
+# Component reverse rules
+# ---------------------------------------------------------------------------
+
+
+def bind(component=None):
+    """Parameters with an unrelated slice first, so a component that adds
+    into the wrong place, or a frozen one that adds anything, shows up."""
+    builder = ParamRegistryBuilder()
+    builder.register("other", np.array([0.3, -0.7, 1.1]))
+    if component is not None and component.is_learnable:
+        component.param_slice = builder.register("component",
+                                                 component.init_values())
+    return builder.build()
+
+
+def metric_cases():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(2, 2))
+    return [
+        ("constant", ConstantMetric(B @ B.T + np.eye(2)), np.array([0.2, -0.4])),
+        ("inverse_square", InverseSquareMetric(0.8, 1.2), np.array([0.7])),
+        ("net", CholeskyMetricNet(2, in_dim=3, hidden=(5,), eps=1e-3, seed=7),
+         np.array([0.3, -0.5, 0.2])),
+        ("frozen_net", CholeskyMetricNet(2, in_dim=3, hidden=(5,), eps=1e-3,
+                                         seed=8, learnable=False),
+         np.array([-0.1, 0.4, 0.6])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=[c[0] for c in metric_cases()])
+def test_metric_param_vjp_returns_input_cotangent_and_adds_weight_gradient(case):
+    _, metric, x = metric_cases()[case]
+    params = bind(metric)
+    dim = metric.value(x, params).shape[0]
+    S = np.random.default_rng(case).normal(size=(dim, dim))  # not symmetric
+
+    def pairing(xx, pp):
+        return float(np.sum(S * metric.value(xx, pp)))
+
+    grad = params.zeros_like()
+    c_x = metric.param_vjp(x, params, S, grad)
+    np.testing.assert_allclose(
+        c_x, fd_jacobian(lambda xx: pairing(xx, params), x), atol=1e-7)
+    np.testing.assert_allclose(
+        grad, fd_grad_wrt_params(lambda pp: pairing(x, pp), params), atol=1e-7)
+    if not metric.is_learnable:
+        assert not grad.any()
+    if isinstance(metric, CholeskyMetricNet):
+        assert np.array_equal(metric.input_vjp(x, params, S), c_x)
+        assert np.array_equal(metric.param_vjp(x, params, S, None), c_x)
+
+
+def potential_cases():
+    chain = DiffeoChain(2, n_layers=2, n_features=5, length_scale=2.0, seed=3,
+                        init_scale=0.2)
+    return [
+        ("zero", ZeroPotential(), np.array([0.2, -0.4])),
+        ("quadratic", QuadraticPotential(np.array([0.5, -0.1]), gain=1.7),
+         np.array([0.2, 0.3])),
+        ("latent", LatentQuadraticPotential(np.array([0.4, 0.1]), chain),
+         np.array([-0.3, 0.6])),
+        ("barrier", BarrierPotential(1.0, gain=1.5), np.array([0.6])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=[c[0] for c in potential_cases()])
+def test_potential_grad_param_vjp_returns_input_cotangent_and_adds_weight_gradient(case):
+    _, pot, z = potential_cases()[case]
+    params = bind(getattr(pot, "chain", None))
+    cot = np.random.default_rng(case).normal(size=z.size)
+
+    def pairing(zz, pp):
+        return float(cot @ pot.grad(zz, pp))
+
+    grad = params.zeros_like()
+    c_z = pot.grad_param_vjp(z, params, cot, grad)
+    np.testing.assert_allclose(
+        c_z, fd_jacobian(lambda zz: pairing(zz, params), z), atol=1e-7)
+    np.testing.assert_allclose(
+        grad, fd_grad_wrt_params(lambda pp: pairing(z, pp), params), atol=1e-7)
+    if not isinstance(pot, LatentQuadraticPotential):
+        assert not grad.any()
