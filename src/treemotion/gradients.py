@@ -27,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import StructureError
 from .params import ParamVector
 from .tree import (
     TransformTree,
     backward_pass,
+    factor_solve,
     forward_pass,
     leaf_evaluate,
     solve_root,
@@ -53,15 +53,20 @@ class PipelineCache:
 
     states: list
     pi: np.ndarray
-    cho_factor: tuple
+    factor: np.ndarray  # lower Cholesky factor of M_root, from solve_root
 
 
 def check_gradient_structure(tree: TransformTree) -> None:
-    """Reject trees the hand-written reverse pass does not cover.
+    """Reject trees the hand-written reverse pass does not cover, and
+    list the leaves it visits (``tree._reverse_leaves``).
 
     A learnable edge map whose input itself depends on weights (a
     learnable edge somewhere above it) would need second derivatives of
     the upper map; no supported construction produces that shape.
+
+    A leaf below a fixed edge (or at the root) whose policy reads no
+    weights adds nothing to any gradient, and its input cotangent is
+    only used by a learnable edge, so the reverse pass skips it.
     """
     if getattr(tree, "_grad_structure_checked", False):
         return
@@ -81,6 +86,13 @@ def check_gradient_structure(tree: TransformTree) -> None:
                     f"({up.name()}) is not supported"
                 )
             node = up.parent
+    tree._reverse_leaves = []
+    for leaf in tree.leaves:
+        policy = tree.leaf_policies[leaf]
+        edge = tree.parent_edge(leaf)
+        learnable_edge = edge is not None and edge.map.is_learnable
+        if learnable_edge or policy.reads_weights():
+            tree._reverse_leaves.append((leaf, policy, edge, learnable_edge))
     tree._grad_structure_checked = True
 
 
@@ -91,7 +103,7 @@ def run_pipeline(tree: TransformTree, q, params: ParamVector | None) -> Pipeline
     leaf_evaluate(tree, states, params)
     backward_pass(tree, states)
     pi, factor = solve_root(states[0].pulled_metric, states[0].pulled_force)
-    return PipelineCache(states=states, pi=pi, cho_factor=factor)
+    return PipelineCache(states=states, pi=pi, factor=factor)
 
 
 def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
@@ -100,8 +112,7 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
     check_gradient_structure(tree)
     states = cache.states
     pi = cache.pi
-    u = scipy.linalg.cho_solve(cache.cho_factor, np.asarray(cotangent, dtype=float),
-                               check_finite=False)
+    u = factor_solve(cache.factor, np.asarray(cotangent, dtype=float))
 
     u_at = [None] * tree.n_nodes
     pi_at = [None] * tree.n_nodes
@@ -112,17 +123,15 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
         u_at[e.child] = J @ u_at[e.parent]
         pi_at[e.child] = J @ pi_at[e.parent]
 
-    for leaf in tree.leaves:
-        policy = tree.leaf_policies[leaf]
+    for leaf, policy, edge, learnable_edge in tree._reverse_leaves:
         u_k = u_at[leaf]
         pi_k = pi_at[leaf]
         cot_p = u_k
         cot_M = -np.outer(u_k, pi_k)
-        edge = tree.parent_edge(leaf)
         parent_coord = states[edge.parent].coord if edge is not None else None
         c_z = policy.vjp(states[leaf].coord, params, cot_p, cot_M, grad_out,
                          parent_coord=parent_coord)
-        if edge is not None and edge.map.is_learnable:
+        if learnable_edge:
             p_k = states[leaf].pulled_force
             M_k = states[leaf].pulled_metric
             # Cotangent on the edge Jacobian J: (p_k - M_k pi_k) u_x^T

@@ -413,50 +413,58 @@ class DiffeoChain(DifferentiableMap):
 
     def _aug_reverse(self, caches, cot_y, cot_V, grad_block):
         """Back-propagate cotangents on the chain output (and on the pushed
-        tangents) to weight gradients; returns the input cotangents."""
+        tangents) to weight gradients; returns the input cotangents.
+
+        With zero tangent columns (``value_vjp``) the tangent half of each
+        layer only adds zeros, so it is skipped: the weight gradient is
+        the same, and ``cot_V`` comes back as the ``(d, 0)`` array it was.
+        """
         cy = np.asarray(cot_y, dtype=float).copy()
         cV = np.asarray(cot_V, dtype=float).copy()
+        width = cV.shape[1]
         for m in range(len(self.layers) - 1, -1, -1):
             ly = self.layers[m]
             a, b, Va, Vb, fs, gs, ft, gt, E, Us, Ws, P, Ut, Wt, Q, ts, tt = caches[m]
             ca = cy[ly.ia].copy()
             cb_out = cy[ly.ib]
-            Ca = cV[ly.ia, :].copy()
-            Cb_out = cV[ly.ib, :]
 
             # b' = b * E + t
             cb = cb_out * E
             cE = cb_out * b
             ct = cb_out.copy()
-            # Vb' = Vb * E + (b * E) * P + Q
-            CVb = Cb_out * E[:, None]
-            rowsum_P = np.einsum("it,it->i", Cb_out, P)
-            rowsum_Vb = np.einsum("it,it->i", Cb_out, Vb)
-            cE += rowsum_Vb + b * rowsum_P
-            cb += E * rowsum_P
-            CP = Cb_out * (b * E)[:, None]
-            CQ = Cb_out
+            if width:
+                Ca = cV[ly.ia, :].copy()
+                Cb_out = cV[ly.ib, :]
+                # Vb' = Vb * E + (b * E) * P + Q
+                CVb = Cb_out * E[:, None]
+                rowsum_P = np.einsum("it,it->i", Cb_out, P)
+                rowsum_Vb = np.einsum("it,it->i", Cb_out, Vb)
+                cE += rowsum_Vb + b * rowsum_P
+                cb += E * rowsum_P
+                CP = Cb_out * (b * E)[:, None]
+                CQ = Cb_out
             # E = exp(s)
             cs = cE * E
-            # P = ts^T (gs * (As Va)),  Q likewise for the t-net
-            gtheta_s = Ws @ CP.T                     # (D, nb)
-            CWs = ts @ CP                            # (D, T)
-            cgs = np.einsum("it,it->i", CWs, Us)
-            CUs = gs[:, None] * CWs
-            CVa = Ca + ly.s_net.frequencies.T @ CUs
-            gtheta_t = Wt @ CQ.T
-            CWt = tt @ CQ
-            cgt = np.einsum("it,it->i", CWt, Ut)
-            CUt = gt[:, None] * CWt
-            CVa += ly.t_net.frequencies.T @ CUt
             # s = ts^T fs, t = tt^T ft
-            gtheta_s += np.outer(fs, cs)
+            gtheta_s = np.outer(fs, cs)
             cfs = ts @ cs
-            gtheta_t += np.outer(ft, ct)
+            gtheta_t = np.outer(ft, ct)
             cft = tt @ ct
             # feature/slope input paths: dfs = gs*(As da), dgs = -fs*(As da)
-            ca += ly.s_net.frequencies.T @ (gs * cfs - fs * cgs)
-            ca += ly.t_net.frequencies.T @ (gt * cft - ft * cgt)
+            dfs = gs * cfs
+            dft = gt * cft
+            if width:
+                # P = ts^T (gs * (As Va)),  Q likewise for the t-net
+                gtheta_s += Ws @ CP.T                # (D, nb)
+                CWs = ts @ CP                        # (D, T)
+                dfs -= fs * np.einsum("it,it->i", CWs, Us)
+                CVa = Ca + ly.s_net.frequencies.T @ (gs[:, None] * CWs)
+                gtheta_t += Wt @ CQ.T
+                CWt = tt @ CQ
+                dft -= ft * np.einsum("it,it->i", CWt, Ut)
+                CVa += ly.t_net.frequencies.T @ (gt[:, None] * CWt)
+            ca += ly.s_net.frequencies.T @ dfs
+            ca += ly.t_net.frequencies.T @ dft
 
             if grad_block is not None:
                 off = self._offsets[m]
@@ -467,10 +475,12 @@ class DiffeoChain(DifferentiableMap):
             cy_prev = np.empty_like(cy)
             cy_prev[ly.ia] = ca
             cy_prev[ly.ib] = cb
-            cV_prev = np.empty_like(cV)
-            cV_prev[ly.ia, :] = CVa
-            cV_prev[ly.ib, :] = CVb
-            cy, cV = cy_prev, cV_prev
+            cy = cy_prev
+            if width:
+                cV_prev = np.empty_like(cV)
+                cV_prev[ly.ia, :] = CVa
+                cV_prev[ly.ib, :] = CVb
+                cV = cV_prev
         return cy, cV
 
     def value_vjp(self, x, params, cotangent, grad_out):

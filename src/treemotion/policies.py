@@ -49,6 +49,10 @@ class Potential:
         the Hessian-vector product ``(d grad / d z)^T cot``."""
         raise NotImplementedError
 
+    def reads_weights(self) -> bool:
+        """Whether the gradient depends on learnable weights."""
+        return False
+
 
 class ZeroPotential(Potential):
     def value(self, z, params):
@@ -114,6 +118,9 @@ class LatentQuadraticPotential(Potential):
         image.flags.writeable = False
         self._image_memo = (block.copy(), image)
         return image
+
+    def reads_weights(self):
+        return self.chain.is_learnable
 
     def value(self, z, params):
         d = z - self.goal_image(params)
@@ -261,6 +268,7 @@ class CholeskyMetricNet(Metric):
             raise StructureError("hidden layer sizes must be positive")
         self.n_off = self.dim * (self.dim - 1) // 2
         self._tril = np.tril_indices(self.dim, -1)
+        self._diag = np.diag_indices(self.dim)
         self._seed = int(seed)
         self._head_scale = float(head_scale)
         self._shapes = []
@@ -324,14 +332,19 @@ class CholeskyMetricNet(Metric):
         o_raw = weights[k + 2] @ h + weights[k + 3] if self.n_off else np.zeros(0)
         return acts, pres, d_raw, o_raw
 
+    def _assemble(self, d_raw, o_raw):
+        """Lower-triangular ``L`` from the two head outputs."""
+        L = np.zeros((self.dim, self.dim))
+        L[self._diag] = np.abs(d_raw) + self.eps
+        if self.n_off:
+            L[self._tril] = o_raw
+        return L
+
     def decompose(self, x, params):
         """Return ``(L, M)`` with ``L`` lower-triangular, ``M = L L^T``."""
         weights = self._weights(params)
         _, _, d_raw, o_raw = self._forward(x, weights)
-        L = np.zeros((self.dim, self.dim))
-        L[np.diag_indices(self.dim)] = np.abs(d_raw) + self.eps
-        if self.n_off:
-            L[self._tril] = o_raw
+        L = self._assemble(d_raw, o_raw)
         M = L @ L.T
         return L, 0.5 * (M + M.T)
 
@@ -343,14 +356,11 @@ class CholeskyMetricNet(Metric):
         learn = grad_out is not None and self.is_learnable
         grad_block = grad_out[self.param_slice] if learn else None
         acts, pres, d_raw, o_raw = self._forward(x, weights)
-        L = np.zeros((self.dim, self.dim))
-        L[np.diag_indices(self.dim)] = np.abs(d_raw) + self.eps
-        if self.n_off:
-            L[self._tril] = o_raw
+        L = self._assemble(d_raw, o_raw)
         # M = L L^T: cotangent on L is (S + S^T) L for any (possibly
         # asymmetric) cotangent S on M.
         GL = (S + S.T) @ L
-        cd = np.sign(d_raw) * GL[np.diag_indices(self.dim)]
+        cd = np.sign(d_raw) * GL[self._diag]
         co = GL[self._tril] if self.n_off else np.zeros(0)
 
         grads = [None] * len(self._shapes) if grad_block is not None else None
@@ -407,6 +417,11 @@ class LeafPolicy:
         """Weight-carrying sub-components as ``(suffix, component)``
         pairs; a tree binds the learnable ones."""
         return []
+
+    def reads_weights(self) -> bool:
+        """Whether ``(p, M)`` depends on learnable weights; ``vjp`` adds
+        nothing to ``grad_out`` when it does not."""
+        return any(comp.is_learnable for _, comp in self.components())
 
 
 class RawVMLeaf(LeafPolicy, Learnable):
@@ -504,6 +519,11 @@ class NaturalGradientLeaf(LeafPolicy):
 
     def components(self):
         return [("metric", self.metric)]
+
+    def reads_weights(self):
+        # The potential's chain (a latent goal image) is not a component:
+        # the tree binds it on its edge.
+        return self.pot.reads_weights() or super().reads_weights()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ leaf spaces where policies live. One policy evaluation is:
    ``J^T M J``, reusing shared subpaths once;
 4. resolve: solve ``M_root u = p_root`` for the configuration velocity
    (``solve_root``, the one SPD solve, also used by the reverse pass).
+   It calls the LAPACK routines ``potrf``/``potrs`` directly: they are
+   the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap, without
+   the wrappers' per-call validation, so the results are the same bits.
 
 ``flat_solve`` answers the same weighted least-squares problem without
 the tree recursion (explicit root-to-leaf compositions and stacked
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NumericError, SingularMetricError, StructureError
 from .maps import DifferentiableMap
@@ -36,6 +39,15 @@ from .policies import LeafPolicy
 
 #: absolute eigenvalue floor below which the root metric counts as singular
 SINGULAR_EIG_TOL = 1e-12
+
+# The float64 Cholesky factorization and solve behind scipy's
+# ``cho_factor``/``cho_solve``, fetched once.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
+
+
+def factor_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``M x = b`` given ``solve_root``'s lower Cholesky factor of ``M``."""
+    return _POTRS(factor, b, lower=1)[0]
 
 
 @dataclass
@@ -50,7 +62,7 @@ class Edge:
         return f"edge {self.parent}->{self.child}"
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     """Per-node scratch filled in by the evaluation stages."""
 
@@ -147,6 +159,16 @@ class TransformTree:
                 node = edge.parent
             self._paths[leaf] = path[::-1]
 
+        # Loop tables of the stages, built once: each leaf with its policy
+        # and parent node, and each inner node with its dimension.
+        self._leaf_rows = [
+            (node, self.leaf_policies[node],
+             None if node == 0 else self._parent_edge[node].parent)
+            for node in self.leaves
+        ]
+        self._inner_dims = [(i, self.node_dims[i]) for i in range(self.n_nodes)
+                            if self._children[i]]
+
         # Parameter slice assignment (deterministic order), one slice per
         # component object. Components read their weights through their
         # slice, so one that another tree bound to a different slice is
@@ -205,75 +227,75 @@ def forward_pass(tree: TransformTree, q: np.ndarray,
         raise StructureError(
             f"q has shape {q.shape}, root dimension is {tree.root_dim}"
         )
-    states = [NodeState() for _ in range(tree.n_nodes)]
-    states[0].coord = q
+    # Edges are sorted by child and every node past the root has exactly
+    # one, so edge k ends at node k + 1 and the states fill in order.
+    states = [NodeState(coord=q)]
     for e in tree.edges:
-        x = states[e.parent].coord
-        y, J = e.map.value_and_jacobian(x, params)
+        y, J = e.map.value_and_jacobian(states[e.parent].coord, params)
         if y.shape != (tree.node_dims[e.child],):
             raise StructureError(
                 f"{e.name()}: map produced shape {y.shape}, node dim is "
                 f"{tree.node_dims[e.child]}"
             )
-        states[e.child].coord = y
-        states[e.child].jac_to_parent = J
+        states.append(NodeState(coord=y, jac_to_parent=J))
     return states
 
 
 def leaf_evaluate(tree: TransformTree, states: list[NodeState],
                   params: ParamVector | None = None) -> list[NodeState]:
     """Evaluate every leaf policy into ``(pulled_force, pulled_metric)``."""
-    for node in tree.leaves:
-        policy = tree.leaf_policies[node]
-        edge = tree.parent_edge(node)
-        parent_coord = states[edge.parent].coord if edge is not None else None
-        p, M = policy.evaluate(states[node].coord, params, parent_coord=parent_coord)
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(M))):
+    for node, policy, parent in tree._leaf_rows:
+        parent_coord = states[parent].coord if parent is not None else None
+        state = states[node]
+        p, M = policy.evaluate(state.coord, params, parent_coord=parent_coord)
+        if not (np.isfinite(p).all() and np.isfinite(M).all()):
             raise NumericError(f"leaf {node} produced a non-finite policy output")
-        states[node].pulled_force = p
-        states[node].pulled_metric = M
+        state.pulled_force = p
+        state.pulled_metric = M
     return states
 
 
 def backward_pass(tree: TransformTree, states: list[NodeState]) -> list[NodeState]:
     """Pull forces/metrics to the root: ``p += J^T p_c``, ``M += J^T M_c J``."""
-    for i in range(tree.n_nodes):
-        if tree.children(i):
-            d = tree.node_dims[i]
-            states[i].pulled_force = np.zeros(d)
-            states[i].pulled_metric = np.zeros((d, d))
+    for i, d in tree._inner_dims:
+        states[i].pulled_force = np.zeros(d)
+        states[i].pulled_metric = np.zeros((d, d))
     for e in reversed(tree.edges):
-        J = states[e.child].jac_to_parent
+        child = states[e.child]
+        J = child.jac_to_parent
         parent = states[e.parent]
-        parent.pulled_force = parent.pulled_force + J.T @ states[e.child].pulled_force
-        M = parent.pulled_metric + J.T @ states[e.child].pulled_metric @ J
+        parent.pulled_force = parent.pulled_force + J.T @ child.pulled_force
+        M = parent.pulled_metric + J.T @ child.pulled_metric @ J
         parent.pulled_metric = 0.5 * (M + M.T)
     return states
 
 
 def solve_root(M: np.ndarray, p: np.ndarray,
-               regularization: float = 0.0) -> tuple[np.ndarray, tuple | None]:
-    """Solve ``(M + reg I) u = p``; returns ``(u, cho_factor)``.
+               regularization: float = 0.0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Solve ``(M + reg I) u = p``; returns ``(u, factor)``.
 
     Without regularization ``M`` must be positive definite, else
-    ``SingularMetricError``; the factor (``None`` on the regularized
-    route) is kept for the reverse pass.
+    ``SingularMetricError``. The solve calls LAPACK ``potrf``/``potrs``
+    directly: the routines ``cho_factor``/``cho_solve`` wrap, with the
+    same arguments, minus the wrappers' per-call validation. ``factor``
+    is ``potrf``'s lower Cholesky factor (its upper triangle is left
+    unused), kept for the reverse pass; it is ``None`` on the
+    regularized route.
     """
-    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(p))):
+    if not (np.isfinite(M).all() and np.isfinite(p).all()):
         raise NumericError("root system contains non-finite entries")
     if regularization > 0.0:
         # Eigendecomposition pseudo-solve of (M + reg I) u = p.
         w, V = np.linalg.eigh(M)
         return V @ ((V.T @ p) / (w + regularization)), None
-    try:
-        factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    factor, info = _POTRF(M, lower=1, clean=0)
+    if info > 0:
         min_eig = float(np.linalg.eigvalsh(M).min())
         raise SingularMetricError(
             f"root metric is singular (Cholesky failed, min eigenvalue "
             f"{min_eig:.3e}); pass a positive regularization to proceed"
-        ) from exc
-    pivots = np.diagonal(factor[0])
+        )
+    pivots = np.diagonal(factor)
     if float(pivots.min()) ** 2 < SINGULAR_EIG_TOL:
         min_eig = float(np.linalg.eigvalsh(M).min())
         if min_eig < SINGULAR_EIG_TOL:
@@ -281,7 +303,7 @@ def solve_root(M: np.ndarray, p: np.ndarray,
                 f"root metric min eigenvalue {min_eig:.3e} is below "
                 f"{SINGULAR_EIG_TOL}; pass a positive regularization to proceed"
             )
-    return scipy.linalg.cho_solve(factor, p, check_finite=False), factor
+    return factor_solve(factor, p), factor
 
 
 def resolve(states: list[NodeState], regularization: float = 0.0) -> np.ndarray:

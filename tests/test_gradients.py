@@ -12,7 +12,14 @@ from treemotion.gradients import (
 from treemotion.learning import loss_and_gradient
 from treemotion.losses import DemoSet, LossSpec, Trajectory, loss_value
 from treemotion.maps import DiffeoChain, IdentityMap
-from treemotion.policies import ConstantMetric, RawVMLeaf, handcrafted_damper
+from treemotion.policies import (
+    ConstantMetric,
+    LatentQuadraticPotential,
+    NaturalGradientLeaf,
+    QuadraticPotential,
+    RawVMLeaf,
+    handcrafted_damper,
+)
 from treemotion.tree import Edge, TransformTree, evaluate_policy
 
 from conftest import fd_grad_wrt_params
@@ -191,3 +198,30 @@ def test_pipeline_cache_reuse_is_consistent(rng):
     grad1 = params.zeros_like()
     pipeline_vjp(tree, cache, params, g, grad1)
     np.testing.assert_allclose(grad1, policy_vjp(tree, q, params, g), atol=0.0)
+
+
+def test_leaf_below_a_fixed_edge_still_reaches_a_chain_through_its_goal(rng):
+    # Leaf 2 hangs below a fixed identity edge and has a frozen metric, but
+    # its latent goal is the image of the chain bound on edge 0->1. The
+    # reverse pass skips only leaves that read no weights (the damper).
+    chain = DiffeoChain(2, n_layers=2, n_features=5, length_scale=1.5, seed=4,
+                        init_scale=0.3)
+    tree = TransformTree(
+        [2, 2, 2, 2],
+        [Edge(0, 1, chain), Edge(0, 2, IdentityMap(2)), Edge(0, 3, IdentityMap(2))],
+        {
+            1: NaturalGradientLeaf(2, QuadraticPotential([0.2, -0.1]),
+                                   ConstantMetric(np.eye(2))),
+            2: NaturalGradientLeaf(2, LatentQuadraticPotential([0.4, 0.3], chain),
+                                   ConstantMetric(np.diag([2.0, 0.5]))),
+            3: handcrafted_damper(0.5, 2),
+        },
+    )
+    params = tree.init_params()
+    q = rng.uniform(-0.5, 0.5, 2)
+    g = rng.normal(0.0, 1.0, 2)
+    grad = policy_vjp(tree, q, params, g)
+    assert [row[0] for row in tree._reverse_leaves] == [1, 2]
+    fd = fd_grad_wrt_params(lambda p: g @ evaluate_policy(tree, q, p), params)
+    denom = np.maximum(np.abs(fd), 1e-3)
+    assert (np.abs(grad - fd) / denom).max() < 1e-6

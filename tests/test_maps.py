@@ -340,6 +340,30 @@ def test_value_vjp_memo_follows_weights_and_input(rng):
     assert np.array_equal(_value_vjp(chain, x, saved, cot), fresh(saved, x))
 
 
+def test_zero_width_reverse_matches_the_tangent_path(rng):
+    # value_vjp feeds (d, 0) tangents, for which _aug_reverse skips the
+    # tangent half. The full path, run with one tangent column whose
+    # cotangent is zero, adds only zeros; both must agree exactly.
+    chain, params = make_learnable_chain(3, seed=8, n_layers=3, n_features=6)
+    block = chain.weights(params)
+    x = rng.uniform(-1.0, 1.0, 3)
+    cot = rng.normal(0.0, 1.0, 3)
+
+    _, _, tape = chain._aug_forward(block, x, np.zeros((3, 0)))
+    g_skip = params.zeros_like()
+    cy_skip, cV_skip = chain._aug_reverse(tape, cot, np.zeros((3, 0)), g_skip)
+
+    _, _, tape = chain._aug_forward(block, x, rng.normal(0.0, 1.0, (3, 1)))
+    g_full = params.zeros_like()
+    cy_full, _ = chain._aug_reverse(tape, cot, np.zeros((3, 1)), g_full)
+
+    assert np.abs(g_skip).max() > 0.0
+    assert np.array_equal(g_skip, g_full)
+    assert np.array_equal(cy_skip, cy_full)
+    assert cV_skip.shape == (3, 0)
+    assert np.array_equal(_value_vjp(chain, x, params, cot), g_skip)
+
+
 def test_value_vjp_memos_of_two_chains_do_not_mix(rng):
     a, pa = make_learnable_chain(2, seed=1, n_layers=2, n_features=5)
     b, pb = make_learnable_chain(2, seed=2, n_layers=2, n_features=5)

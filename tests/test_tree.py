@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from treemotion.errors import SingularMetricError, StructureError
+from treemotion.errors import NumericError, SingularMetricError, StructureError
 from treemotion.fixtures import random_tree
 from treemotion.gradients import policy_vjp, run_pipeline
 from treemotion.maps import DifferentiableMap, IdentityMap, LinearMap, PlanarArmFK
@@ -20,9 +21,11 @@ from treemotion.tree import (
     backward_pass,
     evaluate_policy,
     flat_solve,
+    factor_solve,
     forward_pass,
     leaf_evaluate,
     resolve,
+    solve_root,
 )
 from treemotion.verify import check_tree
 
@@ -210,6 +213,39 @@ def test_resolve_regularized_solves_shifted_system(rng):
     states[0].pulled_force = p
     u = resolve(states, regularization=0.1)
     np.testing.assert_allclose((M + 0.1 * np.eye(2)) @ u, p, atol=1e-12)
+
+
+def test_solve_root_matches_scipy_cholesky_bit_for_bit(rng):
+    # solve_root calls the LAPACK routines cho_factor/cho_solve wrap
+    for n in range(1, 9):
+        for _ in range(5):
+            B = rng.normal(0.0, 1.0, (n, n))
+            M = B @ B.T + 0.1 * np.eye(n)
+            p = rng.normal(0.0, 1.0, n)
+            M_in = M.copy()
+            u, factor = solve_root(M, p)
+            ref = scipy.linalg.cho_factor(M, lower=True)
+            assert np.array_equal(factor, ref[0])
+            assert np.array_equal(u, scipy.linalg.cho_solve(ref, p))
+            g = rng.normal(0.0, 1.0, n)
+            assert np.array_equal(factor_solve(factor, g),
+                                  scipy.linalg.cho_solve(ref, g))
+            assert np.array_equal(M, M_in)
+
+
+def test_solve_root_singular_and_nonfinite_systems_raise():
+    p = np.array([1.0, 1.0])
+    # indefinite: the Cholesky factorization itself fails
+    with pytest.raises(SingularMetricError, match="Cholesky failed"):
+        solve_root(np.array([[1.0, 2.0], [2.0, 1.0]]), p)
+    # factorizable, but a pivot is tiny and so is the smallest eigenvalue
+    with pytest.raises(SingularMetricError, match="min eigenvalue 1.000e-14"):
+        solve_root(np.diag([1.0, 1e-14]), p)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_root(np.array([[1.0, 0.0], [0.0, bad]]), p)
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_root(np.eye(2), np.array([bad, 0.0]))
 
 
 # ---------------------------------------------------------------------------
