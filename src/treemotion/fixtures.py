@@ -375,8 +375,10 @@ def _kink_distance(tree, params, qs):
             if not isinstance(metric, CholeskyMetricNet):
                 continue
             coord = states[leaf].coord
-            if isinstance(pol, NaturalGradientLeaf) and pol.metric_input == "subtask":
-                coord = states[tree.parent_edge(leaf).parent].coord
+            if isinstance(pol, NaturalGradientLeaf):
+                edge = tree.parent_edge(leaf)
+                coord = pol._metric_coord(
+                    coord, None if edge is None else states[edge.parent].coord)
             weights = metric._weights(params)
             _, pres, d_raw, _ = metric._forward(coord, weights)
             for pre in pres:

@@ -1,8 +1,9 @@
-"""Analytic weight gradients of the composed policy.
+"""Analytic weight gradients of the composed policy: the reverse pass.
 
 The gradients are reverse-accumulated by hand through the four
-composition stages. With ``u = M_root^{-1} g`` for a cotangent ``g`` on
-the policy output,
+composition stages, reading the node states and root factor kept by
+``tree.run_pipeline``, the one evaluation. With ``u = M_root^{-1} g``
+for a cotangent ``g`` on the policy output,
 
     g . d(pi) = u . d(p_root) - u . d(M_root) pi,
 
@@ -17,9 +18,6 @@ edge higher on their path (so their own inputs carry no weight
 dependence); the structures built here satisfy that by construction and
 anything else is rejected up front. A finite-difference oracle for all
 of this lives in the verification helpers and the test suite.
-
-``run_pipeline`` is the one evaluation that keeps its node states; the
-losses, the trainer and the rollouts build on it.
 """
 
 from __future__ import annotations
@@ -31,12 +29,11 @@ import numpy as np
 from .errors import StructureError
 from .params import ParamVector
 from .tree import (
+    PipelineCache,
     TransformTree,
-    backward_pass,
     factor_solve,
-    forward_pass,
-    leaf_evaluate,
-    solve_root,
+    forward_pass,  # noqa: F401  (unused; perfbench's tracer test reads it)
+    run_pipeline,
 )
 
 
@@ -45,15 +42,6 @@ class PolicyGradient:
     """Jacobian of the policy output with respect to all learnable weights."""
 
     jacobian: np.ndarray  # (root_dim, n_params)
-
-
-@dataclass
-class PipelineCache:
-    """One evaluated composition pass, reusable across several cotangents."""
-
-    states: list
-    pi: np.ndarray
-    factor: np.ndarray  # lower Cholesky factor of M_root, from solve_root
 
 
 def check_gradient_structure(tree: TransformTree) -> None:
@@ -96,19 +84,11 @@ def check_gradient_structure(tree: TransformTree) -> None:
     tree._grad_structure_checked = True
 
 
-def run_pipeline(tree: TransformTree, q, params: ParamVector | None) -> PipelineCache:
-    """Evaluate the four stages once and keep everything the reverse
-    pass needs (coordinates, edge Jacobians, leaf outputs, root factor)."""
-    states = forward_pass(tree, q, params)
-    leaf_evaluate(tree, states, params)
-    backward_pass(tree, states)
-    pi, factor = solve_root(states[0].pulled_metric, states[0].pulled_force)
-    return PipelineCache(states=states, pi=pi, factor=factor)
-
-
 def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
                  cotangent: np.ndarray, grad_out: np.ndarray) -> None:
     """Accumulate ``(d pi / d theta)^T cotangent`` into ``grad_out``."""
+    if cache.factor is None:
+        raise StructureError("pipeline_vjp needs a run_pipeline without regularization")
     check_gradient_structure(tree)
     states = cache.states
     pi = cache.pi

@@ -20,6 +20,7 @@ column when a potential trace is available.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -38,6 +39,7 @@ from .maps import (
 )
 from .params import ParamVector
 from .policies import (
+    BarrierPotential,
     CholeskyMetricNet,
     ConstantMetric,
     InverseSquareMetric,
@@ -61,6 +63,16 @@ POTENTIAL_KINDS = ("zero", "quadratic", "latent_quadratic", "barrier")
 # Short loss names accepted by training configs and ``tree-motion train --loss``.
 LOSS_KIND_ALIASES = {"subtask": "subtask_space", "joint": "joint_space",
                      "independent": "independent_baseline"}
+
+
+@contextlib.contextmanager
+def _field_types(context: str):
+    """Report a field of the wrong type or shape (``int("three")``,
+    ``float([1])``, a ragged matrix) as a ``SpecFormatError``."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise SpecFormatError(f"{context}: {exc}") from exc
 
 
 def _require(spec: dict, key: str, context: str):
@@ -185,8 +197,6 @@ def build_policy(spec: dict, dim: int, parent_map):
                 parent_map,
             )
         elif pot_kind == "barrier":
-            from .policies import BarrierPotential
-
             potential = BarrierPotential(
                 float(_require(pot_spec, "margin", "barrier potential")),
                 gain=float(pot_spec.get("gain", 1.0)),
@@ -210,43 +220,44 @@ def build_policy(spec: dict, dim: int, parent_map):
 
 
 def tree_from_dict(data: dict) -> TransformTree:
-    nodes = _require(data, "nodes", "tree spec")
-    dims = {}
-    for entry in nodes:
-        dims[int(_require(entry, "id", "node entry"))] = int(
-            _require(entry, "dim", "node entry")
-        )
-    if sorted(dims) != list(range(len(dims))):
-        raise SpecFormatError("node ids must be contiguous starting at 0")
-    node_dims = [dims[i] for i in range(len(dims))]
+    with _field_types("tree spec"):
+        nodes = _require(data, "nodes", "tree spec")
+        dims = {}
+        for entry in nodes:
+            dims[int(_require(entry, "id", "node entry"))] = int(
+                _require(entry, "dim", "node entry")
+            )
+        if sorted(dims) != list(range(len(dims))):
+            raise SpecFormatError("node ids must be contiguous starting at 0")
+        node_dims = [dims[i] for i in range(len(dims))]
 
-    edges = []
-    edge_maps = {}
-    for entry in _require(data, "edges", "tree spec"):
-        parent = int(_require(entry, "parent", "edge entry"))
-        child = int(_require(entry, "child", "edge entry"))
-        if parent not in dims or child not in dims:
-            raise SpecFormatError(f"edge {parent}->{child} references unknown nodes")
+        edges = []
+        edge_maps = {}
+        for entry in _require(data, "edges", "tree spec"):
+            parent = int(_require(entry, "parent", "edge entry"))
+            child = int(_require(entry, "child", "edge entry"))
+            if parent not in dims or child not in dims:
+                raise SpecFormatError(f"edge {parent}->{child} references unknown nodes")
+            try:
+                m = build_map(_require(entry, "map", "edge entry"),
+                              node_dims[parent], node_dims[child])
+            except SpecFormatError as exc:
+                raise SpecFormatError(f"edge {parent}->{child}: {exc}") from exc
+            edges.append(Edge(parent, child, m))
+            edge_maps[child] = m
+
+        policies = {}
+        for entry in _require(data, "leaves", "tree spec"):
+            node = int(_require(entry, "node", "leaf entry"))
+            if node not in dims:
+                raise SpecFormatError(f"leaf entry references unknown node {node}")
+            policies[node] = build_policy(_require(entry, "policy", "leaf entry"),
+                                          node_dims[node], edge_maps.get(node))
+
         try:
-            m = build_map(_require(entry, "map", "edge entry"),
-                          node_dims[parent], node_dims[child])
-        except SpecFormatError as exc:
-            raise SpecFormatError(f"edge {parent}->{child}: {exc}") from exc
-        edges.append(Edge(parent, child, m))
-        edge_maps[child] = m
-
-    policies = {}
-    for entry in _require(data, "leaves", "tree spec"):
-        node = int(_require(entry, "node", "leaf entry"))
-        if node not in dims:
-            raise SpecFormatError(f"leaf entry references unknown node {node}")
-        policies[node] = build_policy(_require(entry, "policy", "leaf entry"),
-                                      node_dims[node], edge_maps.get(node))
-
-    try:
-        return TransformTree(node_dims, edges, policies)
-    except StructureError as exc:
-        raise SpecFormatError(f"tree spec invalid: {exc}") from exc
+            return TransformTree(node_dims, edges, policies)
+        except StructureError as exc:
+            raise SpecFormatError(f"tree spec invalid: {exc}") from exc
 
 
 def load_tree(path) -> TransformTree:
@@ -287,7 +298,8 @@ def load_trajectory_csv(path) -> Trajectory:
     if has_phi:
         header = header[:-1]
     d, has_qd = _parse_demo_header(header)
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+    with _field_types(str(path)):
+        data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
     expected = 1 + d + (d if has_qd else 0) + (1 if has_phi else 0)
     if data.ndim != 2 or data.shape[1] != expected:
         raise SpecFormatError(f"{path}: rows do not match the header")
@@ -348,21 +360,24 @@ def write_rollout(path_csv, result: RolloutResult) -> None:
 def parse_training_config(data: dict):
     """``{"loss": {"kind": ..., "lambda": [...]}, "alpha": ..., ...}`` ->
     ``(LossSpec, TrainOptions)``."""
-    loss_spec = data.get("loss", {"kind": "subtask_space"})
-    kind = _require(loss_spec, "kind", "training config loss")
-    kind = LOSS_KIND_ALIASES.get(kind, kind)
-    lam = loss_spec.get("lambda")
-    try:
-        loss = LossSpec(kind, None if lam is None else np.asarray(lam, dtype=float))
-    except StructureError as exc:
-        raise SpecFormatError(str(exc)) from exc
-    opts = TrainOptions(
-        alpha=None if data.get("alpha") is None else float(data["alpha"]),
-        iterations=int(data.get("iterations", 100)),
-        seed=int(data.get("seed", 0)),
-        minibatch=None if data.get("minibatch") is None else int(data["minibatch"]),
-        momentum=float(data.get("momentum", 0.0)),
-    )
+    if not isinstance(data, dict):
+        raise SpecFormatError("training config must be a JSON object")
+    with _field_types("training config"):
+        loss_spec = data.get("loss", {"kind": "subtask_space"})
+        kind = _require(loss_spec, "kind", "training config loss")
+        kind = LOSS_KIND_ALIASES.get(kind, kind)
+        lam = loss_spec.get("lambda")
+        try:
+            loss = LossSpec(kind, None if lam is None else np.asarray(lam, dtype=float))
+        except StructureError as exc:
+            raise SpecFormatError(str(exc)) from exc
+        opts = TrainOptions(
+            alpha=None if data.get("alpha") is None else float(data["alpha"]),
+            iterations=int(data.get("iterations", 100)),
+            seed=int(data.get("seed", 0)),
+            minibatch=None if data.get("minibatch") is None else int(data["minibatch"]),
+            momentum=float(data.get("momentum", 0.0)),
+        )
     return loss, opts
 
 

@@ -1,13 +1,13 @@
 """Training: end-to-end gradient descent and the per-leaf baseline.
 
-``train`` runs plain full-batch gradient descent on a demo loss,
+``train`` runs plain gradient descent on a demo loss,
 differentiating through the whole composition (so learnable importance
 weights pick up the trade-offs against dampers and other fixed leaves).
 ``train_independent_baseline`` instead fits every learnable
 natural-gradient leaf to the demonstrations mapped into its own space,
 one leaf at a time, with no coupling between leaves; the composition
-then only happens at execution time. Keeping both makes the difference
-between the two strategies directly measurable.
+then only happens at execution time. Both share one descent loop, so
+the difference between the two strategies is directly measurable.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, StructureError
-from .gradients import pipeline_vjp, run_pipeline
+from .gradients import pipeline_vjp
 from .losses import DemoSet, LossSpec, loss_samples, loss_value, sample_loss
 from .maps import DiffeoChain
 from .params import ParamVector
 from .policies import NaturalGradientLeaf
-from .tree import TransformTree
+from .tree import TransformTree, run_pipeline
 
 
 def suggest_length_scale(points, factor: float = 0.45) -> float:
@@ -39,7 +39,7 @@ def suggest_length_scale(points, factor: float = 0.45) -> float:
 
 @dataclass
 class TrainOptions:
-    """Plain gradient-descent settings.
+    """Plain gradient-descent settings, shared by both trainers.
 
     ``alpha=None`` picks the step by backtracking line search on the
     first iteration and keeps it fixed afterwards. ``momentum`` adds a
@@ -123,19 +123,10 @@ def _backtracking_alpha(eval_loss, theta0, loss0, grad, alpha0=1.0,
 # ---------------------------------------------------------------------------
 
 
-def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
-          loss: LossSpec, opts: TrainOptions | None = None) -> TrainResult:
-    """Gradient descent ``theta <- theta - alpha * grad`` on a demo loss.
-
-    Records the loss at every iterate (plus the final one) and aborts,
-    keeping the last finite iterate, if the loss ever leaves the finite
-    range. Deterministic for fixed options and demos.
-    """
-    if opts is None:
-        opts = TrainOptions()
-    opts.validate()
-    all_samples, _ = loss_samples(loss, tree, demos)
-    loss.validate_for_training(tree)
+def _descend(loss_grad, loss_only, params: ParamVector, samples,
+             opts: TrainOptions) -> TrainResult:
+    """The descent loop of both trainers, on the objective given by
+    ``loss_grad(theta, batch) -> (loss, grad)`` and ``loss_only``."""
     rng = np.random.default_rng(opts.seed)
     theta = params.copy()
     last_finite = theta
@@ -145,14 +136,14 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
     status = "completed"
 
     for it in range(opts.iterations):
-        if opts.minibatch is not None and opts.minibatch < len(all_samples):
-            idx = rng.permutation(len(all_samples))[: opts.minibatch]
-            samples = [all_samples[i] for i in sorted(idx)]
+        if opts.minibatch is not None and opts.minibatch < len(samples):
+            idx = rng.permutation(len(samples))[: opts.minibatch]
+            batch = [samples[i] for i in sorted(idx)]
         else:
-            samples = all_samples
+            batch = samples
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                value, grad = loss_and_gradient(tree, theta, samples, loss)
+                value, grad = loss_grad(theta, batch)
             except NumericError:
                 value = np.inf
         if not np.isfinite(value):
@@ -167,7 +158,7 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
                 alpha = 0.0
             else:
                 alpha = _backtracking_alpha(
-                    lambda v: loss_value(loss, tree, theta.with_values(v), samples),
+                    lambda v: loss_only(theta.with_values(v), batch),
                     theta.values, value, grad,
                 )
         if opts.momentum > 0.0:
@@ -183,7 +174,7 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
     if status == "completed":
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                final = loss_value(loss, tree, theta, all_samples)
+                final = loss_only(theta, samples)
             except NumericError:
                 final = np.inf
         if np.isfinite(final):
@@ -192,6 +183,26 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
             theta = last_finite
             status = "aborted_nonfinite"
     return TrainResult(params=theta, history=np.asarray(history), status=status)
+
+
+def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
+          loss: LossSpec, opts: TrainOptions | None = None) -> TrainResult:
+    """Gradient descent ``theta <- theta - alpha * grad`` on a demo loss.
+
+    Records the loss at every iterate (plus the final one) and aborts,
+    keeping the last finite iterate, if the loss ever leaves the finite
+    range. Deterministic for fixed options and demos.
+    """
+    if opts is None:
+        opts = TrainOptions()
+    opts.validate()
+    samples, _ = loss_samples(loss, tree, demos)
+    loss.validate_for_training(tree)
+    return _descend(
+        lambda th, batch: loss_and_gradient(tree, th, batch, loss),
+        lambda th, batch: loss_value(loss, tree, th, batch),
+        params, samples, opts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +271,10 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
     """Fit each learnable natural-gradient leaf to the demos on its own.
 
     Every learnable leaf must be a natural-gradient leaf. Leaves are
-    trained one at a time on ``sum || J_leaf qdot - v_leaf ||^2`` with
-    the same budget each; frozen leaves and non-leaf weights are left
-    untouched. Any trade-off between leaves is deferred to execution.
+    trained one at a time on ``sum || J_leaf qdot - v_leaf ||^2`` by
+    ``train``'s loop and options; frozen leaves and non-leaf weights are
+    left untouched. Any trade-off between leaves is deferred to
+    execution. A non-finite leaf loss or step raises ``NumericError``.
     """
     if opts is None:
         opts = TrainOptions()
@@ -281,28 +293,13 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
                 f"leaf {leaf} is learnable but not a natural-gradient leaf; "
                 "the independent baseline is only defined for those"
             )
-        alpha = opts.alpha
-        for it in range(opts.iterations + 1):
-            # The final iterate is checked like every earlier one.
-            last = it == opts.iterations
-            value, grad = _baseline_leaf_loss_grad(tree, theta, leaf, samples,
-                                                   want_grad=not last)
-            if not np.isfinite(value):
-                raise NumericError(f"baseline loss for leaf {leaf} is not finite")
-            if last:
-                break
-            if alpha is None:
-                gnorm = float(np.linalg.norm(grad))
-                if gnorm < 1e-15:
-                    break
-                alpha = _backtracking_alpha(
-                    lambda v: _baseline_leaf_loss_grad(
-                        tree, theta.with_values(v), leaf, samples, want_grad=False
-                    )[0],
-                    theta.values, value, grad,
-                )
-            new_values = theta.values - alpha * grad
-            if not np.all(np.isfinite(new_values)):
-                break
-            theta = theta.with_values(new_values)
+        result = _descend(
+            lambda th, batch: _baseline_leaf_loss_grad(tree, th, leaf, batch),
+            lambda th, batch: _baseline_leaf_loss_grad(
+                tree, th, leaf, batch, want_grad=False)[0],
+            theta, samples, opts,
+        )
+        if result.status != "completed":
+            raise NumericError(f"baseline loss for leaf {leaf} is not finite")
+        theta = result.params
     return theta

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .gradients import PipelineCache, run_pipeline
 from .maps import DiffeoChain
 from .params import ParamVector
-from .tree import TransformTree
+from .tree import PipelineCache, TransformTree, run_pipeline
 
 
 @dataclass

@@ -203,10 +203,6 @@ class RFFNet:
         """Feature vector ``sqrt(2/D) cos(A x + beta)``, shape ``(D,)``."""
         return self._scale * np.cos(self.frequencies @ x + self.phases)
 
-    def feature_matrix(self, x) -> np.ndarray:
-        """Matrix-valued features ``f(x) kron I``, shape ``(D*out, out)``."""
-        return np.kron(self.features(x)[:, None], np.eye(self.out_dim))
-
     def features_and_slope(self, x):
         """Features plus ``g = -sqrt(2/D) sin(A x + beta)`` (``df = g * A dx``)."""
         h = self.frequencies @ x + self.phases

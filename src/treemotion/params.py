@@ -91,7 +91,7 @@ class ParamVector:
                 for e in data["registry"]
             ]
             values = np.asarray(data["values"], dtype=float)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpecFormatError(f"malformed parameter file: {exc}") from exc
         try:
             return cls(values, registry)

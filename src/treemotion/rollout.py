@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .gradients import run_pipeline
 from .losses import Trajectory
 from .params import ParamVector
-from .tree import TransformTree, evaluate_policy, leaf_potential_sum
+from .tree import TransformTree, evaluate_policy, leaf_potential_sum, run_pipeline
 
 
 @dataclass

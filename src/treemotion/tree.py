@@ -1,7 +1,8 @@
 """Transform tree and the four-stage velocity-policy composition.
 
 The tree maps a configuration-space root through differentiable edges to
-leaf spaces where policies live. One policy evaluation is:
+leaf spaces where policies live. The one policy evaluation,
+``run_pipeline``, runs four stages and keeps their node states:
 
 1. forward pass: push coordinates root-to-leaves, recording each edge
    Jacobian;
@@ -27,6 +28,7 @@ evaluations may share the read-only tree and parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +72,15 @@ class NodeState:
     jac_to_parent: np.ndarray | None = None
     pulled_force: np.ndarray | None = None
     pulled_metric: np.ndarray | None = None
+
+
+@dataclass(slots=True)
+class PipelineCache:
+    """One evaluated composition pass, reusable across several cotangents."""
+
+    states: list[NodeState]
+    pi: np.ndarray
+    factor: np.ndarray | None  # lower Cholesky factor of M_root; None if regularized
 
 
 class TransformTree:
@@ -195,9 +206,6 @@ class TransformTree:
 
     # -- introspection ------------------------------------------------------
 
-    def children(self, node: int) -> list[int]:
-        return self._children[node]
-
     def parent_edge(self, node: int) -> Edge | None:
         return self._parent_edge[node]
 
@@ -270,10 +278,16 @@ def backward_pass(tree: TransformTree, states: list[NodeState]) -> list[NodeStat
     return states
 
 
+def _check_regularization(reg) -> None:
+    if not 0.0 <= reg < math.inf:  # also false for NaN
+        raise StructureError(f"regularization must be finite and >= 0, got {reg}")
+
+
 def solve_root(M: np.ndarray, p: np.ndarray,
                regularization: float = 0.0) -> tuple[np.ndarray, np.ndarray | None]:
     """Solve ``(M + reg I) u = p``; returns ``(u, factor)``.
 
+    ``regularization`` must be finite and >= 0, else ``StructureError``.
     Without regularization ``M`` must be positive definite, else
     ``SingularMetricError``. The solve calls LAPACK ``potrf``/``potrs``
     directly: the routines ``cho_factor``/``cho_solve`` wrap, with the
@@ -282,6 +296,7 @@ def solve_root(M: np.ndarray, p: np.ndarray,
     unused), kept for the reverse pass; it is ``None`` on the
     regularized route.
     """
+    _check_regularization(regularization)
     if not (np.isfinite(M).all() and np.isfinite(p).all()):
         raise NumericError("root system contains non-finite entries")
     if regularization > 0.0:
@@ -306,19 +321,27 @@ def solve_root(M: np.ndarray, p: np.ndarray,
     return factor_solve(factor, p), factor
 
 
-def resolve(states: list[NodeState], regularization: float = 0.0) -> np.ndarray:
-    """Solve the root system ``(M_root + reg I) u = p_root``."""
+def resolve(states: list[NodeState], regularization: float = 0.0) -> tuple:
+    """Solve ``(M_root + reg I) u = p_root``; ``(u, factor)`` as ``solve_root``."""
     return solve_root(states[0].pulled_metric, states[0].pulled_force,
-                      regularization)[0]
+                      regularization)
+
+
+def run_pipeline(tree: TransformTree, q, params: ParamVector | None = None,
+                 regularization: float = 0.0) -> PipelineCache:
+    """Run the four stages once and keep everything the reverse pass
+    needs (coordinates, edge Jacobians, leaf outputs, root factor)."""
+    states = forward_pass(tree, q, params)
+    leaf_evaluate(tree, states, params)
+    backward_pass(tree, states)
+    pi, factor = resolve(states, regularization)
+    return PipelineCache(states, pi, factor)
 
 
 def evaluate_policy(tree: TransformTree, q, params: ParamVector | None = None,
                     regularization: float = 0.0) -> np.ndarray:
     """Configuration-space velocity produced by the composed subtask policies."""
-    states = forward_pass(tree, q, params)
-    leaf_evaluate(tree, states, params)
-    backward_pass(tree, states)
-    return resolve(states, regularization)
+    return run_pipeline(tree, q, params, regularization).pi
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +359,7 @@ def flat_solve(tree: TransformTree, q, params: ParamVector | None = None,
     from the staged algorithm is reused, so agreement between the two
     routes is a meaningful check.
     """
+    _check_regularization(regularization)
     q = np.asarray(q, dtype=float)
     if q.shape != (tree.root_dim,):
         raise StructureError(

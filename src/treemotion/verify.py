@@ -13,8 +13,7 @@ from .errors import TreeMotionError
 from .learning import loss_and_gradient
 from .losses import DemoSet, LossSpec, loss_value
 from .params import ParamVector
-from .tree import (TransformTree, evaluate_policy, flat_solve, forward_pass,
-                   root_potential)
+from .tree import TransformTree, flat_solve, root_potential, run_pipeline
 
 FD_STEP = 1e-6
 
@@ -33,8 +32,9 @@ def fd_jacobian(f, x, h: float = FD_STEP) -> np.ndarray:
 def check_tree(tree: TransformTree, params: ParamVector | None = None,
                n_points: int = 10, seed: int = 0,
                flat_tol: float = 1e-10, jac_tol: float = 1e-5) -> dict:
-    """Probe a tree at seeded points: staged-vs-flat agreement, and the
-    edge Jacobians the forward pass records against finite differences.
+    """Probe a tree at seeded points with one ``run_pipeline`` each:
+    staged-vs-flat agreement, and the edge Jacobians held in that pass's
+    node states against finite differences.
 
     Returns a JSON-ready report with per-failure detail; ``"status"`` is
     ``"pass"`` or ``"numeric_failure"``.
@@ -47,7 +47,7 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
     jac_max = 0.0
     for idx, q in enumerate(points):
         try:
-            pi_tree = evaluate_policy(tree, q, params)
+            cache = run_pipeline(tree, q, params)
             pi_flat = flat_solve(tree, q, params)
         except TreeMotionError as exc:
             failures.append({
@@ -57,7 +57,7 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
                 "error": f"{type(exc).__name__}: {exc}",
             })
             continue
-        dev = float(np.abs(pi_tree - pi_flat).max())
+        dev = float(np.abs(cache.pi - pi_flat).max())
         flat_max = max(flat_max, dev)
         if dev > flat_tol:
             failures.append({
@@ -66,10 +66,9 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
                 "deviation": dev,
                 "tolerance": flat_tol,
             })
-        states = forward_pass(tree, q, params)
         for e in tree.edges:
-            x = states[e.parent].coord
-            J = states[e.child].jac_to_parent  # the Jacobian the evaluation uses
+            x = cache.states[e.parent].coord
+            J = cache.states[e.child].jac_to_parent  # the Jacobian the pass used
             try:
                 J_fd = fd_jacobian(lambda z: e.map.value(z, params), x)
             except TreeMotionError as exc:

@@ -200,6 +200,14 @@ def test_pipeline_cache_reuse_is_consistent(rng):
     np.testing.assert_allclose(grad1, policy_vjp(tree, q, params, g), atol=0.0)
 
 
+def test_pipeline_vjp_rejects_a_regularized_cache():
+    tree, params, demos, _ = gradcheck_cases(1)[0]
+    cache = run_pipeline(tree, demos.trajectories[0].q[0], params, 0.1)
+    assert cache.factor is None
+    with pytest.raises(StructureError, match="regularization"):
+        pipeline_vjp(tree, cache, params, np.ones(tree.root_dim),
+                     params.zeros_like())
+
 def test_leaf_below_a_fixed_edge_still_reaches_a_chain_through_its_goal(rng):
     # Leaf 2 hangs below a fixed identity edge and has a frozen metric, but
     # its latent goal is the image of the chain bound on edge 0->1. The

@@ -218,6 +218,61 @@ def test_cli_missing_file_exits_two():
     assert proc.returncode == 2
 
 
+def _cli_exit_and_stderr(capsys, *argv):
+    from treemotion import cli
+
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda s: s["nodes"][0].update(dim="three"),
+    lambda s: s["edges"][1]["map"].update(layers="four"),
+    lambda s: s["edges"][0].update(
+        map={"kind": "linear", "matrix": [[1.0, 0.0], [1.0]]}),
+    lambda s: s.update(nodes=5),
+], ids=["dim", "layers", "ragged_matrix", "nodes"])
+def test_cli_malformed_spec_is_a_validation_error(tmp_path, capsys, edit):
+    spec = json.loads(json.dumps(VALID_SPEC))
+    edit(spec)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    code, err = _cli_exit_and_stderr(capsys, "eval", path, "--q", "0.1,0.2")
+    assert code == 2 and err.startswith("validation error:")
+
+
+def test_cli_malformed_demo_csv_is_a_validation_error(tmp_path, capsys, spec_path):
+    demo = tmp_path / "demo.csv"
+    demo.write_text("t,q0,q1,qd0,qd1\n0.0,abc,0.1,0.2,0.3\n0.1,0.1,0.1,0.2,0.3\n")
+    code, err = _cli_exit_and_stderr(capsys, "train", spec_path, "--demos", demo,
+                                     "--out", tmp_path / "p.json")
+    assert code == 2 and err.startswith("validation error:") and "abc" in err
+
+
+@pytest.mark.parametrize("config", [{"alpha": "fast"}, {"iterations": [1]}, [1]])
+def test_cli_malformed_training_config_is_a_validation_error(
+        tmp_path, capsys, spec_path, demo_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, err = _cli_exit_and_stderr(capsys, "train", spec_path, "--demos", demo_path,
+                                     "--config", path, "--out", tmp_path / "p.json")
+    assert code == 2 and err.startswith("validation error: training config")
+
+
+def test_cli_malformed_params_file_is_a_validation_error(tmp_path, capsys, spec_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"registry": [], "values": ["a"]}))
+    code, err = _cli_exit_and_stderr(capsys, "eval", spec_path, "--params", path,
+                                     "--q", "0.1,0.2")
+    assert code == 2 and err.startswith("validation error: malformed parameter file")
+
+
+@pytest.mark.parametrize("reg", ["-5", "nan", "inf"])
+def test_cli_eval_rejects_bad_regularization(capsys, spec_path, reg):
+    code, err = _cli_exit_and_stderr(capsys, "eval", spec_path, "--q", "0.3,-0.1",
+                                     "--regularization=" + reg)
+    assert code == 2 and "regularization must be finite and >= 0" in err
+
 def test_cli_eval_prints_policy(spec_path):
     proc = run_cli("eval", spec_path, "--q", "0.3,-0.1")
     assert proc.returncode == 0

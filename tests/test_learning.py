@@ -357,3 +357,27 @@ def test_baseline_checks_its_final_iterate():
             pytest.raises(NumericError, match="leaf 3 "):
         train_independent_baseline(tree, params, demos,
                                    TrainOptions(alpha=None, iterations=2))
+
+
+def test_baseline_raises_when_a_step_overflows():
+    tree, params, _ = latent_leaf_tree(seed=7)
+    demos = demo_from_samples([[0.1, 0.2], [0.3, -0.2]], [[5.0, 0.0], [2.0, 4.0]])
+    # The gradient's largest entry is about 36, so the first step overflows.
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError, match="leaf 2 "):
+        train_independent_baseline(tree, params, demos,
+                                   TrainOptions(alpha=1e308, iterations=3))
+
+
+def test_baseline_honours_minibatch():
+    tree, params, _ = latent_leaf_tree(seed=7)
+    rng = np.random.default_rng(3)
+    demos = demo_from_samples(rng.uniform(-0.8, 0.8, (8, 2)),
+                              rng.uniform(-1.0, 1.0, (8, 2)))
+    opts = TrainOptions(alpha=0.05, iterations=5, minibatch=3, seed=4)
+    first = train_independent_baseline(tree, params, demos, opts)
+    again = train_independent_baseline(tree, params, demos, opts)
+    full = train_independent_baseline(tree, params, demos,
+                                      TrainOptions(alpha=0.05, iterations=5))
+    assert np.array_equal(first.values, again.values)
+    assert not np.array_equal(first.values, full.values)

@@ -99,14 +99,6 @@ def test_rff_features_trivial_cases():
                                atol=1e-15)
 
 
-def test_rff_feature_matrix_matches_flat_weights(rng):
-    net = RFFNet(2, 3, 8, length_scale=1.3, seed=5)
-    theta = rng.normal(0.0, 1.0, (8, 3))
-    x = rng.uniform(-1.0, 1.0, 2)
-    via_matrix = net.feature_matrix(x).T @ theta.ravel()
-    np.testing.assert_allclose(net.value(x, theta), via_matrix, atol=1e-14)
-
-
 def test_rff_kernel_monte_carlo():
     # phi(x).phi(x') approximates the Gaussian kernel in expectation;
     # averaged over feature draws and 100 point pairs at D=64.

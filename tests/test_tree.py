@@ -188,10 +188,10 @@ def test_resolve_diagonal_and_zero_force():
     states = forward_pass(tree, np.zeros(2))
     states[0].pulled_metric = 2.0 * np.eye(2)
     states[0].pulled_force = np.array([2.0, 4.0])
-    np.testing.assert_allclose(resolve(states), [1.0, 2.0])
+    np.testing.assert_allclose(resolve(states)[0], [1.0, 2.0])
     states[0].pulled_metric = np.eye(1)
     states[0].pulled_force = np.zeros(1)
-    np.testing.assert_allclose(resolve(states), [0.0])
+    np.testing.assert_allclose(resolve(states)[0], [0.0])
 
 
 def test_resolve_singular_metric_raises():
@@ -211,7 +211,7 @@ def test_resolve_regularized_solves_shifted_system(rng):
     p = rng.normal(0.0, 1.0, 2)
     states[0].pulled_metric = M
     states[0].pulled_force = p
-    u = resolve(states, regularization=0.1)
+    u = resolve(states, regularization=0.1)[0]
     np.testing.assert_allclose((M + 0.1 * np.eye(2)) @ u, p, atol=1e-12)
 
 
@@ -246,6 +246,24 @@ def test_solve_root_singular_and_nonfinite_systems_raise():
             solve_root(np.array([[1.0, 0.0], [0.0, bad]]), p)
         with pytest.raises(NumericError, match="non-finite"):
             solve_root(np.eye(2), np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
+def test_root_solves_reject_negative_or_nonfinite_regularization(bad):
+    tree = single_leaf_tree(2, raw_leaf([1.0, 0.0], np.eye(2)))
+    with pytest.raises(StructureError, match="regularization"):
+        solve_root(np.eye(2), np.ones(2), bad)
+    with pytest.raises(StructureError, match="regularization"):
+        flat_solve(tree, np.zeros(2), regularization=bad)
+
+
+def test_evaluate_policy_reads_run_pipeline(rng):
+    for seed in range(10):
+        tree, params = random_tree(seed + 700, max_depth=3)
+        q = rng.uniform(-1.0, 1.0, tree.root_dim)
+        for reg in (0.0, 0.1):
+            assert np.array_equal(evaluate_policy(tree, q, params, reg),
+                                  run_pipeline(tree, q, params, reg).pi)
 
 
 # ---------------------------------------------------------------------------
