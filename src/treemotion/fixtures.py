@@ -369,14 +369,12 @@ def _kink_distance(tree, params, qs):
     dist = np.inf
     for q in qs:
         states = forward_pass(tree, q, params)
-        for leaf in tree.leaves:
-            pol = tree.leaf_policies[leaf]
+        for leaf, pol, edge, _, _, _ in tree.leaf_table.values():
             metric = getattr(pol, "metric", None)
             if not isinstance(metric, CholeskyMetricNet):
                 continue
             coord = states[leaf].coord
             if isinstance(pol, NaturalGradientLeaf):
-                edge = tree.parent_edge(leaf)
                 coord = pol._metric_coord(
                     coord, None if edge is None else states[edge.parent].coord)
             weights = metric._weights(params)

@@ -45,19 +45,12 @@ class PolicyGradient:
 
 
 def check_gradient_structure(tree: TransformTree) -> None:
-    """Reject trees the hand-written reverse pass does not cover, and
-    list the leaves it visits (``tree._reverse_leaves``).
+    """Reject trees the hand-written reverse pass does not cover.
 
     A learnable edge map whose input itself depends on weights (a
     learnable edge somewhere above it) would need second derivatives of
     the upper map; no supported construction produces that shape.
-
-    A leaf below a fixed edge (or at the root) whose policy reads no
-    weights adds nothing to any gradient, and its input cotangent is
-    only used by a learnable edge, so the reverse pass skips it.
     """
-    if getattr(tree, "_grad_structure_checked", False):
-        return
     for e in tree.edges:
         if not e.map.is_learnable:
             continue
@@ -74,19 +67,12 @@ def check_gradient_structure(tree: TransformTree) -> None:
                     f"({up.name()}) is not supported"
                 )
             node = up.parent
-    tree._reverse_leaves = []
-    for leaf in tree.leaves:
-        policy = tree.leaf_policies[leaf]
-        edge = tree.parent_edge(leaf)
-        learnable_edge = edge is not None and edge.map.is_learnable
-        if learnable_edge or policy.reads_weights():
-            tree._reverse_leaves.append((leaf, policy, edge, learnable_edge))
-    tree._grad_structure_checked = True
 
 
 def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
                  cotangent: np.ndarray, grad_out: np.ndarray) -> None:
-    """Accumulate ``(d pi / d theta)^T cotangent`` into ``grad_out``."""
+    """Accumulate ``(d pi / d theta)^T cotangent`` into ``grad_out``,
+    visiting only the leaves in ``tree._reverse_leaves``."""
     if cache.factor is None:
         raise StructureError("pipeline_vjp needs a run_pipeline without regularization")
     check_gradient_structure(tree)
@@ -103,7 +89,7 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
         u_at[e.child] = J @ u_at[e.parent]
         pi_at[e.child] = J @ pi_at[e.parent]
 
-    for leaf, policy, edge, learnable_edge in tree._reverse_leaves:
+    for leaf, policy, edge, _, _, _ in tree._reverse_leaves:
         u_k = u_at[leaf]
         pi_k = pi_at[leaf]
         cot_p = u_k
@@ -111,7 +97,7 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
         parent_coord = states[edge.parent].coord if edge is not None else None
         c_z = policy.vjp(states[leaf].coord, params, cot_p, cot_M, grad_out,
                          parent_coord=parent_coord)
-        if learnable_edge:
+        if edge is not None and edge.map.is_learnable:
             p_k = states[leaf].pulled_force
             M_k = states[leaf].pulled_metric
             # Cotangent on the edge Jacobian J: (p_k - M_k pi_k) u_x^T

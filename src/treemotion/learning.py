@@ -19,7 +19,6 @@ import numpy as np
 from .errors import NumericError, StructureError
 from .gradients import pipeline_vjp
 from .losses import DemoSet, LossSpec, loss_samples, loss_value, sample_loss
-from .maps import DiffeoChain
 from .params import ParamVector
 from .policies import NaturalGradientLeaf
 from .tree import TransformTree, run_pipeline
@@ -42,8 +41,10 @@ class TrainOptions:
     """Plain gradient-descent settings, shared by both trainers.
 
     ``alpha=None`` picks the step by backtracking line search on the
-    first iteration and keeps it fixed afterwards. ``momentum`` adds a
-    classical momentum term and is off by default. ``minibatch`` turns
+    first iteration and keeps it fixed afterwards; a first gradient of
+    norm below 1e-15 ends the run there, with the weights unchanged and
+    a two-entry history. ``momentum`` adds a classical momentum term and
+    is off by default. ``minibatch`` turns
     on seeded without-replacement minibatching; the default is full
     batch, which is what makes runs bit-reproducible regardless of seed.
     """
@@ -98,24 +99,29 @@ def loss_and_gradient(tree: TransformTree, params: ParamVector, demos_or_samples
     return total, grad
 
 
-def _backtracking_alpha(eval_loss, theta0, loss0, grad, alpha0=1.0,
-                        shrink=0.5, c_armijo=1e-4, max_halvings=60,
-                        safety=0.25):
+# Backtracking line search: first trial step, shrink factor per trial,
+# Armijo constant, trial budget, and the safety factor on the accepted step.
+_ALPHA0, _SHRINK, _C_ARMIJO, _MAX_HALVINGS, _SAFETY = 1.0, 0.5, 1e-4, 60, 0.25
+# A first gradient below this norm stops the descent: no step would move.
+_ZERO_GRAD = 1e-15
+
+
+def _backtracking_alpha(eval_loss, theta0, loss0, grad):
     """Largest halved step satisfying the Armijo condition, shrunk by a
     safety factor because the accepted step stays fixed for the rest of
     the run. Trial steps that blow up numerically count as failures."""
     gnorm2 = float(grad @ grad)
-    alpha = alpha0
-    for _ in range(max_halvings):
+    alpha = _ALPHA0
+    for _ in range(_MAX_HALVINGS):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             try:
                 trial = eval_loss(theta0 - alpha * grad)
             except NumericError:
                 trial = np.inf
-        if np.isfinite(trial) and trial <= loss0 - c_armijo * alpha * gnorm2:
-            return safety * alpha
-        alpha *= shrink
-    return safety * alpha
+        if np.isfinite(trial) and trial <= loss0 - _C_ARMIJO * alpha * gnorm2:
+            return _SAFETY * alpha
+        alpha *= _SHRINK
+    return _SAFETY * alpha
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +159,12 @@ def _descend(loss_grad, loss_only, params: ParamVector, samples,
         last_finite = theta
         history.append(value)
         if alpha is None:
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-15:
-                alpha = 0.0
-            else:
-                alpha = _backtracking_alpha(
-                    lambda v: loss_only(theta.with_values(v), batch),
-                    theta.values, value, grad,
-                )
+            if float(np.linalg.norm(grad)) < _ZERO_GRAD:
+                break  # the line search would fix alpha = 0: nothing moves
+            alpha = _backtracking_alpha(
+                lambda v: loss_only(theta.with_values(v), batch),
+                theta.values, value, grad,
+            )
         if opts.momentum > 0.0:
             velocity = opts.momentum * velocity + grad
             theta = theta.with_values(theta.values - alpha * velocity)
@@ -210,24 +214,14 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
 # ---------------------------------------------------------------------------
 
 
-def _leaf_fixed_prefix(tree, leaf):
-    """Split a root-to-leaf path into the fixed prefix and an optional
-    trailing latent chain edge."""
-    path = tree.path_to(leaf)
-    if path and isinstance(path[-1].map, DiffeoChain):
-        return path[:-1], path[-1]
-    return path, None
-
-
 def _baseline_leaf_loss_grad(tree, params, leaf, samples, want_grad=True):
     """Objective for one leaf: match the leaf-mapped demo velocity with
     the leaf's own flow ``v = -M^{-1} grad(Phi)``, ignoring every other
     leaf. The leaf is evaluated and differentiated through its own
     ``evaluate`` and ``vjp``. Returns ``(loss, grad)``; the gradient only
     touches this leaf's slices."""
-    policy = tree.leaf_policies[leaf]
-    prefix, chain_edge = _leaf_fixed_prefix(tree, leaf)
-    chain = chain_edge.map if chain_edge is not None else None
+    _, policy, _, _, prefix, latent = tree.leaf_table[leaf]
+    chain = latent.map if latent is not None else None
     if chain is None and getattr(policy, "metric_input", None) == "subtask":
         raise StructureError(
             "subtask metric input without a latent edge is ambiguous "
@@ -270,10 +264,12 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
                                opts: TrainOptions | None = None) -> ParamVector:
     """Fit each learnable natural-gradient leaf to the demos on its own.
 
-    Every learnable leaf must be a natural-gradient leaf. Leaves are
-    trained one at a time on ``sum || J_leaf qdot - v_leaf ||^2`` by
-    ``train``'s loop and options; frozen leaves and non-leaf weights are
-    left untouched. Any trade-off between leaves is deferred to
+    The leaves trained are the ones the reverse pass visits
+    (``tree._reverse_leaves``: a learnable parent edge or a learnable
+    component, a latent goal's chain included), and each must be a
+    natural-gradient leaf. They are trained one at a time on
+    ``sum || J_leaf qdot - v_leaf ||^2`` by ``train``'s loop and options;
+    weights that no trained leaf reads are left untouched. Any trade-off between leaves is deferred to
     execution. A non-finite leaf loss or step raises ``NumericError``.
     """
     if opts is None:
@@ -281,13 +277,7 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
     opts.validate()
     samples = list(demos.samples())
     theta = params.copy()
-    for leaf in tree.leaves:
-        policy = tree.leaf_policies[leaf]
-        _, chain_edge = _leaf_fixed_prefix(tree, leaf)
-        parts = [c for _, c in policy.components()]
-        parts += [chain_edge.map] if chain_edge is not None else []
-        if not any(c.is_learnable for c in parts):
-            continue
+    for leaf, policy, _, _, _, _ in tree._reverse_leaves:
         if not isinstance(policy, NaturalGradientLeaf):
             raise StructureError(
                 f"leaf {leaf} is learnable but not a natural-gradient leaf; "

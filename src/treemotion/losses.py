@@ -7,11 +7,13 @@ per subtask. Demonstrations recorded by a human are typically
 contradictory in joint space while agreeing in the spaces that matter,
 which is the whole reason the subtask-space loss exists.
 
-For leaves reached through a learnable latent map, the subtask loss
-projects residuals with the Jacobian of the fixed part of the path only
-(up to the node the user actually specified). Projecting through the
-learnable map itself would let training shrink the loss by shrinking
-the map instead of fitting the motion.
+For a leaf reached through a latent map (a diffeo chain on its parent
+edge), the subtask loss projects residuals with the Jacobian of the
+leaf's anchor only: the rest of its path, up to the node the user
+actually specified, as recorded in ``TransformTree.leaf_table``. Every
+other edge, a frozen chain higher up included, belongs to the anchor.
+Projecting through the learnable map itself would let training shrink
+the loss by shrinking the map instead of fitting the motion.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .maps import DiffeoChain
 from .params import ParamVector
 from .tree import PipelineCache, TransformTree, run_pipeline
 
@@ -144,18 +145,6 @@ class LossSpec:
 # ---------------------------------------------------------------------------
 
 
-def _anchor_jacobian(tree: TransformTree, states, leaf: int) -> np.ndarray:
-    """Jacobian of the fixed portion of the root-to-leaf map, chained from
-    the edge Jacobians in ``states`` up to the first latent (diffeo-chain)
-    edge, i.e. to the node whose space the user actually named."""
-    J = np.eye(tree.root_dim)
-    for edge in tree.path_to(leaf):
-        if isinstance(edge.map, DiffeoChain):
-            break
-        J = states[edge.child].jac_to_parent @ J
-    return J
-
-
 def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
                 qdot) -> tuple[float, np.ndarray]:
     """One sample's loss and its cotangent on ``pi``, from the sample's
@@ -165,10 +154,12 @@ def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
         return float(r @ r), -2.0 * r
     value = 0.0
     g = np.zeros_like(cache.pi)
-    for lk, leaf in zip(lam, tree.leaves):
+    for lk, row in zip(lam, tree.leaf_table.values()):
         if lk == 0.0:
             continue
-        J = _anchor_jacobian(tree, cache.states, leaf)
+        J = np.eye(tree.root_dim)
+        for edge in row.anchor:
+            J = cache.states[edge.child].jac_to_parent @ J
         Jr = J @ r
         value += lk * float(Jr @ Jr)
         g -= 2.0 * lk * (J.T @ Jr)

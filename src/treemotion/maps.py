@@ -60,7 +60,8 @@ class DifferentiableMap(Learnable):
 
         Computes ``d/d theta [cot_value . psi(x) + sum_k cot_tangents[:, k]
         . J(x) tangents[:, k]]`` and adds it to ``grad_out``. ``x`` is
-        treated as a constant.
+        treated as a constant; ``tangents`` is ``(in_dim, K)`` and
+        ``cot_tangents`` is ``(out_dim, K)``.
         """
         if self.is_learnable:
             raise NotImplementedError
@@ -504,12 +505,6 @@ class DiffeoChain(DifferentiableMap):
         if not self.is_learnable:
             return
         block = self.weights(params)
-        V = np.atleast_2d(np.asarray(tangents, dtype=float))
-        if V.shape[0] != self.in_dim:
-            V = V.T
-        C = np.atleast_2d(np.asarray(cot_tangents, dtype=float))
-        if C.shape[0] != self.out_dim:
-            C = C.T
-        _, _, caches = self._aug_forward(block, x, V)
+        _, _, caches = self._aug_forward(block, x, tangents)
         cy = np.zeros(self.out_dim) if cot_value is None else cot_value
-        self._aug_reverse(caches, cy, C, grad_out[self.param_slice])
+        self._aug_reverse(caches, cy, cot_tangents, grad_out[self.param_slice])

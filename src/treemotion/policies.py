@@ -49,10 +49,6 @@ class Potential:
         the Hessian-vector product ``(d grad / d z)^T cot``."""
         raise NotImplementedError
 
-    def reads_weights(self) -> bool:
-        """Whether the gradient depends on learnable weights."""
-        return False
-
 
 class ZeroPotential(Potential):
     def value(self, z, params):
@@ -118,9 +114,6 @@ class LatentQuadraticPotential(Potential):
         image.flags.writeable = False
         self._image_memo = (block.copy(), image)
         return image
-
-    def reads_weights(self):
-        return self.chain.is_learnable
 
     def value(self, z, params):
         d = z - self.goal_image(params)
@@ -414,8 +407,9 @@ class LeafPolicy:
         raise NotImplementedError
 
     def components(self):
-        """Weight-carrying sub-components as ``(suffix, component)``
-        pairs; a tree binds the learnable ones."""
+        """Every weight-carrying part ``(p, M)`` reads, as ``(suffix,
+        component)`` pairs (a latent goal's chain included); a tree binds
+        the learnable ones, each once."""
         return []
 
     def reads_weights(self) -> bool:
@@ -518,12 +512,9 @@ class NaturalGradientLeaf(LeafPolicy):
         return c_z
 
     def components(self):
+        if isinstance(self.pot, LatentQuadraticPotential):
+            return [("metric", self.metric), ("goal_chain", self.pot.chain)]
         return [("metric", self.metric)]
-
-    def reads_weights(self):
-        # The potential's chain (a latent goal image) is not a component:
-        # the tree binds it on its edge.
-        return self.pot.reads_weights() or super().reads_weights()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, StructureError
 from .losses import Trajectory
 from .params import ParamVector
 from .tree import TransformTree, evaluate_policy, leaf_potential_sum, run_pipeline
@@ -50,10 +50,18 @@ def integrate(tree: TransformTree, params: ParamVector | None, q0,
     vanishes (``||grad Phi_root|| = ||p_root|| <= grad_tol``) or the step
     budget runs out.
 
-    ``record_potential`` requires every leaf to carry a potential; a
-    policy failure mid-rollout returns the partial trajectory with
-    status ``"error"``.
+    ``dt`` must be finite and > 0, ``max_steps`` >= 0 and ``grad_tol``
+    finite and >= 0; anything else raises ``StructureError`` before the
+    first step. ``record_potential`` requires every leaf to carry a
+    potential; a policy failure mid-rollout returns the partial
+    trajectory with status ``"error"``.
     """
+    if not 0.0 < dt < np.inf:  # also false for NaN
+        raise StructureError(f"dt must be finite and > 0, got {dt}")
+    if max_steps < 0:
+        raise StructureError(f"max_steps must be >= 0, got {max_steps}")
+    if not 0.0 <= grad_tol < np.inf:
+        raise StructureError(f"grad_tol must be finite and >= 0, got {grad_tol}")
     q = np.asarray(q0, dtype=float).copy()
     ts, qs, qds, phis = [], [], [], []
     status = "max_steps"

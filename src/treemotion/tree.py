@@ -16,6 +16,10 @@ leaf spaces where policies live. The one policy evaluation,
    the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap, without
    the wrappers' per-call validation, so the results are the same bits.
 
+Each leaf's place in the tree is decided once, in ``TransformTree``'s
+``leaf_table`` of ``LeafRow``s; leaf evaluation, the flat solver, the
+reverse pass, the subtask loss and the per-leaf baseline all read it.
+
 ``flat_solve`` answers the same weighted least-squares problem without
 the tree recursion (explicit root-to-leaf compositions and stacked
 normal equations) and is kept deliberately separate so the two routes
@@ -30,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NumericError, SingularMetricError, StructureError
-from .maps import DifferentiableMap
+from .maps import DiffeoChain, DifferentiableMap
 from .params import Learnable, ParamRegistryBuilder, ParamVector
 from .policies import LeafPolicy
 
@@ -62,6 +67,23 @@ class Edge:
 
     def name(self) -> str:
         return f"edge {self.parent}->{self.child}"
+
+
+class LeafRow(NamedTuple):
+    """One leaf's place in the tree, read by every pass that visits leaves.
+
+    ``path`` lists the root-to-leaf edges. ``latent`` is the leaf's
+    parent edge when its map is a diffeo chain (the leaf's latent map),
+    else ``None``; ``anchor`` is the rest of the path, up to the space
+    the user named.
+    """
+
+    node: int
+    policy: LeafPolicy
+    edge: Edge | None  # parent edge; None for a leaf at the root
+    path: list[Edge]
+    anchor: list[Edge]
+    latent: Edge | None
 
 
 @dataclass(slots=True)
@@ -92,14 +114,19 @@ class TransformTree:
     passes run as single array sweeps. Every childless node carries
     exactly one leaf policy.
 
-    Construction validates the wiring and assigns parameter slices to
-    every learnable component (edge maps in child order, then leaf
-    components in leaf order), so ``init_params()`` yields the matching
-    flat vector. A component that occurs several times (one metric net
-    shared by two leaves, say) is bound once, under the name of its
-    first occurrence, and the gradients of all its uses add into that
-    slice. A component another tree bound to a different slice raises
-    ``StructureError``; reuse at the same slice is allowed.
+    Construction validates the wiring, builds ``leaf_table`` (one
+    ``LeafRow`` per leaf, in ``leaves`` order) and assigns parameter
+    slices to every learnable component (edge maps in child order, then
+    leaf components in leaf order, a latent goal's chain included), so
+    ``init_params()`` yields the matching flat vector. A component that
+    occurs several times (one metric net shared by two leaves, or a
+    chain that is both an edge map and a goal's chain) is bound once,
+    under the name of its first occurrence, and the gradients of all its
+    uses add into that slice. A component another tree bound to a
+    different slice raises ``StructureError``; reuse at the same slice
+    is allowed. ``_reverse_leaves`` lists the rows the reverse pass
+    visits: those whose parent edge is learnable or whose policy has a
+    learnable component.
     """
 
     def __init__(self, node_dims, edges, leaf_policies):
@@ -159,24 +186,19 @@ class TransformTree:
                     f"{self.node_dims[node]}"
                 )
 
-        # Root-to-leaf edge paths, used by the flat solver and the losses.
-        self._paths: dict[int, list[Edge]] = {}
+        # The one rule: a chain on the parent edge is the latent map.
+        self.leaf_table: dict[int, LeafRow] = {}
         for leaf in self.leaves:
             path = []
             node = leaf
             while node != 0:
-                edge = self._parent_edge[node]
-                path.append(edge)
-                node = edge.parent
-            self._paths[leaf] = path[::-1]
-
-        # Loop tables of the stages, built once: each leaf with its policy
-        # and parent node, and each inner node with its dimension.
-        self._leaf_rows = [
-            (node, self.leaf_policies[node],
-             None if node == 0 else self._parent_edge[node].parent)
-            for node in self.leaves
-        ]
+                path.append(self._parent_edge[node])
+                node = path[-1].parent
+            path.reverse()
+            edge = path[-1] if path else None
+            latent = edge if edge is not None and isinstance(edge.map, DiffeoChain) else None
+            self.leaf_table[leaf] = LeafRow(leaf, self.leaf_policies[leaf], edge, path,
+                                            path[:-1] if latent else path, latent)
         self._inner_dims = [(i, self.node_dims[i]) for i in range(self.n_nodes)
                             if self._children[i]]
 
@@ -185,8 +207,8 @@ class TransformTree:
         # slice, so one that another tree bound to a different slice is
         # rejected before anything is rebound.
         uses = [(f"edge[{e.parent}->{e.child}].map", e.map) for e in self.edges]
-        uses += [(f"leaf[{node}].{suffix}", comp) for node in self.leaves
-                 for suffix, comp in self.leaf_policies[node].components()]
+        uses += [(f"leaf[{row.node}].{suffix}", comp) for row in self.leaf_table.values()
+                 for suffix, comp in row.policy.components()]
         self._components: list[tuple[str, Learnable]] = []
         for name, comp in uses:
             if comp.is_learnable and all(comp is not c for _, c in self._components):
@@ -204,13 +226,20 @@ class TransformTree:
             comp.param_slice = sl
         self.n_params = offset
 
+        # Any other leaf adds nothing to a weight gradient.
+        self._reverse_leaves = [
+            row for row in self.leaf_table.values()
+            if (row.edge is not None and row.edge.map.is_learnable)
+            or row.policy.reads_weights()
+        ]
+
     # -- introspection ------------------------------------------------------
 
     def parent_edge(self, node: int) -> Edge | None:
         return self._parent_edge[node]
 
     def path_to(self, leaf: int) -> list[Edge]:
-        return self._paths[leaf]
+        return self.leaf_table[leaf].path
 
     def init_params(self) -> ParamVector:
         builder = ParamRegistryBuilder()
@@ -252,8 +281,8 @@ def forward_pass(tree: TransformTree, q: np.ndarray,
 def leaf_evaluate(tree: TransformTree, states: list[NodeState],
                   params: ParamVector | None = None) -> list[NodeState]:
     """Evaluate every leaf policy into ``(pulled_force, pulled_metric)``."""
-    for node, policy, parent in tree._leaf_rows:
-        parent_coord = states[parent].coord if parent is not None else None
+    for node, policy, edge, _, _, _ in tree.leaf_table.values():
+        parent_coord = states[edge.parent].coord if edge is not None else None
         state = states[node]
         p, M = policy.evaluate(state.coord, params, parent_coord=parent_coord)
         if not (np.isfinite(p).all() and np.isfinite(M).all()):
@@ -368,15 +397,15 @@ def flat_solve(tree: TransformTree, q, params: ParamVector | None = None,
     d = tree.root_dim
     A = np.zeros((d, d))
     b = np.zeros(d)
-    for leaf in tree.leaves:
+    for row in tree.leaf_table.values():
         x = q
         prev = None
         J = np.eye(d)
-        for edge in tree.path_to(leaf):
+        for edge in row.path:
             prev = x
             x, J_edge = edge.map.value_and_jacobian(x, params)
             J = J_edge @ J
-        p, M = tree.leaf_policies[leaf].evaluate(x, params, parent_coord=prev)
+        p, M = row.policy.evaluate(x, params, parent_coord=prev)
         A += J.T @ (M @ J)
         b += J.T @ p
     if regularization > 0.0:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,3 +404,22 @@ def test_cli_rollout_seeded_fixture_converges_monotone(tmp_path, spec_path):
     rows = out_csv.read_text().splitlines()
     phi = [float(r.split(",")[-1]) for r in rows[1:]]
     assert all(b <= a + 1e-6 for a, b in zip(phi, phi[1:]))
+
+
+ARM_SPEC = Path(__file__).resolve().parent.parent / "demos" / "arm_fixture.json"
+
+
+@pytest.mark.parametrize("arg, message", [
+    ("--dt=-0.01", "dt must be finite and > 0"),
+    ("--dt=0", "dt must be finite and > 0"),
+    ("--dt=nan", "dt must be finite and > 0"),
+    ("--max-steps=-3", "max_steps must be >= 0"),
+    ("--grad-tol=-1", "grad_tol must be finite and >= 0"),
+])
+def test_cli_rollout_rejects_bad_step_arguments(tmp_path, capsys, arg, message):
+    out = tmp_path / "traj.csv"
+    code, err = _cli_exit_and_stderr(capsys, "rollout", ARM_SPEC, "--q0=0.3,0.5,0.3",
+                                     arg, "--out", out)
+    assert code == 2
+    assert err.startswith(f"validation error: {message}")
+    assert not out.exists()

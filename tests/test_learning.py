@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treemotion import learning
 from treemotion.errors import NumericError, StructureError
 from treemotion.fixtures import conflicting_demo_fixture, synthesize_conflicting_demos
 from treemotion.learning import (
@@ -381,3 +382,24 @@ def test_baseline_honours_minibatch():
                                       TrainOptions(alpha=0.05, iterations=5))
     assert np.array_equal(first.values, again.values)
     assert not np.array_equal(first.values, full.values)
+
+
+def test_zero_first_gradient_stops_after_one_gradient_call(monkeypatch):
+    # Demos produced exactly by the policy: the first gradient is exactly 0,
+    # so no step can move the weights.
+    tree, params = theta_policy_tree(2, v0=[0.3, -0.2])
+    demos = demo_from_samples([[0.1, 0.2], [0.4, -0.1]], [[0.3, -0.2], [0.3, -0.2]])
+    calls = []
+    original = learning.loss_and_gradient
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(learning, "loss_and_gradient", counting)
+    result = train(tree, params, demos, LossSpec("joint_space"),
+                   TrainOptions(alpha=None, iterations=20))
+    assert len(calls) == 1
+    assert result.status == "completed"
+    assert result.history.tolist() == [0.0, 0.0]
+    assert np.array_equal(result.params.values, params.values)

@@ -1,0 +1,255 @@
+"""Print one SHA-256 over treemotion's deterministic outputs.
+
+Usage::
+
+    python tools/output_digest.py <src-dir>
+
+``<src-dir>`` is the ``src`` directory of the checkout to digest (for
+example ``src`` here, or ``../parent/src`` of a ``git worktree`` of the
+parent commit). Two checkouts whose library and CLI outputs are
+bit-identical print the same digest. The digest covers:
+
+- parameter registries and initial values of every tree below;
+- ``loss_and_gradient`` (subtask and joint loss) on
+  ``conflicting_demo_fixture`` at fixture seeds 1 and 9;
+- the training trio at those seeds (``train`` under both losses and
+  ``train_independent_baseline``, ``alpha=None``, 2 iterations):
+  weights, histories and status;
+- ``evaluate_policy``, ``flat_solve`` and ``policy_vjp`` on 40
+  ``random_tree`` seeds;
+- ``gradcheck_cases(8)``: ``loss_and_gradient``, ``gradcheck_report``
+  and a 2-iteration independent baseline;
+- 10 RK4 rollouts of the three-link arm, 4 rollouts of the learned
+  tree, and ``descent_rate`` at the learned rollouts' starts;
+- CLI ``eval``, ``rollout`` and ``train`` (``--loss`` subtask, joint and
+  independent): exit codes, standard output and every file written.
+
+A library error (``TreeMotionError``) an operation raises is digested as
+its type and message, so a checkout that starts or stops raising
+changes the digest; any other exception stops the script. Per-section
+digests go to standard error, to show where two checkouts differ. One
+run takes about 20 s on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+ARM_SPEC = ROOT / "demos" / "arm_fixture.json"
+CLI_BOOT = "import sys; from treemotion.cli import main; sys.exit(main())"
+
+# A learnable tree for CLI training: a latent chain leaf and a damper.
+TRAIN_SPEC = {
+    "nodes": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2},
+              {"id": 2, "dim": 2}, {"id": 3, "dim": 2}],
+    "edges": [
+        {"parent": 0, "child": 1, "map": {"kind": "identity"}},
+        {"parent": 1, "child": 2,
+         "map": {"kind": "diffeo_chain", "layers": 2, "features_D": 6,
+                 "length_scale": 2.0, "seed": 3}},
+        {"parent": 0, "child": 3, "map": {"kind": "identity"}},
+    ],
+    "leaves": [
+        {"node": 2, "policy": {
+            "kind": "natural_gradient",
+            "potential": {"kind": "latent_quadratic", "goal": [0.5, -0.2]},
+            "metric": {"kind": "cholesky_net", "hidden": [6], "eps": 1e-3,
+                       "seed": 5},
+            "learnable": True}},
+        {"node": 3, "policy": {"kind": "damper", "gain": 0.5}},
+    ],
+}
+
+
+def _encode(obj) -> bytes:
+    """Canonical bytes of nested lists, dicts, arrays and scalars."""
+    if isinstance(obj, np.ndarray):
+        arr = np.ascontiguousarray(obj)
+        return b"A" + repr((arr.dtype.str, arr.shape)).encode() + arr.tobytes()
+    if isinstance(obj, (list, tuple)):
+        return b"L%d[" % len(obj) + b",".join(_encode(x) for x in obj) + b"]"
+    if isinstance(obj, dict):
+        return b"D{" + b",".join(_encode(k) + b":" + _encode(v)
+                                 for k, v in obj.items()) + b"}"
+    if isinstance(obj, bytes):
+        return b"B" + obj
+    if isinstance(obj, (float, np.floating)):
+        return b"F" + np.float64(obj).tobytes()
+    return b"S" + repr(obj).encode()
+
+
+class Digest:
+    def __init__(self):
+        self.total = hashlib.sha256()
+        self.section = None
+
+    def start(self, name):
+        self.finish()
+        self.section = (name, hashlib.sha256())
+
+    def add(self, label, obj):
+        data = _encode(label) + _encode(obj)
+        self.total.update(data)
+        self.section[1].update(data)
+
+    def finish(self):
+        if self.section is not None:
+            name, h = self.section
+            print(f"{name}: {h.hexdigest()}", file=sys.stderr)
+            self.section = None
+
+
+def _attempt(fn):
+    """``fn()``, or the type and message of the library error it raised."""
+    from treemotion.errors import TreeMotionError
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn()
+    except TreeMotionError as exc:
+        return f"raised {type(exc).__name__}: {exc}"
+
+
+def _trained(result):
+    if isinstance(result, str):
+        return result
+    if hasattr(result, "history"):
+        return [result.params.values, result.history, result.status]
+    return result.values
+
+
+def library_outputs(tm, dig):
+    from treemotion.fixtures import gradcheck_cases, random_tree
+    from treemotion.gradients import policy_vjp
+    from treemotion.tree import flat_solve
+    from treemotion.verify import gradcheck_report
+
+    dig.start("conflicting fixture")
+    opts = tm.TrainOptions(alpha=None, iterations=2, seed=0)
+    learned = None
+    for seed in (1, 9):
+        tree, params, demos, lam, _ = tm.conflicting_demo_fixture(seed=seed)
+        if learned is None:
+            learned = (tree, params, demos)
+        dig.add(("registry", seed), [params.registry, params.values])
+        for loss in (tm.LossSpec("subtask_space", lam), tm.LossSpec("joint_space")):
+            dig.add(("loss_and_gradient", seed, loss.kind),
+                    list(tm.loss_and_gradient(tree, params, demos, loss)))
+            dig.add(("train", seed, loss.kind),
+                    _trained(_attempt(lambda: tm.train(tree, params, demos, loss, opts))))
+        dig.add(("baseline", seed), _trained(_attempt(
+            lambda: tm.train_independent_baseline(tree, params, demos, opts))))
+
+    dig.start("random trees")
+    for seed in range(40):
+        tree, params = random_tree(seed)
+        rng = np.random.default_rng(1000 + seed)
+        q = rng.uniform(-0.6, 0.6, tree.root_dim)
+        g = rng.normal(0.0, 1.0, tree.root_dim)
+        dig.add(("random_tree", seed), [
+            params.registry, params.values,
+            _attempt(lambda: tm.evaluate_policy(tree, q, params)),
+            _attempt(lambda: flat_solve(tree, q, params)),
+            _attempt(lambda: policy_vjp(tree, q, params, g)),
+        ])
+
+    dig.start("gradcheck cases")
+    for k, (tree, params, demos, loss) in enumerate(gradcheck_cases(8)):
+        dig.add(("gradcheck_case", k), [
+            params.registry, params.values,
+            list(tm.loss_and_gradient(tree, params, demos, loss)),
+            json.dumps(gradcheck_report(tree, params, demos, loss), sort_keys=True),
+            _trained(_attempt(lambda: tm.train_independent_baseline(
+                tree, params, demos, opts))),
+        ])
+
+    dig.start("rollouts")
+    tree, params, _ = tm.three_link_stability_fixture()
+    for k, q0 in enumerate(tm.stability_seed_states(10, seed=0)):
+        res = tm.integrate(tree, params, q0, dt=1e-2, max_steps=5_000, grad_tol=1e-6)
+        rep = tm.lyapunov_check(res)
+        dig.add(("arm_rollout", k), [
+            res.trajectory.t, res.trajectory.q, res.trajectory.qdot,
+            res.potential_trace, res.terminal_grad_norm, res.status, res.message,
+            rep.max_increase, rep.slack, rep.n_violations])
+    tree, params, demos = learned
+    for k, tr in enumerate(demos.trajectories):
+        res = tm.integrate(tree, params, tr.q[0], dt=1e-3, max_steps=100)
+        dig.add(("learned_rollout", k), [
+            res.trajectory.q, res.trajectory.qdot, res.potential_trace,
+            res.terminal_grad_norm, res.status,
+            tm.descent_rate(tree, params, tr.q[0])])
+
+
+def cli_outputs(src_dir, dig):
+    import treemotion as tm
+
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spec = tmp / "tree.json"
+        spec.write_text(json.dumps(TRAIN_SPEC))
+        demos = tm.synthesize_conflicting_demos(
+            np.array([1.2, 0.5]), np.array([-0.2, 1.5]),
+            [(1.0, 3.0, 0.0, 0.5), (-1.0, 4.0, 1.0, -0.5)],
+            duration=0.6, subsample=20)
+        tr = demos.trajectories[0]
+        lines = ["t,q0,q1,qd0,qd1"] + [
+            ",".join(repr(float(v)) for v in [tr.t[k], *tr.q[k, :2], *tr.qdot[k, :2]])
+            for k in range(len(tr))]
+        demo = tmp / "demo.csv"
+        demo.write_text("\n".join(lines) + "\n")
+
+        q = "0.35,0.55,0.35"
+        runs = [
+            ("eval", ["eval", str(ARM_SPEC), "--q=" + q]),
+            ("rollout", ["rollout", str(ARM_SPEC), "--q0=" + q, "--max-steps", "300",
+                         "--out", "rollout.csv", "--summary", "summary.json"]),
+        ]
+        for loss in ("subtask", "joint", "independent"):
+            runs.append((f"train-{loss}", [
+                "train", "../tree.json", "--demos", "../demo.csv", "--loss", loss,
+                "--iterations", "3", "--out", f"{loss}.json"]))
+
+        dig.start("cli")
+        for label, argv in runs:
+            work = tmp / label
+            work.mkdir()
+            proc = subprocess.run([sys.executable, "-c", CLI_BOOT, *argv], cwd=work,
+                                  env=env, capture_output=True)
+            files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+            dig.add(("cli", label), [proc.returncode, proc.stdout, proc.stderr, files])
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1 or not (Path(argv[0]) / "treemotion").is_dir():
+        print("usage: python tools/output_digest.py <src-dir containing treemotion/>",
+              file=sys.stderr)
+        return 1
+    src_dir = Path(argv[0]).resolve()
+    sys.path.insert(0, str(src_dir))
+    import treemotion as tm
+
+    if Path(tm.__file__).resolve().parent != src_dir / "treemotion":
+        print(f"imported treemotion from {tm.__file__}, not {src_dir}", file=sys.stderr)
+        return 1
+    dig = Digest()
+    library_outputs(tm, dig)
+    cli_outputs(src_dir, dig)
+    dig.finish()
+    print(dig.total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
