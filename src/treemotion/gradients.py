@@ -2,22 +2,24 @@
 
 The gradients are reverse-accumulated by hand through the four
 composition stages, reading the node states and root factor kept by
-``tree.run_pipeline``, the one evaluation. With ``u = M_root^{-1} g``
-for a cotangent ``g`` on the policy output,
+``tree.run_pipeline``, the one evaluation. With ``A = M_root + reg I``
+(``reg`` is the evaluation's regularization, 0 by default) and
+``u = A^{-1} g`` for a cotangent ``g`` on the policy output,
 
     g . d(pi) = u . d(p_root) - u . d(M_root) pi,
 
-and both differentials decompose over the tree: pushing ``u`` and ``pi``
-down through the edge Jacobians turns the root expression into per-leaf
+since the shift ``reg I`` does not depend on the weights. Both
+differentials decompose over the tree: pushing ``u`` and ``pi`` down
+through the edge Jacobians turns the root expression into per-leaf
 cotangents on ``(p_k, M_k)`` plus, for learnable edges, a rank-two
 cotangent on the edge Jacobian itself. The directional term
 ``d(M_root) pi`` is therefore never materialized as a 3-tensor.
 
-Learnable edge maps must sit directly above a leaf with no learnable
-edge higher on their path (so their own inputs carry no weight
-dependence); the structures built here satisfy that by construction and
-anything else is rejected up front. A finite-difference oracle for all
-of this lives in the verification helpers and the test suite.
+Learnable edge maps must end at a leaf (so their own inputs carry no
+weight dependence). The tree decides this when it is built, and
+``pipeline_vjp`` on a tree that breaks the rule raises ``StructureError``.
+A finite-difference oracle for all of this lives in the verification
+helpers and the test suite.
 """
 
 from __future__ import annotations
@@ -44,38 +46,13 @@ class PolicyGradient:
     jacobian: np.ndarray  # (root_dim, n_params)
 
 
-def check_gradient_structure(tree: TransformTree) -> None:
-    """Reject trees the hand-written reverse pass does not cover.
-
-    A learnable edge map whose input itself depends on weights (a
-    learnable edge somewhere above it) would need second derivatives of
-    the upper map; no supported construction produces that shape.
-    """
-    for e in tree.edges:
-        if not e.map.is_learnable:
-            continue
-        if e.child not in tree.leaves:
-            raise StructureError(
-                f"{e.name()}: learnable edge maps must terminate at a leaf"
-            )
-        node = e.parent
-        while node != 0:
-            up = tree.parent_edge(node)
-            if up.map.is_learnable:
-                raise StructureError(
-                    f"{e.name()}: learnable edge below another learnable edge "
-                    f"({up.name()}) is not supported"
-                )
-            node = up.parent
-
-
 def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
                  cotangent: np.ndarray, grad_out: np.ndarray) -> None:
     """Accumulate ``(d pi / d theta)^T cotangent`` into ``grad_out``,
-    visiting only the leaves in ``tree._reverse_leaves``."""
-    if cache.factor is None:
-        raise StructureError("pipeline_vjp needs a run_pipeline without regularization")
-    check_gradient_structure(tree)
+    visiting only the leaves in ``tree._reverse_leaves``. The cache may
+    come from a regularized ``run_pipeline``."""
+    if tree._gradient_error:
+        raise StructureError(tree._gradient_error)
     states = cache.states
     pi = cache.pi
     u = factor_solve(cache.factor, np.asarray(cotangent, dtype=float))

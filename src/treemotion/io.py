@@ -81,37 +81,23 @@ def _require(spec: dict, key: str, context: str):
     return spec[key]
 
 
-def build_map(spec: dict, in_dim: int, out_dim: int):
-    """Instantiate an edge map from its JSON spec, checking dimensions."""
+def build_map(spec: dict, in_dim: int):
+    """Instantiate an edge map from its JSON spec; ``TransformTree`` checks
+    its dimensions against the edge's nodes."""
     kind = _require(spec, "kind", "map spec")
     if kind == "identity":
-        if in_dim != out_dim:
-            raise SpecFormatError("identity map needs equal parent/child dims")
         return IdentityMap(in_dim)
     if kind == "linear":
-        m = LinearMap(np.asarray(_require(spec, "matrix", "linear map"), dtype=float),
-                      None if "offset" not in spec
-                      else np.asarray(spec["offset"], dtype=float))
-        if (m.in_dim, m.out_dim) != (in_dim, out_dim):
-            raise SpecFormatError(
-                f"linear map is {m.out_dim}x{m.in_dim}, edge needs {out_dim}x{in_dim}"
-            )
-        return m
+        return LinearMap(np.asarray(_require(spec, "matrix", "linear map"), dtype=float),
+                         None if "offset" not in spec
+                         else np.asarray(spec["offset"], dtype=float))
     if kind == "planar_arm_fk":
-        m = PlanarArmFK(_require(spec, "lengths", "planar_arm_fk"),
-                        spec.get("point", "ee"))
-        if m.in_dim != in_dim or out_dim != 2:
-            raise SpecFormatError("planar_arm_fk dims do not match the edge")
-        return m
+        return PlanarArmFK(_require(spec, "lengths", "planar_arm_fk"),
+                           spec.get("point", "ee"))
     if kind == "distance_to_point":
-        m = DistanceToPoint(np.asarray(_require(spec, "center", "distance map"),
-                                       dtype=float))
-        if m.in_dim != in_dim or out_dim != 1:
-            raise SpecFormatError("distance_to_point dims do not match the edge")
-        return m
+        return DistanceToPoint(np.asarray(_require(spec, "center", "distance map"),
+                                          dtype=float))
     if kind == "diffeo_chain":
-        if in_dim != out_dim:
-            raise SpecFormatError("diffeo_chain needs equal parent/child dims")
         n_features = spec.get("features_D", spec.get("features", 128))
         return DiffeoChain(
             in_dim,
@@ -239,9 +225,8 @@ def tree_from_dict(data: dict) -> TransformTree:
             if parent not in dims or child not in dims:
                 raise SpecFormatError(f"edge {parent}->{child} references unknown nodes")
             try:
-                m = build_map(_require(entry, "map", "edge entry"),
-                              node_dims[parent], node_dims[child])
-            except SpecFormatError as exc:
+                m = build_map(_require(entry, "map", "edge entry"), node_dims[parent])
+            except (SpecFormatError, StructureError) as exc:
                 raise SpecFormatError(f"edge {parent}->{child}: {exc}") from exc
             edges.append(Edge(parent, child, m))
             edge_maps[child] = m
@@ -251,8 +236,11 @@ def tree_from_dict(data: dict) -> TransformTree:
             node = int(_require(entry, "node", "leaf entry"))
             if node not in dims:
                 raise SpecFormatError(f"leaf entry references unknown node {node}")
-            policies[node] = build_policy(_require(entry, "policy", "leaf entry"),
-                                          node_dims[node], edge_maps.get(node))
+            try:
+                policies[node] = build_policy(_require(entry, "policy", "leaf entry"),
+                                              node_dims[node], edge_maps.get(node))
+            except (SpecFormatError, StructureError) as exc:
+                raise SpecFormatError(f"leaf {node}: {exc}") from exc
 
         try:
             return TransformTree(node_dims, edges, policies)

@@ -106,6 +106,16 @@ _ALPHA0, _SHRINK, _C_ARMIJO, _MAX_HALVINGS, _SAFETY = 1.0, 0.5, 1e-4, 60, 0.25
 _ZERO_GRAD = 1e-15
 
 
+def _or_inf(fn, *args, failed=np.inf):
+    """``fn(*args)`` with overflow and invalid-value warnings silenced, or
+    ``failed`` if it raises ``NumericError``; callers test finiteness."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return fn(*args)
+        except NumericError:
+            return failed
+
+
 def _backtracking_alpha(eval_loss, theta0, loss0, grad):
     """Largest halved step satisfying the Armijo condition, shrunk by a
     safety factor because the accepted step stays fixed for the rest of
@@ -113,11 +123,7 @@ def _backtracking_alpha(eval_loss, theta0, loss0, grad):
     gnorm2 = float(grad @ grad)
     alpha = _ALPHA0
     for _ in range(_MAX_HALVINGS):
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            try:
-                trial = eval_loss(theta0 - alpha * grad)
-            except NumericError:
-                trial = np.inf
+        trial = _or_inf(eval_loss, theta0 - alpha * grad)
         if np.isfinite(trial) and trial <= loss0 - _C_ARMIJO * alpha * gnorm2:
             return _SAFETY * alpha
         alpha *= _SHRINK
@@ -147,11 +153,7 @@ def _descend(loss_grad, loss_only, params: ParamVector, samples,
             batch = [samples[i] for i in sorted(idx)]
         else:
             batch = samples
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                value, grad = loss_grad(theta, batch)
-            except NumericError:
-                value = np.inf
+        value, grad = _or_inf(loss_grad, theta, batch, failed=(np.inf, None))
         if not np.isfinite(value):
             theta = last_finite
             status = "aborted_nonfinite"
@@ -176,11 +178,7 @@ def _descend(loss_grad, loss_only, params: ParamVector, samples,
             break
 
     if status == "completed":
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                final = loss_only(theta, samples)
-            except NumericError:
-                final = np.inf
+        final = _or_inf(loss_only, theta, samples)
         if np.isfinite(final):
             history.append(final)
         else:

@@ -310,7 +310,9 @@ class DiffeoChain(DifferentiableMap):
     input, and the weight gradient of ``J(x) v`` contracted against
     cotangent directions (computed by back-propagating through a
     tangent-augmented forward pass, which also captures how the layer
-    Jacobians move with their inputs).
+    Jacobians move with their inputs). ``value_tape`` runs that forward
+    pass with no tangents and keeps the last one: a latent goal's image
+    and its ``value_vjp`` read the same tape.
     """
 
     def __init__(self, dim, n_layers=4, n_features=128, length_scale=1.0,
@@ -336,7 +338,7 @@ class DiffeoChain(DifferentiableMap):
         if not learnable:
             self.freeze()
         self._no_tangents = np.zeros((dim, 0))
-        # (weight block, x, tape) of the last value_vjp forward pass
+        # (weight block, x, value, tape) of the last value_tape call
         self._value_tape = None
 
     def init_values(self) -> np.ndarray:
@@ -480,24 +482,32 @@ class DiffeoChain(DifferentiableMap):
                 cV = cV_prev
         return cy, cV
 
-    def value_vjp(self, x, params, cotangent, grad_out):
-        if not self.is_learnable:
-            return
+    def value_tape(self, x, params=None):
+        """``(value, tape)`` of the zero-width augmented forward pass at ``x``.
+
+        The value equals ``value(x, params)`` bit for bit and is read-only,
+        since every caller shares it. The last pass is kept while the
+        weights (compared by value, as callers may write
+        ``params.values`` in place) and ``x`` stay the same: a latent
+        goal is the same input for every sample.
+        """
         block = self.weights(params)
         x = np.asarray(x, dtype=float)
-        # The latent goal is the same input for every sample, so its
-        # forward tape is kept while the weights (compared by value, as
-        # callers may write params.values in place) and x stay the same.
         memo = self._value_tape
-        if (memo is not None and np.array_equal(memo[0], block)
-                and np.array_equal(memo[1], x)):
-            caches = memo[2]
-        else:
+        if (memo is None or not np.array_equal(memo[0], block)
+                or not np.array_equal(memo[1], x)):
             # The tape holds views of the weights it was built from, so it
             # is built from private copies that nothing else can write.
             block, x = block.copy(), x.copy()
-            _, _, caches = self._aug_forward(block, x, self._no_tangents)
-            self._value_tape = (block, x, caches)
+            y, _, caches = self._aug_forward(block, x, self._no_tangents)
+            y.flags.writeable = False
+            memo = self._value_tape = (block, x, y, caches)
+        return memo[2], memo[3]
+
+    def value_vjp(self, x, params, cotangent, grad_out):
+        if not self.is_learnable:
+            return
+        _, caches = self.value_tape(x, params)
         self._aug_reverse(caches, cotangent, self._no_tangents,
                           grad_out[self.param_slice])
 

@@ -86,7 +86,8 @@ class LatentQuadraticPotential(Potential):
 
     The goal is pinned in the parent (subtask) coordinates; its latent
     image moves with the chain weights, so the potential stays minimized
-    exactly at the task goal however the chain deforms.
+    exactly at the task goal however the chain deforms. The image and
+    its weight gradient read one forward tape, ``chain.value_tape``.
     """
 
     def __init__(self, goal, chain: DiffeoChain):
@@ -96,24 +97,11 @@ class LatentQuadraticPotential(Potential):
         if chain.in_dim != self.goal.size:
             raise StructureError("latent potential goal dimension != chain dimension")
         self.chain = chain
-        # (chain weights, goal image) of the last evaluation
-        self._image_memo = None
 
     def goal_image(self, params):
-        """``chain(goal)``, recomputed only when the chain weights change.
-
-        The weights are compared by value, not identity, because callers
-        may write ``params.values`` in place. The returned array is
-        read-only since every caller shares it.
-        """
-        block = self.chain.weights(params)
-        memo = self._image_memo
-        if memo is not None and np.array_equal(memo[0], block):
-            return memo[1]
-        image = self.chain.value(self.goal, params)
-        image.flags.writeable = False
-        self._image_memo = (block.copy(), image)
-        return image
+        """``chain(goal)``, read-only, recomputed only when the chain
+        weights change (see ``DiffeoChain.value_tape``)."""
+        return self.chain.value_tape(self.goal, params)[0]
 
     def value(self, z, params):
         d = z - self.goal_image(params)

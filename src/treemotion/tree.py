@@ -10,15 +10,19 @@ leaf spaces where policies live. The one policy evaluation,
    weight ``M``;
 3. backward pass: pull ``(p, M)`` to the root through ``J^T p`` and
    ``J^T M J``, reusing shared subpaths once;
-4. resolve: solve ``M_root u = p_root`` for the configuration velocity
-   (``solve_root``, the one SPD solve, also used by the reverse pass).
-   It calls the LAPACK routines ``potrf``/``potrs`` directly: they are
-   the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap, without
-   the wrappers' per-call validation, so the results are the same bits.
+4. resolve: solve ``(M_root + reg I) u = p_root`` for the configuration
+   velocity (``solve_root``, the one SPD solve and singularity check,
+   with or without the regularization ``reg``; its Cholesky factor also
+   serves the reverse pass). It calls the LAPACK routines
+   ``potrf``/``potrs`` directly: they are the routines
+   ``scipy.linalg.cho_factor``/``cho_solve`` wrap, without the
+   wrappers' per-call validation, so the results are the same bits.
 
 Each leaf's place in the tree is decided once, in ``TransformTree``'s
 ``leaf_table`` of ``LeafRow``s; leaf evaluation, the flat solver, the
-reverse pass, the subtask loss and the per-leaf baseline all read it.
+summed potential, the reverse pass, the subtask loss and the per-leaf
+baseline all read it. Whether the reverse pass covers the tree (every
+learnable edge map ends at a leaf) is decided at construction too.
 
 ``flat_solve`` answers the same weighted least-squares problem without
 the tree recursion (explicit root-to-leaf compositions and stacked
@@ -102,7 +106,7 @@ class PipelineCache:
 
     states: list[NodeState]
     pi: np.ndarray
-    factor: np.ndarray | None  # lower Cholesky factor of M_root; None if regularized
+    factor: np.ndarray  # lower Cholesky factor of M_root + reg I
 
 
 class TransformTree:
@@ -126,7 +130,9 @@ class TransformTree:
     different slice raises ``StructureError``; reuse at the same slice
     is allowed. ``_reverse_leaves`` lists the rows the reverse pass
     visits: those whose parent edge is learnable or whose policy has a
-    learnable component.
+    learnable component. ``_gradient_error`` is ``None``, or the message
+    the reverse pass raises because a learnable edge map does not end
+    at a leaf.
     """
 
     def __init__(self, node_dims, edges, leaf_policies):
@@ -226,6 +232,12 @@ class TransformTree:
             comp.param_slice = sl
         self.n_params = offset
 
+        # The reverse pass treats an edge map's input as constant, so a
+        # learnable edge must end at a leaf; pipeline_vjp raises this.
+        self._gradient_error = next(
+            (f"{e.name()}: learnable edge maps must terminate at a leaf"
+             for e in self.edges if e.map.is_learnable and self._children[e.child]),
+            None)
         # Any other leaf adds nothing to a weight gradient.
         self._reverse_leaves = [
             row for row in self.leaf_table.values()
@@ -312,32 +324,36 @@ def _check_regularization(reg) -> None:
         raise StructureError(f"regularization must be finite and >= 0, got {reg}")
 
 
+def _singular_hint(regularization: float) -> str:
+    if regularization > 0.0:
+        return f"regularization {regularization:.3e} is too small to make it definite"
+    return "pass a positive regularization to proceed"
+
+
 def solve_root(M: np.ndarray, p: np.ndarray,
-               regularization: float = 0.0) -> tuple[np.ndarray, np.ndarray | None]:
+               regularization: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``(M + reg I) u = p``; returns ``(u, factor)``.
 
     ``regularization`` must be finite and >= 0, else ``StructureError``.
-    Without regularization ``M`` must be positive definite, else
-    ``SingularMetricError``. The solve calls LAPACK ``potrf``/``potrs``
-    directly: the routines ``cho_factor``/``cho_solve`` wrap, with the
-    same arguments, minus the wrappers' per-call validation. ``factor``
-    is ``potrf``'s lower Cholesky factor (its upper triangle is left
-    unused), kept for the reverse pass; it is ``None`` on the
-    regularized route.
+    It shifts the diagonal of the one Cholesky solve; the shifted matrix
+    must be positive definite, else ``SingularMetricError``. The solve
+    calls LAPACK ``potrf``/``potrs`` directly: the routines
+    ``cho_factor``/``cho_solve`` wrap, with the same arguments, minus
+    the wrappers' per-call validation. ``factor`` is ``potrf``'s lower
+    Cholesky factor of ``M + reg I`` (its upper triangle is left
+    unused), kept for the reverse pass.
     """
     _check_regularization(regularization)
     if not (np.isfinite(M).all() and np.isfinite(p).all()):
         raise NumericError("root system contains non-finite entries")
     if regularization > 0.0:
-        # Eigendecomposition pseudo-solve of (M + reg I) u = p.
-        w, V = np.linalg.eigh(M)
-        return V @ ((V.T @ p) / (w + regularization)), None
+        M = M + regularization * np.eye(len(M))
     factor, info = _POTRF(M, lower=1, clean=0)
     if info > 0:
         min_eig = float(np.linalg.eigvalsh(M).min())
         raise SingularMetricError(
             f"root metric is singular (Cholesky failed, min eigenvalue "
-            f"{min_eig:.3e}); pass a positive regularization to proceed"
+            f"{min_eig:.3e}); {_singular_hint(regularization)}"
         )
     pivots = np.diagonal(factor)
     if float(pivots.min()) ** 2 < SINGULAR_EIG_TOL:
@@ -345,7 +361,7 @@ def solve_root(M: np.ndarray, p: np.ndarray,
         if min_eig < SINGULAR_EIG_TOL:
             raise SingularMetricError(
                 f"root metric min eigenvalue {min_eig:.3e} is below "
-                f"{SINGULAR_EIG_TOL}; pass a positive regularization to proceed"
+                f"{SINGULAR_EIG_TOL}; {_singular_hint(regularization)}"
             )
     return factor_solve(factor, p), factor
 
@@ -427,8 +443,8 @@ def leaf_potential_sum(tree: TransformTree, states: list[NodeState],
                        params: ParamVector | None = None) -> float:
     """Sum of leaf potentials over already-computed forward coordinates."""
     total = 0.0
-    for node in tree.leaves:
-        phi = tree.leaf_policies[node].potential(states[node].coord, params)
+    for node, policy, _, _, _, _ in tree.leaf_table.values():
+        phi = policy.potential(states[node].coord, params)
         if phi is None:
             raise StructureError(
                 f"leaf {node} has no potential; the summed root potential is "

@@ -180,6 +180,21 @@ def test_nested_learnable_edges_are_rejected():
         policy_vjp(tree, np.zeros(2), params, np.ones(2))
 
 
+def test_nested_learnable_edges_get_the_message_decided_at_construction():
+    c1 = DiffeoChain(2, n_layers=1, n_features=3, seed=1)
+    c2 = DiffeoChain(2, n_layers=1, n_features=3, seed=2)
+    leaf = RawVMLeaf(np.zeros(2), ConstantMetric(np.eye(2)))
+    tree = TransformTree([2, 2, 2], [Edge(0, 1, c1), Edge(1, 2, c2)], {2: leaf})
+    message = "edge 0->1: learnable edge maps must terminate at a leaf"
+    assert tree._gradient_error == message
+    params = tree.init_params()
+    cache = run_pipeline(tree, np.zeros(2), params)
+    for _ in range(2):
+        with pytest.raises(StructureError) as info:
+            pipeline_vjp(tree, cache, params, np.ones(2), params.zeros_like())
+        assert str(info.value) == message
+
+
 def test_learnable_edge_must_end_at_leaf():
     c1 = DiffeoChain(2, n_layers=1, n_features=3, seed=1)
     leaf = RawVMLeaf(np.zeros(2), ConstantMetric(np.eye(2)))
@@ -200,13 +215,18 @@ def test_pipeline_cache_reuse_is_consistent(rng):
     np.testing.assert_allclose(grad1, policy_vjp(tree, q, params, g), atol=0.0)
 
 
-def test_pipeline_vjp_rejects_a_regularized_cache():
-    tree, params, demos, _ = gradcheck_cases(1)[0]
-    cache = run_pipeline(tree, demos.trajectories[0].q[0], params, 0.1)
-    assert cache.factor is None
-    with pytest.raises(StructureError, match="regularization"):
-        pipeline_vjp(tree, cache, params, np.ones(tree.root_dim),
-                     params.zeros_like())
+def test_pipeline_vjp_on_a_regularized_cache_matches_central_differences(rng):
+    # The shift reg * I carries no weights, so the reverse formula is the
+    # unregularized one applied to the factor of M_root + reg I.
+    reg = 0.3
+    for tree, params, demos, _ in gradcheck_cases(4):
+        q = demos.trajectories[0].q[0]
+        g = rng.normal(0.0, 1.0, tree.root_dim)
+        grad = params.zeros_like()
+        pipeline_vjp(tree, run_pipeline(tree, q, params, reg), params, g, grad)
+        fd = fd_grad_wrt_params(lambda p: g @ evaluate_policy(tree, q, p, reg), params)
+        assert np.abs(grad - fd).max() <= 1e-8 * max(1.0, np.abs(fd).max())
+        assert np.abs(grad - policy_vjp(tree, q, params, g)).max() > 1e-6
 
 def test_leaf_below_a_fixed_edge_still_reaches_a_chain_through_its_goal(rng):
     # Leaf 2 hangs below a fixed identity edge and has a frozen metric, but

@@ -101,6 +101,32 @@ def test_dimension_mismatch_names_edge(tmp_path):
         tmio.load_tree(str(path))
 
 
+def _chain_on_3d_parent(spec):
+    for i in (0, 1, 3):
+        spec["nodes"][i]["dim"] = 3
+
+
+def _chain_on_1d_nodes(spec):
+    spec["nodes"] = spec["nodes"][:2]
+    for node in spec["nodes"]:
+        node["dim"] = 1
+    spec["edges"] = [{"parent": 0, "child": 1, "map": {"kind": "diffeo_chain"}}]
+    spec["leaves"] = [{"node": 1, "policy": {"kind": "damper"}}]
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_chain_on_3d_parent, r"leaf 2: latent potential goal dimension"),
+    (_chain_on_1d_nodes, r"edge 0->1: diffeo chains need dimension >= 2"),
+], ids=["latent_goal", "chain_dim"])
+def test_construction_errors_name_their_edge_or_leaf(tmp_path, edit, where):
+    bad = json.loads(json.dumps(VALID_SPEC))
+    edit(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SpecFormatError, match=where):
+        tmio.load_tree(str(path))
+
+
 def test_demo_csv_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     tr = Trajectory(np.linspace(0, 1, 7), rng.uniform(-1, 1, (7, 3)),

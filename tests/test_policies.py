@@ -271,6 +271,21 @@ def test_equilibrium_is_fixed_point():
     assert root_potential(tree, goal) == 0.0
 
 
+def test_goal_image_is_the_value_of_the_chains_one_tape(rng):
+    chain = DiffeoChain(2, n_layers=3, n_features=6, seed=7)
+    builder = ParamRegistryBuilder()
+    chain.param_slice = builder.register("chain", rng.normal(0.0, 0.3, chain.n_params))
+    params = builder.build()
+    pot = LatentQuadraticPotential(np.array([0.4, -0.2]), chain)
+    image = pot.goal_image(params)
+    assert image is chain.value_tape(pot.goal, params)[0]
+    # value_vjp reverses that tape instead of running the chain again
+    tape = chain.value_tape(pot.goal, params)[1]
+    chain.value_vjp(pot.goal, params, np.ones(2), params.zeros_like())
+    assert chain.value_tape(pot.goal, params)[1] is tape
+    assert pot.goal_image(params) is image
+
+
 def test_goal_image_follows_chain_weights(rng):
     def latent(seed):
         chain = DiffeoChain(2, n_layers=3, n_features=6, seed=seed)

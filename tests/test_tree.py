@@ -248,6 +248,28 @@ def test_solve_root_singular_and_nonfinite_systems_raise():
             solve_root(np.eye(2), np.array([bad, 0.0]))
 
 
+def test_regularized_solve_is_one_shifted_cholesky(rng):
+    B = rng.normal(0.0, 1.0, (3, 3))
+    M = B @ B.T + 0.1 * np.eye(3)
+    p = rng.normal(0.0, 1.0, 3)
+    u, factor = solve_root(M, p, 0.2)
+    ref = scipy.linalg.cho_factor(M + 0.2 * np.eye(3), lower=True)
+    assert np.array_equal(factor, ref[0])
+    assert np.array_equal(u, scipy.linalg.cho_solve(ref, p))
+
+
+def test_a_regularization_too_small_for_a_singular_metric_raises():
+    p = np.array([1.0, 1.0])
+    singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularMetricError, match="regularization 1.000e-14 is too small"):
+        solve_root(singular, p, 1e-14)
+    tree = single_leaf_tree(2, raw_leaf([6.0], 3.0 * np.eye(1)),
+                            mapping=LinearMap(np.array([[1.0, 1.0]])))
+    with pytest.raises(SingularMetricError):
+        evaluate_policy(tree, np.zeros(2), regularization=1e-14)
+    assert np.isfinite(evaluate_policy(tree, np.zeros(2), regularization=1e-3)).all()
+
+
 @pytest.mark.parametrize("bad", [-5.0, float("nan"), float("inf")])
 def test_root_solves_reject_negative_or_nonfinite_regularization(bad):
     tree = single_leaf_tree(2, raw_leaf([1.0, 0.0], np.eye(2)))
@@ -317,14 +339,15 @@ def test_flat_solve_rank_deficient_pullback_raises():
         evaluate_policy(tree, np.zeros(2))
 
 
-def test_tree_flat_equivalence_sweep(rng):
+@pytest.mark.parametrize("regularization", [0.0, 1e-3, 0.1])
+def test_tree_flat_equivalence_sweep(rng, regularization):
     worst = 0.0
     for seed in range(40):
         tree, params = random_tree(seed)
         for _ in range(2):
             q = rng.uniform(-1.0, 1.0, tree.root_dim)
-            dev = np.abs(evaluate_policy(tree, q, params)
-                         - flat_solve(tree, q, params)).max()
+            dev = np.abs(evaluate_policy(tree, q, params, regularization)
+                         - flat_solve(tree, q, params, regularization)).max()
             worst = max(worst, float(dev))
     assert worst <= 1e-10
 

@@ -22,7 +22,10 @@ bit-identical print the same digest. The digest covers:
 - 10 RK4 rollouts of the three-link arm, 4 rollouts of the learned
   tree, and ``descent_rate`` at the learned rollouts' starts;
 - CLI ``eval``, ``rollout`` and ``train`` (``--loss`` subtask, joint and
-  independent): exit codes, standard output and every file written.
+  independent): exit codes, standard output and every file written;
+- the regularized route on the 40 ``random_tree`` seeds:
+  ``evaluate_policy`` and ``flat_solve`` with regularization 0.1, and
+  ``pipeline_vjp`` on a ``run_pipeline(..., 0.1)`` cache.
 
 A library error (``TreeMotionError``) an operation raises is digested as
 its type and message, so a checkout that starts or stops raising
@@ -128,7 +131,7 @@ def _trained(result):
 
 
 def library_outputs(tm, dig):
-    from treemotion.fixtures import gradcheck_cases, random_tree
+    from treemotion.fixtures import gradcheck_cases
     from treemotion.gradients import policy_vjp
     from treemotion.tree import flat_solve
     from treemotion.verify import gradcheck_report
@@ -150,11 +153,7 @@ def library_outputs(tm, dig):
             lambda: tm.train_independent_baseline(tree, params, demos, opts))))
 
     dig.start("random trees")
-    for seed in range(40):
-        tree, params = random_tree(seed)
-        rng = np.random.default_rng(1000 + seed)
-        q = rng.uniform(-0.6, 0.6, tree.root_dim)
-        g = rng.normal(0.0, 1.0, tree.root_dim)
+    for seed, tree, params, q, g in _random_tree_cases():
         dig.add(("random_tree", seed), [
             params.registry, params.values,
             _attempt(lambda: tm.evaluate_policy(tree, q, params)),
@@ -188,6 +187,35 @@ def library_outputs(tm, dig):
             res.trajectory.q, res.trajectory.qdot, res.potential_trace,
             res.terminal_grad_norm, res.status,
             tm.descent_rate(tree, params, tr.q[0])])
+
+
+def _random_tree_cases():
+    from treemotion.fixtures import random_tree
+
+    for seed in range(40):
+        tree, params = random_tree(seed)
+        rng = np.random.default_rng(1000 + seed)
+        q = rng.uniform(-0.6, 0.6, tree.root_dim)
+        g = rng.normal(0.0, 1.0, tree.root_dim)
+        yield seed, tree, params, q, g
+
+
+def regularized_outputs(dig, reg=0.1):
+    from treemotion.gradients import pipeline_vjp, run_pipeline
+    from treemotion.tree import evaluate_policy, flat_solve
+
+    def vjp(tree, q, params, g):
+        grad = params.zeros_like()
+        pipeline_vjp(tree, run_pipeline(tree, q, params, reg), params, g, grad)
+        return grad
+
+    dig.start("regularized")
+    for seed, tree, params, q, g in _random_tree_cases():
+        dig.add(("regularized", seed), [
+            _attempt(lambda: evaluate_policy(tree, q, params, reg)),
+            _attempt(lambda: flat_solve(tree, q, params, reg)),
+            _attempt(lambda: vjp(tree, q, params, g)),
+        ])
 
 
 def cli_outputs(src_dir, dig):
@@ -246,6 +274,7 @@ def main(argv=None) -> int:
     dig = Digest()
     library_outputs(tm, dig)
     cli_outputs(src_dir, dig)
+    regularized_outputs(dig)
     dig.finish()
     print(dig.total.hexdigest())
     return 0
