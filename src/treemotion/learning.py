@@ -8,6 +8,18 @@ natural-gradient leaf to the demonstrations mapped into its own space,
 one leaf at a time, with no coupling between leaves; the composition
 then only happens at execution time. Both share one descent loop, so
 the difference between the two strategies is directly measurable.
+
+With ``alpha=None`` the loop fixes its step by a backtracking Armijo
+search on the first iteration. A trial step is rejected as soon as the
+running total of its per-sample losses is not ``<= bound``, where
+``bound = loss0 - c * alpha * |g|^2``; the remaining samples are never
+evaluated. This is exact, not a heuristic: every per-sample term is
+``>= 0`` (a squared norm, weighted by ``lam >= 0``) or non-finite, and
+adding a term ``>= 0`` in round-to-nearest never lowers a total (inf and
+NaN stay put), so a partial total above the bound means the full total
+is above it too. Trial totals are never recorded, so the accepted step,
+the histories and the weights are the same bits as a full sum gives.
+Any new loss kind must keep every per-sample term ``>= 0``.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import numpy as np
 
 from .errors import NumericError, StructureError
 from .gradients import pipeline_vjp
-from .losses import DemoSet, LossSpec, loss_samples, loss_value, sample_loss
+from .losses import DemoSet, LossSpec, loss_samples, sample_loss, sample_losses
 from .params import ParamVector
 from .policies import NaturalGradientLeaf
 from .tree import TransformTree, run_pipeline
@@ -41,7 +53,9 @@ class TrainOptions:
     """Plain gradient-descent settings, shared by both trainers.
 
     ``alpha=None`` picks the step by backtracking line search on the
-    first iteration and keeps it fixed afterwards; a first gradient of
+    first iteration and keeps it fixed afterwards (a trial stops at the
+    first sample whose running loss total exceeds the Armijo bound; see
+    the module docstring for why that is exact); a first gradient of
     norm below 1e-15 ends the run there, with the weights unchanged and
     a two-entry history. ``momentum`` adds a classical momentum term and
     is off by default. ``minibatch`` turns
@@ -116,15 +130,37 @@ def _or_inf(fn, *args, failed=np.inf):
             return failed
 
 
-def _backtracking_alpha(eval_loss, theta0, loss0, grad):
+def _total_within(terms, bound=np.inf):
+    """``terms`` summed in order as ``total += v``, or ``inf`` as soon as a
+    partial total is not ``<= bound`` (a NaN partial total included).
+
+    For terms that are ``>= 0`` or non-finite the early return is exact:
+    a partial total above ``bound`` can only grow or turn NaN, so the
+    full total would not be ``<= bound`` either. A total that stays
+    within ``bound`` is the full sum, bit for bit. With the default
+    bound only a NaN stops the sum, whose result is non-finite either way.
+    """
+    total = 0.0
+    for v in terms:
+        total += v
+        if not total <= bound:
+            return np.inf
+    return total
+
+
+def _backtracking_alpha(eval_terms, theta0, loss0, grad):
     """Largest halved step satisfying the Armijo condition, shrunk by a
     safety factor because the accepted step stays fixed for the rest of
-    the run. Trial steps that blow up numerically count as failures."""
+    the run. ``eval_terms(values)`` yields the per-sample losses at the
+    trial weights; a trial stops at the first sample that decides its
+    rejection (``_total_within``). Trial steps that blow up numerically
+    count as failures."""
     gnorm2 = float(grad @ grad)
     alpha = _ALPHA0
     for _ in range(_MAX_HALVINGS):
-        trial = _or_inf(eval_loss, theta0 - alpha * grad)
-        if np.isfinite(trial) and trial <= loss0 - _C_ARMIJO * alpha * gnorm2:
+        bound = loss0 - _C_ARMIJO * alpha * gnorm2
+        trial = _or_inf(_total_within, eval_terms(theta0 - alpha * grad), bound)
+        if np.isfinite(trial) and trial <= bound:
             return _SAFETY * alpha
         alpha *= _SHRINK
     return _SAFETY * alpha
@@ -135,10 +171,11 @@ def _backtracking_alpha(eval_loss, theta0, loss0, grad):
 # ---------------------------------------------------------------------------
 
 
-def _descend(loss_grad, loss_only, params: ParamVector, samples,
+def _descend(loss_grad, loss_terms, params: ParamVector, samples,
              opts: TrainOptions) -> TrainResult:
     """The descent loop of both trainers, on the objective given by
-    ``loss_grad(theta, batch) -> (loss, grad)`` and ``loss_only``."""
+    ``loss_grad(theta, batch) -> (loss, grad)`` and by ``loss_terms``,
+    which yields the same loss per sample (each term ``>= 0``)."""
     rng = np.random.default_rng(opts.seed)
     theta = params.copy()
     last_finite = theta
@@ -164,7 +201,7 @@ def _descend(loss_grad, loss_only, params: ParamVector, samples,
             if float(np.linalg.norm(grad)) < _ZERO_GRAD:
                 break  # the line search would fix alpha = 0: nothing moves
             alpha = _backtracking_alpha(
-                lambda v: loss_only(theta.with_values(v), batch),
+                lambda v: loss_terms(theta.with_values(v), batch),
                 theta.values, value, grad,
             )
         if opts.momentum > 0.0:
@@ -178,7 +215,7 @@ def _descend(loss_grad, loss_only, params: ParamVector, samples,
             break
 
     if status == "completed":
-        final = _or_inf(loss_only, theta, samples)
+        final = _or_inf(_total_within, loss_terms(theta, samples))
         if np.isfinite(final):
             history.append(final)
         else:
@@ -202,7 +239,7 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
     loss.validate_for_training(tree)
     return _descend(
         lambda th, batch: loss_and_gradient(tree, th, batch, loss),
-        lambda th, batch: loss_value(loss, tree, th, batch),
+        lambda th, batch: sample_losses(loss, tree, th, batch),
         params, samples, opts,
     )
 
@@ -212,12 +249,13 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
 # ---------------------------------------------------------------------------
 
 
-def _baseline_leaf_loss_grad(tree, params, leaf, samples, want_grad=True):
+def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
     """Objective for one leaf: match the leaf-mapped demo velocity with
     the leaf's own flow ``v = -M^{-1} grad(Phi)``, ignoring every other
     leaf. The leaf is evaluated and differentiated through its own
-    ``evaluate`` and ``vjp``. Returns ``(loss, grad)``; the gradient only
-    touches this leaf's slices."""
+    ``evaluate`` and ``vjp``. Yields each sample's ``|r|^2`` in sample
+    order; with ``grad`` given, first adds that sample's weight gradient
+    into it, touching only this leaf's slices."""
     _, policy, _, _, prefix, latent = tree.leaf_table[leaf]
     chain = latent.map if latent is not None else None
     if chain is None and getattr(policy, "metric_input", None) == "subtask":
@@ -225,8 +263,6 @@ def _baseline_leaf_loss_grad(tree, params, leaf, samples, want_grad=True):
             "subtask metric input without a latent edge is ambiguous "
             "for the baseline objective"
         )
-    total = 0.0
-    grad = params.zeros_like() if want_grad else None
     for q, qdot in samples:
         x = np.asarray(q, dtype=float)
         J_fix = np.eye(tree.root_dim)
@@ -244,17 +280,23 @@ def _baseline_leaf_loss_grad(tree, params, leaf, samples, want_grad=True):
         p, M = policy.evaluate(w, params, parent_coord=x)
         v = np.linalg.solve(M, p)
         r = y - v
-        total += float(r @ r)
-        if not want_grad:
-            continue
-        rho = np.linalg.solve(M, r)
-        # v = M^{-1} p: d loss = 2 r.(dJ zdot) - 2 rho.dp + 2 rho.dM v
-        c_w = policy.vjp(w, params, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
-                         parent_coord=x)
-        if chain is not None and chain.is_learnable:
-            chain.pullback_vjp(x, params, c_w, zdot[:, None],
-                               (2.0 * r)[:, None], grad)
-    return total, grad
+        if grad is not None:
+            rho = np.linalg.solve(M, r)
+            # v = M^{-1} p: d loss = 2 r.(dJ zdot) - 2 rho.dp + 2 rho.dM v
+            c_w = policy.vjp(w, params, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
+                             parent_coord=x)
+            if chain is not None and chain.is_learnable:
+                chain.pullback_vjp(x, params, c_w, zdot[:, None],
+                                   (2.0 * r)[:, None], grad)
+        yield float(r @ r)
+
+
+def _baseline_leaf_loss_grad(tree, params, leaf, samples):
+    """``(loss, grad)`` of one leaf's objective summed over ``samples`` in
+    order."""
+    grad = params.zeros_like()
+    terms = _baseline_leaf_terms(tree, params, leaf, samples, grad)
+    return _total_within(terms), grad
 
 
 def train_independent_baseline(tree: TransformTree, params: ParamVector,
@@ -283,8 +325,7 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
             )
         result = _descend(
             lambda th, batch: _baseline_leaf_loss_grad(tree, th, leaf, batch),
-            lambda th, batch: _baseline_leaf_loss_grad(
-                tree, th, leaf, batch, want_grad=False)[0],
+            lambda th, batch: _baseline_leaf_terms(tree, th, leaf, batch),
             theta, samples, opts,
         )
         if result.status != "completed":

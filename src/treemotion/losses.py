@@ -184,14 +184,24 @@ def loss_samples(loss: LossSpec, tree: TransformTree, demos_or_samples):
 # ---------------------------------------------------------------------------
 
 
+def sample_losses(loss: LossSpec, tree: TransformTree, params: ParamVector | None,
+                  demos):
+    """Each sample's loss, in sample order, one ``run_pipeline`` pass per
+    sample as it is asked for. Every term is ``>= 0`` (a squared norm,
+    weighted by ``lam >= 0``) or non-finite; the trainers' line search
+    relies on that to stop summing a trial early."""
+    samples, lam = loss_samples(loss, tree, demos)
+    for q, qdot in samples:
+        yield sample_loss(tree, loss, lam, run_pipeline(tree, q, params), qdot)[0]
+
+
 def loss_value(loss: LossSpec, tree: TransformTree, params: ParamVector | None,
                demos) -> float:
     """Demo loss summed over the samples of ``demos`` (a ``DemoSet`` or a
     list of ``(q, qdot)`` pairs)."""
-    samples, lam = loss_samples(loss, tree, demos)
     total = 0.0
-    for q, qdot in samples:
-        total += sample_loss(tree, loss, lam, run_pipeline(tree, q, params), qdot)[0]
+    for value in sample_losses(loss, tree, params, demos):
+        total += value
     return total
 
 

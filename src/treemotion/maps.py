@@ -212,10 +212,6 @@ class RFFNet:
     def value(self, x, theta) -> np.ndarray:
         return self._theta(theta).T @ self.features(x)
 
-    def input_jacobian(self, x, theta) -> np.ndarray:
-        _, g = self.features_and_slope(x)
-        return self._theta(theta).T @ (g[:, None] * self.frequencies)
-
 
 # ---------------------------------------------------------------------------
 # Coupling layers and diffeomorphism chains
@@ -311,8 +307,8 @@ class DiffeoChain(DifferentiableMap):
     cotangent directions (computed by back-propagating through a
     tangent-augmented forward pass, which also captures how the layer
     Jacobians move with their inputs). ``value_tape`` runs that forward
-    pass with no tangents and keeps the last one: a latent goal's image
-    and its ``value_vjp`` read the same tape.
+    pass with no tangents; a latent goal keeps the tape of its own goal,
+    so its image and its ``value_vjp`` read the same one.
     """
 
     def __init__(self, dim, n_layers=4, n_features=128, length_scale=1.0,
@@ -338,8 +334,6 @@ class DiffeoChain(DifferentiableMap):
         if not learnable:
             self.freeze()
         self._no_tangents = np.zeros((dim, 0))
-        # (weight block, x, value, tape) of the last value_tape call
-        self._value_tape = None
 
     def init_values(self) -> np.ndarray:
         if self._init_scale == 0.0:
@@ -486,29 +480,24 @@ class DiffeoChain(DifferentiableMap):
         """``(value, tape)`` of the zero-width augmented forward pass at ``x``.
 
         The value equals ``value(x, params)`` bit for bit and is read-only,
-        since every caller shares it. The last pass is kept while the
-        weights (compared by value, as callers may write
-        ``params.values`` in place) and ``x`` stay the same: a latent
-        goal is the same input for every sample.
+        so a caller that keeps the pair can share it. The tape holds views
+        of the weights it was built from, so it is built from a private
+        copy that nothing else can write.
         """
-        block = self.weights(params)
-        x = np.asarray(x, dtype=float)
-        memo = self._value_tape
-        if (memo is None or not np.array_equal(memo[0], block)
-                or not np.array_equal(memo[1], x)):
-            # The tape holds views of the weights it was built from, so it
-            # is built from private copies that nothing else can write.
-            block, x = block.copy(), x.copy()
-            y, _, caches = self._aug_forward(block, x, self._no_tangents)
-            y.flags.writeable = False
-            memo = self._value_tape = (block, x, y, caches)
-        return memo[2], memo[3]
+        block = self.weights(params).copy()
+        y, _, caches = self._aug_forward(block, x, self._no_tangents)
+        y.flags.writeable = False
+        return y, caches
 
-    def value_vjp(self, x, params, cotangent, grad_out):
+    def value_vjp(self, x, params, cotangent, grad_out, tape=None):
+        """``value_vjp`` of :class:`DifferentiableMap`; ``tape`` is a
+        ``value_tape(x, params)`` tape kept by the caller at the same
+        weights, else the forward pass runs here."""
         if not self.is_learnable:
             return
-        _, caches = self.value_tape(x, params)
-        self._aug_reverse(caches, cotangent, self._no_tangents,
+        if tape is None:
+            tape = self.value_tape(x, params)[1]
+        self._aug_reverse(tape, cotangent, self._no_tangents,
                           grad_out[self.param_slice])
 
     def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out):

@@ -87,7 +87,9 @@ class LatentQuadraticPotential(Potential):
     The goal is pinned in the parent (subtask) coordinates; its latent
     image moves with the chain weights, so the potential stays minimized
     exactly at the task goal however the chain deforms. The image and
-    its weight gradient read one forward tape, ``chain.value_tape``.
+    its weight gradient read one forward tape, ``chain.value_tape``,
+    which the potential keeps for its own goal: several potentials can
+    share one chain without rebuilding each other's tapes.
     """
 
     def __init__(self, goal, chain: DiffeoChain):
@@ -97,11 +99,25 @@ class LatentQuadraticPotential(Potential):
         if chain.in_dim != self.goal.size:
             raise StructureError("latent potential goal dimension != chain dimension")
         self.chain = chain
+        # (weights, goal, image, tape) of the last goal tape
+        self._tape = None
+
+    def _goal_tape(self, params):
+        """``(image, tape)`` of the chain at the goal, rebuilt only when
+        the chain weights or the goal change. Both are compared by value,
+        as callers may write ``params.values`` in place."""
+        block = self.chain.weights(params)
+        memo = self._tape
+        if (memo is None or not np.array_equal(memo[0], block)
+                or not np.array_equal(memo[1], self.goal)):
+            image, tape = self.chain.value_tape(self.goal, params)
+            memo = self._tape = (block.copy(), self.goal.copy(), image, tape)
+        return memo[2], memo[3]
 
     def goal_image(self, params):
         """``chain(goal)``, read-only, recomputed only when the chain
-        weights change (see ``DiffeoChain.value_tape``)."""
-        return self.chain.value_tape(self.goal, params)[0]
+        weights or the goal change."""
+        return self._goal_tape(params)[0]
 
     def value(self, z, params):
         d = z - self.goal_image(params)
@@ -113,7 +129,8 @@ class LatentQuadraticPotential(Potential):
     def grad_param_vjp(self, z, params, cot, grad_out):
         # grad Phi = z - chain(goal): only the goal image carries weights.
         cot = np.asarray(cot, dtype=float)
-        self.chain.value_vjp(self.goal, params, -cot, grad_out)
+        self.chain.value_vjp(self.goal, params, -cot, grad_out,
+                             tape=self._goal_tape(params)[1])
         return cot
 
 

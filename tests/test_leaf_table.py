@@ -131,9 +131,9 @@ def test_baseline_trains_every_leaf_the_reverse_pass_visits(rng, monkeypatch):
     seen = []
     original = learning._baseline_leaf_loss_grad
 
-    def recording(tree, params, leaf, samples, want_grad=True):
+    def recording(tree, params, leaf, samples):
         seen.append(leaf)
-        return original(tree, params, leaf, samples, want_grad)
+        return original(tree, params, leaf, samples)
 
     monkeypatch.setattr(learning, "_baseline_leaf_loss_grad", recording)
     trained = train_independent_baseline(tree, params, demos,

@@ -258,8 +258,7 @@ def test_baseline_residual_relates_to_subtask_residual(rng):
     _, J_chain = chain.value_and_jacobian(q, params)
     r_subtask = qdot - pi
     # leaf-mapped demo velocity minus leaf flow equals J_chain @ r_subtask
-    value, _ = _baseline_leaf_loss_grad(tree, params, 2, [(q, qdot)],
-                                        want_grad=False)
+    value, _ = _baseline_leaf_loss_grad(tree, params, 2, [(q, qdot)])
     expected = float(np.sum((J_chain @ r_subtask) ** 2))
     assert value == pytest.approx(expected, rel=1e-10)
 
@@ -323,10 +322,8 @@ def test_baseline_gradient_matches_fd_on_uncommon_leaves(variant, rng):
         up.values[i] += h
         dn = params.copy()
         dn.values[i] -= h
-        fd[i] = (_baseline_leaf_loss_grad(tree, up, leaf_node, samples,
-                                          want_grad=False)[0]
-                 - _baseline_leaf_loss_grad(tree, dn, leaf_node, samples,
-                                            want_grad=False)[0]) / (2 * h)
+        fd[i] = (_baseline_leaf_loss_grad(tree, up, leaf_node, samples)[0]
+                 - _baseline_leaf_loss_grad(tree, dn, leaf_node, samples)[0]) / (2 * h)
     denom = np.maximum(np.abs(fd), 1e-3)
     assert (np.abs(g - fd) / denom).max() < 1e-4
 
@@ -341,12 +338,10 @@ def test_baseline_reduces_its_own_objective():
     qs = np.concatenate([tr.q[:, :2] for tr in demos.trajectories])
     qds = np.concatenate([tr.qdot[:, :2] for tr in demos.trajectories])
     demos2 = demo_from_samples(qs, qds)
-    before, _ = _baseline_leaf_loss_grad(tree, params, 2,
-                                         list(demos2.samples()), want_grad=False)
+    before, _ = _baseline_leaf_loss_grad(tree, params, 2, list(demos2.samples()))
     trained = train_independent_baseline(tree, params, demos2,
                                          TrainOptions(iterations=25))
-    after, _ = _baseline_leaf_loss_grad(tree, trained, 2,
-                                        list(demos2.samples()), want_grad=False)
+    after, _ = _baseline_leaf_loss_grad(tree, trained, 2, list(demos2.samples()))
     assert after < before
 
 

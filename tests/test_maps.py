@@ -126,10 +126,14 @@ def test_rff_value_linear_in_weights(rng):
 
 
 def test_rff_input_jacobian_matches_fd(rng):
+    # The input Jacobian the coupling kernels build from the slope:
+    # theta^T (g * A), with df = g * A dx.
     net = RFFNet(3, 2, 12, length_scale=0.9, seed=8)
     theta = rng.normal(0.0, 1.0, (12, 2))
     x = rng.uniform(-1.0, 1.0, 3)
-    np.testing.assert_allclose(net.input_jacobian(x, theta),
+    f, g = net.features_and_slope(x)
+    assert np.array_equal(f, net.features(x))
+    np.testing.assert_allclose(theta.T @ (g[:, None] * net.frequencies),
                                fd_jacobian(lambda z: net.value(z, theta), x),
                                atol=1e-6)
 
@@ -254,15 +258,15 @@ def test_frozen_chain_needs_no_params(rng):
 
 def _unfused_layer_jacobian(ly, y, ts, tt):
     """A coupling layer's Jacobian assembled block by block, without the
-    fused kernel: the reference the fused kernel must match bit for bit."""
-    a, b = y[ly.ia], y[ly.ib]
-    E = np.exp(ly.s_net.value(a, ts))
+    fused kernel: the reference the fused kernel must match bit for bit,
+    except the ``d b' / d a`` block, which is central differences of
+    ``forward`` (compare it at finite-difference tolerance)."""
+    E = np.exp(ly.s_net.value(y[ly.ia], ts))
     J = np.zeros((ly.dim, ly.dim))
     J[ly.ia, ly.ia] = 1.0
     J[np.ix_(ly.ib, ly.ib)] = np.diag(E)
-    dba = (b * E)[:, None] * ly.s_net.input_jacobian(a, ts)
-    dba += ly.t_net.input_jacobian(a, tt)
-    J[np.ix_(ly.ib, ly.ia)] = dba
+    J[np.ix_(ly.ib, ly.ia)] = fd_jacobian(lambda z: ly.forward(z, ts, tt), y)[
+        np.ix_(ly.ib, ly.ia)]
     return J
 
 
@@ -282,9 +286,12 @@ def test_fused_chain_kernel_is_bit_identical_to_layer_composition(dim):
             y_next = ly.forward(y, ts, tt)
             fused_y, fused_J = ly.value_and_jacobian(y, ts, tt)
             assert np.array_equal(fused_y, y_next)
+            dba = np.ix_(ly.ib, ly.ia)
+            np.testing.assert_allclose(fused_J[dba], J_layer[dba], atol=1e-6)
+            J_layer[dba] = fused_J[dba]
             assert np.array_equal(fused_J, J_layer)
-            assert np.array_equal(ly.jacobian(y, ts, tt), J_layer)
-            J = J_layer @ J
+            assert np.array_equal(ly.jacobian(y, ts, tt), fused_J)
+            J = fused_J @ J
             y = y_next
         value, jac = chain.value_and_jacobian(x, params)
         assert np.array_equal(value, y)
@@ -298,38 +305,46 @@ def _value_vjp(chain, x, params, cot):
     return grad
 
 
+def _goal_vjp(pot, params, cot):
+    """``value_vjp`` at ``pot``'s goal, on the tape the potential keeps."""
+    grad = params.zeros_like()
+    pot.grad_param_vjp(None, params, -cot, grad)
+    return grad
+
+
 def test_value_vjp_memo_follows_weights_and_input(rng):
+    from treemotion.policies import LatentQuadraticPotential
+
     chain, params = make_learnable_chain(3, seed=5, n_layers=3, n_features=6)
     cot = rng.normal(0.0, 1.0, 3)
+    pot = LatentQuadraticPotential(rng.uniform(-1.0, 1.0, 3), chain)
 
-    def fresh(p, x):
-        # an identically built chain whose memo is empty
-        twin = DiffeoChain(3, seed=5, n_layers=3, n_features=6)
-        twin.param_slice = chain.param_slice
-        return _value_vjp(twin, x, p, cot)
+    def fresh(p):
+        # value_vjp with no tape runs its own forward pass
+        return _value_vjp(chain, pot.goal, p, cot)
 
-    x = rng.uniform(-1.0, 1.0, 3)
-    g0 = _value_vjp(chain, x, params, cot)
-    assert np.array_equal(g0, fresh(params, x))
-    assert np.array_equal(_value_vjp(chain, x, params, cot), g0)
+    g0 = _goal_vjp(pot, params, cot)
+    assert np.array_equal(g0, fresh(params))
+    assert np.array_equal(_goal_vjp(pot, params, cot), g0)
 
     # weights written in place
     params.values[:] = rng.normal(0.0, 0.3, params.size)
-    g1 = _value_vjp(chain, x, params, cot)
+    g1 = _goal_vjp(pot, params, cot)
     assert not np.array_equal(g1, g0)
-    assert np.array_equal(g1, fresh(params, x))
+    assert np.array_equal(g1, fresh(params))
 
-    # a new vector from with_values, and a new input
+    # a new vector from with_values, and a goal written in place
     other = params.with_values(rng.normal(0.0, 0.3, params.size))
-    x2 = rng.uniform(-1.0, 1.0, 3)
-    for p, xx in ((other, x), (other, x2), (params, x2)):
-        assert np.array_equal(_value_vjp(chain, xx, p, cot), fresh(p, xx))
+    assert np.array_equal(_goal_vjp(pot, other, cot), fresh(other))
+    pot.goal[:] = rng.uniform(-1.0, 1.0, 3)
+    for p in (other, params):
+        assert np.array_equal(_goal_vjp(pot, p, cot), fresh(p))
 
     # overwriting the vector a tape was built from leaves the tape intact
     saved = params.copy()
-    _value_vjp(chain, x, params, cot)
+    _goal_vjp(pot, params, cot)
     params.values[:] = 0.0
-    assert np.array_equal(_value_vjp(chain, x, saved, cot), fresh(saved, x))
+    assert np.array_equal(_goal_vjp(pot, saved, cot), fresh(saved))
 
 
 def test_zero_width_reverse_matches_the_tangent_path(rng):
@@ -357,12 +372,42 @@ def test_zero_width_reverse_matches_the_tangent_path(rng):
 
 
 def test_value_vjp_memos_of_two_chains_do_not_mix(rng):
+    from treemotion.policies import LatentQuadraticPotential
+
     a, pa = make_learnable_chain(2, seed=1, n_layers=2, n_features=5)
     b, pb = make_learnable_chain(2, seed=2, n_layers=2, n_features=5)
     x = rng.uniform(-1.0, 1.0, 2)
     cot = rng.normal(0.0, 1.0, 2)
-    first = {id(a): _value_vjp(a, x, pa, cot), id(b): _value_vjp(b, x, pb, cot)}
+    pots = {id(c): LatentQuadraticPotential(x, c) for c in (a, b)}
+    first = {id(a): _goal_vjp(pots[id(a)], pa, cot),
+             id(b): _goal_vjp(pots[id(b)], pb, cot)}
     assert not np.array_equal(first[id(a)], first[id(b)])
     for _ in range(3):
         for chain, p in ((a, pa), (b, pb)):
+            assert np.array_equal(_goal_vjp(pots[id(chain)], p, cot), first[id(chain)])
             assert np.array_equal(_value_vjp(chain, x, p, cot), first[id(chain)])
+
+
+def test_two_goals_of_one_chain_keep_their_own_tapes(rng, monkeypatch):
+    from treemotion.policies import LatentQuadraticPotential
+
+    chain, params = make_learnable_chain(2, seed=3, n_layers=2, n_features=5)
+    pots = [LatentQuadraticPotential(rng.uniform(-1.0, 1.0, 2), chain)
+            for _ in range(2)]
+    cot = rng.normal(0.0, 1.0, 2)
+    expected = [(chain.value(pot.goal, params),
+                 _value_vjp(chain, pot.goal, params, cot)) for pot in pots]
+    passes = []
+    original = DiffeoChain._aug_forward
+
+    def counting(self, *args):
+        passes.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(DiffeoChain, "_aug_forward", counting)
+    for _ in range(10):
+        for pot, (image, grad) in zip(pots, expected):
+            assert np.array_equal(pot.goal_image(params), image)
+            assert np.array_equal(_goal_vjp(pot, params, cot), grad)
+    # one forward pass per goal, not one per alternating call
+    assert len(passes) == 2
