@@ -3,15 +3,16 @@
 Usage::
 
     python tools/bench_pairs.py --base <rev> --workload <w> [--workload <w> ...]
-        --seeds 2-11 [--seconds 20] [--trace-seed 0] [--label NAME]
+        --seeds 2-11 [--trace-seed 0] [--label NAME]
 
 Each side is a fresh copy: the base is ``git archive <rev>``, the change is
 the working tree's tracked and untracked, not-ignored files. Neither copy
 has a bytecode cache, and every run has ``PYTHONDONTWRITEBYTECODE=1``, so
 neither side imports from a cache the other lacks. For every seed, one
-``perfbench/run.py --seconds S --trace 0`` run per side makes a pair; even
-seeds run the base first, odd seeds the change. ``--trace-seed`` adds one
-``--trace 1`` run per side and records the ``.calls`` counts.
+``perfbench/run.py --seconds S --trace 0`` run per side makes a pair, ``S``
+being the ``run_seconds`` of ``BENCHMARK.json``; even seeds run the base
+first, odd seeds the change. ``--trace-seed`` adds one ``--trace 1`` run
+per side and records the ``.calls`` counts.
 
 Writes ``BENCH_<label>.json`` (default label: the first workload) in the
 repository root: per workload and end-to-end metric, each side's runs,
@@ -38,11 +39,9 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text):
-    """``"2-11"`` or ``"0,3,5"`` -> a list of ints."""
-    if "-" in text:
-        lo, hi = (int(v) for v in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+    """``"2-11"`` -> ``[2, 3, ..., 11]``."""
+    lo, hi = map(int, text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def git(*args):
@@ -101,18 +100,18 @@ def main(argv=None):
     parser.add_argument("--base", required=True)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--label")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     label = args.label or args.workload[0]
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     base = git("rev-parse", "--short", args.base).decode().strip()
 
     out = {
         "command": (f"python3 perfbench/run.py --workload <w> --seed <s> "
-                    f"--seconds {args.seconds:g} --trace 0"),
+                    f"--seconds {seconds:g} --trace 0"),
         "pairs": (f"{len(seeds)} alternating parent/change pairs per workload, "
                   f"seeds {args.seeds}; even seeds ran the parent first, odd "
                   "seeds the change first"),
@@ -131,7 +130,7 @@ def main(argv=None):
             for seed in seeds:
                 order = SIDES if seed % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result, meta = run(checkouts[side], workload, seed, args.seconds, 0)
+                    result, meta = run(checkouts[side], workload, seed, seconds, 0)
                     results[side].append(result)
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(result['metrics'])}", file=sys.stderr)
@@ -151,7 +150,7 @@ def main(argv=None):
             out["trace_1"] = {}
             for workload in args.workload:
                 traced = {side: run(checkouts[side], workload, args.trace_seed,
-                                    args.seconds, 1)[0] for side in SIDES}
+                                    seconds, 1)[0] for side in SIDES}
                 calls = {}
                 for name in traced["parent"]["metrics"]:
                     if name.endswith(".calls"):
