@@ -82,7 +82,8 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
             tangents = np.column_stack((u_at[edge.parent], pi_at[edge.parent]))
             cot_tangents = np.column_stack((p_k - M_k @ pi_k, -(M_k @ u_k)))
             edge.map.pullback_vjp(states[edge.parent].coord, params, c_z,
-                                  tangents, cot_tangents, grad_out)
+                                  tangents, cot_tangents, grad_out,
+                                  tape=states[leaf].tape)
 
 
 def policy_vjp(tree: TransformTree, q, params: ParamVector,

@@ -271,7 +271,7 @@ def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
             J_fix = J_edge @ J_fix
         zdot = J_fix @ qdot
         if chain is not None:
-            w, J_chain = chain.value_and_jacobian(x, params)
+            w, J_chain, tape = chain.value_jacobian_tape(x, params)
             y = J_chain @ zdot
         else:
             w = x
@@ -287,7 +287,7 @@ def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
                              parent_coord=x)
             if chain is not None and chain.is_learnable:
                 chain.pullback_vjp(x, params, c_w, zdot[:, None],
-                                   (2.0 * r)[:, None], grad)
+                                   (2.0 * r)[:, None], grad, tape=tape)
         yield float(r @ r)
 
 

@@ -15,6 +15,9 @@ Conventions
   It is the one method a map implements; ``value`` and ``jacobian``
   take its two halves, so the Jacobian ``check`` verifies is the one the
   forward pass uses.
+* ``pullback_vjp`` takes the map's forward tape, or ``None``. Only
+  ``DiffeoChain`` records one, in ``value_jacobian_tape`` -> ``(y, J,
+  tape)``, which the forward stage calls on a learnable chain edge.
 * Parameterized maps read their weights through
   :meth:`~treemotion.params.Learnable.weights`: the slice assigned at
   tree construction, or frozen values.
@@ -55,13 +58,15 @@ class DifferentiableMap(Learnable):
         if self.is_learnable:
             raise NotImplementedError
 
-    def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out) -> None:
+    def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
+                     tape=None) -> None:
         """Accumulate the weight gradient of a pulled-back contraction.
 
         Computes ``d/d theta [cot_value . psi(x) + sum_k cot_tangents[:, k]
         . J(x) tangents[:, k]]`` and adds it to ``grad_out``. ``x`` is
         treated as a constant; ``tangents`` is ``(in_dim, K)`` and
-        ``cot_tangents`` is ``(out_dim, K)``.
+        ``cot_tangents`` is ``(out_dim, K)``. ``tape`` is ``None`` unless
+        the map records one at ``x`` (``DiffeoChain.value_jacobian_tape``).
         """
         if self.is_learnable:
             raise NotImplementedError
@@ -245,55 +250,45 @@ class CouplingLayer:
         self.s_net = RFFNet(na, nb, n_features, length_scale, seed=seed)
         self.t_net = RFFNet(na, nb, n_features, length_scale, seed=seed + 1)
         self.n_weights = 2 * self.s_net.n_weights
-
-    def split_theta(self, theta_block):
-        k = self.s_net.n_weights
-        ts = theta_block[:k].reshape(self.s_net.n_features, self.s_net.out_dim)
-        tt = theta_block[k:].reshape(self.t_net.n_features, self.t_net.out_dim)
-        return ts, tt
+        self._eye = np.eye(dim)
 
     def forward(self, y, theta_s, theta_t):
-        a = y[self.ia]
-        out = np.empty_like(y)
-        out[self.ia] = a
-        s = self.s_net.value(a, theta_s)
-        t = self.t_net.value(a, theta_t)
-        out[self.ib] = y[self.ib] * np.exp(s) + t
+        a, out = y[self._sa], y.copy()
+        s, t = self.s_net.value(a, theta_s), self.t_net.value(a, theta_t)
+        out[self._sb] = y[self._sb] * np.exp(s) + t
         return out
 
     def inverse(self, y, theta_s, theta_t):
-        a = y[self.ia]
-        out = np.empty_like(y)
-        out[self.ia] = a
-        s = self.s_net.value(a, theta_s)
-        t = self.t_net.value(a, theta_t)
-        out[self.ib] = (y[self.ib] - t) * np.exp(-s)
+        a, out = y[self._sa], y.copy()
+        s, t = self.s_net.value(a, theta_s), self.t_net.value(a, theta_t)
+        out[self._sb] = (y[self._sb] - t) * np.exp(-s)
         return out
 
-    def value_and_jacobian(self, y, theta_s, theta_t):
-        """``(forward(y), jacobian(y))`` from one feature evaluation per net.
+    def value_jacobian_tape(self, y, theta_s, theta_t):
+        """``(forward(y), jacobian(y), entry)`` from one feature evaluation
+        per net.
 
         Every entry is computed by the same expressions, in the same
         order, as the separate evaluations, so both results are
-        bit-identical to them.
+        bit-identical to them. ``entry``, the layer's tape for the reverse
+        pass, is ``(a, b, fs, gs, ft, gt, E, theta_s, theta_t)``.
         """
-        a = y[self.ia]
-        b = y[self.ib]
+        a = y[self._sa]
+        b = y[self._sb]
         fs, gs = self.s_net.features_and_slope(a)
         ft, gt = self.t_net.features_and_slope(a)
         E = np.exp(theta_s.T @ fs)
-        out = np.empty_like(y)
-        out[self.ia] = a
-        out[self.ib] = b * E + theta_t.T @ ft
-        J = np.eye(self.dim)
+        out = y.copy()
+        out[self._sb] = b * E + theta_t.T @ ft
+        J = self._eye.copy()
         J[self.ib, self.ib] = E
         dba = (b * E)[:, None] * (theta_s.T @ (gs[:, None] * self.s_net.frequencies))
         dba += theta_t.T @ (gt[:, None] * self.t_net.frequencies)
         J[self._sb, self._sa] = dba
-        return out, J
+        return out, J, (a, b, fs, gs, ft, gt, E, theta_s, theta_t)
 
     def jacobian(self, y, theta_s, theta_t):
-        return self.value_and_jacobian(y, theta_s, theta_t)[1]
+        return self.value_jacobian_tape(y, theta_s, theta_t)[1]
 
 
 class DiffeoChain(DifferentiableMap):
@@ -304,10 +299,11 @@ class DiffeoChain(DifferentiableMap):
     inverse, the chain implements the two reverse-mode entry points the
     gradient engine needs: the weight gradient of its value at a fixed
     input, and the weight gradient of ``J(x) v`` contracted against
-    cotangent directions (computed by back-propagating through a
-    tangent-augmented forward pass, which also captures how the layer
-    Jacobians move with their inputs). ``value_tape`` runs that forward
-    pass with no tangents; a latent goal keeps the tape of its own goal,
+    cotangent directions. Both reverse a tape that ``value_jacobian_tape``
+    records from the layers' fused kernels, which the forward stage keeps
+    for a chain edge; ``pullback_vjp`` first pushes its tangents through
+    the taped layers, which captures how the layer Jacobians move with
+    their inputs. A latent goal keeps the ``value_tape`` of its own goal,
     so its image and its ``value_vjp`` read the same one.
     """
 
@@ -334,6 +330,7 @@ class DiffeoChain(DifferentiableMap):
         if not learnable:
             self.freeze()
         self._no_tangents = np.zeros((dim, 0))
+        self._eye = np.eye(dim)
 
     def init_values(self) -> np.ndarray:
         if self._init_scale == 0.0:
@@ -342,8 +339,11 @@ class DiffeoChain(DifferentiableMap):
         return rng.normal(0.0, self._init_scale, size=int(self._offsets[-1]))
 
     def _layer_thetas(self, block, m):
-        ly = self.layers[m]
-        return ly.split_theta(block[self._offsets[m]: self._offsets[m + 1]])
+        """Layer ``m``'s ``(theta_s, theta_t)``: two views of ``block``."""
+        lo, hi = self._offsets[m], self._offsets[m + 1]
+        net = self.layers[m].s_net  # the t-net has the same shape
+        mid, shape = lo + net.n_weights, (net.n_features, net.out_dim)
+        return block[lo: mid].reshape(shape), block[mid: hi].reshape(shape)
 
     def value(self, x, params=None):
         # Cheaper than value_and_jacobian: no layer Jacobians.
@@ -361,88 +361,82 @@ class DiffeoChain(DifferentiableMap):
         return x
 
     def value_and_jacobian(self, x, params=None):
-        block = self.weights(params)
-        y = np.asarray(x, dtype=float)
-        J = np.eye(self.in_dim)
-        for m, ly in enumerate(self.layers):
-            y, J_layer = ly.value_and_jacobian(y, *self._layer_thetas(block, m))
-            J = J_layer @ J
-        return y, J
+        return self.value_jacobian_tape(x, params)[:2]
+
+    def value_jacobian_tape(self, x, params=None):
+        """The tape holds views of ``x`` and the weights: write neither."""
+        return self._taped_forward(self.weights(params), np.asarray(x, dtype=float))
 
     # -- reverse-mode support ----------------------------------------------
 
-    def _aug_forward(self, block, x, V):
-        """Push ``x`` and tangent columns ``V`` through the chain, caching
-        every intermediate needed by :meth:`_aug_reverse`."""
-        y = np.asarray(x, dtype=float)
-        V = np.asarray(V, dtype=float)
-        caches = []
+    def _taped_forward(self, block, y):
+        """``(y, J, tape)`` through each layer's fused kernel."""
+        J = self._eye
+        tape = []
         for m, ly in enumerate(self.layers):
-            ts, tt = self._layer_thetas(block, m)
-            a = y[ly.ia]
-            b = y[ly.ib]
-            Va = V[ly.ia, :]
-            Vb = V[ly.ib, :]
-            fs, gs = ly.s_net.features_and_slope(a)
-            ft, gt = ly.t_net.features_and_slope(a)
-            s = ts.T @ fs
-            t = tt.T @ ft
-            E = np.exp(s)
+            y, J_layer, entry = ly.value_jacobian_tape(y, *self._layer_thetas(block, m))
+            J = J_layer @ J
+            tape.append(entry)
+        return y, J, tape
+
+    def _push_tangents(self, tape, V):
+        """Push tangent columns ``V`` through the taped layers; returns
+        each layer's ``(Vb, Us, Ws, P, Ut, Wt, Q)`` for ``_aug_reverse``."""
+        V = np.asarray(V, dtype=float)
+        pushed = []
+        for ly, (a, b, fs, gs, ft, gt, E, ts, tt) in zip(self.layers, tape):
+            Va = V[ly._sa]
+            Vb = V[ly._sb]
             Us = ly.s_net.frequencies @ Va          # (D, T)
             Ws = gs[:, None] * Us
             P = ts.T @ Ws                           # (nb, T)
             Ut = ly.t_net.frequencies @ Va
             Wt = gt[:, None] * Ut
             Q = tt.T @ Wt
-            y_next = np.empty_like(y)
-            y_next[ly.ia] = a
-            y_next[ly.ib] = b * E + t
-            V_next = np.empty_like(V)
-            V_next[ly.ia, :] = Va
-            V_next[ly.ib, :] = Vb * E[:, None] + (b * E)[:, None] * P + Q
-            caches.append((a, b, Va, Vb, fs, gs, ft, gt, E, Us, Ws, P, Ut, Wt, Q, ts, tt))
-            y, V = y_next, V_next
-        return y, V, caches
+            pushed.append((Vb, Us, Ws, P, Ut, Wt, Q))
+            if len(pushed) < len(tape):
+                V = V.copy()
+                V[ly._sb] = Vb * E[:, None] + (b * E)[:, None] * P + Q
+        return pushed
 
-    def _aug_reverse(self, caches, cot_y, cot_V, grad_block):
+    def _aug_reverse(self, tape, pushed, cot_y, cot_V, grad_block):
         """Back-propagate cotangents on the chain output (and on the pushed
         tangents) to weight gradients; returns the input cotangents.
 
         With zero tangent columns (``value_vjp``) the tangent half of each
-        layer only adds zeros, so it is skipped: the weight gradient is
-        the same, and ``cot_V`` comes back as the ``(d, 0)`` array it was.
+        layer only adds zeros, so it is skipped and ``pushed`` is unused:
+        the weight gradient is the same, and ``cot_V`` comes back as the
+        ``(d, 0)`` array it was. Nothing read here is written.
         """
-        cy = np.asarray(cot_y, dtype=float).copy()
-        cV = np.asarray(cot_V, dtype=float).copy()
+        cy = np.asarray(cot_y, dtype=float)
+        cV = np.asarray(cot_V, dtype=float)
         width = cV.shape[1]
         for m in range(len(self.layers) - 1, -1, -1):
             ly = self.layers[m]
-            a, b, Va, Vb, fs, gs, ft, gt, E, Us, Ws, P, Ut, Wt, Q, ts, tt = caches[m]
-            ca = cy[ly.ia].copy()
-            cb_out = cy[ly.ib]
+            a, b, fs, gs, ft, gt, E, ts, tt = tape[m]
+            cb_out = cy[ly._sb]
 
             # b' = b * E + t
             cb = cb_out * E
             cE = cb_out * b
-            ct = cb_out.copy()
             if width:
-                Ca = cV[ly.ia, :].copy()
-                Cb_out = cV[ly.ib, :]
-                # Vb' = Vb * E + (b * E) * P + Q
+                Vb, Us, Ws, P, Ut, Wt, Q = pushed[m]
+                Ca = cV[ly._sa]
+                Cb_out = cV[ly._sb]
+                # Vb' = Vb * E + (b * E) * P + Q, with Q's cotangent Cb_out
                 CVb = Cb_out * E[:, None]
                 rowsum_P = np.einsum("it,it->i", Cb_out, P)
                 rowsum_Vb = np.einsum("it,it->i", Cb_out, Vb)
                 cE += rowsum_Vb + b * rowsum_P
                 cb += E * rowsum_P
                 CP = Cb_out * (b * E)[:, None]
-                CQ = Cb_out
             # E = exp(s)
             cs = cE * E
             # s = ts^T fs, t = tt^T ft
-            gtheta_s = np.outer(fs, cs)
+            gtheta_s = fs[:, None] * cs
             cfs = ts @ cs
-            gtheta_t = np.outer(ft, ct)
-            cft = tt @ ct
+            gtheta_t = ft[:, None] * cb_out
+            cft = tt @ cb_out
             # feature/slope input paths: dfs = gs*(As da), dgs = -fs*(As da)
             dfs = gs * cfs
             dft = gt * cft
@@ -452,58 +446,55 @@ class DiffeoChain(DifferentiableMap):
                 CWs = ts @ CP                        # (D, T)
                 dfs -= fs * np.einsum("it,it->i", CWs, Us)
                 CVa = Ca + ly.s_net.frequencies.T @ (gs[:, None] * CWs)
-                gtheta_t += Wt @ CQ.T
-                CWt = tt @ CQ
+                gtheta_t += Wt @ Cb_out.T
+                CWt = tt @ Cb_out
                 dft -= ft * np.einsum("it,it->i", CWt, Ut)
                 CVa += ly.t_net.frequencies.T @ (gt[:, None] * CWt)
-            ca += ly.s_net.frequencies.T @ dfs
+            ca = cy[ly._sa] + ly.s_net.frequencies.T @ dfs
             ca += ly.t_net.frequencies.T @ dft
 
-            if grad_block is not None:
-                off = self._offsets[m]
-                k = ly.s_net.n_weights
-                grad_block[off: off + k] += gtheta_s.ravel()
-                grad_block[off + k: off + 2 * k] += gtheta_t.ravel()
+            off, k = self._offsets[m], ly.s_net.n_weights
+            grad_block[off: off + k] += gtheta_s.ravel()
+            grad_block[off + k: off + 2 * k] += gtheta_t.ravel()
 
-            cy_prev = np.empty_like(cy)
-            cy_prev[ly.ia] = ca
-            cy_prev[ly.ib] = cb
-            cy = cy_prev
+            cy = np.empty_like(cy)
+            cy[ly._sa] = ca
+            cy[ly._sb] = cb
             if width:
-                cV_prev = np.empty_like(cV)
-                cV_prev[ly.ia, :] = CVa
-                cV_prev[ly.ib, :] = CVb
-                cV = cV_prev
+                cV = np.empty_like(cV)
+                cV[ly._sa] = CVa
+                cV[ly._sb] = CVb
         return cy, cV
 
     def value_tape(self, x, params=None):
-        """``(value, tape)`` of the zero-width augmented forward pass at ``x``.
-
-        The value equals ``value(x, params)`` bit for bit and is read-only,
-        so a caller that keeps the pair can share it. The tape holds views
-        of the weights it was built from, so it is built from a private
-        copy that nothing else can write.
+        """``(value, tape)`` at ``x``, built from private copies of ``x``
+        and the weights, so nothing else can write the tape. The value
+        equals ``value(x, params)`` bit for bit and is read-only, so a
+        caller that keeps the pair can share it.
         """
-        block = self.weights(params).copy()
-        y, _, caches = self._aug_forward(block, x, self._no_tangents)
+        y, _, tape = self._taped_forward(self.weights(params).copy(),
+                                         np.array(x, dtype=float))
         y.flags.writeable = False
-        return y, caches
+        return y, tape
 
     def value_vjp(self, x, params, cotangent, grad_out, tape=None):
-        """``value_vjp`` of :class:`DifferentiableMap`; ``tape`` is a
-        ``value_tape(x, params)`` tape kept by the caller at the same
-        weights, else the forward pass runs here."""
+        """``value_vjp`` of :class:`DifferentiableMap` on a tape of this
+        chain at ``x`` and the same weights, else one recorded here."""
         if not self.is_learnable:
             return
         if tape is None:
-            tape = self.value_tape(x, params)[1]
-        self._aug_reverse(tape, cotangent, self._no_tangents,
+            tape = self.value_jacobian_tape(x, params)[2]
+        self._aug_reverse(tape, None, cotangent, self._no_tangents,
                           grad_out[self.param_slice])
 
-    def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out):
+    def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
+                     tape=None):
+        """``pullback_vjp`` of :class:`DifferentiableMap`, on ``tape`` as
+        ``value_vjp``."""
         if not self.is_learnable:
             return
-        block = self.weights(params)
-        _, _, caches = self._aug_forward(block, x, tangents)
+        if tape is None:
+            tape = self.value_jacobian_tape(x, params)[2]
         cy = np.zeros(self.out_dim) if cot_value is None else cot_value
-        self._aug_reverse(caches, cy, cot_tangents, grad_out[self.param_slice])
+        self._aug_reverse(tape, self._push_tangents(tape, tangents), cy, cot_tangents,
+                          grad_out[self.param_slice])

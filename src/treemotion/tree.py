@@ -5,7 +5,7 @@ leaf spaces where policies live. The one policy evaluation,
 ``run_pipeline``, runs four stages and keeps their node states:
 
 1. forward pass: push coordinates root-to-leaves, recording each edge
-   Jacobian;
+   Jacobian (and the tape of a learnable chain edge, for the reverse pass);
 2. leaf evaluation: each leaf reports its weighted force ``p = M v`` and
    weight ``M``;
 3. backward pass: pull ``(p, M)`` to the root through ``J^T p`` and
@@ -96,6 +96,7 @@ class NodeState:
 
     coord: np.ndarray | None = None
     jac_to_parent: np.ndarray | None = None
+    tape: list | None = None  # the parent edge's chain tape, read-only
     pulled_force: np.ndarray | None = None
     pulled_metric: np.ndarray | None = None
 
@@ -238,6 +239,9 @@ class TransformTree:
             (f"{e.name()}: learnable edge maps must terminate at a leaf"
              for e in self.edges if e.map.is_learnable and self._children[e.child]),
             None)
+        # A learnable chain that ends at a leaf keeps its forward tape.
+        self._forward_edges = [(e, isinstance(e.map, DiffeoChain) and e.map.is_learnable
+                                and not self._children[e.child]) for e in self.edges]
         # Any other leaf adds nothing to a weight gradient.
         self._reverse_leaves = [
             row for row in self.leaf_table.values()
@@ -270,7 +274,7 @@ class TransformTree:
 
 def forward_pass(tree: TransformTree, q: np.ndarray,
                  params: ParamVector | None = None) -> list[NodeState]:
-    """Push coordinates from the root to every node; record edge Jacobians."""
+    """Push coordinates root to leaves; record edge Jacobians and marked tapes."""
     q = np.asarray(q, dtype=float)
     if q.shape != (tree.root_dim,):
         raise StructureError(
@@ -279,14 +283,18 @@ def forward_pass(tree: TransformTree, q: np.ndarray,
     # Edges are sorted by child and every node past the root has exactly
     # one, so edge k ends at node k + 1 and the states fill in order.
     states = [NodeState(coord=q)]
-    for e in tree.edges:
-        y, J = e.map.value_and_jacobian(states[e.parent].coord, params)
+    for e, keeps_tape in tree._forward_edges:
+        if keeps_tape:
+            y, J, tape = e.map.value_jacobian_tape(states[e.parent].coord, params)
+        else:
+            y, J = e.map.value_and_jacobian(states[e.parent].coord, params)
+            tape = None
         if y.shape != (tree.node_dims[e.child],):
             raise StructureError(
                 f"{e.name()}: map produced shape {y.shape}, node dim is "
                 f"{tree.node_dims[e.child]}"
             )
-        states.append(NodeState(coord=y, jac_to_parent=J))
+        states.append(NodeState(y, J, tape))
     return states
 
 

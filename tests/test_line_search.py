@@ -89,7 +89,7 @@ def _counted_runs(monkeypatch, fixture, oracle):
     tree, params, demos, lam = fixture
     counts = {"pipeline": 0, "chain": 0}
     run_pipeline = losses.run_pipeline
-    value_and_jacobian = DiffeoChain.value_and_jacobian
+    value_jacobian_tape = DiffeoChain.value_jacobian_tape
 
     def pipeline(*args):
         counts["pipeline"] += 1
@@ -97,7 +97,7 @@ def _counted_runs(monkeypatch, fixture, oracle):
 
     def chain(self, *args):
         counts["chain"] += 1
-        return value_and_jacobian(self, *args)
+        return value_jacobian_tape(self, *args)
 
     with monkeypatch.context() as m:
         if oracle:
@@ -108,7 +108,7 @@ def _counted_runs(monkeypatch, fixture, oracle):
         subtask = train(tree, params, demos, LossSpec("subtask_space", lam), opts)
         subtask_passes = counts["pipeline"]
         joint = train(tree, params, demos, LossSpec("joint_space"), opts)
-        m.setattr(DiffeoChain, "value_and_jacobian", chain)
+        m.setattr(DiffeoChain, "value_jacobian_tape", chain)
         baseline = train_independent_baseline(tree, params, demos, opts)
     return (subtask, joint, baseline), subtask_passes, counts["chain"]
 
@@ -124,4 +124,4 @@ def test_training_is_bit_identical_to_a_full_sum_search_and_does_less(
         assert np.array_equal(result.history, expected.history)
     assert np.array_equal(runs[2].values, oracle[2].values)
     assert passes < oracle_passes
-    assert chain_passes < oracle_chain_passes
+    assert 0 < chain_passes < oracle_chain_passes

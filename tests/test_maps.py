@@ -290,7 +290,7 @@ def test_fused_chain_kernel_is_bit_identical_to_layer_composition(dim):
             ts, tt = chain._layer_thetas(block, m)
             J_layer = _unfused_layer_jacobian(ly, y, ts, tt)
             y_next = ly.forward(y, ts, tt)
-            fused_y, fused_J = ly.value_and_jacobian(y, ts, tt)
+            fused_y, fused_J, _ = ly.value_jacobian_tape(y, ts, tt)
             assert np.array_equal(fused_y, y_next)
             assert np.array_equal(fused_J, J_layer)
             assert np.array_equal(ly.jacobian(y, ts, tt), J_layer)
@@ -355,17 +355,16 @@ def test_zero_width_reverse_matches_the_tangent_path(rng):
     # tangent half. The full path, run with one tangent column whose
     # cotangent is zero, adds only zeros; both must agree exactly.
     chain, params = make_learnable_chain(3, seed=8, n_layers=3, n_features=6)
-    block = chain.weights(params)
     x = rng.uniform(-1.0, 1.0, 3)
     cot = rng.normal(0.0, 1.0, 3)
 
-    _, _, tape = chain._aug_forward(block, x, np.zeros((3, 0)))
+    _, _, tape = chain.value_jacobian_tape(x, params)
     g_skip = params.zeros_like()
-    cy_skip, cV_skip = chain._aug_reverse(tape, cot, np.zeros((3, 0)), g_skip)
+    cy_skip, cV_skip = chain._aug_reverse(tape, None, cot, np.zeros((3, 0)), g_skip)
 
-    _, _, tape = chain._aug_forward(block, x, rng.normal(0.0, 1.0, (3, 1)))
+    pushed = chain._push_tangents(tape, rng.normal(0.0, 1.0, (3, 1)))
     g_full = params.zeros_like()
-    cy_full, _ = chain._aug_reverse(tape, cot, np.zeros((3, 1)), g_full)
+    cy_full, _ = chain._aug_reverse(tape, pushed, cot, np.zeros((3, 1)), g_full)
 
     assert np.abs(g_skip).max() > 0.0
     assert np.array_equal(g_skip, g_full)
@@ -401,13 +400,13 @@ def test_two_goals_of_one_chain_keep_their_own_tapes(rng, monkeypatch):
     expected = [(chain.value(pot.goal, params),
                  _value_vjp(chain, pot.goal, params, cot)) for pot in pots]
     passes = []
-    original = DiffeoChain._aug_forward
+    original = DiffeoChain._taped_forward
 
     def counting(self, *args):
         passes.append(1)
         return original(self, *args)
 
-    monkeypatch.setattr(DiffeoChain, "_aug_forward", counting)
+    monkeypatch.setattr(DiffeoChain, "_taped_forward", counting)
     for _ in range(10):
         for pot, (image, grad) in zip(pots, expected):
             assert np.array_equal(pot.goal_image(params), image)

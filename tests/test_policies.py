@@ -282,8 +282,8 @@ def test_goal_image_is_the_value_of_the_chains_one_tape(rng):
     # the weight gradient reverses the potential's tape instead of
     # running the chain again
     passes = []
-    original = chain._aug_forward
-    chain._aug_forward = lambda *args: passes.append(1) or original(*args)
+    original = chain._taped_forward
+    chain._taped_forward = lambda *args: passes.append(1) or original(*args)
     pot.grad_param_vjp(None, params, np.ones(2), params.zeros_like())
     assert pot.goal_image(params) is image
     assert passes == []

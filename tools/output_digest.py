@@ -25,7 +25,9 @@ bit-identical print the same digest. The digest covers:
   independent): exit codes, standard output and every file written;
 - the regularized route on the 40 ``random_tree`` seeds:
   ``evaluate_policy`` and ``flat_solve`` with regularization 0.1, and
-  ``pipeline_vjp`` on a ``run_pipeline(..., 0.1)`` cache.
+  ``pipeline_vjp`` on a ``run_pipeline(..., 0.1)`` cache;
+- ``policy_param_jacobian`` on the 40 ``random_tree`` seeds: the one
+  caller that runs several reverse passes on one ``run_pipeline`` cache.
 
 A library error (``TreeMotionError``) an operation raises is digested as
 its type and message, so a checkout that starts or stops raising
@@ -218,6 +220,15 @@ def regularized_outputs(dig, reg=0.1):
         ])
 
 
+def policy_jacobian_outputs(dig):
+    from treemotion.gradients import policy_param_jacobian
+
+    dig.start("policy jacobian")
+    for seed, tree, params, q, _ in _random_tree_cases():
+        dig.add(("policy_param_jacobian", seed),
+                _attempt(lambda: policy_param_jacobian(tree, q, params).jacobian))
+
+
 def cli_outputs(src_dir, dig):
     import treemotion as tm
 
@@ -275,6 +286,7 @@ def main(argv=None) -> int:
     library_outputs(tm, dig)
     cli_outputs(src_dir, dig)
     regularized_outputs(dig)
+    policy_jacobian_outputs(dig)
     dig.finish()
     print(dig.total.hexdigest())
     return 0
