@@ -50,7 +50,8 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
                  cotangent: np.ndarray, grad_out: np.ndarray) -> None:
     """Accumulate ``(d pi / d theta)^T cotangent`` into ``grad_out``,
     visiting only the leaves in ``tree._reverse_leaves``. The cache may
-    come from a regularized ``run_pipeline``."""
+    come from a regularized ``run_pipeline`` at these ``params``; a leaf's
+    ``vjp`` and its edge's ``pullback_vjp`` read its records as ``tape``."""
     if tree._gradient_error:
         raise StructureError(tree._gradient_error)
     states = cache.states
@@ -73,7 +74,7 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
         cot_M = -np.outer(u_k, pi_k)
         parent_coord = states[edge.parent].coord if edge is not None else None
         c_z = policy.vjp(states[leaf].coord, params, cot_p, cot_M, grad_out,
-                         parent_coord=parent_coord)
+                         parent_coord=parent_coord, tape=states[leaf].record)
         if edge is not None and edge.map.is_learnable:
             p_k = states[leaf].pulled_force
             M_k = states[leaf].pulled_metric

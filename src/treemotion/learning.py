@@ -249,27 +249,35 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
 # ---------------------------------------------------------------------------
 
 
+def _leaf_samples(tree, params, leaf, samples):
+    """``(x, zdot)``: each ``(q, qdot)`` mapped through the leaf's prefix."""
+    mapped = []
+    for q, qdot in samples:
+        x = np.asarray(q, dtype=float)
+        J_fix = np.eye(tree.root_dim)
+        for edge in tree.leaf_table[leaf].anchor:
+            x, J_edge = edge.map.value_and_jacobian(x, params)
+            J_fix = J_edge @ J_fix
+        mapped.append((x, J_fix @ qdot))
+    return mapped
+
+
 def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
     """Objective for one leaf: match the leaf-mapped demo velocity with
     the leaf's own flow ``v = -M^{-1} grad(Phi)``, ignoring every other
-    leaf. The leaf is evaluated and differentiated through its own
-    ``evaluate`` and ``vjp``. Yields each sample's ``|r|^2`` in sample
-    order; with ``grad`` given, first adds that sample's weight gradient
-    into it, touching only this leaf's slices."""
-    _, policy, _, _, prefix, latent = tree.leaf_table[leaf]
+    leaf. ``samples`` are ``_leaf_samples``' ``(x, zdot)`` pairs. The leaf
+    is evaluated through its own ``evaluate`` and differentiated by its
+    ``vjp`` on that evaluation's record. Yields each sample's ``|r|^2``
+    in sample order; with ``grad`` given, first adds that sample's weight
+    gradient into it, touching only this leaf's slices."""
+    _, policy, _, _, _, latent = tree.leaf_table[leaf]
     chain = latent.map if latent is not None else None
     if chain is None and getattr(policy, "metric_input", None) == "subtask":
         raise StructureError(
             "subtask metric input without a latent edge is ambiguous "
             "for the baseline objective"
         )
-    for q, qdot in samples:
-        x = np.asarray(q, dtype=float)
-        J_fix = np.eye(tree.root_dim)
-        for edge in prefix:
-            x, J_edge = edge.map.value_and_jacobian(x, params)
-            J_fix = J_edge @ J_fix
-        zdot = J_fix @ qdot
+    for x, zdot in samples:
         if chain is not None:
             w, J_chain, tape = chain.value_jacobian_tape(x, params)
             y = J_chain @ zdot
@@ -277,14 +285,14 @@ def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
             w = x
             y = zdot
         # x is the subtask coordinate just below the latent edge.
-        p, M = policy.evaluate(w, params, parent_coord=x)
+        p, M, record = policy.evaluate(w, params, parent_coord=x, record=True)
         v = np.linalg.solve(M, p)
         r = y - v
         if grad is not None:
             rho = np.linalg.solve(M, r)
             # v = M^{-1} p: d loss = 2 r.(dJ zdot) - 2 rho.dp + 2 rho.dM v
             c_w = policy.vjp(w, params, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
-                             parent_coord=x)
+                             parent_coord=x, tape=record)
             if chain is not None and chain.is_learnable:
                 chain.pullback_vjp(x, params, c_w, zdot[:, None],
                                    (2.0 * r)[:, None], grad, tape=tape)
@@ -309,24 +317,34 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
     component, a latent goal's chain included), and each must be a
     natural-gradient leaf. They are trained one at a time on
     ``sum || J_leaf qdot - v_leaf ||^2`` by ``train``'s loop and options;
-    weights that no trained leaf reads are left untouched. Any trade-off between leaves is deferred to
-    execution. A non-finite leaf loss or step raises ``NumericError``.
+    weights that no trained leaf reads are left untouched. Any trade-off
+    between leaves is deferred to execution. A non-finite leaf loss or
+    step raises ``NumericError``. Each leaf maps the demos through its
+    prefix once, before its descent: exact, as a prefix edge that shares
+    weights with the leaf raises ``StructureError``.
     """
     if opts is None:
         opts = TrainOptions()
     opts.validate()
     samples = list(demos.samples())
     theta = params.copy()
-    for leaf, policy, _, _, _, _ in tree._reverse_leaves:
+    for leaf, policy, _, _, prefix, latent in tree._reverse_leaves:
         if not isinstance(policy, NaturalGradientLeaf):
             raise StructureError(
                 f"leaf {leaf} is learnable but not a natural-gradient leaf; "
                 "the independent baseline is only defined for those"
             )
+        parts = [c for _, c in policy.components()]
+        parts += [latent.map] if latent is not None else []
+        for e in prefix:
+            if e.map.is_learnable and any(e.map is c for c in parts):
+                raise StructureError(f"{e.name()} above leaf {leaf} shares weights "
+                                     "with the leaf; the baseline needs a fixed prefix")
+        leaf_samples = _leaf_samples(tree, theta, leaf, samples)
         result = _descend(
             lambda th, batch: _baseline_leaf_loss_grad(tree, th, leaf, batch),
             lambda th, batch: _baseline_leaf_terms(tree, th, leaf, batch),
-            theta, samples, opts,
+            theta, leaf_samples, opts,
         )
         if result.status != "completed":
             raise NumericError(f"baseline loss for leaf {leaf} is not finite")

@@ -271,21 +271,23 @@ class CouplingLayer:
         Every entry is computed by the same expressions, in the same
         order, as the separate evaluations, so both results are
         bit-identical to them. ``entry``, the layer's tape for the reverse
-        pass, is ``(a, b, fs, gs, ft, gt, E, theta_s, theta_t)``.
+        pass, is ``(b, bE, fs, gs, ft, gt, E, theta_s, theta_t)`` with
+        ``bE = b * E``.
         """
         a = y[self._sa]
         b = y[self._sb]
         fs, gs = self.s_net.features_and_slope(a)
         ft, gt = self.t_net.features_and_slope(a)
         E = np.exp(theta_s.T @ fs)
+        bE = b * E
         out = y.copy()
-        out[self._sb] = b * E + theta_t.T @ ft
+        out[self._sb] = bE + theta_t.T @ ft
         J = self._eye.copy()
         J[self.ib, self.ib] = E
-        dba = (b * E)[:, None] * (theta_s.T @ (gs[:, None] * self.s_net.frequencies))
+        dba = bE[:, None] * (theta_s.T @ (gs[:, None] * self.s_net.frequencies))
         dba += theta_t.T @ (gt[:, None] * self.t_net.frequencies)
         J[self._sb, self._sa] = dba
-        return out, J, (a, b, fs, gs, ft, gt, E, theta_s, theta_t)
+        return out, J, (b, bE, fs, gs, ft, gt, E, theta_s, theta_t)
 
     def jacobian(self, y, theta_s, theta_t):
         return self.value_jacobian_tape(y, theta_s, theta_t)[1]
@@ -323,8 +325,12 @@ class DiffeoChain(DifferentiableMap):
                           length_scale=length_scale, seed=1000 * seed + 2 * m)
             for m in range(int(n_layers))
         ]
-        self._offsets = np.cumsum([0] + [ly.n_weights for ly in self.layers])
-        self.n_params = int(self._offsets[-1])
+        # per layer (lo, mid, hi, shape): theta_s = block[lo:mid], theta_t = block[mid:hi]
+        self._spans, hi = [], 0
+        for ly in self.layers:
+            lo, mid, hi = hi, hi + ly.s_net.n_weights, hi + ly.n_weights
+            self._spans.append((lo, mid, hi, (ly.s_net.n_features, ly.s_net.out_dim)))
+        self.n_params = hi
         self._init_scale = float(init_scale)
         self._seed = int(seed)
         if not learnable:
@@ -333,16 +339,15 @@ class DiffeoChain(DifferentiableMap):
         self._eye = np.eye(dim)
 
     def init_values(self) -> np.ndarray:
+        size = self._spans[-1][2]
         if self._init_scale == 0.0:
-            return np.zeros(int(self._offsets[-1]))
+            return np.zeros(size)
         rng = np.random.default_rng(self._seed + 17)
-        return rng.normal(0.0, self._init_scale, size=int(self._offsets[-1]))
+        return rng.normal(0.0, self._init_scale, size=size)
 
     def _layer_thetas(self, block, m):
         """Layer ``m``'s ``(theta_s, theta_t)``: two views of ``block``."""
-        lo, hi = self._offsets[m], self._offsets[m + 1]
-        net = self.layers[m].s_net  # the t-net has the same shape
-        mid, shape = lo + net.n_weights, (net.n_features, net.out_dim)
+        lo, mid, hi, shape = self._spans[m]
         return block[lo: mid].reshape(shape), block[mid: hi].reshape(shape)
 
     def value(self, x, params=None):
@@ -384,7 +389,7 @@ class DiffeoChain(DifferentiableMap):
         each layer's ``(Vb, Us, Ws, P, Ut, Wt, Q)`` for ``_aug_reverse``."""
         V = np.asarray(V, dtype=float)
         pushed = []
-        for ly, (a, b, fs, gs, ft, gt, E, ts, tt) in zip(self.layers, tape):
+        for ly, (b, bE, fs, gs, ft, gt, E, ts, tt) in zip(self.layers, tape):
             Va = V[ly._sa]
             Vb = V[ly._sb]
             Us = ly.s_net.frequencies @ Va          # (D, T)
@@ -396,66 +401,67 @@ class DiffeoChain(DifferentiableMap):
             pushed.append((Vb, Us, Ws, P, Ut, Wt, Q))
             if len(pushed) < len(tape):
                 V = V.copy()
-                V[ly._sb] = Vb * E[:, None] + (b * E)[:, None] * P + Q
+                V[ly._sb] = Vb * E[:, None] + bE[:, None] * P + Q
         return pushed
 
     def _aug_reverse(self, tape, pushed, cot_y, cot_V, grad_block):
         """Back-propagate cotangents on the chain output (and on the pushed
-        tangents) to weight gradients; returns the input cotangents.
+        tangents) to weight gradients, added into ``grad_block``.
 
-        With zero tangent columns (``value_vjp``) the tangent half of each
-        layer only adds zeros, so it is skipped and ``pushed`` is unused:
-        the weight gradient is the same, and ``cot_V`` comes back as the
-        ``(d, 0)`` array it was. Nothing read here is written.
+        The chain input is a constant of both entry points, so layer 0
+        stops at its weight gradient: no input cotangent is formed. With
+        zero tangent columns (``value_vjp``) the tangent half of each
+        layer only adds zeros, so it is skipped and ``pushed`` is unused.
+        Nothing read here is written.
         """
         cy = np.asarray(cot_y, dtype=float)
         cV = np.asarray(cot_V, dtype=float)
         width = cV.shape[1]
         for m in range(len(self.layers) - 1, -1, -1):
             ly = self.layers[m]
-            a, b, fs, gs, ft, gt, E, ts, tt = tape[m]
+            b, bE, fs, gs, ft, gt, E, ts, tt = tape[m]
             cb_out = cy[ly._sb]
 
             # b' = b * E + t
-            cb = cb_out * E
             cE = cb_out * b
             if width:
                 Vb, Us, Ws, P, Ut, Wt, Q = pushed[m]
-                Ca = cV[ly._sa]
                 Cb_out = cV[ly._sb]
                 # Vb' = Vb * E + (b * E) * P + Q, with Q's cotangent Cb_out
-                CVb = Cb_out * E[:, None]
                 rowsum_P = np.einsum("it,it->i", Cb_out, P)
                 rowsum_Vb = np.einsum("it,it->i", Cb_out, Vb)
                 cE += rowsum_Vb + b * rowsum_P
-                cb += E * rowsum_P
-                CP = Cb_out * (b * E)[:, None]
+                CP = Cb_out * bE[:, None]
             # E = exp(s)
             cs = cE * E
             # s = ts^T fs, t = tt^T ft
             gtheta_s = fs[:, None] * cs
-            cfs = ts @ cs
             gtheta_t = ft[:, None] * cb_out
-            cft = tt @ cb_out
-            # feature/slope input paths: dfs = gs*(As da), dgs = -fs*(As da)
-            dfs = gs * cfs
-            dft = gt * cft
             if width:
                 # P = ts^T (gs * (As Va)),  Q likewise for the t-net
                 gtheta_s += Ws @ CP.T                # (D, nb)
+                gtheta_t += Wt @ Cb_out.T
+            lo, mid, hi, _ = self._spans[m]
+            grad_block[lo: mid] += gtheta_s.ravel()
+            grad_block[mid: hi] += gtheta_t.ravel()
+            if m == 0:
+                return
+
+            cb = cb_out * E
+            # feature/slope input paths: dfs = gs*(As da), dgs = -fs*(As da)
+            dfs = gs * (ts @ cs)
+            dft = gt * (tt @ cb_out)
+            if width:
+                CVb = Cb_out * E[:, None]
+                cb += E * rowsum_P
                 CWs = ts @ CP                        # (D, T)
                 dfs -= fs * np.einsum("it,it->i", CWs, Us)
-                CVa = Ca + ly.s_net.frequencies.T @ (gs[:, None] * CWs)
-                gtheta_t += Wt @ Cb_out.T
+                CVa = cV[ly._sa] + ly.s_net.frequencies.T @ (gs[:, None] * CWs)
                 CWt = tt @ Cb_out
                 dft -= ft * np.einsum("it,it->i", CWt, Ut)
                 CVa += ly.t_net.frequencies.T @ (gt[:, None] * CWt)
             ca = cy[ly._sa] + ly.s_net.frequencies.T @ dfs
             ca += ly.t_net.frequencies.T @ dft
-
-            off, k = self._offsets[m], ly.s_net.n_weights
-            grad_block[off: off + k] += gtheta_s.ravel()
-            grad_block[off + k: off + 2 * k] += gtheta_t.ravel()
 
             cy = np.empty_like(cy)
             cy[ly._sa] = ca
@@ -464,7 +470,6 @@ class DiffeoChain(DifferentiableMap):
                 cV = np.empty_like(cV)
                 cV[ly._sa] = CVa
                 cV[ly._sb] = CVb
-        return cy, cV
 
     def value_tape(self, x, params=None):
         """``(value, tape)`` at ``x``, built from private copies of ``x``

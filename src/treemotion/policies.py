@@ -16,6 +16,10 @@ leaf hangs below a learnable edge map). It is built from one reverse
 rule per component: ``Potential.grad_param_vjp`` and
 ``Metric.param_vjp`` each add their weight gradient into ``grad_out``
 and return the cotangent on their own input.
+
+``NaturalGradientLeaf.evaluate(..., record=True)`` also returns the
+records of ``Potential.grad_tape`` and ``Metric.value_tape``; ``vjp``
+hands each back to its component's rule as ``tape`` (else ``None``).
 """
 
 from __future__ import annotations
@@ -44,7 +48,11 @@ class Potential:
     def grad(self, z, params) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_param_vjp(self, z, params, cot, grad_out) -> np.ndarray:
+    def grad_tape(self, z, params):
+        """``(grad(z), tape)`` for ``grad_param_vjp`` at the same weights."""
+        return self.grad(z, params), None
+
+    def grad_param_vjp(self, z, params, cot, grad_out, tape=None) -> np.ndarray:
         """Add ``(d grad / d theta)^T cot`` into ``grad_out`` and return
         the Hessian-vector product ``(d grad / d z)^T cot``."""
         raise NotImplementedError
@@ -57,7 +65,7 @@ class ZeroPotential(Potential):
     def grad(self, z, params):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    def grad_param_vjp(self, z, params, cot, grad_out):
+    def grad_param_vjp(self, z, params, cot, grad_out, tape=None):
         return np.zeros_like(np.asarray(cot, dtype=float))
 
 
@@ -77,7 +85,7 @@ class QuadraticPotential(Potential):
     def grad(self, z, params):
         return self.gain * (z - self.goal)
 
-    def grad_param_vjp(self, z, params, cot, grad_out):
+    def grad_param_vjp(self, z, params, cot, grad_out, tape=None):
         return self.gain * cot
 
 
@@ -126,11 +134,15 @@ class LatentQuadraticPotential(Potential):
     def grad(self, z, params):
         return z - self.goal_image(params)
 
-    def grad_param_vjp(self, z, params, cot, grad_out):
+    def grad_tape(self, z, params):
+        image, tape = self._goal_tape(params)
+        return z - image, tape
+
+    def grad_param_vjp(self, z, params, cot, grad_out, tape=None):
         # grad Phi = z - chain(goal): only the goal image carries weights.
         cot = np.asarray(cot, dtype=float)
         self.chain.value_vjp(self.goal, params, -cot, grad_out,
-                             tape=self._goal_tape(params)[1])
+                             tape=tape or self._goal_tape(params)[1])
         return cot
 
 
@@ -168,7 +180,7 @@ class BarrierPotential(Potential):
             return np.zeros(1)
         return np.array([-self.gain * (self.margin**2 - z0**2) / z0**2])
 
-    def grad_param_vjp(self, z, params, cot, grad_out):
+    def grad_param_vjp(self, z, params, cot, grad_out, tape=None):
         z0 = self._z(z)
         if z0 >= self.margin:
             return np.zeros(1)
@@ -190,7 +202,11 @@ class Metric(Learnable):
     def value(self, x, params) -> np.ndarray:
         raise NotImplementedError
 
-    def param_vjp(self, x, params, S, grad_out) -> np.ndarray:
+    def value_tape(self, x, params):
+        """``(value(x), tape)`` for ``param_vjp`` at the same weights."""
+        return self.value(x, params), None
+
+    def param_vjp(self, x, params, S, grad_out, tape=None) -> np.ndarray:
         """Add the weight gradient of ``<S, M(x)>`` into ``grad_out`` (if
         the metric is learnable and ``grad_out`` is not None) and return
         its gradient with respect to ``x``."""
@@ -239,7 +255,7 @@ class InverseSquareMetric(Metric):
         z0 = self._z(x)
         return np.array([[self.weight * (self.margin / z0) ** 2]])
 
-    def param_vjp(self, x, params, S, grad_out):
+    def param_vjp(self, x, params, S, grad_out, tape=None):
         z0 = self._z(x)
         dm = -2.0 * self.weight * self.margin**2 / z0**3
         return np.array([float(S[0, 0]) * dm])
@@ -330,31 +346,29 @@ class CholeskyMetricNet(Metric):
         o_raw = weights[k + 2] @ h + weights[k + 3] if self.n_off else np.zeros(0)
         return acts, pres, d_raw, o_raw
 
-    def _assemble(self, d_raw, o_raw):
-        """Lower-triangular ``L`` from the two head outputs."""
+    def decompose(self, x, params):
+        """``(L, M, record)``: ``L`` lower-triangular, ``M = L L^T``, and
+        ``param_vjp``'s ``record = (weights, acts, pres, d_raw, L)``."""
+        weights = self._weights(params)
+        acts, pres, d_raw, o_raw = self._forward(x, weights)
         L = np.zeros((self.dim, self.dim))
         L[self._diag] = np.abs(d_raw) + self.eps
         if self.n_off:
             L[self._tril] = o_raw
-        return L
-
-    def decompose(self, x, params):
-        """Return ``(L, M)`` with ``L`` lower-triangular, ``M = L L^T``."""
-        weights = self._weights(params)
-        _, _, d_raw, o_raw = self._forward(x, weights)
-        L = self._assemble(d_raw, o_raw)
         M = L @ L.T
-        return L, 0.5 * (M + M.T)
+        return L, 0.5 * (M + M.T), (weights, acts, pres, d_raw, L)
 
     def value(self, x, params):
         return self.decompose(x, params)[1]
 
-    def param_vjp(self, x, params, S, grad_out):
-        weights = self._weights(params)
+    def value_tape(self, x, params):
+        return self.decompose(x, params)[1:]
+
+    def param_vjp(self, x, params, S, grad_out, tape=None):
+        """:meth:`Metric.param_vjp` on ``decompose``'s record at ``x``."""
         learn = grad_out is not None and self.is_learnable
         grad_block = grad_out[self.param_slice] if learn else None
-        acts, pres, d_raw, o_raw = self._forward(x, weights)
-        L = self._assemble(d_raw, o_raw)
+        weights, acts, pres, d_raw, L = tape or self.decompose(x, params)[2]
         # M = L L^T: cotangent on L is (S + S^T) L for any (possibly
         # asymmetric) cotangent S on M.
         GL = (S + S.T) @ L
@@ -407,8 +421,9 @@ class LeafPolicy:
         """Potential value, or None for leaves without one."""
         return None
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None):
-        """Accumulate weight gradients; return the cotangent on ``z``."""
+    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None, tape=None):
+        """Accumulate weight gradients; return the cotangent on ``z``.
+        ``tape`` is ``None`` unless ``evaluate`` recorded one at ``z``."""
         raise NotImplementedError
 
     def components(self):
@@ -457,7 +472,7 @@ class RawVMLeaf(LeafPolicy, Learnable):
     def potential(self, z, params):
         return 0.0 if self._zero_potential else None
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None):
+    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None, tape=None):
         v = self.weights(params)
         M = self.metric.value(z, params)
         # p = M v couples the force cotangent into the metric cotangent.
@@ -500,18 +515,24 @@ class NaturalGradientLeaf(LeafPolicy):
             return parent_coord
         return z
 
-    def evaluate(self, z, params, parent_coord=None):
-        p = -self.pot.grad(z, params)
-        M = self.metric.value(self._metric_coord(z, parent_coord), params)
-        return p, M
+    def evaluate(self, z, params, parent_coord=None, record=False):
+        """``(p, M)``, or ``(p, M, tape)`` with ``vjp``'s ``tape``."""
+        if not record:
+            p = -self.pot.grad(z, params)
+            return p, self.metric.value(self._metric_coord(z, parent_coord), params)
+        grad, pot_tape = self.pot.grad_tape(z, params)
+        x_m = self._metric_coord(z, parent_coord)
+        M, metric_tape = self.metric.value_tape(x_m, params)
+        return -grad, M, (pot_tape, metric_tape)
 
     def potential(self, z, params):
         return self.pot.value(z, params)
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None):
+    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None, tape=None):
+        pot_tape, metric_tape = tape or (None, None)
         x_m = self._metric_coord(z, parent_coord)
-        c_z = self.pot.grad_param_vjp(z, params, -cot_p, grad_out)
-        c_m = self.metric.param_vjp(x_m, params, cot_M, grad_out)
+        c_z = self.pot.grad_param_vjp(z, params, -cot_p, grad_out, tape=pot_tape)
+        c_m = self.metric.param_vjp(x_m, params, cot_M, grad_out, tape=metric_tape)
         if self.metric_input == "latent":
             c_z = c_z + c_m
         return c_z

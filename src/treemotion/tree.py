@@ -7,7 +7,7 @@ leaf spaces where policies live. The one policy evaluation,
 1. forward pass: push coordinates root-to-leaves, recording each edge
    Jacobian (and the tape of a learnable chain edge, for the reverse pass);
 2. leaf evaluation: each leaf reports its weighted force ``p = M v`` and
-   weight ``M``;
+   weight ``M`` (and each natural-gradient leaf the reverse pass visits, its record);
 3. backward pass: pull ``(p, M)`` to the root through ``J^T p`` and
    ``J^T M J``, reusing shared subpaths once;
 4. resolve: solve ``(M_root + reg I) u = p_root`` for the configuration
@@ -46,7 +46,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .errors import NumericError, SingularMetricError, StructureError
 from .maps import DiffeoChain, DifferentiableMap
 from .params import Learnable, ParamRegistryBuilder, ParamVector
-from .policies import LeafPolicy
+from .policies import LeafPolicy, NaturalGradientLeaf
 
 #: absolute eigenvalue floor below which the root metric counts as singular
 SINGULAR_EIG_TOL = 1e-12
@@ -92,13 +92,16 @@ class LeafRow(NamedTuple):
 
 @dataclass(slots=True)
 class NodeState:
-    """Per-node scratch filled in by the evaluation stages."""
+    """Per-node scratch filled in by the evaluation stages. ``tape`` (a
+    chain edge's) and ``record`` (a leaf policy's) are read-only forward
+    records for the reverse pass, holding views of the weights."""
 
     coord: np.ndarray | None = None
     jac_to_parent: np.ndarray | None = None
-    tape: list | None = None  # the parent edge's chain tape, read-only
+    tape: list | None = None
     pulled_force: np.ndarray | None = None
     pulled_metric: np.ndarray | None = None
+    record: tuple | None = None
 
 
 @dataclass(slots=True)
@@ -131,9 +134,11 @@ class TransformTree:
     different slice raises ``StructureError``; reuse at the same slice
     is allowed. ``_reverse_leaves`` lists the rows the reverse pass
     visits: those whose parent edge is learnable or whose policy has a
-    learnable component. ``_gradient_error`` is ``None``, or the message
-    the reverse pass raises because a learnable edge map does not end
-    at a leaf.
+    learnable component; of these, the natural-gradient leaves keep a
+    forward record (``_leaf_evals``), as learnable chain edges that end at
+    a leaf keep a tape (``_forward_edges``). ``_gradient_error`` is
+    ``None``, or the message the reverse pass raises because a learnable
+    edge map does not end at a leaf.
     """
 
     def __init__(self, node_dims, edges, leaf_policies):
@@ -248,6 +253,11 @@ class TransformTree:
             if (row.edge is not None and row.edge.map.is_learnable)
             or row.policy.reads_weights()
         ]
+        # A natural-gradient leaf among them keeps its forward record.
+        reverse = {row.node for row in self._reverse_leaves}
+        self._leaf_evals = [(row.node, row.policy, row.edge, row.node in reverse
+                             and isinstance(row.policy, NaturalGradientLeaf))
+                            for row in self.leaf_table.values()]
 
     # -- introspection ------------------------------------------------------
 
@@ -300,11 +310,16 @@ def forward_pass(tree: TransformTree, q: np.ndarray,
 
 def leaf_evaluate(tree: TransformTree, states: list[NodeState],
                   params: ParamVector | None = None) -> list[NodeState]:
-    """Evaluate every leaf policy into ``(pulled_force, pulled_metric)``."""
-    for node, policy, edge, _, _, _ in tree.leaf_table.values():
+    """Evaluate every leaf policy into ``(pulled_force, pulled_metric)``
+    (and ``record``, on the leaves ``tree._leaf_evals`` marks)."""
+    for node, policy, edge, keeps_record in tree._leaf_evals:
         parent_coord = states[edge.parent].coord if edge is not None else None
         state = states[node]
-        p, M = policy.evaluate(state.coord, params, parent_coord=parent_coord)
+        if keeps_record:
+            p, M, state.record = policy.evaluate(state.coord, params,
+                                                 parent_coord=parent_coord, record=True)
+        else:
+            p, M = policy.evaluate(state.coord, params, parent_coord=parent_coord)
         if not (np.isfinite(p).all() and np.isfinite(M).all()):
             raise NumericError(f"leaf {node} produced a non-finite policy output")
         state.pulled_force = p

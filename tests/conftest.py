@@ -28,6 +28,15 @@ def fd_grad_wrt_params(f, params, h=1e-5):
     return g
 
 
+def arrays(obj):
+    """Every array in nested lists and tuples, in order."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in arrays(item)]
+    return []
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)

@@ -19,7 +19,7 @@ from treemotion.maps import DiffeoChain
 from treemotion.params import ParamRegistryBuilder
 from treemotion.tree import run_pipeline
 
-from conftest import fd_grad_wrt_params, fd_jacobian
+from conftest import arrays, fd_grad_wrt_params, fd_jacobian
 
 
 def reference_aug_forward(chain, block, x, V):
@@ -95,7 +95,7 @@ def reference_aug_reverse(chain, caches, cot_y, cot_V, grad_block):
         CVa += ly.t_net.frequencies.T @ (gt[:, None] * CWt)
         ca += ly.s_net.frequencies.T @ dfs
         ca += ly.t_net.frequencies.T @ dft
-        off = chain._offsets[m]
+        off = sum(layer.n_weights for layer in chain.layers[:m])
         k = ly.s_net.n_weights
         grad_block[off: off + k] += gtheta_s.ravel()
         grad_block[off + k: off + 2 * k] += gtheta_t.ravel()
@@ -137,8 +137,6 @@ def test_pullback_on_the_forward_tape_matches_the_reference_route(case):
     y, J, tape = chain.value_jacobian_tape(x, params)
     grad = params.zeros_like()
     chain.pullback_vjp(x, params, c, V, C, grad, tape=tape)
-    grad_sink = np.zeros(chain.n_params)
-    cy, cV = chain._aug_reverse(tape, chain._push_tangents(tape, V), cy0, C, grad_sink)
 
     ref_y, _, caches = reference_aug_forward(chain, chain.weights(params), x, V)
     ref_grad = params.zeros_like()
@@ -146,8 +144,6 @@ def test_pullback_on_the_forward_tape_matches_the_reference_route(case):
     assert np.array_equal(y, ref_y)
     assert np.abs(grad).max() > 0.0
     assert np.array_equal(grad, ref_grad)
-    assert np.array_equal(cy, ref_cy)
-    assert np.array_equal(cV, ref_cV)
     # without a tape, pullback_vjp records its own at the same point
     untaped = params.zeros_like()
     chain.pullback_vjp(x, params, c, V, C, untaped)
@@ -159,29 +155,29 @@ def test_pullback_on_the_forward_tape_matches_the_reference_route(case):
 
     fd = fd_grad_wrt_params(contraction, params)
     assert np.abs(grad - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+    # the reference route's input cotangents, which production never forms
     fd_x = fd_jacobian(lambda z: contraction(params, z), x)
-    assert np.abs(cy - fd_x).max() <= 1e-6 * max(1.0, np.abs(fd_x).max())
-    np.testing.assert_allclose(cV, J.T @ C, rtol=1e-12, atol=1e-12)
+    assert np.abs(ref_cy - fd_x).max() <= 1e-6 * max(1.0, np.abs(fd_x).max())
+    np.testing.assert_allclose(ref_cV, J.T @ C, rtol=1e-12, atol=1e-12)
 
 
 def _cache_arrays(cache):
-    """Every array a pipeline cache holds, tapes included, in a fixed order."""
-    out = [cache.pi, cache.factor]
-    for state in cache.states:
-        out += [state.coord, state.jac_to_parent, state.pulled_force, state.pulled_metric]
-        for entry in state.tape or ():
-            out += list(entry)
-    return [a for a in out if a is not None]
+    """Every array a pipeline cache holds, chain tapes and leaf records
+    included, in a fixed order."""
+    return arrays([cache.pi, cache.factor] + [
+        [state.coord, state.jac_to_parent, state.pulled_force, state.pulled_metric,
+         state.tape, state.record] for state in cache.states])
 
 
 def test_one_cache_survives_many_reverse_passes():
-    taped = 0
+    taped = recorded = 0
     for seed in range(40):
         tree, params = random_tree(seed)
         rng = np.random.default_rng(1000 + seed)
         q = rng.uniform(-0.6, 0.6, tree.root_dim)
         cache = run_pipeline(tree, q, params)
         taped += sum(state.tape is not None for state in cache.states)
+        recorded += sum(state.record is not None for state in cache.states)
         before = [(a.shape, a.dtype, a.tobytes()) for a in _cache_arrays(cache)]
         weights = params.values.copy()
 
@@ -200,4 +196,4 @@ def test_one_cache_survives_many_reverse_passes():
         jac = policy_param_jacobian(tree, q, params).jacobian
         for i, e_i in enumerate(np.eye(tree.root_dim)):
             assert np.array_equal(jac[i], policy_vjp(tree, q, params, e_i))
-    assert taped > 0
+    assert taped > 0 and recorded > 0

@@ -1,0 +1,191 @@
+"""A natural-gradient leaf's reverse rule reads the record its forward
+evaluation kept, and the independent baseline maps each sample through a
+leaf's fixed prefix once.
+
+Both are exact: the recorded route must give the same bits as the route
+that evaluates the leaf again, and the baseline must train the same
+weights as the route that maps every sample through the prefix on every
+trial, which is kept below as the reference.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treemotion import learning
+from treemotion.errors import StructureError
+from treemotion.fixtures import conflicting_demo_fixture
+from treemotion.learning import TrainOptions, train_independent_baseline
+from treemotion.losses import DemoSet, Trajectory
+from treemotion.maps import DiffeoChain, IdentityMap, PlanarArmFK
+from treemotion.params import ParamRegistryBuilder
+from treemotion.policies import (
+    CholeskyMetricNet,
+    LatentQuadraticPotential,
+    NaturalGradientLeaf,
+    QuadraticPotential,
+    handcrafted_damper,
+)
+from treemotion.tree import Edge, TransformTree
+
+from conftest import arrays
+
+
+def snapshot(obj):
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays(obj)]
+
+
+@st.composite
+def leaf_cases(draw):
+    dim = draw(st.integers(1, 4))
+    return dict(dim=dim,
+                parent_dim=draw(st.integers(1, 4)),
+                hidden=draw(st.sampled_from([(3,), (4, 2), (2, 3, 2)])),
+                metric_input=draw(st.sampled_from(["latent", "subtask"])),
+                latent_goal=dim >= 2 and draw(st.booleans()),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(leaf_cases())
+def test_leaf_reverse_on_the_forward_record_matches_the_untaped_route(case):
+    dim, subtask = case["dim"], case["metric_input"] == "subtask"
+    rng = np.random.default_rng(case["seed"])
+    in_dim = case["parent_dim"] if subtask else dim
+    net = CholeskyMetricNet(dim, in_dim=in_dim, hidden=case["hidden"], eps=1e-3,
+                            seed=case["seed"] % 89)
+    builder = ParamRegistryBuilder()
+    net.param_slice = builder.register("metric", net.init_values())
+    goal = rng.uniform(-1.0, 1.0, dim)
+    if case["latent_goal"]:
+        chain = DiffeoChain(dim, n_layers=2, n_features=4, length_scale=1.5,
+                            seed=case["seed"] % 97)
+        chain.param_slice = builder.register("chain",
+                                             rng.normal(0.0, 0.3, chain.n_params))
+        pot = LatentQuadraticPotential(goal, chain)
+    else:
+        pot = QuadraticPotential(goal, gain=1.3)
+    params = builder.build()
+    leaf = NaturalGradientLeaf(dim, pot, net, metric_input=case["metric_input"])
+    z = rng.uniform(-1.0, 1.0, dim)
+    x = rng.uniform(-1.0, 1.0, case["parent_dim"])
+    x_m = x if subtask else z
+    S = rng.normal(0.0, 1.0, (dim, dim))  # not symmetric
+    cot_p = rng.normal(0.0, 1.0, dim)
+
+    p, M, record = leaf.evaluate(z, params, parent_coord=x, record=True)
+    p_ref, M_ref = leaf.evaluate(z, params, parent_coord=x)
+    assert np.array_equal(p, p_ref) and np.array_equal(M, M_ref)
+    pot_tape, metric_tape = record
+    assert (pot_tape is not None) == case["latent_goal"]
+    before = snapshot(record)
+
+    grad = params.zeros_like()
+    c_x = net.param_vjp(x_m, params, S, grad, tape=metric_tape)
+    ref_grad = params.zeros_like()
+    ref_c_x = net.param_vjp(x_m, params, S, ref_grad)
+    assert np.abs(grad).max() > 0.0
+    assert np.array_equal(grad, ref_grad) and np.array_equal(c_x, ref_c_x)
+
+    grad = params.zeros_like()
+    c_z = leaf.vjp(z, params, cot_p, S, grad, parent_coord=x, tape=record)
+    ref_grad = params.zeros_like()
+    ref_c_z = leaf.vjp(z, params, cot_p, S, ref_grad, parent_coord=x)
+    assert np.array_equal(grad, ref_grad) and np.array_equal(c_z, ref_c_z)
+    assert snapshot(record) == before
+
+
+def per_trial_baseline(tree, params, demos, opts):
+    """The baseline before the prefix hoist and the leaf record: every
+    trial maps each ``(q, qdot)`` through the leaf's prefix again, and the
+    leaf is evaluated again by its ``vjp``."""
+    samples = list(demos.samples())
+    theta = params.copy()
+    for leaf, policy, _, _, prefix, latent in tree._reverse_leaves:
+        chain = latent.map if latent is not None else None
+
+        def terms(th, batch, grad=None):
+            for q, qdot in batch:
+                x = np.asarray(q, dtype=float)
+                J_fix = np.eye(tree.root_dim)
+                for edge in prefix:
+                    x, J_edge = edge.map.value_and_jacobian(x, th)
+                    J_fix = J_edge @ J_fix
+                zdot = J_fix @ qdot
+                if chain is not None:
+                    w, J_chain, tape = chain.value_jacobian_tape(x, th)
+                    y = J_chain @ zdot
+                else:
+                    w, y = x, zdot
+                p, M = policy.evaluate(w, th, parent_coord=x)
+                v = np.linalg.solve(M, p)
+                r = y - v
+                if grad is not None:
+                    rho = np.linalg.solve(M, r)
+                    c_w = policy.vjp(w, th, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
+                                     parent_coord=x)
+                    if chain is not None and chain.is_learnable:
+                        chain.pullback_vjp(x, th, c_w, zdot[:, None],
+                                           (2.0 * r)[:, None], grad, tape=tape)
+                yield float(r @ r)
+
+        def loss_grad(th, batch):
+            grad = th.zeros_like()
+            return learning._total_within(terms(th, batch, grad)), grad
+
+        theta = learning._descend(loss_grad, terms, theta, samples, opts).params
+    return theta
+
+
+@pytest.fixture(scope="module")
+def fixture_one():
+    tree, params, demos, _, _ = conflicting_demo_fixture(seed=1)
+    return tree, params, demos
+
+
+def test_baseline_maps_each_sample_through_the_prefix_once(monkeypatch, fixture_one):
+    tree, params, demos = fixture_one
+    calls = [0]
+    value_and_jacobian = PlanarArmFK.value_and_jacobian
+
+    def counted(self, *args):
+        calls[0] += 1
+        return value_and_jacobian(self, *args)
+
+    monkeypatch.setattr(PlanarArmFK, "value_and_jacobian", counted)
+    opts = TrainOptions(alpha=None, iterations=2)
+    trained = train_independent_baseline(tree, params, demos, opts)
+    assert calls[0] == demos.n_samples == 124  # one leaf has the arm as prefix
+    calls[0] = 0
+    reference = per_trial_baseline(tree, params, demos, opts)
+    assert calls[0] == 508
+    assert np.array_equal(trained.values, reference.values)
+
+
+def test_minibatch_baseline_picks_from_the_mapped_samples(fixture_one):
+    tree, params, demos = fixture_one
+    opts = TrainOptions(alpha=None, iterations=3, minibatch=31, momentum=0.5, seed=4)
+    trained = train_independent_baseline(tree, params, demos, opts)
+    reference = per_trial_baseline(tree, params, demos, opts)
+    assert not np.array_equal(trained.values, params.values)
+    assert np.array_equal(trained.values, reference.values)
+
+
+def test_baseline_rejects_a_prefix_that_shares_weights_with_the_leaf():
+    # The goal chain is also the inner edge above the leaf, so training the
+    # leaf would move its own prefix.
+    chain = DiffeoChain(2, n_layers=2, n_features=5, length_scale=2.0, seed=2,
+                        init_scale=0.1)
+    leaf = NaturalGradientLeaf(2, LatentQuadraticPotential(np.array([0.3, 0.1]), chain),
+                               CholeskyMetricNet(2, hidden=(4,), seed=1))
+    tree = TransformTree([2, 2, 2, 2],
+                         [Edge(0, 1, chain), Edge(1, 2, IdentityMap(2)),
+                          Edge(0, 3, IdentityMap(2))],
+                         {2: leaf, 3: handcrafted_damper(0.5, 2)})
+    rng = np.random.default_rng(0)
+    demos = DemoSet([Trajectory(np.arange(3.0), rng.uniform(-0.5, 0.5, (3, 2)),
+                                rng.uniform(-1.0, 1.0, (3, 2)))])
+    with pytest.raises(StructureError, match="edge 0->1 above leaf 2 shares weights"):
+        train_independent_baseline(tree, tree.init_params(), demos,
+                                   TrainOptions(alpha=0.01, iterations=1))

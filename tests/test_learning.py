@@ -7,6 +7,7 @@ from treemotion.fixtures import conflicting_demo_fixture, synthesize_conflicting
 from treemotion.learning import (
     TrainOptions,
     _baseline_leaf_loss_grad,
+    _leaf_samples,
     loss_and_gradient,
     suggest_length_scale,
     train,
@@ -258,7 +259,8 @@ def test_baseline_residual_relates_to_subtask_residual(rng):
     _, J_chain = chain.value_and_jacobian(q, params)
     r_subtask = qdot - pi
     # leaf-mapped demo velocity minus leaf flow equals J_chain @ r_subtask
-    value, _ = _baseline_leaf_loss_grad(tree, params, 2, [(q, qdot)])
+    value, _ = _baseline_leaf_loss_grad(tree, params, 2,
+                                        _leaf_samples(tree, params, 2, [(q, qdot)]))
     expected = float(np.sum((J_chain @ r_subtask) ** 2))
     assert value == pytest.approx(expected, rel=1e-10)
 
@@ -314,6 +316,7 @@ def test_baseline_gradient_matches_fd_on_uncommon_leaves(variant, rng):
     params = tree.init_params()
     samples = [(rng.uniform(-0.8, 0.8, d), rng.uniform(-1, 1, d))
                for _ in range(3)]
+    samples = _leaf_samples(tree, params, leaf_node, samples)  # a fixed prefix
     _, g = _baseline_leaf_loss_grad(tree, params, leaf_node, samples)
     h = 1e-5
     fd = np.zeros_like(g)
@@ -338,10 +341,11 @@ def test_baseline_reduces_its_own_objective():
     qs = np.concatenate([tr.q[:, :2] for tr in demos.trajectories])
     qds = np.concatenate([tr.qdot[:, :2] for tr in demos.trajectories])
     demos2 = demo_from_samples(qs, qds)
-    before, _ = _baseline_leaf_loss_grad(tree, params, 2, list(demos2.samples()))
+    samples = _leaf_samples(tree, params, 2, list(demos2.samples()))
+    before, _ = _baseline_leaf_loss_grad(tree, params, 2, samples)
     trained = train_independent_baseline(tree, params, demos2,
                                          TrainOptions(iterations=25))
-    after, _ = _baseline_leaf_loss_grad(tree, trained, 2, list(demos2.samples()))
+    after, _ = _baseline_leaf_loss_grad(tree, trained, 2, samples)
     assert after < before
 
 

@@ -360,16 +360,14 @@ def test_zero_width_reverse_matches_the_tangent_path(rng):
 
     _, _, tape = chain.value_jacobian_tape(x, params)
     g_skip = params.zeros_like()
-    cy_skip, cV_skip = chain._aug_reverse(tape, None, cot, np.zeros((3, 0)), g_skip)
+    chain._aug_reverse(tape, None, cot, np.zeros((3, 0)), g_skip)
 
     pushed = chain._push_tangents(tape, rng.normal(0.0, 1.0, (3, 1)))
     g_full = params.zeros_like()
-    cy_full, _ = chain._aug_reverse(tape, pushed, cot, np.zeros((3, 1)), g_full)
+    chain._aug_reverse(tape, pushed, cot, np.zeros((3, 1)), g_full)
 
     assert np.abs(g_skip).max() > 0.0
     assert np.array_equal(g_skip, g_full)
-    assert np.array_equal(cy_skip, cy_full)
-    assert cV_skip.shape == (3, 0)
     assert np.array_equal(_value_vjp(chain, x, params, cot), g_skip)
 
 

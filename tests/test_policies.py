@@ -48,7 +48,7 @@ def standalone_net(dim, **kw):
 def test_cholesky_zero_weights_gives_identity():
     net, params = standalone_net(2, hidden=(4,), eps=1.0, seed=0)
     params.values[:] = 0.0
-    L, M = net.decompose(np.array([0.3, -0.4]), params)
+    L, M, _ = net.decompose(np.array([0.3, -0.4]), params)
     np.testing.assert_allclose(L, np.eye(2))
     np.testing.assert_allclose(M, np.eye(2))
 
@@ -61,7 +61,7 @@ def test_cholesky_head_arithmetic():
     off = 4 * 2 + 4 + 2 * 4
     params.values[off: off + 2] = [-2.0, 0.0]
     params.values[off + 2 + 4: off + 2 + 4 + 1] = [3.0]
-    L, M = net.decompose(np.zeros(2), params)
+    L, M, _ = net.decompose(np.zeros(2), params)
     np.testing.assert_allclose(L, [[2.5, 0.0], [3.0, 0.5]])
     np.testing.assert_allclose(M, [[6.25, 7.5], [7.5, 9.25]])
 
@@ -102,7 +102,7 @@ def test_raw_leaf_force_matches_independent_matrix_build(rng):
 
 def test_cholesky_lower_triangular_structure(rng):
     net, params = standalone_net(4, hidden=(6,), seed=3)
-    L, M = net.decompose(rng.uniform(-1.0, 1.0, 4), params)
+    L, M, _ = net.decompose(rng.uniform(-1.0, 1.0, 4), params)
     np.testing.assert_allclose(L, np.tril(L))
     assert np.all(np.diag(L) >= net.eps)
     np.testing.assert_allclose(M, L @ L.T, atol=1e-14)

@@ -27,7 +27,10 @@ bit-identical print the same digest. The digest covers:
   ``evaluate_policy`` and ``flat_solve`` with regularization 0.1, and
   ``pipeline_vjp`` on a ``run_pipeline(..., 0.1)`` cache;
 - ``policy_param_jacobian`` on the 40 ``random_tree`` seeds: the one
-  caller that runs several reverse passes on one ``run_pipeline`` cache.
+  caller that runs several reverse passes on one ``run_pipeline`` cache;
+- minibatch training at fixture seed 1: ``train`` (subtask loss) and
+  ``train_independent_baseline`` with ``alpha=None``, 3 iterations,
+  ``minibatch=31``, ``momentum=0.5`` and ``seed=4``.
 
 A library error (``TreeMotionError``) an operation raises is digested as
 its type and message, so a checkout that starts or stops raising
@@ -229,6 +232,16 @@ def policy_jacobian_outputs(dig):
                 _attempt(lambda: policy_param_jacobian(tree, q, params).jacobian))
 
 
+def minibatch_outputs(tm, dig):
+    dig.start("minibatch")
+    tree, params, demos, lam, _ = tm.conflicting_demo_fixture(seed=1)
+    opts = tm.TrainOptions(alpha=None, iterations=3, minibatch=31, momentum=0.5, seed=4)
+    dig.add(("train", "subtask_space"), _trained(_attempt(
+        lambda: tm.train(tree, params, demos, tm.LossSpec("subtask_space", lam), opts))))
+    dig.add(("baseline",), _trained(_attempt(
+        lambda: tm.train_independent_baseline(tree, params, demos, opts))))
+
+
 def cli_outputs(src_dir, dig):
     import treemotion as tm
 
@@ -287,6 +300,7 @@ def main(argv=None) -> int:
     cli_outputs(src_dir, dig)
     regularized_outputs(dig)
     policy_jacobian_outputs(dig)
+    minibatch_outputs(tm, dig)
     dig.finish()
     print(dig.total.hexdigest())
     return 0
