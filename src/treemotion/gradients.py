@@ -50,8 +50,9 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
                  cotangent: np.ndarray, grad_out: np.ndarray) -> None:
     """Accumulate ``(d pi / d theta)^T cotangent`` into ``grad_out``,
     visiting only the leaves in ``tree._reverse_leaves``. The cache may
-    come from a regularized ``run_pipeline`` at these ``params``; a leaf's
-    ``vjp`` and its edge's ``pullback_vjp`` read its records as ``tape``."""
+    come from a regularized ``run_pipeline`` at these ``params``. A leaf's
+    ``vjp`` reads the leaf's forward record and its edge's ``pullback_vjp``
+    the edge's tape, both kept by the cache: no forward runs again."""
     if tree._gradient_error:
         raise StructureError(tree._gradient_error)
     states = cache.states

@@ -285,7 +285,7 @@ def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
             w = x
             y = zdot
         # x is the subtask coordinate just below the latent edge.
-        p, M, record = policy.evaluate(w, params, parent_coord=x, record=True)
+        p, M, record = policy.evaluate(w, params, parent_coord=x)
         v = np.linalg.solve(M, p)
         r = y - v
         if grad is not None:

@@ -15,9 +15,10 @@ Conventions
   It is the one method a map implements; ``value`` and ``jacobian``
   take its two halves, so the Jacobian ``check`` verifies is the one the
   forward pass uses.
-* ``pullback_vjp`` takes the map's forward tape, or ``None``. Only
-  ``DiffeoChain`` records one, in ``value_jacobian_tape`` -> ``(y, J,
-  tape)``, which the forward stage calls on a learnable chain edge.
+* ``value_jacobian_tape(x, params)`` -> ``(y, J, tape)`` is what the
+  forward stage calls on every edge; ``tape`` is the map's forward
+  record, ``None`` unless the map overrides it (``DiffeoChain`` does).
+  ``pullback_vjp`` receives that tape and reads nothing else recorded.
 * Parameterized maps read their weights through
   :meth:`~treemotion.params.Learnable.weights`: the slice assigned at
   tree construction, or frozen values.
@@ -51,22 +52,22 @@ class DifferentiableMap(Learnable):
     def jacobian(self, x: np.ndarray, params: ParamVector | None = None) -> np.ndarray:
         return self.value_and_jacobian(x, params)[1]
 
+    def value_jacobian_tape(self, x: np.ndarray, params: ParamVector | None = None):
+        """``(y, J, tape)``: ``value_and_jacobian`` and the forward record
+        ``pullback_vjp`` reads, ``None`` here."""
+        return (*self.value_and_jacobian(x, params), None)
+
     # -- gradient support, overridden by parameterized maps ----------------
 
-    def value_vjp(self, x, params, cotangent, grad_out) -> None:
-        """Accumulate ``(d value / d theta)^T cotangent`` into ``grad_out``."""
-        if self.is_learnable:
-            raise NotImplementedError
-
     def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
-                     tape=None) -> None:
+                     tape) -> None:
         """Accumulate the weight gradient of a pulled-back contraction.
 
         Computes ``d/d theta [cot_value . psi(x) + sum_k cot_tangents[:, k]
         . J(x) tangents[:, k]]`` and adds it to ``grad_out``. ``x`` is
         treated as a constant; ``tangents`` is ``(in_dim, K)`` and
-        ``cot_tangents`` is ``(out_dim, K)``. ``tape`` is ``None`` unless
-        the map records one at ``x`` (``DiffeoChain.value_jacobian_tape``).
+        ``cot_tangents`` is ``(out_dim, K)``. ``tape`` is the one
+        ``value_jacobian_tape`` recorded at ``x`` and these weights.
         """
         if self.is_learnable:
             raise NotImplementedError
@@ -482,24 +483,20 @@ class DiffeoChain(DifferentiableMap):
         y.flags.writeable = False
         return y, tape
 
-    def value_vjp(self, x, params, cotangent, grad_out, tape=None):
-        """``value_vjp`` of :class:`DifferentiableMap` on a tape of this
-        chain at ``x`` and the same weights, else one recorded here."""
+    def value_vjp(self, x, params, cotangent, grad_out, tape):
+        """Accumulate ``(d value / d theta)^T cotangent`` into ``grad_out``,
+        on a tape of this chain at ``x`` and the same weights."""
         if not self.is_learnable:
             return
-        if tape is None:
-            tape = self.value_jacobian_tape(x, params)[2]
         self._aug_reverse(tape, None, cotangent, self._no_tangents,
                           grad_out[self.param_slice])
 
     def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
-                     tape=None):
-        """``pullback_vjp`` of :class:`DifferentiableMap`, on ``tape`` as
+                     tape):
+        """``pullback_vjp`` of :class:`DifferentiableMap`, on a tape as
         ``value_vjp``."""
         if not self.is_learnable:
             return
-        if tape is None:
-            tape = self.value_jacobian_tape(x, params)[2]
         cy = np.zeros(self.out_dim) if cot_value is None else cot_value
         self._aug_reverse(tape, self._push_tangents(tape, tangents), cy, cot_tangents,
                           grad_out[self.param_slice])

@@ -17,9 +17,12 @@ rule per component: ``Potential.grad_param_vjp`` and
 ``Metric.param_vjp`` each add their weight gradient into ``grad_out``
 and return the cotangent on their own input.
 
-``NaturalGradientLeaf.evaluate(..., record=True)`` also returns the
-records of ``Potential.grad_tape`` and ``Metric.value_tape``; ``vjp``
-hands each back to its component's rule as ``tape`` (else ``None``).
+Every forward returns its record, which may be ``None``, and the
+matching reverse rule receives it as ``tape``: ``Potential.grad_tape``
+feeds ``grad_param_vjp``, ``Metric.value_tape`` feeds ``param_vjp``, and
+``LeafPolicy.evaluate`` -> ``(p, M, record)`` feeds ``LeafPolicy.vjp``,
+which hands each component its own part. No reverse rule evaluates its
+forward again.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ class Potential:
         """``(grad(z), tape)`` for ``grad_param_vjp`` at the same weights."""
         return self.grad(z, params), None
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape=None) -> np.ndarray:
+    def grad_param_vjp(self, z, params, cot, grad_out, tape) -> np.ndarray:
         """Add ``(d grad / d theta)^T cot`` into ``grad_out`` and return
-        the Hessian-vector product ``(d grad / d z)^T cot``."""
+        the Hessian-vector product ``(d grad / d z)^T cot``, on the tape
+        ``grad_tape`` recorded at ``z`` and the same weights."""
         raise NotImplementedError
 
 
@@ -65,7 +69,7 @@ class ZeroPotential(Potential):
     def grad(self, z, params):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape=None):
+    def grad_param_vjp(self, z, params, cot, grad_out, tape):
         return np.zeros_like(np.asarray(cot, dtype=float))
 
 
@@ -85,7 +89,7 @@ class QuadraticPotential(Potential):
     def grad(self, z, params):
         return self.gain * (z - self.goal)
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape=None):
+    def grad_param_vjp(self, z, params, cot, grad_out, tape):
         return self.gain * cot
 
 
@@ -138,11 +142,10 @@ class LatentQuadraticPotential(Potential):
         image, tape = self._goal_tape(params)
         return z - image, tape
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape=None):
+    def grad_param_vjp(self, z, params, cot, grad_out, tape):
         # grad Phi = z - chain(goal): only the goal image carries weights.
         cot = np.asarray(cot, dtype=float)
-        self.chain.value_vjp(self.goal, params, -cot, grad_out,
-                             tape=tape or self._goal_tape(params)[1])
+        self.chain.value_vjp(self.goal, params, -cot, grad_out, tape)
         return cot
 
 
@@ -180,7 +183,7 @@ class BarrierPotential(Potential):
             return np.zeros(1)
         return np.array([-self.gain * (self.margin**2 - z0**2) / z0**2])
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape=None):
+    def grad_param_vjp(self, z, params, cot, grad_out, tape):
         z0 = self._z(z)
         if z0 >= self.margin:
             return np.zeros(1)
@@ -206,10 +209,11 @@ class Metric(Learnable):
         """``(value(x), tape)`` for ``param_vjp`` at the same weights."""
         return self.value(x, params), None
 
-    def param_vjp(self, x, params, S, grad_out, tape=None) -> np.ndarray:
+    def param_vjp(self, x, params, S, grad_out, tape) -> np.ndarray:
         """Add the weight gradient of ``<S, M(x)>`` into ``grad_out`` (if
         the metric is learnable and ``grad_out`` is not None) and return
-        its gradient with respect to ``x``."""
+        its gradient with respect to ``x``, on the tape ``value_tape``
+        recorded at ``x`` and the same weights."""
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
@@ -255,7 +259,7 @@ class InverseSquareMetric(Metric):
         z0 = self._z(x)
         return np.array([[self.weight * (self.margin / z0) ** 2]])
 
-    def param_vjp(self, x, params, S, grad_out, tape=None):
+    def param_vjp(self, x, params, S, grad_out, tape):
         z0 = self._z(x)
         dm = -2.0 * self.weight * self.margin**2 / z0**3
         return np.array([float(S[0, 0]) * dm])
@@ -364,11 +368,11 @@ class CholeskyMetricNet(Metric):
     def value_tape(self, x, params):
         return self.decompose(x, params)[1:]
 
-    def param_vjp(self, x, params, S, grad_out, tape=None):
+    def param_vjp(self, x, params, S, grad_out, tape):
         """:meth:`Metric.param_vjp` on ``decompose``'s record at ``x``."""
         learn = grad_out is not None and self.is_learnable
         grad_block = grad_out[self.param_slice] if learn else None
-        weights, acts, pres, d_raw, L = tape or self.decompose(x, params)[2]
+        weights, acts, pres, d_raw, L = tape
         # M = L L^T: cotangent on L is (S + S^T) L for any (possibly
         # asymmetric) cotangent S on M.
         GL = (S + S.T) @ L
@@ -400,7 +404,7 @@ class CholeskyMetricNet(Metric):
 
     def input_vjp(self, x, params, S):
         # Kept only as a target of the perfbench per-layer tracer.
-        return self.param_vjp(x, params, S, None)
+        return self.param_vjp(x, params, S, None, self.decompose(x, params)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +419,17 @@ class LeafPolicy:
     dim: int
 
     def evaluate(self, z, params, parent_coord=None):
+        """``(p, M, record)``; ``record`` (possibly ``None``) is ``vjp``'s
+        ``tape``."""
         raise NotImplementedError
 
     def potential(self, z, params):
         """Potential value, or None for leaves without one."""
         return None
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None, tape=None):
+    def vjp(self, z, params, cot_p, cot_M, grad_out, tape, parent_coord=None):
         """Accumulate weight gradients; return the cotangent on ``z``.
-        ``tape`` is ``None`` unless ``evaluate`` recorded one at ``z``."""
+        ``tape`` is the record ``evaluate`` returned at ``z``."""
         raise NotImplementedError
 
     def components(self):
@@ -465,19 +471,20 @@ class RawVMLeaf(LeafPolicy, Learnable):
         return self.velocity.copy()
 
     def evaluate(self, z, params, parent_coord=None):
+        """``(p, M, (M, metric tape))``."""
         v = self.weights(params)
-        M = self.metric.value(z, params)
-        return M @ v, M
+        M, metric_tape = self.metric.value_tape(z, params)
+        return M @ v, M, (M, metric_tape)
 
     def potential(self, z, params):
         return 0.0 if self._zero_potential else None
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None, tape=None):
+    def vjp(self, z, params, cot_p, cot_M, grad_out, tape, parent_coord=None):
+        M, metric_tape = tape
         v = self.weights(params)
-        M = self.metric.value(z, params)
         # p = M v couples the force cotangent into the metric cotangent.
         S = cot_M + np.outer(cot_p, v)
-        c_z = self.metric.param_vjp(z, params, S, grad_out)
+        c_z = self.metric.param_vjp(z, params, S, grad_out, metric_tape)
         if self.is_learnable:
             grad_out[self.param_slice] += M @ cot_p
         return c_z
@@ -515,11 +522,8 @@ class NaturalGradientLeaf(LeafPolicy):
             return parent_coord
         return z
 
-    def evaluate(self, z, params, parent_coord=None, record=False):
-        """``(p, M)``, or ``(p, M, tape)`` with ``vjp``'s ``tape``."""
-        if not record:
-            p = -self.pot.grad(z, params)
-            return p, self.metric.value(self._metric_coord(z, parent_coord), params)
+    def evaluate(self, z, params, parent_coord=None):
+        """``(p, M, (potential tape, metric tape))``."""
         grad, pot_tape = self.pot.grad_tape(z, params)
         x_m = self._metric_coord(z, parent_coord)
         M, metric_tape = self.metric.value_tape(x_m, params)
@@ -528,11 +532,11 @@ class NaturalGradientLeaf(LeafPolicy):
     def potential(self, z, params):
         return self.pot.value(z, params)
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, parent_coord=None, tape=None):
-        pot_tape, metric_tape = tape or (None, None)
+    def vjp(self, z, params, cot_p, cot_M, grad_out, tape, parent_coord=None):
+        pot_tape, metric_tape = tape
         x_m = self._metric_coord(z, parent_coord)
-        c_z = self.pot.grad_param_vjp(z, params, -cot_p, grad_out, tape=pot_tape)
-        c_m = self.metric.param_vjp(x_m, params, cot_M, grad_out, tape=metric_tape)
+        c_z = self.pot.grad_param_vjp(z, params, -cot_p, grad_out, pot_tape)
+        c_m = self.metric.param_vjp(x_m, params, cot_M, grad_out, metric_tape)
         if self.metric_input == "latent":
             c_z = c_z + c_m
         return c_z

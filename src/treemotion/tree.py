@@ -4,10 +4,10 @@ The tree maps a configuration-space root through differentiable edges to
 leaf spaces where policies live. The one policy evaluation,
 ``run_pipeline``, runs four stages and keeps their node states:
 
-1. forward pass: push coordinates root-to-leaves, recording each edge
-   Jacobian (and the tape of a learnable chain edge, for the reverse pass);
-2. leaf evaluation: each leaf reports its weighted force ``p = M v`` and
-   weight ``M`` (and each natural-gradient leaf the reverse pass visits, its record);
+1. forward pass: push coordinates root-to-leaves, keeping each edge's
+   Jacobian and forward tape (``value_jacobian_tape``);
+2. leaf evaluation: each leaf reports its weighted force ``p = M v``,
+   weight ``M`` and forward record;
 3. backward pass: pull ``(p, M)`` to the root through ``J^T p`` and
    ``J^T M J``, reusing shared subpaths once;
 4. resolve: solve ``(M_root + reg I) u = p_root`` for the configuration
@@ -22,7 +22,9 @@ Each leaf's place in the tree is decided once, in ``TransformTree``'s
 ``leaf_table`` of ``LeafRow``s; leaf evaluation, the flat solver, the
 summed potential, the reverse pass, the subtask loss and the per-leaf
 baseline all read it. Whether the reverse pass covers the tree (every
-learnable edge map ends at a leaf) is decided at construction too.
+learnable edge map ends at a leaf) is decided at construction too. The
+reverse pass reads the tapes and records these stages kept and runs no
+forward kernel again.
 
 ``flat_solve`` answers the same weighted least-squares problem without
 the tree recursion (explicit root-to-leaf compositions and stacked
@@ -46,7 +48,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .errors import NumericError, SingularMetricError, StructureError
 from .maps import DiffeoChain, DifferentiableMap
 from .params import Learnable, ParamRegistryBuilder, ParamVector
-from .policies import LeafPolicy, NaturalGradientLeaf
+from .policies import LeafPolicy
 
 #: absolute eigenvalue floor below which the root metric counts as singular
 SINGULAR_EIG_TOL = 1e-12
@@ -92,9 +94,10 @@ class LeafRow(NamedTuple):
 
 @dataclass(slots=True)
 class NodeState:
-    """Per-node scratch filled in by the evaluation stages. ``tape`` (a
-    chain edge's) and ``record`` (a leaf policy's) are read-only forward
-    records for the reverse pass, holding views of the weights."""
+    """Per-node scratch filled in by the evaluation stages. ``tape`` (the
+    parent edge map's) and ``record`` (a leaf policy's) are the forward
+    records the reverse pass reads, each possibly ``None``; they hold
+    views of the weights and are read-only."""
 
     coord: np.ndarray | None = None
     jac_to_parent: np.ndarray | None = None
@@ -134,11 +137,9 @@ class TransformTree:
     different slice raises ``StructureError``; reuse at the same slice
     is allowed. ``_reverse_leaves`` lists the rows the reverse pass
     visits: those whose parent edge is learnable or whose policy has a
-    learnable component; of these, the natural-gradient leaves keep a
-    forward record (``_leaf_evals``), as learnable chain edges that end at
-    a leaf keep a tape (``_forward_edges``). ``_gradient_error`` is
-    ``None``, or the message the reverse pass raises because a learnable
-    edge map does not end at a leaf.
+    learnable component. ``_gradient_error`` is ``None``, or the message
+    the reverse pass raises because a learnable edge map does not end at
+    a leaf.
     """
 
     def __init__(self, node_dims, edges, leaf_policies):
@@ -244,20 +245,12 @@ class TransformTree:
             (f"{e.name()}: learnable edge maps must terminate at a leaf"
              for e in self.edges if e.map.is_learnable and self._children[e.child]),
             None)
-        # A learnable chain that ends at a leaf keeps its forward tape.
-        self._forward_edges = [(e, isinstance(e.map, DiffeoChain) and e.map.is_learnable
-                                and not self._children[e.child]) for e in self.edges]
         # Any other leaf adds nothing to a weight gradient.
         self._reverse_leaves = [
             row for row in self.leaf_table.values()
             if (row.edge is not None and row.edge.map.is_learnable)
             or row.policy.reads_weights()
         ]
-        # A natural-gradient leaf among them keeps its forward record.
-        reverse = {row.node for row in self._reverse_leaves}
-        self._leaf_evals = [(row.node, row.policy, row.edge, row.node in reverse
-                             and isinstance(row.policy, NaturalGradientLeaf))
-                            for row in self.leaf_table.values()]
 
     # -- introspection ------------------------------------------------------
 
@@ -284,7 +277,7 @@ class TransformTree:
 
 def forward_pass(tree: TransformTree, q: np.ndarray,
                  params: ParamVector | None = None) -> list[NodeState]:
-    """Push coordinates root to leaves; record edge Jacobians and marked tapes."""
+    """Push coordinates root to leaves; keep each edge's Jacobian and tape."""
     q = np.asarray(q, dtype=float)
     if q.shape != (tree.root_dim,):
         raise StructureError(
@@ -293,12 +286,8 @@ def forward_pass(tree: TransformTree, q: np.ndarray,
     # Edges are sorted by child and every node past the root has exactly
     # one, so edge k ends at node k + 1 and the states fill in order.
     states = [NodeState(coord=q)]
-    for e, keeps_tape in tree._forward_edges:
-        if keeps_tape:
-            y, J, tape = e.map.value_jacobian_tape(states[e.parent].coord, params)
-        else:
-            y, J = e.map.value_and_jacobian(states[e.parent].coord, params)
-            tape = None
+    for e in tree.edges:
+        y, J, tape = e.map.value_jacobian_tape(states[e.parent].coord, params)
         if y.shape != (tree.node_dims[e.child],):
             raise StructureError(
                 f"{e.name()}: map produced shape {y.shape}, node dim is "
@@ -310,16 +299,13 @@ def forward_pass(tree: TransformTree, q: np.ndarray,
 
 def leaf_evaluate(tree: TransformTree, states: list[NodeState],
                   params: ParamVector | None = None) -> list[NodeState]:
-    """Evaluate every leaf policy into ``(pulled_force, pulled_metric)``
-    (and ``record``, on the leaves ``tree._leaf_evals`` marks)."""
-    for node, policy, edge, keeps_record in tree._leaf_evals:
+    """Evaluate every leaf policy into ``(pulled_force, pulled_metric,
+    record)``."""
+    for node, policy, edge, _, _, _ in tree.leaf_table.values():
         parent_coord = states[edge.parent].coord if edge is not None else None
         state = states[node]
-        if keeps_record:
-            p, M, state.record = policy.evaluate(state.coord, params,
-                                                 parent_coord=parent_coord, record=True)
-        else:
-            p, M = policy.evaluate(state.coord, params, parent_coord=parent_coord)
+        p, M, state.record = policy.evaluate(state.coord, params,
+                                             parent_coord=parent_coord)
         if not (np.isfinite(p).all() and np.isfinite(M).all()):
             raise NumericError(f"leaf {node} produced a non-finite policy output")
         state.pulled_force = p
@@ -444,7 +430,7 @@ def flat_solve(tree: TransformTree, q, params: ParamVector | None = None,
             prev = x
             x, J_edge = edge.map.value_and_jacobian(x, params)
             J = J_edge @ J
-        p, M = row.policy.evaluate(x, params, parent_coord=prev)
+        p, M, _ = row.policy.evaluate(x, params, parent_coord=prev)
         A += J.T @ (M @ J)
         b += J.T @ p
     if regularization > 0.0:

@@ -101,7 +101,7 @@ def test_subtask_metric_sees_parent_coordinate():
     q = rng.uniform(-0.8, 0.8, 2)
     chain = tree.parent_edge(2).map
     w = chain.value(q, params)
-    _, M_sub = chain_leaf.evaluate(w, params, parent_coord=q)
+    _, M_sub, _ = chain_leaf.evaluate(w, params, parent_coord=q)
     np.testing.assert_allclose(
         M_sub, chain_leaf.metric.value(q, params), atol=1e-14)
 

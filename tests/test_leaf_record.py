@@ -1,11 +1,11 @@
-"""A natural-gradient leaf's reverse rule reads the record its forward
-evaluation kept, and the independent baseline maps each sample through a
-leaf's fixed prefix once.
+"""A leaf's reverse rule reads the record its forward evaluation kept,
+the reverse pass runs no forward kernel, and the independent baseline
+maps each sample through a leaf's fixed prefix once.
 
-Both are exact: the recorded route must give the same bits as the route
-that evaluates the leaf again, and the baseline must train the same
-weights as the route that maps every sample through the prefix on every
-trial, which is kept below as the reference.
+All are exact: the kept record must give the same bits as a fresh
+evaluation's record, and the baseline must train the same weights as
+the route that maps every sample through the prefix on every trial,
+which is kept below as the reference.
 """
 
 import numpy as np
@@ -18,18 +18,21 @@ from treemotion.errors import StructureError
 from treemotion.fixtures import conflicting_demo_fixture
 from treemotion.learning import TrainOptions, train_independent_baseline
 from treemotion.losses import DemoSet, Trajectory
-from treemotion.maps import DiffeoChain, IdentityMap, PlanarArmFK
+from treemotion.fixtures import random_tree
+from treemotion.gradients import pipeline_vjp, policy_vjp
+from treemotion.maps import DiffeoChain, IdentityMap, PlanarArmFK, RFFNet
 from treemotion.params import ParamRegistryBuilder
 from treemotion.policies import (
     CholeskyMetricNet,
     LatentQuadraticPotential,
     NaturalGradientLeaf,
     QuadraticPotential,
+    RawVMLeaf,
     handcrafted_damper,
 )
-from treemotion.tree import Edge, TransformTree
+from treemotion.tree import Edge, TransformTree, evaluate_policy, run_pipeline
 
-from conftest import arrays
+from conftest import arrays, fd_grad_wrt_params
 
 
 def snapshot(obj):
@@ -49,7 +52,7 @@ def leaf_cases(draw):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(leaf_cases())
-def test_leaf_reverse_on_the_forward_record_matches_the_untaped_route(case):
+def test_leaf_reverse_on_the_forward_record_matches_a_fresh_evaluation(case):
     dim, subtask = case["dim"], case["metric_input"] == "subtask"
     rng = np.random.default_rng(case["seed"])
     in_dim = case["parent_dim"] if subtask else dim
@@ -74,32 +77,83 @@ def test_leaf_reverse_on_the_forward_record_matches_the_untaped_route(case):
     S = rng.normal(0.0, 1.0, (dim, dim))  # not symmetric
     cot_p = rng.normal(0.0, 1.0, dim)
 
-    p, M, record = leaf.evaluate(z, params, parent_coord=x, record=True)
-    p_ref, M_ref = leaf.evaluate(z, params, parent_coord=x)
+    p, M, record = leaf.evaluate(z, params, parent_coord=x)
+    p_ref, M_ref, ref_record = leaf.evaluate(z, params, parent_coord=x)
     assert np.array_equal(p, p_ref) and np.array_equal(M, M_ref)
     pot_tape, metric_tape = record
     assert (pot_tape is not None) == case["latent_goal"]
     before = snapshot(record)
 
     grad = params.zeros_like()
-    c_x = net.param_vjp(x_m, params, S, grad, tape=metric_tape)
+    c_x = net.param_vjp(x_m, params, S, grad, metric_tape)
     ref_grad = params.zeros_like()
-    ref_c_x = net.param_vjp(x_m, params, S, ref_grad)
+    ref_c_x = net.param_vjp(x_m, params, S, ref_grad, ref_record[1])
     assert np.abs(grad).max() > 0.0
     assert np.array_equal(grad, ref_grad) and np.array_equal(c_x, ref_c_x)
 
     grad = params.zeros_like()
     c_z = leaf.vjp(z, params, cot_p, S, grad, parent_coord=x, tape=record)
     ref_grad = params.zeros_like()
-    ref_c_z = leaf.vjp(z, params, cot_p, S, ref_grad, parent_coord=x)
+    ref_c_z = leaf.vjp(z, params, cot_p, S, ref_grad, parent_coord=x, tape=ref_record)
     assert np.array_equal(grad, ref_grad) and np.array_equal(c_z, ref_c_z)
     assert snapshot(record) == before
 
 
+def count_forward_kernels(monkeypatch):
+    """Count the calls of each forward kernel a reverse rule could rerun."""
+    counts = {}
+    for cls, name in ((CholeskyMetricNet, "decompose"),
+                      (RFFNet, "features_and_slope"),
+                      (DiffeoChain, "_taped_forward")):
+        counts[name] = 0
+
+        def counted(self, *args, _name=name, _original=getattr(cls, name)):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def test_reverse_pass_runs_no_forward_kernel(monkeypatch):
+    counts = count_forward_kernels(monkeypatch)
+    raw_net_leaves = 0
+    for seed in range(40):
+        tree, params = random_tree(seed)
+        raw_net_leaves += sum(isinstance(row.policy, RawVMLeaf)
+                              and isinstance(row.policy.metric, CholeskyMetricNet)
+                              for row in tree._reverse_leaves)
+        rng = np.random.default_rng(3000 + seed)
+        cache = run_pipeline(tree, rng.uniform(-0.6, 0.6, tree.root_dim), params)
+        counts.update(dict.fromkeys(counts, 0))
+        pipeline_vjp(tree, cache, params, rng.normal(0.0, 1.0, tree.root_dim),
+                     params.zeros_like())
+        assert counts == dict.fromkeys(counts, 0), seed
+    assert raw_net_leaves == 7
+
+    # One learnable raw leaf whose metric is a net: one metric forward per
+    # evaluation, none per reverse pass, and the gradient still matches
+    # central differences.
+    leaf = RawVMLeaf(np.ones(2), CholeskyMetricNet(2, hidden=(4,)), learnable=True)
+    tree = TransformTree([2, 2], [Edge(0, 1, IdentityMap(2))], {1: leaf})
+    params = tree.init_params()
+    q, g = np.array([0.3, -0.2]), np.array([0.7, 0.4])
+    counts.update(dict.fromkeys(counts, 0))
+    cache = run_pipeline(tree, q, params)
+    assert counts["decompose"] == 1
+    grad = params.zeros_like()
+    pipeline_vjp(tree, cache, params, g, grad)
+    assert counts["decompose"] == 1
+    fd = fd_grad_wrt_params(lambda p: float(g @ evaluate_policy(tree, q, p)), params)
+    assert np.abs(grad).max() > 0.0
+    np.testing.assert_allclose(grad, fd, atol=1e-7)
+    assert np.array_equal(grad, policy_vjp(tree, q, params, g))
+
+
 def per_trial_baseline(tree, params, demos, opts):
     """The baseline before the prefix hoist and the leaf record: every
-    trial maps each ``(q, qdot)`` through the leaf's prefix again, and the
-    leaf is evaluated again by its ``vjp``."""
+    trial maps each ``(q, qdot)`` through the leaf's prefix again, and
+    the leaf's ``vjp`` reads the record of a fresh evaluation."""
     samples = list(demos.samples())
     theta = params.copy()
     for leaf, policy, _, _, prefix, latent in tree._reverse_leaves:
@@ -118,13 +172,14 @@ def per_trial_baseline(tree, params, demos, opts):
                     y = J_chain @ zdot
                 else:
                     w, y = x, zdot
-                p, M = policy.evaluate(w, th, parent_coord=x)
+                p, M, _ = policy.evaluate(w, th, parent_coord=x)
                 v = np.linalg.solve(M, p)
                 r = y - v
                 if grad is not None:
                     rho = np.linalg.solve(M, r)
+                    fresh = policy.evaluate(w, th, parent_coord=x)[2]
                     c_w = policy.vjp(w, th, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
-                                     parent_coord=x)
+                                     parent_coord=x, tape=fresh)
                     if chain is not None and chain.is_learnable:
                         chain.pullback_vjp(x, th, c_w, zdot[:, None],
                                            (2.0 * r)[:, None], grad, tape=tape)

@@ -303,15 +303,17 @@ def test_fused_chain_kernel_is_bit_identical_to_layer_composition(dim):
 
 
 def _value_vjp(chain, x, params, cot):
+    """``value_vjp`` on a tape from a fresh forward pass at ``x``."""
     grad = params.zeros_like()
-    chain.value_vjp(x, params, cot, grad)
+    chain.value_vjp(x, params, cot, grad, chain.value_jacobian_tape(x, params)[2])
     return grad
 
 
 def _goal_vjp(pot, params, cot):
     """``value_vjp`` at ``pot``'s goal, on the tape the potential keeps."""
     grad = params.zeros_like()
-    pot.grad_param_vjp(None, params, -cot, grad)
+    _, tape = pot.grad_tape(pot.goal, params)
+    pot.grad_param_vjp(None, params, -cot, grad, tape)
     return grad
 
 
@@ -323,7 +325,7 @@ def test_value_vjp_memo_follows_weights_and_input(rng):
     pot = LatentQuadraticPotential(rng.uniform(-1.0, 1.0, 3), chain)
 
     def fresh(p):
-        # value_vjp with no tape runs its own forward pass
+        # value_vjp on a tape from its own forward pass
         return _value_vjp(chain, pot.goal, p, cot)
 
     g0 = _goal_vjp(pot, params, cot)

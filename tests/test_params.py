@@ -73,20 +73,22 @@ def test_learnable_weights_come_from_frozen_copy_or_bound_slice():
     np.testing.assert_array_equal(bound.weights(builder.build()), [1.0, 2.0])
 
 
-def test_unbound_learnable_components_raise_in_their_vjps():
+def test_unbound_learnable_components_raise_in_their_recording_forwards():
     # A learnable chain or net that no tree bound has no weights to
-    # differentiate: a silent zero gradient would hide the mistake.
+    # differentiate: a silent zero gradient would hide the mistake. Its
+    # reverse rules need the tape of a forward, and that forward raises.
     chain = DiffeoChain(2, n_layers=1, n_features=3)
     with pytest.raises(StructureError):
-        chain.value_vjp(np.zeros(2), None, np.ones(2), np.zeros(chain.n_params))
+        chain.value_jacobian_tape(np.zeros(2), None)
     with pytest.raises(StructureError):
-        chain.pullback_vjp(np.zeros(2), None, np.ones(2), np.eye(2), np.eye(2),
-                           np.zeros(chain.n_params))
+        chain.value_tape(np.zeros(2), None)
     net = CholeskyMetricNet(2, hidden=(3,))
     with pytest.raises(StructureError):
-        net.param_vjp(np.zeros(2), None, np.eye(2), np.zeros(net.n_params))
+        net.decompose(np.zeros(2), None)
     # Frozen components have nothing to differentiate and stay silent.
-    DiffeoChain(2, n_layers=1, n_features=3, learnable=False).value_vjp(
-        np.zeros(2), None, np.ones(2), np.zeros(0))
-    CholeskyMetricNet(2, hidden=(3,), learnable=False).param_vjp(
-        np.zeros(2), None, np.eye(2), np.zeros(0))
+    frozen_chain = DiffeoChain(2, n_layers=1, n_features=3, learnable=False)
+    _, tape = frozen_chain.value_tape(np.zeros(2), None)
+    frozen_chain.value_vjp(np.zeros(2), None, np.ones(2), np.zeros(0), tape)
+    frozen_net = CholeskyMetricNet(2, hidden=(3,), learnable=False)
+    _, tape = frozen_net.value_tape(np.zeros(2), None)
+    frozen_net.param_vjp(np.zeros(2), None, np.eye(2), np.zeros(0), tape)

@@ -87,7 +87,7 @@ def test_raw_leaf_force_matches_independent_matrix_build(rng):
     v = rng.uniform(-1.0, 1.0, 2)
     leaf = RawVMLeaf(v, net)
     z = rng.uniform(-1.0, 1.0, 2)
-    p, M = leaf.evaluate(z, params)
+    p, M, _ = leaf.evaluate(z, params)
 
     W1, b1, Wd, bd, Wo, bo = (params.values[s] for s in [
         slice(0, 8), slice(8, 12), slice(12, 20), slice(20, 22),
@@ -115,7 +115,7 @@ def test_cholesky_lower_triangular_structure(rng):
 
 def test_quadratic_equilibrium_force_is_zero():
     leaf = handcrafted_attractor(np.array([0.7, -0.3]), gain=2.0)
-    p, M = leaf.evaluate(np.array([0.7, -0.3]), None)
+    p, M, _ = leaf.evaluate(np.array([0.7, -0.3]), None)
     np.testing.assert_allclose(p, 0.0)
     np.testing.assert_allclose(M, np.eye(2))
 
@@ -124,7 +124,7 @@ def test_latent_quadratic_with_identity_chain():
     chain = DiffeoChain(2, n_layers=2, n_features=4, learnable=False, seed=0)
     leaf = NaturalGradientLeaf(2, LatentQuadraticPotential(np.zeros(2), chain),
                                ConstantMetric(np.eye(2)))
-    p, _ = leaf.evaluate(np.array([2.0, 0.0]), None)
+    p, _, _ = leaf.evaluate(np.array([2.0, 0.0]), None)
     np.testing.assert_allclose(p, [-2.0, 0.0])
 
 
@@ -155,7 +155,7 @@ def test_eq3_consistency_when_velocity_materialized(rng):
     pot = QuadraticPotential(rng.uniform(-1.0, 1.0, 3), gain=1.7)
     leaf = NaturalGradientLeaf(3, pot, net)
     z = rng.uniform(-1.0, 1.0, 3)
-    p, M = leaf.evaluate(z, params)
+    p, M, _ = leaf.evaluate(z, params)
     v = np.linalg.solve(M, p)
     np.testing.assert_allclose(M @ v + pot.grad(z, params), 0.0, atol=1e-12)
 
@@ -201,7 +201,7 @@ def test_damper_weight_sweep_shrinks_velocity():
 
 def test_barrier_inactive_beyond_margin():
     leaf = handcrafted_barrier(0.5, gain=1.0, weight=1.0)
-    p, M = leaf.evaluate(np.array([0.8]), None)
+    p, M, _ = leaf.evaluate(np.array([0.8]), None)
     np.testing.assert_allclose(p, 0.0)
     assert M[0, 0] > 0.0
     assert leaf.potential(np.array([0.8]), None) == 0.0
@@ -209,7 +209,7 @@ def test_barrier_inactive_beyond_margin():
 
 def test_barrier_repels_inside_margin():
     leaf = handcrafted_barrier(0.5, gain=1.0, weight=1.0)
-    p, M = leaf.evaluate(np.array([0.25]), None)
+    p, M, _ = leaf.evaluate(np.array([0.25]), None)
     assert p[0] > 0.0  # pushes the distance to grow
     assert M[0, 0] > leaf.metric.value(np.array([0.5]), None)[0, 0]
 
@@ -279,12 +279,13 @@ def test_goal_image_is_the_value_of_the_chains_one_tape(rng):
     pot = LatentQuadraticPotential(np.array([0.4, -0.2]), chain)
     image = pot.goal_image(params)
     assert np.array_equal(image, chain.value_tape(pot.goal, params)[0])
-    # the weight gradient reverses the potential's tape instead of
-    # running the chain again
+    # the forward record and the weight gradient reuse the potential's
+    # tape instead of running the chain again
     passes = []
     original = chain._taped_forward
     chain._taped_forward = lambda *args: passes.append(1) or original(*args)
-    pot.grad_param_vjp(None, params, np.ones(2), params.zeros_like())
+    _, tape = pot.grad_tape(np.zeros(2), params)
+    pot.grad_param_vjp(None, params, np.ones(2), params.zeros_like(), tape)
     assert pot.goal_image(params) is image
     assert passes == []
 
@@ -362,8 +363,9 @@ def test_metric_param_vjp_returns_input_cotangent_and_adds_weight_gradient(case)
     def pairing(xx, pp):
         return float(np.sum(S * metric.value(xx, pp)))
 
+    _, tape = metric.value_tape(x, params)
     grad = params.zeros_like()
-    c_x = metric.param_vjp(x, params, S, grad)
+    c_x = metric.param_vjp(x, params, S, grad, tape)
     np.testing.assert_allclose(
         c_x, fd_jacobian(lambda xx: pairing(xx, params), x), atol=1e-7)
     np.testing.assert_allclose(
@@ -372,7 +374,7 @@ def test_metric_param_vjp_returns_input_cotangent_and_adds_weight_gradient(case)
         assert not grad.any()
     if isinstance(metric, CholeskyMetricNet):
         assert np.array_equal(metric.input_vjp(x, params, S), c_x)
-        assert np.array_equal(metric.param_vjp(x, params, S, None), c_x)
+        assert np.array_equal(metric.param_vjp(x, params, S, None, tape), c_x)
 
 
 def potential_cases():
@@ -397,8 +399,9 @@ def test_potential_grad_param_vjp_returns_input_cotangent_and_adds_weight_gradie
     def pairing(zz, pp):
         return float(cot @ pot.grad(zz, pp))
 
+    _, tape = pot.grad_tape(z, params)
     grad = params.zeros_like()
-    c_z = pot.grad_param_vjp(z, params, cot, grad)
+    c_z = pot.grad_param_vjp(z, params, cot, grad, tape)
     np.testing.assert_allclose(
         c_z, fd_jacobian(lambda zz: pairing(zz, params), z), atol=1e-7)
     np.testing.assert_allclose(

@@ -154,7 +154,7 @@ def test_backward_matches_flat_composition_on_random_trees(rng):
                 prev = x
                 x, J_edge = edge.map.value_and_jacobian(x, params)
                 J = J_edge @ J
-            p, M = tree.leaf_policies[leaf].evaluate(x, params, parent_coord=prev)
+            p, M, _ = tree.leaf_policies[leaf].evaluate(x, params, parent_coord=prev)
             A += J.T @ M @ J
             b += J.T @ p
         np.testing.assert_allclose(states[0].pulled_force, b, atol=1e-12)
