@@ -34,7 +34,7 @@ from .policies import (
     handcrafted_barrier,
     handcrafted_damper,
 )
-from .tree import Edge, TransformTree, forward_pass
+from .tree import Edge, TransformTree, run_pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +79,13 @@ def _random_leaf(rng, dim, parent_chain, natural_gradient_only):
     return RawVMLeaf(rng.uniform(-1.0, 1.0, size=dim), metric, learnable=learnable)
 
 
-def random_tree(seed, max_depth=4, max_dim=6, natural_gradient_only=False,
-                with_chains=True):
+def random_tree(seed, max_depth=4, max_dim=6, natural_gradient_only=False):
     """Seeded random transform tree plus its initial parameters.
 
     Shapes vary over depth 1..max_depth and node dimensions 1..max_dim,
-    edge kinds mix identity/linear/kinematics/distance (and learnable
-    coupling chains when ``with_chains``), and every tree keeps a
-    damping leaf at the root so the root metric stays positive definite.
+    edge kinds mix identity/linear/kinematics/distance and learnable
+    coupling chains, and every tree keeps a damping leaf at the root so
+    the root metric stays positive definite.
     """
     rng = np.random.default_rng(seed)
     root_dim = int(rng.integers(1, max_dim + 1))
@@ -105,9 +104,7 @@ def random_tree(seed, max_depth=4, max_dim=6, natural_gradient_only=False,
         for _ in range(n_children):
             kinds = ["identity", "linear"]
             if parent_dim >= 2:
-                kinds += ["fk", "distance"]
-                if with_chains:
-                    kinds.append("chain")
+                kinds += ["fk", "distance", "chain"]
             kind = kinds[int(rng.integers(len(kinds)))]
             if kind == "identity":
                 child_dim = parent_dim
@@ -170,46 +167,46 @@ def random_tree(seed, max_depth=4, max_dim=6, natural_gradient_only=False,
 # ---------------------------------------------------------------------------
 
 
-def three_link_stability_fixture(goal=(1.5, 0.8), obstacle=(1.75, 1.45),
-                                 margin=0.35, attractor_gain=4.0,
-                                 attractor_weight=1.0, barrier_gain=1.0,
-                                 barrier_weight=0.3, damping=0.3):
+def three_link_stability_fixture():
     """Three-link planar arm with goal attraction, damping and an obstacle
     barrier on the end-effector distance field.
 
-    All leaves carry potentials, so rollouts expose the full Lyapunov
-    trace. Returns ``(tree, params, info)``.
+    The testbed is fixed: unit links; an end-effector attractor to
+    (1.5, 0.8) with gain 4 and weight 1; a barrier on the distance to
+    the obstacle at (1.75, 1.45) with margin 0.35, gain 1 and weight
+    0.3; and a joint-space damper of 0.3. All leaves carry potentials,
+    so rollouts expose the full Lyapunov trace. Returns
+    ``(tree, params, info)``.
     """
     lengths = [1.0, 1.0, 1.0]
+    goal = np.array([1.5, 0.8])
+    obstacle = np.array([1.75, 1.45])
+    margin = 0.35
     tree = TransformTree(
         [3, 2, 2, 1, 3],
         [
             Edge(0, 1, PlanarArmFK(lengths, "ee")),
             Edge(1, 2, IdentityMap(2)),
-            Edge(1, 3, DistanceToPoint(np.asarray(obstacle, dtype=float))),
+            Edge(1, 3, DistanceToPoint(obstacle)),
             Edge(0, 4, IdentityMap(3)),
         ],
         {
-            2: handcrafted_attractor(np.asarray(goal, dtype=float),
-                                     gain=attractor_gain, weight=attractor_weight),
-            3: handcrafted_barrier(margin, gain=barrier_gain, weight=barrier_weight),
-            4: handcrafted_damper(damping, 3),
+            2: handcrafted_attractor(goal, gain=4.0, weight=1.0),
+            3: handcrafted_barrier(margin, gain=1.0, weight=0.3),
+            4: handcrafted_damper(0.3, 3),
         },
     )
-    info = {
-        "lengths": lengths,
-        "goal": np.asarray(goal, dtype=float),
-        "obstacle": np.asarray(obstacle, dtype=float),
-        "margin": margin,
-    }
+    info = {"lengths": lengths, "goal": goal, "obstacle": obstacle, "margin": margin}
     return tree, tree.init_params(), info
 
 
-def stability_seed_states(n=10, seed=0, base=(0.35, 0.55, 0.35), spread=0.45):
-    """Start configurations scattered around a bent pose facing the goal."""
+def stability_seed_states(n=10, seed=0):
+    """Start configurations scattered around a bent pose facing the goal:
+    the base pose (0.35, 0.55, 0.35) plus a uniform offset in
+    [-0.45, 0.45] per joint."""
     rng = np.random.default_rng(seed)
-    base = np.asarray(base, dtype=float)
-    return [base + rng.uniform(-spread, spread, size=3) for _ in range(n)]
+    base = np.array([0.35, 0.55, 0.35])
+    return [base + rng.uniform(-0.45, 0.45, size=3) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +214,11 @@ def stability_seed_states(n=10, seed=0, base=(0.35, 0.55, 0.35), spread=0.45):
 # ---------------------------------------------------------------------------
 
 
-def _three_link_ik(x, q1_candidates, lengths=(1.0, 1.0, 1.0)):
-    """Closed-form postures of a 3-link arm reaching ``x``: for each free
-    base angle, the remaining two links form a standard 2-link problem
-    with an elbow-up and an elbow-down branch."""
-    l1, l2, l3 = lengths
+def _three_link_ik(x, q1_candidates):
+    """Closed-form postures of the unit 3-link arm reaching ``x``: for
+    each free base angle, the remaining two links form a standard 2-link
+    problem with an elbow-up and an elbow-down branch."""
+    l1 = l2 = l3 = 1.0
     solutions = []
     for q1 in q1_candidates:
         base = np.array([l1 * np.cos(q1), l1 * np.sin(q1)])
@@ -249,20 +246,21 @@ def _null_direction(J, previous=None):
     return n
 
 
-def synthesize_conflicting_demos(goal, start_ee, null_gains, lengths=(1.0, 1.0, 1.0),
-                                 field_gain=1.0, duration=3.0, dt=0.01,
+def synthesize_conflicting_demos(goal, start_ee, null_gains, duration=3.0,
                                  subsample=10):
     """Demonstrations that share one end-effector velocity field but move
     the arm through different self-motions.
 
-    Every demo starts at a different closed-form posture for the same
-    end-effector point and tracks ``xdot = field_gain * (goal - x)``
-    exactly, while ``null_gains[i]`` drives a per-demo motion in the
-    Jacobian null space. Joint velocities therefore disagree strongly
-    across demos even though every sample satisfies the same task-space
-    velocity field.
+    Every demo starts at a different closed-form posture of the unit
+    3-link arm for the same end-effector point and tracks
+    ``xdot = goal - x`` exactly (Euler steps of 0.01, every
+    ``subsample``-th one kept), while ``null_gains[i]`` drives a per-demo
+    motion in the Jacobian null space. Joint velocities therefore
+    disagree strongly across demos even though every sample satisfies
+    the same task-space velocity field.
     """
-    fk = PlanarArmFK(list(lengths), "ee")
+    dt = 0.01
+    fk = PlanarArmFK([1.0, 1.0, 1.0], "ee")
     goal = np.asarray(goal, dtype=float)
     postures = _three_link_ik(start_ee, q1_candidates=(0.25, 0.8, 1.35, 1.9))
     if len(postures) < len(null_gains):
@@ -278,7 +276,7 @@ def synthesize_conflicting_demos(goal, start_ee, null_gains, lengths=(1.0, 1.0, 
         for k in range(steps + 1):
             t = k * dt
             x, J = fk.value_and_jacobian(q)
-            xdot = field_gain * (goal - x)
+            xdot = goal - x
             JJt = J @ J.T
             qdot_task = J.T @ np.linalg.solve(JJt, xdot)
             n = _null_direction(J, prev_n)
@@ -295,8 +293,7 @@ def synthesize_conflicting_demos(goal, start_ee, null_gains, lengths=(1.0, 1.0, 
     return DemoSet(trajectories)
 
 
-def conflicting_demo_fixture(seed=0, n_features=48, hidden=(16, 16),
-                             chain_layers=4, damping=0.5):
+def conflicting_demo_fixture(seed=0):
     """Redundant-arm learning fixture: the policy must explain demos that
     agree in end-effector space and clash in joint space.
 
@@ -304,6 +301,9 @@ def conflicting_demo_fixture(seed=0, n_features=48, hidden=(16, 16),
     Cholesky metric), a learnable configuration-space leaf of the same
     construction (which joint-space regression is free to misuse), and a
     fixed damper. Subtask weights put all mass on the end-effector leaf.
+    The testbed is fixed but for ``seed``: each chain has 4 coupling
+    layers of 48 random features, each metric net hidden layers
+    (16, 16), and the damper gain is 0.5.
 
     Returns ``(tree, params, demos, lam, info)``.
     """
@@ -324,10 +324,10 @@ def conflicting_demo_fixture(seed=0, n_features=48, hidden=(16, 16),
     q_points = np.concatenate([tr.q for tr in demos.trajectories])
     q_ref = np.mean([tr.q[-1] for tr in demos.trajectories], axis=0)
 
-    chain_ee = DiffeoChain(2, n_layers=chain_layers, n_features=n_features,
+    chain_ee = DiffeoChain(2, n_layers=4, n_features=48,
                            length_scale=suggest_length_scale(ee_points),
                            seed=seed + 1)
-    chain_cfg = DiffeoChain(3, n_layers=chain_layers, n_features=n_features,
+    chain_cfg = DiffeoChain(3, n_layers=4, n_features=48,
                             length_scale=suggest_length_scale(q_points),
                             seed=seed + 2)
     tree = TransformTree(
@@ -341,13 +341,13 @@ def conflicting_demo_fixture(seed=0, n_features=48, hidden=(16, 16),
         {
             2: NaturalGradientLeaf(
                 2, LatentQuadraticPotential(goal, chain_ee),
-                CholeskyMetricNet(2, hidden=hidden, seed=seed + 3),
+                CholeskyMetricNet(2, hidden=(16, 16), seed=seed + 3),
             ),
             3: NaturalGradientLeaf(
                 3, LatentQuadraticPotential(q_ref, chain_cfg),
-                CholeskyMetricNet(3, hidden=hidden, seed=seed + 4),
+                CholeskyMetricNet(3, hidden=(16, 16), seed=seed + 4),
             ),
-            4: handcrafted_damper(damping, 3),
+            4: handcrafted_damper(0.5, 3),
         },
     )
     lam = np.array([1.0, 0.0, 0.0])  # leaves sorted: [2 (ee), 3 (cfg), 4 (damper)]
@@ -364,39 +364,33 @@ def _kink_distance(tree, params, qs):
     """Smallest |pre-activation| over every Cholesky net and demo point.
 
     Central differences are only trustworthy away from the ReLU and
-    |.| kinks; cases too close to one are rejected and reseeded.
+    |.| kinks; cases too close to one are rejected and reseeded. A
+    leaf's record ends with its metric's, for a net the ``decompose``
+    record ``(weights, acts, pres, d_raw, L)``.
     """
     dist = np.inf
     for q in qs:
-        states = forward_pass(tree, q, params)
-        for leaf, pol, edge, _, _, _ in tree.leaf_table.values():
-            metric = getattr(pol, "metric", None)
-            if not isinstance(metric, CholeskyMetricNet):
-                continue
-            coord = states[leaf].coord
-            if isinstance(pol, NaturalGradientLeaf):
-                coord = pol._metric_coord(
-                    coord, None if edge is None else states[edge.parent].coord)
-            weights = metric._weights(params)
-            _, pres, d_raw, _ = metric._forward(coord, weights)
-            for pre in pres:
-                if pre.size:
+        states = run_pipeline(tree, q, params).states
+        for leaf, pol, *_ in tree.leaf_table.values():
+            if isinstance(getattr(pol, "metric", None), CholeskyMetricNet):
+                _, _, pres, d_raw, _ = states[leaf].record[-1]
+                for pre in [*pres, d_raw]:
                     dist = min(dist, float(np.abs(pre).min()))
-            dist = min(dist, float(np.abs(d_raw).min()))
     return dist
 
 
-def gradcheck_cases(n_cases=20, start_seed=0, kink_margin=1e-3):
+def gradcheck_cases(n_cases=20):
     """Small learnable trees plus demo samples for finite-difference
     validation of the analytic gradients.
 
     Cases rotate through chain-only, metric-only, chain+metric and
-    mixed frozen/learnable constructions, under both loss kinds.
+    mixed frozen/learnable constructions, under both loss kinds, and
+    skip any whose Cholesky nets come within 1e-3 of a kink.
     """
     from .losses import LossSpec
 
     cases = []
-    seed = start_seed
+    seed = 0
     while len(cases) < n_cases:
         seed += 1
         rng = np.random.default_rng(seed)
@@ -434,7 +428,7 @@ def gradcheck_cases(n_cases=20, start_seed=0, kink_margin=1e-3):
             continue
         qs = [rng.uniform(-0.9, 0.9, size=d) for _ in range(2)]
         qdots = [rng.uniform(-1.0, 1.0, size=d) for _ in range(2)]
-        if _kink_distance(tree, params, qs) < kink_margin:
+        if _kink_distance(tree, params, qs) < 1e-3:
             continue
         if len(cases) % 2 == 0:
             lam = np.zeros(len(tree.leaves))

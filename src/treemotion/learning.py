@@ -36,8 +36,8 @@ from .policies import NaturalGradientLeaf
 from .tree import TransformTree, run_pipeline
 
 
-def suggest_length_scale(points, factor: float = 0.45) -> float:
-    """Kernel length scale from the data spread (factor times the
+def suggest_length_scale(points) -> float:
+    """Kernel length scale from the data spread (0.45 times the
     bounding-box diagonal of the supplied points)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -45,7 +45,7 @@ def suggest_length_scale(points, factor: float = 0.45) -> float:
     diameter = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     if diameter <= 0.0:
         return 1.0
-    return factor * diameter
+    return 0.45 * diameter
 
 
 @dataclass
@@ -76,6 +76,8 @@ class TrainOptions:
             raise StructureError(f"alpha must be None or finite > 0, got {self.alpha}")
         if self.iterations < 0:
             raise StructureError(f"iterations must be >= 0, got {self.iterations}")
+        if self.seed < 0:
+            raise StructureError(f"seed must be >= 0, got {self.seed}")
         if self.minibatch is not None and self.minibatch < 1:
             raise StructureError(f"minibatch must be None or >= 1, got {self.minibatch}")
         if not 0.0 <= self.momentum < 1.0:

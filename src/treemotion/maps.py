@@ -200,12 +200,6 @@ class RFFNet:
     def n_weights(self) -> int:
         return self.n_features * self.out_dim
 
-    def _theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 1:
-            theta = theta.reshape(self.n_features, self.out_dim)
-        return theta
-
     def features(self, x) -> np.ndarray:
         """Feature vector ``sqrt(2/D) cos(A x + beta)``, shape ``(D,)``."""
         return self._scale * np.cos(self.frequencies @ x + self.phases)
@@ -216,7 +210,8 @@ class RFFNet:
         return self._scale * np.cos(h), -self._scale * np.sin(h)
 
     def value(self, x, theta) -> np.ndarray:
-        return self._theta(theta).T @ self.features(x)
+        """``theta^T features(x)`` for weights ``theta`` of shape ``(D, out_dim)``."""
+        return theta.T @ self.features(x)
 
 
 # ---------------------------------------------------------------------------

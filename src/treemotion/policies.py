@@ -275,7 +275,7 @@ class CholeskyMetricNet(Metric):
     """
 
     def __init__(self, dim, in_dim=None, hidden=(64, 64), eps=1e-4, seed=0,
-                 learnable=True, head_scale=0.1):
+                 learnable=True):
         self.dim = int(dim)
         self.in_dim = self.dim if in_dim is None else int(in_dim)
         if eps <= 0:
@@ -288,7 +288,6 @@ class CholeskyMetricNet(Metric):
         self._tril = np.tril_indices(self.dim, -1)
         self._diag = np.diag_indices(self.dim)
         self._seed = int(seed)
-        self._head_scale = float(head_scale)
         self._shapes = []
         fan_in = self.in_dim
         for h in self.hidden:
@@ -308,7 +307,8 @@ class CholeskyMetricNet(Metric):
             self.freeze()
 
     def init_values(self) -> np.ndarray:
-        """Seeded init: He-scaled trunk, small heads, diagonal bias at 1.
+        """Seeded init: He-scaled trunk (std ``sqrt(2 / fan_in)``), small
+        heads (std ``0.1 / sqrt(fan_in)``), diagonal bias at 1.
 
         Zero init would be useless here: the ReLU trunk and the
         absolute-value head both have zero (sub)gradient at 0, so the
@@ -328,7 +328,7 @@ class CholeskyMetricNet(Metric):
                 chunks.append(rng.normal(0.0, np.sqrt(2.0 / shape[1]), size=shape).ravel())
             else:  # head weight
                 chunks.append(
-                    rng.normal(0.0, self._head_scale / np.sqrt(shape[1]), size=shape).ravel()
+                    rng.normal(0.0, 0.1 / np.sqrt(shape[1]), size=shape).ravel()
                 )
         return np.concatenate(chunks)
 

@@ -178,10 +178,10 @@ class TransformTree:
             raise StructureError(f"nodes {sorted(missing)} are not connected to the root")
 
         self._children: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        self._parent_edge: list[Edge | None] = [None] * self.n_nodes
+        parent_edge: list[Edge | None] = [None] * self.n_nodes
         for e in self.edges:
             self._children[e.parent].append(e.child)
-            self._parent_edge[e.child] = e
+            parent_edge[e.child] = e
 
         self.leaves = sorted(
             i for i in range(self.n_nodes) if not self._children[i]
@@ -205,7 +205,7 @@ class TransformTree:
             path = []
             node = leaf
             while node != 0:
-                path.append(self._parent_edge[node])
+                path.append(parent_edge[node])
                 node = path[-1].parent
             path.reverse()
             edge = path[-1] if path else None
@@ -251,14 +251,6 @@ class TransformTree:
             if (row.edge is not None and row.edge.map.is_learnable)
             or row.policy.reads_weights()
         ]
-
-    # -- introspection ------------------------------------------------------
-
-    def parent_edge(self, node: int) -> Edge | None:
-        return self._parent_edge[node]
-
-    def path_to(self, leaf: int) -> list[Edge]:
-        return self.leaf_table[leaf].path
 
     def init_params(self) -> ParamVector:
         builder = ParamRegistryBuilder()

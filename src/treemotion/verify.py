@@ -9,36 +9,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TreeMotionError
+from .errors import StructureError, TreeMotionError
 from .learning import loss_and_gradient
 from .losses import DemoSet, LossSpec, loss_value
 from .params import ParamVector
 from .tree import TransformTree, flat_solve, root_potential, run_pipeline
 
 FD_STEP = 1e-6
+FLAT_TOL = 1e-10
+JAC_TOL = 1e-5
 
 
-def fd_jacobian(f, x, h: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of ``f`` at ``x``."""
+def fd_jacobian(f, x) -> np.ndarray:
+    """Central-difference Jacobian of ``f`` at ``x``, step ``FD_STEP``."""
     x = np.asarray(x, dtype=float)
     cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * h))
+        e[i] = FD_STEP
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * FD_STEP))
     return np.stack(cols, axis=-1)
 
 
 def check_tree(tree: TransformTree, params: ParamVector | None = None,
-               n_points: int = 10, seed: int = 0,
-               flat_tol: float = 1e-10, jac_tol: float = 1e-5) -> dict:
-    """Probe a tree at seeded points with one ``run_pipeline`` each:
-    staged-vs-flat agreement, and the edge Jacobians held in that pass's
-    node states against finite differences.
+               n_points: int = 10, seed: int = 0) -> dict:
+    """Probe a tree at the origin and ``n_points`` seeded points with one
+    ``run_pipeline`` each: staged-vs-flat agreement of ``pi`` (bound
+    ``FLAT_TOL``, absolute), and the edge Jacobians held in that pass's
+    node states against finite differences (bound ``JAC_TOL``, relative
+    to ``max(1, max |J_fd|)``).
 
     Returns a JSON-ready report with per-failure detail; ``"status"`` is
-    ``"pass"`` or ``"numeric_failure"``.
+    ``"pass"`` or ``"numeric_failure"``. A negative ``seed`` or
+    ``n_points`` raises ``StructureError``.
     """
+    if seed < 0:
+        raise StructureError(f"seed must be >= 0, got {seed}")
+    if n_points < 0:
+        raise StructureError(f"n_points must be >= 0, got {n_points}")
     rng = np.random.default_rng(seed)
     points = [np.zeros(tree.root_dim)]
     points += [0.5 * rng.standard_normal(tree.root_dim) for _ in range(n_points)]
@@ -59,12 +67,12 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
             continue
         dev = float(np.abs(cache.pi - pi_flat).max())
         flat_max = max(flat_max, dev)
-        if dev > flat_tol:
+        if dev > FLAT_TOL:
             failures.append({
                 "kind": "tree_vs_flat",
                 "point_index": idx,
                 "deviation": dev,
-                "tolerance": flat_tol,
+                "tolerance": FLAT_TOL,
             })
         for e in tree.edges:
             x = cache.states[e.parent].coord
@@ -82,13 +90,13 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
             scale = max(1.0, float(np.abs(J_fd).max()))
             rel = float(np.abs(J - J_fd).max()) / scale
             jac_max = max(jac_max, rel)
-            if rel > jac_tol:
+            if rel > JAC_TOL:
                 failures.append({
                     "kind": "jacobian_mismatch",
                     "edge": e.name(),
                     "point_index": idx,
                     "relative_error": rel,
-                    "tolerance": jac_tol,
+                    "tolerance": JAC_TOL,
                 })
     return {
         "status": "pass" if not failures else "numeric_failure",
@@ -102,7 +110,12 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
 def gradcheck_report(tree: TransformTree, params: ParamVector, demos: DemoSet,
                      loss: LossSpec, h: float = 1e-5, tol: float = 1e-4) -> dict:
     """The trainer's analytic loss gradient (``loss_and_gradient``)
-    against central finite differences."""
+    against central differences of step ``h``, passing below relative
+    error ``tol``; both must be finite and > 0, or ``StructureError``."""
+    if not (np.isfinite(h) and h > 0):
+        raise StructureError(f"fd_step must be finite and > 0, got {h}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise StructureError(f"tol must be finite and > 0, got {tol}")
     analytic = loss_and_gradient(tree, params, demos, loss)[1]
     fd = np.zeros_like(analytic)
     for i in range(params.size):
@@ -133,7 +146,7 @@ def gradcheck_report(tree: TransformTree, params: ParamVector, demos: DemoSet,
     }
 
 
-def potential_gradient_fd(tree: TransformTree, q, params: ParamVector | None = None,
-                          h: float = FD_STEP) -> np.ndarray:
+def potential_gradient_fd(tree: TransformTree, q,
+                          params: ParamVector | None = None) -> np.ndarray:
     """Finite-difference gradient of the summed root potential."""
-    return fd_jacobian(lambda x: root_potential(tree, x, params), q, h)
+    return fd_jacobian(lambda x: root_potential(tree, x, params), q)

@@ -99,7 +99,7 @@ def test_subtask_metric_sees_parent_coordinate():
     chain_leaf = tree.leaf_policies[2]
     rng = np.random.default_rng(3)
     q = rng.uniform(-0.8, 0.8, 2)
-    chain = tree.parent_edge(2).map
+    chain = tree.leaf_table[2].edge.map
     w = chain.value(q, params)
     _, M_sub, _ = chain_leaf.evaluate(w, params, parent_coord=q)
     np.testing.assert_allclose(

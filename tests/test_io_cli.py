@@ -346,6 +346,30 @@ def test_cli_train_rejects_out_of_range_options(tmp_path, spec_path, demo_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, arg, message", [
+    ("train", "--seed=-1", "seed must be >= 0"),
+    ("check", "--seed=-1", "seed must be >= 0"),
+    ("check", "--points=-3", "n_points must be >= 0"),
+    ("gradcheck", "--fd-step=0", "fd_step must be finite and > 0"),
+    ("gradcheck", "--fd-step=nan", "fd_step must be finite and > 0"),
+    ("gradcheck", "--tol=-1", "tol must be finite and > 0"),
+    ("gradcheck", "--tol=inf", "tol must be finite and > 0"),
+])
+def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, spec_path, demo_path,
+                                          command, arg, message):
+    # A validation error (exit 2, no report), not a traceback or a verdict.
+    from treemotion import cli
+
+    out = tmp_path / "params.json"
+    extra = {"train": ["--demos", demo_path, "--out", str(out)],
+             "check": [],
+             "gradcheck": ["--demos", demo_path]}[command]
+    code = cli.main([command, spec_path, arg, *extra])
+    printed, err = capsys.readouterr()
+    assert code == 2 and err.startswith(f"validation error: {message}")
+    assert printed == "" and not out.exists()
+
+
 def test_cli_train_abort_writes_partial(tmp_path, spec_path, demo_path):
     out = tmp_path / "params.json"
     proc = run_cli("train", spec_path, "--demos", demo_path,

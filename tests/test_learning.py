@@ -199,7 +199,7 @@ def test_train_deterministic_history():
 
 @pytest.mark.parametrize("bad", [
     {"alpha": -0.05}, {"alpha": 0.0}, {"alpha": float("inf")}, {"alpha": float("nan")},
-    {"iterations": -4},
+    {"iterations": -4}, {"seed": -1},
     {"minibatch": -120}, {"minibatch": 0},
     {"momentum": -0.1}, {"momentum": 1.0},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))

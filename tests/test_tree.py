@@ -150,7 +150,7 @@ def test_backward_matches_flat_composition_on_random_trees(rng):
             x = q
             prev = None
             J = np.eye(tree.root_dim)
-            for edge in tree.path_to(leaf):
+            for edge in tree.leaf_table[leaf].path:
                 prev = x
                 x, J_edge = edge.map.value_and_jacobian(x, params)
                 J = J_edge @ J

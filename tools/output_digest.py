@@ -30,7 +30,13 @@ bit-identical print the same digest. The digest covers:
   caller that runs several reverse passes on one ``run_pipeline`` cache;
 - minibatch training at fixture seed 1: ``train`` (subtask loss) and
   ``train_independent_baseline`` with ``alpha=None``, 3 iterations,
-  ``minibatch=31``, ``momentum=0.5`` and ``seed=4``.
+  ``minibatch=31``, ``momentum=0.5`` and ``seed=4``;
+- the self-checks: ``check_tree`` reports on the 40 ``random_tree``
+  seeds and on the three-link arm (their finite differences run
+  ``DiffeoChain.value``, and with it ``CouplingLayer.forward`` and
+  ``RFFNet.value``), the exit code and output of CLI ``check`` on
+  ``demos/arm_fixture.json``, and ``potential_gradient_fd`` on the arm
+  at the 10 ``stability_seed_states``.
 
 A library error (``TreeMotionError``) an operation raises is digested as
 its type and message, so a checkout that starts or stops raising
@@ -282,6 +288,23 @@ def cli_outputs(src_dir, dig):
             dig.add(("cli", label), [proc.returncode, proc.stdout, proc.stderr, files])
 
 
+def check_outputs(tm, src_dir, dig):
+    from treemotion.verify import check_tree, potential_gradient_fd
+
+    dig.start("self-checks")
+    for seed, tree, params, _, _ in _random_tree_cases():
+        dig.add(("check_tree", seed), _attempt(lambda: check_tree(tree, params)))
+    tree, params, _ = tm.three_link_stability_fixture()
+    dig.add(("check_tree", "arm"), _attempt(lambda: check_tree(tree, params)))
+    proc = subprocess.run([sys.executable, "-c", CLI_BOOT, "check", str(ARM_SPEC)],
+                          env=dict(os.environ, PYTHONPATH=str(src_dir)),
+                          capture_output=True)
+    dig.add(("cli", "check"), [proc.returncode, proc.stdout, proc.stderr])
+    for k, q in enumerate(tm.stability_seed_states(10, seed=0)):
+        dig.add(("potential_gradient_fd", k),
+                _attempt(lambda: potential_gradient_fd(tree, q, params)))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1 or not (Path(argv[0]) / "treemotion").is_dir():
@@ -301,6 +324,7 @@ def main(argv=None) -> int:
     regularized_outputs(dig)
     policy_jacobian_outputs(dig)
     minibatch_outputs(tm, dig)
+    check_outputs(tm, src_dir, dig)
     dig.finish()
     print(dig.total.hexdigest())
     return 0
