@@ -63,6 +63,9 @@ POTENTIAL_KINDS = ("zero", "quadratic", "latent_quadratic", "barrier")
 # Short loss names accepted by training configs and ``tree-motion train --loss``.
 LOSS_KIND_ALIASES = {"subtask": "subtask_space", "joint": "joint_space",
                      "independent": "independent_baseline"}
+# The keys a training config and its "loss" object may hold.
+TRAINING_CONFIG_KEYS = ("loss", "alpha", "iterations", "seed", "minibatch", "momentum")
+TRAINING_LOSS_KEYS = ("kind", "lambda")
 
 
 @contextlib.contextmanager
@@ -79,6 +82,19 @@ def _require(spec: dict, key: str, context: str):
     if key not in spec:
         raise SpecFormatError(f"{context}: missing required field {key!r}")
     return spec[key]
+
+
+def _reject_unknown_keys(spec, accepted, context: str) -> None:
+    """A JSON object with a key outside ``accepted`` (a misspelt option
+    would otherwise be ignored) raises ``SpecFormatError`` naming it."""
+    if not isinstance(spec, dict):
+        raise SpecFormatError(f"{context} must be a JSON object")
+    unknown = [key for key in spec if key not in accepted]
+    if unknown:
+        raise SpecFormatError(
+            f"{context}: unknown key {', '.join(map(repr, unknown))}; accepted keys: "
+            f"{', '.join(accepted)}"
+        )
 
 
 def build_map(spec: dict, in_dim: int):
@@ -347,11 +363,12 @@ def write_rollout(path_csv, result: RolloutResult) -> None:
 
 def parse_training_config(data: dict):
     """``{"loss": {"kind": ..., "lambda": [...]}, "alpha": ..., ...}`` ->
-    ``(LossSpec, TrainOptions)``."""
-    if not isinstance(data, dict):
-        raise SpecFormatError("training config must be a JSON object")
+    ``(LossSpec, TrainOptions)``. A key outside ``TRAINING_CONFIG_KEYS``
+    (or, in ``"loss"``, ``TRAINING_LOSS_KEYS``) raises ``SpecFormatError``."""
+    _reject_unknown_keys(data, TRAINING_CONFIG_KEYS, "training config")
+    loss_spec = data.get("loss", {"kind": "subtask_space"})
+    _reject_unknown_keys(loss_spec, TRAINING_LOSS_KEYS, "training config loss")
     with _field_types("training config"):
-        loss_spec = data.get("loss", {"kind": "subtask_space"})
         kind = _require(loss_spec, "kind", "training config loss")
         kind = LOSS_KIND_ALIASES.get(kind, kind)
         lam = loss_spec.get("lambda")

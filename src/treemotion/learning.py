@@ -12,14 +12,17 @@ the difference between the two strategies is directly measurable.
 With ``alpha=None`` the loop fixes its step by a backtracking Armijo
 search on the first iteration. A trial step is rejected as soon as the
 running total of its per-sample losses is not ``<= bound``, where
-``bound = loss0 - c * alpha * |g|^2``; the remaining samples are never
-evaluated. This is exact, not a heuristic: every per-sample term is
-``>= 0`` (a squared norm, weighted by ``lam >= 0``) or non-finite, and
-adding a term ``>= 0`` in round-to-nearest never lowers a total (inf and
-NaN stay put), so a partial total above the bound means the full total
-is above it too. Trial totals are never recorded, so the accepted step,
-the histories and the weights are the same bits as a full sum gives.
-Any new loss kind must keep every per-sample term ``>= 0``.
+``bound = loss0 - c * alpha * |g|^2``. The terms come from stacked
+chunks of samples (``losses.STACK_CHUNKS``, small first), and the chunks
+after the deciding sample are never evaluated. This is exact, not a
+heuristic: the terms are still added one at a time in sample order,
+every per-sample term is ``>= 0`` (a squared norm, weighted by
+``lam >= 0``) or non-finite, and adding a term ``>= 0`` in
+round-to-nearest never lowers a total (inf and NaN stay put), so a
+partial total above the bound means the full total is above it too.
+Trial totals are never recorded, so the accepted step, the histories
+and the weights are the same bits as a full sum gives. Any new loss
+kind must keep every per-sample term ``>= 0``.
 """
 
 from __future__ import annotations
@@ -28,9 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructureError
+from .errors import NumericError, StructureError, TreeMotionError
 from .gradients import pipeline_vjp
-from .losses import DemoSet, LossSpec, loss_samples, sample_loss, sample_losses
+from .losses import (
+    DemoSet,
+    LossSpec,
+    loss_samples,
+    sample_loss,
+    sample_losses,
+    squared_norms,
+    stack_chunks,
+)
+from .maps import stacked_mv
 from .params import ParamVector
 from .policies import NaturalGradientLeaf
 from .tree import TransformTree, run_pipeline
@@ -267,11 +279,16 @@ def _leaf_samples(tree, params, leaf, samples):
 def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
     """Objective for one leaf: match the leaf-mapped demo velocity with
     the leaf's own flow ``v = -M^{-1} grad(Phi)``, ignoring every other
-    leaf. ``samples`` are ``_leaf_samples``' ``(x, zdot)`` pairs. The leaf
-    is evaluated through its own ``evaluate`` and differentiated by its
-    ``vjp`` on that evaluation's record. Yields each sample's ``|r|^2``
-    in sample order; with ``grad`` given, first adds that sample's weight
-    gradient into it, touching only this leaf's slices."""
+    leaf. ``samples`` are ``_leaf_samples``' ``(x, zdot)`` pairs. Yields
+    each sample's ``|r|^2`` in sample order.
+
+    With ``grad`` given, each sample is evaluated through the leaf's own
+    ``evaluate``, and its weight gradient, added into ``grad`` before its
+    term is yielded, comes from the leaf's ``vjp`` on that evaluation's
+    record; only this leaf's slices are touched. Without ``grad`` the
+    samples are evaluated in stacked chunks (``stack_chunks``), the same
+    bits; a chunk whose stacked evaluation raises is evaluated again
+    sample by sample, which decides the first failure and its error."""
     _, policy, _, _, _, latent = tree.leaf_table[leaf]
     chain = latent.map if latent is not None else None
     if chain is None and getattr(policy, "metric_input", None) == "subtask":
@@ -279,6 +296,35 @@ def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
             "subtask metric input without a latent edge is ambiguous "
             "for the baseline objective"
         )
+    if grad is not None:
+        yield from _baseline_sample_terms(policy, chain, params, samples, grad)
+        return
+    for lo, hi in stack_chunks(len(samples)):
+        try:
+            values = _baseline_stacked_terms(policy, chain, params, samples[lo:hi])
+        except (TreeMotionError, np.linalg.LinAlgError):
+            values = _baseline_sample_terms(policy, chain, params, samples[lo:hi], None)
+        yield from values
+
+
+def _baseline_stacked_terms(policy, chain, params, samples):
+    """``_baseline_sample_terms``' values on stacked arrays."""
+    x = np.array([x for x, _ in samples])
+    zdot = np.array([zdot for _, zdot in samples])
+    if chain is not None:
+        w, J_chain = chain.stacked_value_and_jacobian(x, params)
+        y = stacked_mv(J_chain, zdot)
+    else:
+        w = x
+        y = zdot
+    p, M = policy.stacked_evaluate(w, params, parent_coords=x)
+    r = y - np.linalg.solve(M, p[..., None])[..., 0]
+    return squared_norms(r).tolist()
+
+
+def _baseline_sample_terms(policy, chain, params, samples, grad):
+    """One sample at a time: ``_baseline_leaf_terms`` with or without
+    ``grad``."""
     for x, zdot in samples:
         if chain is not None:
             w, J_chain, tape = chain.value_jacobian_tape(x, params)

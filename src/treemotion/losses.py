@@ -18,13 +18,21 @@ the loss by shrinking the map instead of fitting the motion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import StructureError, TreeMotionError
+from .maps import stacked_mv
 from .params import ParamVector
-from .tree import PipelineCache, TransformTree, run_pipeline
+from .tree import PipelineCache, TransformTree, run_pipeline, run_stacked
+
+# Sizes of the stacked chunks a loss-only pass evaluates, in sample
+# order; the last size repeats. A line-search trial usually stops within
+# its first samples (a baseline trial mostly at the first, a subtask
+# trial within the first 3 to 73), so the chunks start small.
+STACK_CHUNKS = (8, 32, 128)
 
 
 @dataclass
@@ -166,6 +174,39 @@ def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
     return value, g
 
 
+def squared_norms(R: np.ndarray) -> np.ndarray:
+    """``r @ r`` for each row ``r`` of ``R``, the same bits as per row."""
+    return np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
+
+
+def stack_chunks(n: int):
+    """``(lo, hi)`` bounds of the ``STACK_CHUNKS`` that cover ``n`` samples."""
+    lo = 0
+    for size in itertools.chain(STACK_CHUNKS, itertools.repeat(STACK_CHUNKS[-1])):
+        if lo >= n:
+            return
+        yield lo, min(lo + size, n)
+        lo += size
+
+
+def _stacked_sample_losses(loss: LossSpec, tree: TransformTree, lam, params, samples):
+    """``sample_loss``'s values for ``samples``, from one ``run_stacked``
+    pass and the same expressions on stacked arrays."""
+    states, pi = run_stacked(tree, [q for q, _ in samples], params)
+    r = np.array([qdot for _, qdot in samples], dtype=float) - pi
+    if loss.kind == "joint_space":
+        return squared_norms(r).tolist()
+    value = np.zeros(len(r))
+    for lk, row in zip(lam, tree.leaf_table.values()):
+        if lk == 0.0:
+            continue
+        J = np.eye(tree.root_dim)
+        for edge in row.anchor:
+            J = np.matmul(states[edge.child].jac_to_parent, J)
+        value += lk * squared_norms(stacked_mv(J, r))
+    return list(value)
+
+
 def loss_samples(loss: LossSpec, tree: TransformTree, demos_or_samples):
     """``(samples, lam)`` of a summed demo loss; ``lam`` is ``None`` for the
     joint loss, and the per-leaf baseline kind is rejected."""
@@ -186,13 +227,34 @@ def loss_samples(loss: LossSpec, tree: TransformTree, demos_or_samples):
 
 def sample_losses(loss: LossSpec, tree: TransformTree, params: ParamVector | None,
                   demos):
-    """Each sample's loss, in sample order, one ``run_pipeline`` pass per
-    sample as it is asked for. Every term is ``>= 0`` (a squared norm,
-    weighted by ``lam >= 0``) or non-finite; the trainers' line search
-    relies on that to stop summing a trial early."""
+    """Each sample's loss, in sample order, the same bits as
+    ``sample_loss`` on the sample's ``run_pipeline`` pass. The samples
+    are evaluated by ``run_stacked`` in chunks (``stack_chunks``), each
+    when its first term is asked for. A chunk whose stacked pass raises
+    is evaluated again sample by sample: the per-sample route yields the
+    terms before its first failing sample ``k`` and raises that sample's
+    error, of the same class, as ``"sample k: <message>"``. Every term
+    is ``>= 0`` (a squared norm, weighted by ``lam >= 0``) or
+    non-finite; the trainers' line search relies on that to stop summing
+    a trial early."""
     samples, lam = loss_samples(loss, tree, demos)
-    for q, qdot in samples:
-        yield sample_loss(tree, loss, lam, run_pipeline(tree, q, params), qdot)[0]
+    for lo, hi in stack_chunks(len(samples)):
+        try:
+            values = _stacked_sample_losses(loss, tree, lam, params, samples[lo:hi])
+        except TreeMotionError:
+            values = _per_sample_losses(loss, tree, lam, params, samples[lo:hi], lo)
+        yield from values
+
+
+def _per_sample_losses(loss, tree, lam, params, samples, first):
+    """``sample_loss`` on each sample's ``run_pipeline`` pass; an error at
+    ``samples[j]`` is raised as ``"sample {first + j}: <message>"``."""
+    for k, (q, qdot) in enumerate(samples, first):
+        try:
+            cache = run_pipeline(tree, q, params)
+        except TreeMotionError as exc:
+            raise type(exc)(f"sample {k}: {exc}") from exc
+        yield sample_loss(tree, loss, lam, cache, qdot)[0]
 
 
 def loss_value(loss: LossSpec, tree: TransformTree, params: ParamVector | None,

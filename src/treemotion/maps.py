@@ -19,6 +19,13 @@ Conventions
   forward stage calls on every edge; ``tape`` is the map's forward
   record, ``None`` unless the map overrides it (``DiffeoChain`` does).
   ``pullback_vjp`` receives that tape and reads nothing else recorded.
+* ``stacked_value_and_jacobian(X, params)`` -> ``(Y, J)`` evaluates a
+  stack of inputs ``(N, in_dim)`` into ``(N, out_dim)`` and
+  ``(N, out_dim, in_dim)``. The inherited one loops
+  ``value_and_jacobian``; the identity, arm kinematics and chains
+  override it with stacked arrays whose every entry is the same bits as
+  the per-sample call: products are stacked ``np.matmul`` calls with a
+  per-sample or a broadcast operand, and sums run along the last axis.
 * Parameterized maps read their weights through
   :meth:`~treemotion.params.Learnable.weights`: the slice assigned at
   tree construction, or frozen values.
@@ -30,6 +37,12 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .params import Learnable, ParamVector
+
+
+def stacked_mv(A, X):
+    """``A @ x`` for each row ``x`` of ``X``: one stacked matrix-vector
+    product per row, the same bits as the per-sample ``A @ x``."""
+    return np.matmul(A, X[..., None])[..., 0]
 
 
 class DifferentiableMap(Learnable):
@@ -57,6 +70,12 @@ class DifferentiableMap(Learnable):
         ``pullback_vjp`` reads, ``None`` here."""
         return (*self.value_and_jacobian(x, params), None)
 
+    def stacked_value_and_jacobian(self, X: np.ndarray,
+                                   params: ParamVector | None = None):
+        """``value_and_jacobian`` of each row of ``X``, stacked."""
+        pairs = [self.value_and_jacobian(x, params) for x in X]
+        return np.stack([y for y, _ in pairs]), np.stack([J for _, J in pairs])
+
     # -- gradient support, overridden by parameterized maps ----------------
 
     def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
@@ -80,6 +99,9 @@ class IdentityMap(DifferentiableMap):
 
     def value_and_jacobian(self, x, params=None):
         return np.asarray(x, dtype=float), self._eye
+
+    def stacked_value_and_jacobian(self, X, params=None):
+        return X, np.broadcast_to(self._eye, (len(X), self.in_dim, self.in_dim))
 
 
 class LinearMap(DifferentiableMap):
@@ -133,6 +155,16 @@ class PlanarArmFK(DifferentiableMap):
         J[0, : self.point] = -np.cumsum(sx[::-1])[::-1]
         J[1, : self.point] = np.cumsum(cx[::-1])[::-1]
         return np.array([cx.sum(), sx.sum()]), J
+
+    def stacked_value_and_jacobian(self, X, params=None):
+        c = np.cumsum(X[:, : self.point], axis=-1)
+        L = self.lengths[: self.point]
+        sx = L * np.sin(c)
+        cx = L * np.cos(c)
+        J = np.zeros((len(X), 2, self.in_dim))
+        J[:, 0, : self.point] = -np.cumsum(sx[:, ::-1], axis=-1)[:, ::-1]
+        J[:, 1, : self.point] = np.cumsum(cx[:, ::-1], axis=-1)[:, ::-1]
+        return np.stack([cx.sum(axis=-1), sx.sum(axis=-1)], axis=-1), J
 
 
 class DistanceToPoint(DifferentiableMap):
@@ -207,6 +239,11 @@ class RFFNet:
     def features_and_slope(self, x):
         """Features plus ``g = -sqrt(2/D) sin(A x + beta)`` (``df = g * A dx``)."""
         h = self.frequencies @ x + self.phases
+        return self._scale * np.cos(h), -self._scale * np.sin(h)
+
+    def stacked_features_and_slope(self, X):
+        """``features_and_slope`` of each row of ``X``: ``(N, D)`` twice."""
+        h = stacked_mv(self.frequencies, X) + self.phases
         return self._scale * np.cos(h), -self._scale * np.sin(h)
 
     def value(self, x, theta) -> np.ndarray:
@@ -288,6 +325,24 @@ class CouplingLayer:
     def jacobian(self, y, theta_s, theta_t):
         return self.value_jacobian_tape(y, theta_s, theta_t)[1]
 
+    def stacked_value_and_jacobian(self, Y, theta_s, theta_t):
+        """``value_jacobian_tape``'s ``(y, J)`` for each row of ``Y``, by the
+        same expressions on stacked arrays."""
+        a = Y[:, self._sa]
+        b = Y[:, self._sb]
+        fs, gs = self.s_net.stacked_features_and_slope(a)
+        ft, gt = self.t_net.stacked_features_and_slope(a)
+        E = np.exp(stacked_mv(theta_s.T, fs))
+        bE = b * E
+        out = Y.copy()
+        out[:, self._sb] = bE + stacked_mv(theta_t.T, ft)
+        J = np.tile(self._eye, (len(Y), 1, 1))
+        J[:, self.ib, self.ib] = E
+        dba = bE[:, :, None] * np.matmul(theta_s.T, gs[:, :, None] * self.s_net.frequencies)
+        dba += np.matmul(theta_t.T, gt[:, :, None] * self.t_net.frequencies)
+        J[:, self._sb, self._sa] = dba
+        return out, J
+
 
 class DiffeoChain(DifferentiableMap):
     """Diffeomorphism built from stacked coupling layers.
@@ -367,6 +422,14 @@ class DiffeoChain(DifferentiableMap):
     def value_jacobian_tape(self, x, params=None):
         """The tape holds views of ``x`` and the weights: write neither."""
         return self._taped_forward(self.weights(params), np.asarray(x, dtype=float))
+
+    def stacked_value_and_jacobian(self, X, params=None):
+        block = self.weights(params)
+        J = self._eye
+        for m, ly in enumerate(self.layers):
+            X, J_layer = ly.stacked_value_and_jacobian(X, *self._layer_thetas(block, m))
+            J = np.matmul(J_layer, J)
+        return X, J
 
     # -- reverse-mode support ----------------------------------------------
 

@@ -23,6 +23,12 @@ feeds ``grad_param_vjp``, ``Metric.value_tape`` feeds ``param_vjp``, and
 ``LeafPolicy.evaluate`` -> ``(p, M, record)`` feeds ``LeafPolicy.vjp``,
 which hands each component its own part. No reverse rule evaluates its
 forward again.
+
+Loss-only passes evaluate a stack of points at once: ``stacked_grad``,
+``stacked_value`` and ``stacked_evaluate`` -> ``(P, M)`` take ``(N, d)``
+inputs and return no records. The inherited ones loop the per-sample
+method, so a custom component implements only the per-sample contract;
+the overrides here give the same bits as that loop.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .maps import DiffeoChain
+from .maps import DiffeoChain, stacked_mv
 from .params import Learnable
 
 
@@ -55,6 +61,10 @@ class Potential:
         """``(grad(z), tape)`` for ``grad_param_vjp`` at the same weights."""
         return self.grad(z, params), None
 
+    def stacked_grad(self, Z, params):
+        """``grad`` of each row of ``Z``, stacked."""
+        return np.stack([self.grad(z, params) for z in Z])
+
     def grad_param_vjp(self, z, params, cot, grad_out, tape) -> np.ndarray:
         """Add ``(d grad / d theta)^T cot`` into ``grad_out`` and return
         the Hessian-vector product ``(d grad / d z)^T cot``, on the tape
@@ -68,6 +78,9 @@ class ZeroPotential(Potential):
 
     def grad(self, z, params):
         return np.zeros_like(np.asarray(z, dtype=float))
+
+    def stacked_grad(self, Z, params):
+        return np.zeros_like(Z)
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape):
         return np.zeros_like(np.asarray(cot, dtype=float))
@@ -88,6 +101,9 @@ class QuadraticPotential(Potential):
 
     def grad(self, z, params):
         return self.gain * (z - self.goal)
+
+    def stacked_grad(self, Z, params):
+        return self.gain * (Z - self.goal)
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape):
         return self.gain * cot
@@ -137,6 +153,9 @@ class LatentQuadraticPotential(Potential):
 
     def grad(self, z, params):
         return z - self.goal_image(params)
+
+    def stacked_grad(self, Z, params):
+        return Z - self.goal_image(params)
 
     def grad_tape(self, z, params):
         image, tape = self._goal_tape(params)
@@ -209,6 +228,10 @@ class Metric(Learnable):
         """``(value(x), tape)`` for ``param_vjp`` at the same weights."""
         return self.value(x, params), None
 
+    def stacked_value(self, X, params):
+        """``value`` of each row of ``X``, stacked."""
+        return np.stack([self.value(x, params) for x in X])
+
     def param_vjp(self, x, params, S, grad_out, tape) -> np.ndarray:
         """Add the weight gradient of ``<S, M(x)>`` into ``grad_out`` (if
         the metric is learnable and ``grad_out`` is not None) and return
@@ -238,6 +261,9 @@ class ConstantMetric(Metric):
 
     def value(self, x, params):
         return self.matrix
+
+    def stacked_value(self, X, params):
+        return np.broadcast_to(self.matrix, (len(X), *self.matrix.shape))
 
 
 class InverseSquareMetric(Metric):
@@ -365,6 +391,23 @@ class CholeskyMetricNet(Metric):
     def value(self, x, params):
         return self.decompose(x, params)[1]
 
+    def stacked_value(self, X, params):
+        """``value`` of each row of ``X``: ``decompose``'s expressions on
+        stacked arrays."""
+        weights = self._weights(params)
+        h = X
+        for i in range(len(self.hidden)):
+            h = np.maximum(stacked_mv(weights[2 * i], h) + weights[2 * i + 1], 0.0)
+        k = 2 * len(self.hidden)
+        L = np.zeros((len(X), self.dim, self.dim))
+        L[:, self._diag[0], self._diag[1]] = (
+            np.abs(stacked_mv(weights[k], h) + weights[k + 1]) + self.eps)
+        if self.n_off:
+            L[:, self._tril[0], self._tril[1]] = (
+                stacked_mv(weights[k + 2], h) + weights[k + 3])
+        M = np.matmul(L, L.transpose(0, 2, 1))
+        return 0.5 * (M + M.transpose(0, 2, 1))
+
     def value_tape(self, x, params):
         return self.decompose(x, params)[1:]
 
@@ -423,6 +466,13 @@ class LeafPolicy:
         ``tape``."""
         raise NotImplementedError
 
+    def stacked_evaluate(self, Z, params, parent_coords=None):
+        """``(P, M)``: ``evaluate``'s ``(p, M)`` for each row of ``Z`` (and
+        of ``parent_coords``, if given), stacked."""
+        parents = [None] * len(Z) if parent_coords is None else parent_coords
+        pairs = [self.evaluate(z, params, parent_coord=x)[:2] for z, x in zip(Z, parents)]
+        return np.stack([p for p, _ in pairs]), np.stack([M for _, M in pairs])
+
     def potential(self, z, params):
         """Potential value, or None for leaves without one."""
         return None
@@ -476,6 +526,10 @@ class RawVMLeaf(LeafPolicy, Learnable):
         M, metric_tape = self.metric.value_tape(z, params)
         return M @ v, M, (M, metric_tape)
 
+    def stacked_evaluate(self, Z, params, parent_coords=None):
+        M = self.metric.stacked_value(Z, params)
+        return stacked_mv(M, self.weights(params)), M
+
     def potential(self, z, params):
         return 0.0 if self._zero_potential else None
 
@@ -528,6 +582,11 @@ class NaturalGradientLeaf(LeafPolicy):
         x_m = self._metric_coord(z, parent_coord)
         M, metric_tape = self.metric.value_tape(x_m, params)
         return -grad, M, (pot_tape, metric_tape)
+
+    def stacked_evaluate(self, Z, params, parent_coords=None):
+        grad = self.pot.stacked_grad(Z, params)
+        return -grad, self.metric.stacked_value(self._metric_coord(Z, parent_coords),
+                                                params)
 
     def potential(self, z, params):
         return self.pot.value(z, params)

@@ -26,6 +26,11 @@ learnable edge map ends at a leaf) is decided at construction too. The
 reverse pass reads the tapes and records these stages kept and runs no
 forward kernel again.
 
+``run_stacked`` runs the same four stages on a stack of states for the
+passes that need only ``pi`` (losses, line searches): every array gains
+a leading sample axis, no tape or record is kept, and each row of its
+``pi`` is the same bits as ``run_pipeline``'s at that state.
+
 ``flat_solve`` answers the same weighted least-squares problem without
 the tree recursion (explicit root-to-leaf compositions and stacked
 normal equations) and is kept deliberately separate so the two routes
@@ -46,7 +51,7 @@ import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NumericError, SingularMetricError, StructureError
-from .maps import DiffeoChain, DifferentiableMap
+from .maps import DiffeoChain, DifferentiableMap, stacked_mv
 from .params import Learnable, ParamRegistryBuilder, ParamVector
 from .policies import LeafPolicy
 
@@ -388,6 +393,66 @@ def evaluate_policy(tree: TransformTree, q, params: ParamVector | None = None,
                     regularization: float = 0.0) -> np.ndarray:
     """Configuration-space velocity produced by the composed subtask policies."""
     return run_pipeline(tree, q, params, regularization).pi
+
+
+def run_stacked(tree: TransformTree, Q,
+                params: ParamVector | None = None) -> tuple[list[NodeState], np.ndarray]:
+    """The four stages on the states ``Q``, ``(N, root_dim)`` with
+    ``N >= 1``, at once.
+
+    Returns ``(states, pi)``: per node, a ``NodeState`` whose coordinates
+    and parent-edge Jacobian carry a leading axis of length ``N``, and
+    ``pi`` of shape ``(N, root_dim)``. Row ``k`` of every array is the
+    same bits as ``run_pipeline(tree, Q[k], params)`` gives: maps and
+    leaves evaluate through their ``stacked_*`` methods, every product
+    is a stacked ``np.matmul`` with a per-sample or broadcast operand,
+    and the root solve is ``solve_root`` on each row. The stages run the
+    per-sample checks on the whole stack, so a failing row raises the
+    error the per-sample route raises, though not necessarily for the
+    first failing row. No tape or record is kept.
+    """
+    try:
+        Q = np.asarray(Q, dtype=float)
+    except ValueError as exc:  # rows of different lengths
+        raise StructureError(f"stacked states do not form one array: {exc}") from exc
+    if Q.ndim != 2 or Q.shape[1] != tree.root_dim or not len(Q):
+        raise StructureError(
+            f"stacked states have shape {Q.shape}, expected (N, {tree.root_dim}) "
+            "with N >= 1"
+        )
+    n = len(Q)
+    states = [NodeState(coord=Q)]
+    for e in tree.edges:
+        Y, J = e.map.stacked_value_and_jacobian(states[e.parent].coord, params)
+        if Y.shape != (n, tree.node_dims[e.child]):
+            raise StructureError(
+                f"{e.name()}: map produced shape {Y.shape[1:]}, node dim is "
+                f"{tree.node_dims[e.child]}"
+            )
+        states.append(NodeState(Y, J))
+    for node, policy, edge, _, _, _ in tree.leaf_table.values():
+        parent_coords = states[edge.parent].coord if edge is not None else None
+        P, M = policy.stacked_evaluate(states[node].coord, params, parent_coords)
+        if not (np.isfinite(P).all() and np.isfinite(M).all()):
+            raise NumericError(f"leaf {node} produced a non-finite policy output")
+        states[node].pulled_force = P
+        states[node].pulled_metric = M
+    for i, d in tree._inner_dims:
+        states[i].pulled_force = np.zeros((n, d))
+        states[i].pulled_metric = np.zeros((n, d, d))
+    for e in reversed(tree.edges):
+        child = states[e.child]
+        J = child.jac_to_parent
+        JT = J.transpose(0, 2, 1)
+        parent = states[e.parent]
+        parent.pulled_force = parent.pulled_force + stacked_mv(JT, child.pulled_force)
+        M = parent.pulled_metric + np.matmul(np.matmul(JT, child.pulled_metric), J)
+        parent.pulled_metric = 0.5 * (M + M.transpose(0, 2, 1))
+    root = states[0]
+    pi = np.empty((n, tree.root_dim))
+    for k in range(n):
+        pi[k] = solve_root(root.pulled_metric[k], root.pulled_force[k])[0]
+    return states, pi
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,25 @@ def test_cli_malformed_training_config_is_a_validation_error(
     assert code == 2 and err.startswith("validation error: training config")
 
 
+@pytest.mark.parametrize("config, key, accepted", [
+    ({"iteration": 5, "loss": {"kind": "joint"}}, "'iteration'",
+     "loss, alpha, iterations, seed, minibatch, momentum"),
+    ({"iterations": 5, "loss": {"kind": "joint", "lamda": [1]}}, "'lamda'", "kind, lambda"),
+])
+def test_cli_training_config_rejects_an_unknown_key(tmp_path, capsys, spec_path, demo_path,
+                                                    config, key, accepted):
+    with pytest.raises(SpecFormatError, match=key):
+        tmio.parse_training_config(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "p.json"
+    code, err = _cli_exit_and_stderr(capsys, "train", spec_path, "--demos", demo_path,
+                                     "--config", path, "--out", out)
+    assert code == 2 and err.startswith("validation error: training config")
+    assert f"unknown key {key}; accepted keys: {accepted}" in err
+    assert not out.exists()
+
+
 def test_cli_malformed_params_file_is_a_validation_error(tmp_path, capsys, spec_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"registry": [], "values": ["a"]}))

@@ -84,31 +84,43 @@ def fixture_one():
 
 
 def _counted_runs(monkeypatch, fixture, oracle):
-    """Train the subtask, joint and baseline runs; count the pipeline passes
-    of the subtask run and the chain passes of the baseline."""
+    """Train the subtask, joint and baseline runs; count the demo states the
+    subtask run evaluates and the chain inputs the baseline maps, each
+    per-sample pass and each row of a stacked one."""
     tree, params, demos, lam = fixture
     counts = {"pipeline": 0, "chain": 0}
-    run_pipeline = losses.run_pipeline
+    run_pipeline, run_stacked = losses.run_pipeline, losses.run_stacked
     value_jacobian_tape = DiffeoChain.value_jacobian_tape
+    stacked_value_and_jacobian = DiffeoChain.stacked_value_and_jacobian
 
     def pipeline(*args):
         counts["pipeline"] += 1
         return run_pipeline(*args)
 
+    def stacked(tree, Q, params):
+        counts["pipeline"] += len(Q)
+        return run_stacked(tree, Q, params)
+
     def chain(self, *args):
         counts["chain"] += 1
         return value_jacobian_tape(self, *args)
+
+    def stacked_chain(self, X, params):
+        counts["chain"] += len(X)
+        return stacked_value_and_jacobian(self, X, params)
 
     with monkeypatch.context() as m:
         if oracle:
             m.setattr(learning, "_total_within", full_sum)
         m.setattr(losses, "run_pipeline", pipeline)
+        m.setattr(losses, "run_stacked", stacked)
         m.setattr(learning, "run_pipeline", pipeline)
         opts = TrainOptions(alpha=None, iterations=2)
         subtask = train(tree, params, demos, LossSpec("subtask_space", lam), opts)
         subtask_passes = counts["pipeline"]
         joint = train(tree, params, demos, LossSpec("joint_space"), opts)
         m.setattr(DiffeoChain, "value_jacobian_tape", chain)
+        m.setattr(DiffeoChain, "stacked_value_and_jacobian", stacked_chain)
         baseline = train_independent_baseline(tree, params, demos, opts)
     return (subtask, joint, baseline), subtask_passes, counts["chain"]
 
@@ -123,5 +135,7 @@ def test_training_is_bit_identical_to_a_full_sum_search_and_does_less(
         assert np.array_equal(result.params.values, expected.params.values)
         assert np.array_equal(result.history, expected.history)
     assert np.array_equal(runs[2].values, oracle[2].values)
+    # The stacked chunks start small, so a trial that rejects early still
+    # evaluates fewer states than the full sum.
     assert passes < oracle_passes
     assert 0 < chain_passes < oracle_chain_passes
