@@ -55,11 +55,39 @@ from .policies import (
 from .rollout import RolloutResult
 from .tree import Edge, TransformTree
 
-MAP_KINDS = ("identity", "linear", "planar_arm_fk", "distance_to_point",
-             "diffeo_chain")
-POLICY_KINDS = ("natural_gradient", "raw_vm", "damper", "attractor", "barrier")
-METRIC_KINDS = ("constant", "cholesky_net", "inverse_square")
-POTENTIAL_KINDS = ("zero", "quadratic", "latent_quadratic", "barrier")
+# The keys a tree spec, its entries and each kind of component may hold,
+# besides "kind"; any other key is a SpecFormatError. "features" is an
+# alias of "features_D".
+TREE_KEYS = ("nodes", "edges", "leaves")
+NODE_KEYS = ("id", "dim")
+EDGE_KEYS = ("parent", "child", "map")
+LEAF_KEYS = ("node", "policy")
+MAP_KEYS = {
+    "identity": (),
+    "linear": ("matrix", "offset"),
+    "planar_arm_fk": ("lengths", "point"),
+    "distance_to_point": ("center",),
+    "diffeo_chain": ("features_D", "features", "layers", "length_scale", "seed",
+                     "learnable", "init_scale"),
+}
+POLICY_KEYS = {
+    "natural_gradient": ("potential", "metric", "learnable", "metric_space"),
+    "raw_vm": ("velocity", "metric", "learnable"),
+    "damper": ("gain",),
+    "attractor": ("goal", "gain", "weight"),
+    "barrier": ("margin", "gain", "weight"),
+}
+METRIC_KEYS = {
+    "constant": ("matrix", "scale"),
+    "cholesky_net": ("in_dim", "hidden", "eps", "seed", "learnable"),
+    "inverse_square": ("weight", "margin"),
+}
+POTENTIAL_KEYS = {
+    "zero": (),
+    "quadratic": ("goal", "gain"),
+    "latent_quadratic": ("goal",),
+    "barrier": ("margin", "gain"),
+}
 # Short loss names accepted by training configs and ``tree-motion train --loss``.
 LOSS_KIND_ALIASES = {"subtask": "subtask_space", "joint": "joint_space",
                      "independent": "independent_baseline"}
@@ -97,10 +125,22 @@ def _reject_unknown_keys(spec, accepted, context: str) -> None:
         )
 
 
+def _spec_kind(spec, keys: dict, what: str) -> str:
+    """``spec``'s kind, once it is one of ``keys`` and ``spec`` holds no
+    key outside ``"kind"`` and that kind's ``keys``."""
+    kind = _require(spec, "kind", f"{what} spec")
+    if kind not in keys:
+        raise SpecFormatError(
+            f"unknown {what} kind {kind!r}; registered kinds: {', '.join(keys)}"
+        )
+    _reject_unknown_keys(spec, ("kind", *keys[kind]), f"{what} {kind!r}")
+    return kind
+
+
 def build_map(spec: dict, in_dim: int):
     """Instantiate an edge map from its JSON spec; ``TransformTree`` checks
     its dimensions against the edge's nodes."""
-    kind = _require(spec, "kind", "map spec")
+    kind = _spec_kind(spec, MAP_KEYS, "map")
     if kind == "identity":
         return IdentityMap(in_dim)
     if kind == "linear":
@@ -124,13 +164,10 @@ def build_map(spec: dict, in_dim: int):
             learnable=bool(spec.get("learnable", True)),
             init_scale=float(spec.get("init_scale", 0.0)),
         )
-    raise SpecFormatError(
-        f"unknown map kind {kind!r}; registered kinds: {', '.join(MAP_KINDS)}"
-    )
 
 
 def build_metric(spec: dict, dim: int, default_learnable: bool = True):
-    kind = _require(spec, "kind", "metric spec")
+    kind = _spec_kind(spec, METRIC_KEYS, "metric")
     if kind == "constant":
         if "matrix" in spec:
             return ConstantMetric(np.asarray(spec["matrix"], dtype=float))
@@ -147,15 +184,12 @@ def build_metric(spec: dict, dim: int, default_learnable: bool = True):
     if kind == "inverse_square":
         return InverseSquareMetric(float(_require(spec, "weight", "inverse_square")),
                                    float(_require(spec, "margin", "inverse_square")))
-    raise SpecFormatError(
-        f"unknown metric kind {kind!r}; registered kinds: {', '.join(METRIC_KINDS)}"
-    )
 
 
 def build_policy(spec: dict, dim: int, parent_map):
     """Instantiate a leaf policy; ``parent_map`` supplies the latent chain
     for latent-quadratic potentials."""
-    kind = _require(spec, "kind", "policy spec")
+    kind = _spec_kind(spec, POLICY_KEYS, "policy")
     if kind == "damper":
         return handcrafted_damper(float(spec.get("gain", 1.0)), dim)
     if kind == "attractor":
@@ -179,7 +213,7 @@ def build_policy(spec: dict, dim: int, parent_map):
         )
     if kind == "natural_gradient":
         pot_spec = _require(spec, "potential", "natural_gradient")
-        pot_kind = _require(pot_spec, "kind", "potential spec")
+        pot_kind = _spec_kind(pot_spec, POTENTIAL_KEYS, "potential")
         if pot_kind == "zero":
             potential = ZeroPotential()
         elif pot_kind == "quadratic":
@@ -203,11 +237,6 @@ def build_policy(spec: dict, dim: int, parent_map):
                 float(_require(pot_spec, "margin", "barrier potential")),
                 gain=float(pot_spec.get("gain", 1.0)),
             )
-        else:
-            raise SpecFormatError(
-                f"unknown potential kind {pot_kind!r}; registered kinds: "
-                f"{', '.join(POTENTIAL_KINDS)}"
-            )
         # policy-level "learnable" is the default for the metric network;
         # the chain's own flag lives on its edge-map spec
         metric = build_metric(_require(spec, "metric", "natural_gradient"), dim,
@@ -216,16 +245,15 @@ def build_policy(spec: dict, dim: int, parent_map):
             dim, potential, metric,
             metric_input=spec.get("metric_space", "latent"),
         )
-    raise SpecFormatError(
-        f"unknown policy kind {kind!r}; registered kinds: {', '.join(POLICY_KINDS)}"
-    )
 
 
 def tree_from_dict(data: dict) -> TransformTree:
+    _reject_unknown_keys(data, TREE_KEYS, "tree spec")
     with _field_types("tree spec"):
         nodes = _require(data, "nodes", "tree spec")
         dims = {}
         for entry in nodes:
+            _reject_unknown_keys(entry, NODE_KEYS, "node entry")
             dims[int(_require(entry, "id", "node entry"))] = int(
                 _require(entry, "dim", "node entry")
             )
@@ -236,6 +264,7 @@ def tree_from_dict(data: dict) -> TransformTree:
         edges = []
         edge_maps = {}
         for entry in _require(data, "edges", "tree spec"):
+            _reject_unknown_keys(entry, EDGE_KEYS, "edge entry")
             parent = int(_require(entry, "parent", "edge entry"))
             child = int(_require(entry, "child", "edge entry"))
             if parent not in dims or child not in dims:
@@ -249,6 +278,7 @@ def tree_from_dict(data: dict) -> TransformTree:
 
         policies = {}
         for entry in _require(data, "leaves", "tree spec"):
+            _reject_unknown_keys(entry, LEAF_KEYS, "leaf entry")
             node = int(_require(entry, "node", "leaf entry"))
             if node not in dims:
                 raise SpecFormatError(f"leaf entry references unknown node {node}")

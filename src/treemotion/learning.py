@@ -282,13 +282,16 @@ def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
     leaf. ``samples`` are ``_leaf_samples``' ``(x, zdot)`` pairs. Yields
     each sample's ``|r|^2`` in sample order.
 
-    With ``grad`` given, each sample is evaluated through the leaf's own
-    ``evaluate``, and its weight gradient, added into ``grad`` before its
-    term is yielded, comes from the leaf's ``vjp`` on that evaluation's
-    record; only this leaf's slices are touched. Without ``grad`` the
-    samples are evaluated in stacked chunks (``stack_chunks``), the same
-    bits; a chunk whose stacked evaluation raises is evaluated again
-    sample by sample, which decides the first failure and its error."""
+    The samples are evaluated in stacked chunks (``stack_chunks``). With
+    ``grad`` given, the chunk's weight gradients come from the stacked
+    reverse rules on the chunk's stacked records, as one row per sample
+    and rule; sample ``k``'s rows are added into ``grad`` just before its
+    term is yielded, in the per-sample order (goal reverse, metric, edge
+    pullback), so ``grad`` holds the same bits as adding each sample's
+    gradient in turn. Only this leaf's slices are touched. A chunk whose
+    stacked evaluation raises, forward or reverse, has added nothing; it
+    is evaluated again sample by sample, which decides the first failure,
+    its error and the gradient added before it."""
     _, policy, _, _, _, latent = tree.leaf_table[leaf]
     chain = latent.map if latent is not None else None
     if chain is None and getattr(policy, "metric_input", None) == "subtask":
@@ -296,35 +299,50 @@ def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
             "subtask metric input without a latent edge is ambiguous "
             "for the baseline objective"
         )
-    if grad is not None:
-        yield from _baseline_sample_terms(policy, chain, params, samples, grad)
-        return
     for lo, hi in stack_chunks(len(samples)):
         try:
-            values = _baseline_stacked_terms(policy, chain, params, samples[lo:hi])
+            values, rows = _baseline_stacked_terms(policy, chain, params, samples[lo:hi],
+                                                   grad is not None)
         except (TreeMotionError, np.linalg.LinAlgError):
-            values = _baseline_sample_terms(policy, chain, params, samples[lo:hi], None)
-        yield from values
+            yield from _baseline_sample_terms(policy, chain, params, samples[lo:hi], grad)
+            continue
+        for k, value in enumerate(values):
+            for where, R in rows:
+                grad[where] += R[k]
+            yield value
 
 
-def _baseline_stacked_terms(policy, chain, params, samples):
-    """``_baseline_sample_terms``' values on stacked arrays."""
+def _baseline_stacked_terms(policy, chain, params, samples, with_grad):
+    """``_baseline_sample_terms`` on stacked arrays: the values, and with
+    ``with_grad`` the weight rows ``[(slice, R), ...]`` in the order the
+    per-sample route adds them (none without)."""
     x = np.array([x for x, _ in samples])
     zdot = np.array([zdot for _, zdot in samples])
     if chain is not None:
-        w, J_chain = chain.stacked_value_and_jacobian(x, params)
+        w, J_chain, tape = chain.stacked_value_jacobian_tape(x, params)
         y = stacked_mv(J_chain, zdot)
     else:
         w = x
         y = zdot
-    p, M = policy.stacked_evaluate(w, params, parent_coords=x)
-    r = y - np.linalg.solve(M, p[..., None])[..., 0]
-    return squared_norms(r).tolist()
+    p, M, record = policy.stacked_evaluate(w, params, parent_coords=x)
+    v = np.linalg.solve(M, p[..., None])[..., 0]
+    r = y - v
+    rows = []
+    if with_grad:
+        rho = np.linalg.solve(M, r[..., None])[..., 0]
+        c_w, rows = policy.stacked_vjp(w, params, -2.0 * rho,
+                                       2.0 * (rho[:, :, None] * v[:, None, :]), record,
+                                       parent_coords=x)
+        if chain is not None and chain.is_learnable:
+            rows = rows + chain.stacked_pullback_vjp(x, params, c_w, zdot[:, :, None],
+                                                     (2.0 * r)[:, :, None], tape)
+    return squared_norms(r).tolist(), rows
 
 
 def _baseline_sample_terms(policy, chain, params, samples, grad):
     """One sample at a time: ``_baseline_leaf_terms`` with or without
-    ``grad``."""
+    ``grad``, each sample's gradient added into ``grad`` before its term
+    is yielded."""
     for x, zdot in samples:
         if chain is not None:
             w, J_chain, tape = chain.value_jacobian_tape(x, params)

@@ -26,6 +26,10 @@ Conventions
   override it with stacked arrays whose every entry is the same bits as
   the per-sample call: products are stacked ``np.matmul`` calls with a
   per-sample or a broadcast operand, and sums run along the last axis.
+  The chain also has stacked twins of its taped forward and its two
+  reverse rules (``stacked_value_jacobian_tape``, ``stacked_value_vjp``,
+  ``stacked_pullback_vjp``), which return each sample's weight gradient
+  as a row instead of adding it.
 * Parameterized maps read their weights through
   :meth:`~treemotion.params.Learnable.weights`: the slice assigned at
   tree construction, or frozen values.
@@ -41,8 +45,13 @@ from .params import Learnable, ParamVector
 
 def stacked_mv(A, X):
     """``A @ x`` for each row ``x`` of ``X``: one stacked matrix-vector
-    product per row, the same bits as the per-sample ``A @ x``."""
-    return np.matmul(A, X[..., None])[..., 0]
+    product per row, the same bits as the per-sample ``A @ x``.
+
+    The promise holds for a C-contiguous stack only, because the product
+    kernel numpy picks depends on the strides of the rows: a column-major
+    ``(N, 3)`` stack, as fancy indexing returns, gave other last bits. So
+    ``X`` is made C-contiguous here, which copies nothing when it is."""
+    return np.matmul(A, np.ascontiguousarray(X)[..., None])[..., 0]
 
 
 class DifferentiableMap(Learnable):
@@ -325,9 +334,10 @@ class CouplingLayer:
     def jacobian(self, y, theta_s, theta_t):
         return self.value_jacobian_tape(y, theta_s, theta_t)[1]
 
-    def stacked_value_and_jacobian(self, Y, theta_s, theta_t):
-        """``value_jacobian_tape``'s ``(y, J)`` for each row of ``Y``, by the
-        same expressions on stacked arrays."""
+    def stacked_value_jacobian_tape(self, Y, theta_s, theta_t):
+        """``value_jacobian_tape`` of each row of ``Y``, by the same
+        expressions on stacked arrays; the entry's arrays gain a leading
+        sample axis, the weights stay shared."""
         a = Y[:, self._sa]
         b = Y[:, self._sb]
         fs, gs = self.s_net.stacked_features_and_slope(a)
@@ -341,7 +351,7 @@ class CouplingLayer:
         dba = bE[:, :, None] * np.matmul(theta_s.T, gs[:, :, None] * self.s_net.frequencies)
         dba += np.matmul(theta_t.T, gt[:, :, None] * self.t_net.frequencies)
         J[:, self._sb, self._sa] = dba
-        return out, J
+        return out, J, (b, bE, fs, gs, ft, gt, E, theta_s, theta_t)
 
 
 class DiffeoChain(DifferentiableMap):
@@ -357,7 +367,9 @@ class DiffeoChain(DifferentiableMap):
     for a chain edge; ``pullback_vjp`` first pushes its tangents through
     the taped layers, which captures how the layer Jacobians move with
     their inputs. A latent goal keeps the ``value_tape`` of its own goal,
-    so its image and its ``value_vjp`` read the same one.
+    so its image and its ``value_vjp`` read the same one. The stacked
+    twins run the same expressions with a leading sample axis; the
+    per-sample kernels stay for ``loss_and_gradient``.
     """
 
     def __init__(self, dim, n_layers=4, n_features=128, length_scale=1.0,
@@ -424,12 +436,21 @@ class DiffeoChain(DifferentiableMap):
         return self._taped_forward(self.weights(params), np.asarray(x, dtype=float))
 
     def stacked_value_and_jacobian(self, X, params=None):
+        return self.stacked_value_jacobian_tape(X, params)[:2]
+
+    def stacked_value_jacobian_tape(self, X, params=None):
+        """``value_jacobian_tape`` of each row of ``X``: ``(Y, J, tape)``,
+        whose layer entries are stacked. Write neither ``X`` nor the
+        weights while the tape is in use."""
         block = self.weights(params)
         J = self._eye
+        tape = []
         for m, ly in enumerate(self.layers):
-            X, J_layer = ly.stacked_value_and_jacobian(X, *self._layer_thetas(block, m))
+            X, J_layer, entry = ly.stacked_value_jacobian_tape(
+                X, *self._layer_thetas(block, m))
             J = np.matmul(J_layer, J)
-        return X, J
+            tape.append(entry)
+        return X, J, tape
 
     # -- reverse-mode support ----------------------------------------------
 
@@ -530,6 +551,87 @@ class DiffeoChain(DifferentiableMap):
                 cV[ly._sa] = CVa
                 cV[ly._sb] = CVb
 
+    def _stacked_push_tangents(self, tape, V):
+        """``_push_tangents`` on a stacked tape and ``(N, d, T)`` tangents."""
+        pushed = []
+        for ly, (b, bE, fs, gs, ft, gt, E, ts, tt) in zip(self.layers, tape):
+            Va = V[:, ly._sa]
+            Vb = V[:, ly._sb]
+            Us = np.matmul(ly.s_net.frequencies, Va)     # (N, D, T)
+            Ws = gs[:, :, None] * Us
+            P = np.matmul(ts.T, Ws)                      # (N, nb, T)
+            Ut = np.matmul(ly.t_net.frequencies, Va)
+            Wt = gt[:, :, None] * Ut
+            Q = np.matmul(tt.T, Wt)
+            pushed.append((Vb, Us, Ws, P, Ut, Wt, Q))
+            if len(pushed) < len(tape):
+                V = V.copy()
+                V[:, ly._sb] = Vb * E[:, :, None] + bE[:, :, None] * P + Q
+        return pushed
+
+    def _stacked_aug_reverse(self, tape, pushed, cot_y, cot_V):
+        """``_aug_reverse`` on ``(N, d)`` cotangents and ``(N, d, T)``
+        tangent cotangents; returns each sample's weight gradient as a row
+        of an ``(N, n_params)`` array instead of adding it anywhere.
+
+        Every expression is ``_aug_reverse``'s with a leading sample axis,
+        so each row is the same bits as the per-sample one. With zero
+        tangent columns the tape may be one per-sample tape (the goal
+        tape of a latent potential), broadcast against the cotangents.
+        """
+        cy = cot_y
+        cV = cot_V
+        width = cV.shape[-1]
+        rows = np.empty((len(cy), self.n_params))
+        for m in range(len(self.layers) - 1, -1, -1):
+            ly = self.layers[m]
+            b, bE, fs, gs, ft, gt, E, ts, tt = tape[m]
+            cb_out = cy[:, ly._sb]
+
+            cE = cb_out * b
+            if width:
+                Vb, Us, Ws, P, Ut, Wt, Q = pushed[m]
+                Cb_out = cV[:, ly._sb]
+                rowsum_P = np.einsum("nit,nit->ni", Cb_out, P)
+                rowsum_Vb = np.einsum("nit,nit->ni", Cb_out, Vb)
+                cE += rowsum_Vb + b * rowsum_P
+                CP = Cb_out * bE[:, :, None]
+            cs = cE * E
+            gtheta_s = fs[..., :, None] * cs[:, None, :]
+            gtheta_t = ft[..., :, None] * cb_out[:, None, :]
+            if width:
+                gtheta_s += np.matmul(Ws, CP.transpose(0, 2, 1))
+                gtheta_t += np.matmul(Wt, Cb_out.transpose(0, 2, 1))
+            lo, mid, hi, _ = self._spans[m]
+            rows[:, lo: mid] = gtheta_s.reshape(len(cy), -1)
+            rows[:, mid: hi] = gtheta_t.reshape(len(cy), -1)
+            if m == 0:
+                return rows
+
+            cb = cb_out * E
+            dfs = gs * stacked_mv(ts, cs)
+            dft = gt * stacked_mv(tt, cb_out)
+            if width:
+                CVb = Cb_out * E[:, :, None]
+                cb += E * rowsum_P
+                CWs = np.matmul(ts, CP)
+                dfs -= fs * np.einsum("nit,nit->ni", CWs, Us)
+                CVa = cV[:, ly._sa] + np.matmul(ly.s_net.frequencies.T,
+                                                gs[:, :, None] * CWs)
+                CWt = np.matmul(tt, Cb_out)
+                dft -= ft * np.einsum("nit,nit->ni", CWt, Ut)
+                CVa += np.matmul(ly.t_net.frequencies.T, gt[:, :, None] * CWt)
+            ca = cy[:, ly._sa] + stacked_mv(ly.s_net.frequencies.T, dfs)
+            ca += stacked_mv(ly.t_net.frequencies.T, dft)
+
+            cy = np.empty_like(cy)
+            cy[:, ly._sa] = ca
+            cy[:, ly._sb] = cb
+            if width:
+                cV = np.empty_like(cV)
+                cV[:, ly._sa] = CVa
+                cV[:, ly._sb] = CVb
+
     def value_tape(self, x, params=None):
         """``(value, tape)`` at ``x``, built from private copies of ``x``
         and the weights, so nothing else can write the tape. The value
@@ -558,3 +660,26 @@ class DiffeoChain(DifferentiableMap):
         cy = np.zeros(self.out_dim) if cot_value is None else cot_value
         self._aug_reverse(tape, self._push_tangents(tape, tangents), cy, cot_tangents,
                           grad_out[self.param_slice])
+
+    def stacked_value_vjp(self, X, params, cotangents, tape):
+        """``value_vjp`` for each row of the ``(N, d)`` ``cotangents``, as
+        weight rows: ``[(param_slice, (N, n_params) rows)]``, or ``[]`` for
+        a frozen chain. ``tape`` is a stacked tape at the rows of ``X``,
+        or the one tape of a single point ``X`` shared by every row."""
+        if not self.is_learnable:
+            return []
+        width0 = np.zeros((len(cotangents), self.out_dim, 0))
+        return [(self.param_slice,
+                 self._stacked_aug_reverse(tape, None, cotangents, width0))]
+
+    def stacked_pullback_vjp(self, X, params, cot_value, tangents, cot_tangents,
+                             tape):
+        """``pullback_vjp`` for each row of ``X``, on
+        ``stacked_value_jacobian_tape``'s tape, with ``(N, d)`` value and
+        ``(N, d, T)`` tangent cotangents; weight rows as
+        ``stacked_value_vjp``."""
+        if not self.is_learnable:
+            return []
+        pushed = self._stacked_push_tangents(tape, tangents)
+        return [(self.param_slice,
+                 self._stacked_aug_reverse(tape, pushed, cot_value, cot_tangents))]

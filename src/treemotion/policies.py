@@ -24,11 +24,19 @@ feeds ``grad_param_vjp``, ``Metric.value_tape`` feeds ``param_vjp``, and
 which hands each component its own part. No reverse rule evaluates its
 forward again.
 
-Loss-only passes evaluate a stack of points at once: ``stacked_grad``,
-``stacked_value`` and ``stacked_evaluate`` -> ``(P, M)`` take ``(N, d)``
-inputs and return no records. The inherited ones loop the per-sample
-method, so a custom component implements only the per-sample contract;
-the overrides here give the same bits as that loop.
+Each forward and reverse rule has a stacked twin on ``(N, d)`` inputs
+with a leading sample axis: ``stacked_grad_tape``, ``stacked_value_tape``
+and ``stacked_evaluate`` -> ``(P, M, record)`` keep a record, and
+``stacked_grad_param_vjp``, ``stacked_param_vjp`` and ``stacked_vjp``
+read it and return ``(cotangents, rows)`` instead of adding into a
+gradient. ``rows`` lists ``(slice, R)`` pairs in the order the
+per-sample rule adds them: row ``k`` of ``R`` is sample ``k``'s
+addition into ``grad[slice]``. The inherited twins loop the per-sample
+method (their records are lists of per-sample records, their rows
+full-width), so a custom component implements only the per-sample
+contract; the overrides here give the same bits as that loop. A class
+that overrides a stacked forward overrides its stacked reverse too, as
+the two share the record's layout.
 """
 
 from __future__ import annotations
@@ -38,6 +46,17 @@ import numpy as np
 from .errors import DomainError, StructureError
 from .maps import DiffeoChain, stacked_mv
 from .params import Learnable
+
+
+def _looped_rows(params, n, vjp):
+    """A stacked reverse rule from a per-sample one: ``vjp(k, grad_row)``
+    adds sample ``k``'s weight gradient into ``grad_row``, row ``k`` of a
+    zeroed ``(n, params.size)`` buffer, and returns its cotangent. Returns
+    the stacked cotangents and the buffer as full-width rows; adding row
+    ``k`` gives the same bits as the per-sample rule adding in place when
+    the rule adds into each weight at most once, as every rule here does."""
+    G = np.zeros((n, params.size))
+    return np.stack([vjp(k, G[k]) for k in range(n)]), [(slice(None), G)]
 
 
 # ---------------------------------------------------------------------------
@@ -61,15 +80,23 @@ class Potential:
         """``(grad(z), tape)`` for ``grad_param_vjp`` at the same weights."""
         return self.grad(z, params), None
 
-    def stacked_grad(self, Z, params):
-        """``grad`` of each row of ``Z``, stacked."""
-        return np.stack([self.grad(z, params) for z in Z])
+    def stacked_grad_tape(self, Z, params):
+        """``grad_tape`` of each row of ``Z``: the stacked gradients and
+        the list of tapes."""
+        pairs = [self.grad_tape(z, params) for z in Z]
+        return np.stack([g for g, _ in pairs]), [t for _, t in pairs]
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape) -> np.ndarray:
         """Add ``(d grad / d theta)^T cot`` into ``grad_out`` and return
         the Hessian-vector product ``(d grad / d z)^T cot``, on the tape
         ``grad_tape`` recorded at ``z`` and the same weights."""
         raise NotImplementedError
+
+    def stacked_grad_param_vjp(self, Z, params, cot, tape):
+        """``grad_param_vjp`` of each row, on ``stacked_grad_tape``'s tape:
+        ``(cotangents, rows)``."""
+        return _looped_rows(params, len(Z), lambda k, g: self.grad_param_vjp(
+            Z[k], params, cot[k], g, tape[k]))
 
 
 class ZeroPotential(Potential):
@@ -79,11 +106,14 @@ class ZeroPotential(Potential):
     def grad(self, z, params):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    def stacked_grad(self, Z, params):
-        return np.zeros_like(Z)
+    def stacked_grad_tape(self, Z, params):
+        return np.zeros_like(Z), None
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape):
         return np.zeros_like(np.asarray(cot, dtype=float))
+
+    def stacked_grad_param_vjp(self, Z, params, cot, tape):
+        return np.zeros_like(cot), []
 
 
 class QuadraticPotential(Potential):
@@ -102,11 +132,14 @@ class QuadraticPotential(Potential):
     def grad(self, z, params):
         return self.gain * (z - self.goal)
 
-    def stacked_grad(self, Z, params):
-        return self.gain * (Z - self.goal)
+    def stacked_grad_tape(self, Z, params):
+        return self.gain * (Z - self.goal), None
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape):
         return self.gain * cot
+
+    def stacked_grad_param_vjp(self, Z, params, cot, tape):
+        return self.gain * cot, []
 
 
 class LatentQuadraticPotential(Potential):
@@ -154,18 +187,23 @@ class LatentQuadraticPotential(Potential):
     def grad(self, z, params):
         return z - self.goal_image(params)
 
-    def stacked_grad(self, Z, params):
-        return Z - self.goal_image(params)
-
     def grad_tape(self, z, params):
         image, tape = self._goal_tape(params)
         return z - image, tape
+
+    def stacked_grad_tape(self, Z, params):
+        image, tape = self._goal_tape(params)
+        return Z - image, tape
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape):
         # grad Phi = z - chain(goal): only the goal image carries weights.
         cot = np.asarray(cot, dtype=float)
         self.chain.value_vjp(self.goal, params, -cot, grad_out, tape)
         return cot
+
+    def stacked_grad_param_vjp(self, Z, params, cot, tape):
+        # Every row reverses the one goal tape.
+        return cot, self.chain.stacked_value_vjp(self.goal, params, -cot, tape)
 
 
 class BarrierPotential(Potential):
@@ -228,9 +266,11 @@ class Metric(Learnable):
         """``(value(x), tape)`` for ``param_vjp`` at the same weights."""
         return self.value(x, params), None
 
-    def stacked_value(self, X, params):
-        """``value`` of each row of ``X``, stacked."""
-        return np.stack([self.value(x, params) for x in X])
+    def stacked_value_tape(self, X, params):
+        """``value_tape`` of each row of ``X``: the stacked matrices and
+        the list of tapes."""
+        pairs = [self.value_tape(x, params) for x in X]
+        return np.stack([M for M, _ in pairs]), [t for _, t in pairs]
 
     def param_vjp(self, x, params, S, grad_out, tape) -> np.ndarray:
         """Add the weight gradient of ``<S, M(x)>`` into ``grad_out`` (if
@@ -238,6 +278,12 @@ class Metric(Learnable):
         its gradient with respect to ``x``, on the tape ``value_tape``
         recorded at ``x`` and the same weights."""
         return np.zeros_like(np.asarray(x, dtype=float))
+
+    def stacked_param_vjp(self, X, params, S, tape):
+        """``param_vjp`` of each row, on ``stacked_value_tape``'s tape:
+        ``(cotangents, rows)``."""
+        return _looped_rows(params, len(X), lambda k, g: self.param_vjp(
+            X[k], params, S[k], g, tape[k]))
 
 
 class ConstantMetric(Metric):
@@ -262,8 +308,11 @@ class ConstantMetric(Metric):
     def value(self, x, params):
         return self.matrix
 
-    def stacked_value(self, X, params):
-        return np.broadcast_to(self.matrix, (len(X), *self.matrix.shape))
+    def stacked_value_tape(self, X, params):
+        return np.broadcast_to(self.matrix, (len(X), *self.matrix.shape)), None
+
+    def stacked_param_vjp(self, X, params, S, tape):
+        return np.zeros_like(X), []
 
 
 class InverseSquareMetric(Metric):
@@ -391,25 +440,30 @@ class CholeskyMetricNet(Metric):
     def value(self, x, params):
         return self.decompose(x, params)[1]
 
-    def stacked_value(self, X, params):
-        """``value`` of each row of ``X``: ``decompose``'s expressions on
-        stacked arrays."""
+    def value_tape(self, x, params):
+        return self.decompose(x, params)[1:]
+
+    def stacked_value_tape(self, X, params):
+        """``value_tape`` of each row of ``X``: ``decompose``'s expressions
+        on stacked arrays, and its record with a leading sample axis on
+        ``acts``, ``pres``, ``d_raw`` and ``L``."""
         weights = self._weights(params)
+        acts, pres = [X], []
         h = X
         for i in range(len(self.hidden)):
-            h = np.maximum(stacked_mv(weights[2 * i], h) + weights[2 * i + 1], 0.0)
+            pre = stacked_mv(weights[2 * i], h) + weights[2 * i + 1]
+            pres.append(pre)
+            h = np.maximum(pre, 0.0)
+            acts.append(h)
         k = 2 * len(self.hidden)
+        d_raw = stacked_mv(weights[k], h) + weights[k + 1]
         L = np.zeros((len(X), self.dim, self.dim))
-        L[:, self._diag[0], self._diag[1]] = (
-            np.abs(stacked_mv(weights[k], h) + weights[k + 1]) + self.eps)
+        L[:, self._diag[0], self._diag[1]] = np.abs(d_raw) + self.eps
         if self.n_off:
             L[:, self._tril[0], self._tril[1]] = (
                 stacked_mv(weights[k + 2], h) + weights[k + 3])
         M = np.matmul(L, L.transpose(0, 2, 1))
-        return 0.5 * (M + M.transpose(0, 2, 1))
-
-    def value_tape(self, x, params):
-        return self.decompose(x, params)[1:]
+        return 0.5 * (M + M.transpose(0, 2, 1)), (weights, acts, pres, d_raw, L)
 
     def param_vjp(self, x, params, S, grad_out, tape):
         """:meth:`Metric.param_vjp` on ``decompose``'s record at ``x``."""
@@ -445,6 +499,34 @@ class CholeskyMetricNet(Metric):
                 grad_block[start:stop] += g.ravel()
         return ch  # cotangent on the network input
 
+    def stacked_param_vjp(self, X, params, S, tape):
+        """``param_vjp`` of each row on ``stacked_value_tape``'s record, by
+        its expressions on stacked arrays: ``(input cotangents, rows)``."""
+        weights, acts, pres, d_raw, L = tape
+        n, k = len(X), 2 * len(self.hidden)
+        GL = np.matmul(S + S.transpose(0, 2, 1), L)
+        cd = np.sign(d_raw) * GL[:, self._diag[0], self._diag[1]]
+        grads = [None] * len(self._shapes)
+        grads[k] = cd[:, :, None] * acts[-1][:, None, :]
+        grads[k + 1] = cd
+        ch = stacked_mv(weights[k].T, cd)
+        if self.n_off:
+            co = GL[:, self._tril[0], self._tril[1]]
+            grads[k + 2] = co[:, :, None] * acts[-1][:, None, :]
+            grads[k + 3] = co
+            ch = ch + stacked_mv(weights[k + 2].T, co)
+        for i in range(len(self.hidden) - 1, -1, -1):
+            cpre = ch * (pres[i] > 0)
+            grads[2 * i] = cpre[:, :, None] * acts[i][:, None, :]
+            grads[2 * i + 1] = cpre
+            ch = stacked_mv(weights[2 * i].T, cpre)
+        if not self.is_learnable:
+            return ch, []
+        rows = np.empty((n, self.n_params))
+        for g, (start, stop, _) in zip(grads, self._views):
+            rows[:, start:stop] = g.reshape(n, -1)
+        return ch, [(self.param_slice, rows)]
+
     def input_vjp(self, x, params, S):
         # Kept only as a target of the perfbench per-layer tracer.
         return self.param_vjp(x, params, S, None, self.decompose(x, params)[2])
@@ -467,11 +549,13 @@ class LeafPolicy:
         raise NotImplementedError
 
     def stacked_evaluate(self, Z, params, parent_coords=None):
-        """``(P, M)``: ``evaluate``'s ``(p, M)`` for each row of ``Z`` (and
-        of ``parent_coords``, if given), stacked."""
+        """``(P, M, record)``: ``evaluate`` of each row of ``Z`` (and of
+        ``parent_coords``, if given); ``record`` is ``stacked_vjp``'s
+        ``tape``, here the list of per-sample records."""
         parents = [None] * len(Z) if parent_coords is None else parent_coords
-        pairs = [self.evaluate(z, params, parent_coord=x)[:2] for z, x in zip(Z, parents)]
-        return np.stack([p for p, _ in pairs]), np.stack([M for _, M in pairs])
+        out = [self.evaluate(z, params, parent_coord=x) for z, x in zip(Z, parents)]
+        return (np.stack([p for p, _, _ in out]), np.stack([M for _, M, _ in out]),
+                [r for _, _, r in out])
 
     def potential(self, z, params):
         """Potential value, or None for leaves without one."""
@@ -481,6 +565,13 @@ class LeafPolicy:
         """Accumulate weight gradients; return the cotangent on ``z``.
         ``tape`` is the record ``evaluate`` returned at ``z``."""
         raise NotImplementedError
+
+    def stacked_vjp(self, Z, params, cot_p, cot_M, tape, parent_coords=None):
+        """``vjp`` of each row on ``stacked_evaluate``'s record:
+        ``(cotangents on Z, rows)``."""
+        parents = [None] * len(Z) if parent_coords is None else parent_coords
+        return _looped_rows(params, len(Z), lambda k, g: self.vjp(
+            Z[k], params, cot_p[k], cot_M[k], g, tape=tape[k], parent_coord=parents[k]))
 
     def components(self):
         """Every weight-carrying part ``(p, M)`` reads, as ``(suffix,
@@ -527,8 +618,8 @@ class RawVMLeaf(LeafPolicy, Learnable):
         return M @ v, M, (M, metric_tape)
 
     def stacked_evaluate(self, Z, params, parent_coords=None):
-        M = self.metric.stacked_value(Z, params)
-        return stacked_mv(M, self.weights(params)), M
+        M, metric_tape = self.metric.stacked_value_tape(Z, params)
+        return stacked_mv(M, self.weights(params)), M, (M, metric_tape)
 
     def potential(self, z, params):
         return 0.0 if self._zero_potential else None
@@ -542,6 +633,14 @@ class RawVMLeaf(LeafPolicy, Learnable):
         if self.is_learnable:
             grad_out[self.param_slice] += M @ cot_p
         return c_z
+
+    def stacked_vjp(self, Z, params, cot_p, cot_M, tape, parent_coords=None):
+        M, metric_tape = tape
+        S = cot_M + cot_p[:, :, None] * self.weights(params)
+        c_z, rows = self.metric.stacked_param_vjp(Z, params, S, metric_tape)
+        if self.is_learnable:
+            rows = rows + [(self.param_slice, stacked_mv(M, cot_p))]
+        return c_z, rows
 
     def components(self):
         return [("velocity", self), ("metric", self.metric)]
@@ -584,9 +683,10 @@ class NaturalGradientLeaf(LeafPolicy):
         return -grad, M, (pot_tape, metric_tape)
 
     def stacked_evaluate(self, Z, params, parent_coords=None):
-        grad = self.pot.stacked_grad(Z, params)
-        return -grad, self.metric.stacked_value(self._metric_coord(Z, parent_coords),
-                                                params)
+        grad, pot_tape = self.pot.stacked_grad_tape(Z, params)
+        X_m = self._metric_coord(Z, parent_coords)
+        M, metric_tape = self.metric.stacked_value_tape(X_m, params)
+        return -grad, M, (pot_tape, metric_tape)
 
     def potential(self, z, params):
         return self.pot.value(z, params)
@@ -599,6 +699,15 @@ class NaturalGradientLeaf(LeafPolicy):
         if self.metric_input == "latent":
             c_z = c_z + c_m
         return c_z
+
+    def stacked_vjp(self, Z, params, cot_p, cot_M, tape, parent_coords=None):
+        pot_tape, metric_tape = tape
+        X_m = self._metric_coord(Z, parent_coords)
+        c_z, rows = self.pot.stacked_grad_param_vjp(Z, params, -cot_p, pot_tape)
+        c_m, metric_rows = self.metric.stacked_param_vjp(X_m, params, cot_M, metric_tape)
+        if self.metric_input == "latent":
+            c_z = c_z + c_m
+        return c_z, rows + metric_rows
 
     def components(self):
         if isinstance(self.pot, LatentQuadraticPotential):

@@ -432,7 +432,7 @@ def run_stacked(tree: TransformTree, Q,
         states.append(NodeState(Y, J))
     for node, policy, edge, _, _, _ in tree.leaf_table.values():
         parent_coords = states[edge.parent].coord if edge is not None else None
-        P, M = policy.stacked_evaluate(states[node].coord, params, parent_coords)
+        P, M, _ = policy.stacked_evaluate(states[node].coord, params, parent_coords)
         if not (np.isfinite(P).all() and np.isfinite(M).all()):
             raise NumericError(f"leaf {node} produced a non-finite policy output")
         states[node].pulled_force = P

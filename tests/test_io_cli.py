@@ -492,3 +492,50 @@ def test_cli_rollout_rejects_bad_step_arguments(tmp_path, capsys, arg, message):
     assert code == 2
     assert err.startswith(f"validation error: {message}")
     assert not out.exists()
+
+
+def _edit_arm(path, edit):
+    spec = json.loads(ARM_SPEC.read_text())
+    edit(spec)
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s["edges"][0]["map"].update(lenghts_typo=[1.0]),
+     "edge 0->1: map 'planar_arm_fk': unknown key 'lenghts_typo'; "
+     "accepted keys: kind, lengths, point"),
+    (lambda s: s.update(bogus_top=1),
+     "tree spec: unknown key 'bogus_top'; accepted keys: nodes, edges, leaves"),
+    (lambda s: s["nodes"][0].update(name="root"), "node entry: unknown key 'name'"),
+    (lambda s: s["edges"][1].update(weight=1.0), "edge entry: unknown key 'weight'"),
+    (lambda s: s["leaves"][0].update(gain=2.0), "leaf entry: unknown key 'gain'"),
+    (lambda s: s["leaves"][1]["policy"].update(margn=0.3),
+     "leaf 3: policy 'barrier': unknown key 'margn'"),
+], ids=["map", "top", "node", "edge", "leaf", "policy"])
+def test_tree_spec_rejects_an_unknown_key(tmp_path, edit, message):
+    with pytest.raises(SpecFormatError) as info:
+        tmio.load_tree(_edit_arm(tmp_path / "arm.json", edit))
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("where, message", [
+    ("potential", "leaf 2: potential 'latent_quadratic': unknown key 'gain'"),
+    ("metric", "leaf 2: metric 'cholesky_net': unknown key 'gain'"),
+])
+def test_tree_spec_rejects_an_unknown_component_key(tmp_path, where, message):
+    spec = json.loads(json.dumps(VALID_SPEC))
+    spec["leaves"][0]["policy"][where]["gain"] = 2.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(SpecFormatError, match=f"^{message}"):
+        tmio.load_tree(str(path))
+
+
+def test_features_is_an_alias_of_features_d(tmp_path):
+    spec = json.loads(json.dumps(VALID_SPEC))
+    spec["edges"][1]["map"]["features"] = spec["edges"][1]["map"].pop("features_D")
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps(spec))
+    chain = tmio.load_tree(str(path)).leaf_table[2].latent.map
+    assert chain.layers[0].s_net.n_features == 6

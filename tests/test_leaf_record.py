@@ -227,6 +227,17 @@ def test_minibatch_baseline_picks_from_the_mapped_samples(fixture_one):
     assert np.array_equal(trained.values, reference.values)
 
 
+def test_baseline_matches_the_reference_at_perturbed_weights_of_another_fixture():
+    tree, params, demos, _, _ = conflicting_demo_fixture(seed=9)
+    rng = np.random.default_rng(9)
+    params = params.with_values(params.values + 0.05 * rng.normal(0.0, 1.0, params.size))
+    opts = TrainOptions(alpha=None, iterations=2)
+    trained = train_independent_baseline(tree, params, demos, opts)
+    reference = per_trial_baseline(tree, params, demos, opts)
+    assert not np.array_equal(trained.values, params.values)
+    assert np.array_equal(trained.values, reference.values)
+
+
 def test_baseline_rejects_a_prefix_that_shares_weights_with_the_leaf():
     # The goal chain is also the inner edge above the leaf, so training the
     # leaf would move its own prefix.

@@ -91,7 +91,7 @@ def _counted_runs(monkeypatch, fixture, oracle):
     counts = {"pipeline": 0, "chain": 0}
     run_pipeline, run_stacked = losses.run_pipeline, losses.run_stacked
     value_jacobian_tape = DiffeoChain.value_jacobian_tape
-    stacked_value_and_jacobian = DiffeoChain.stacked_value_and_jacobian
+    stacked_value_jacobian_tape = DiffeoChain.stacked_value_jacobian_tape
 
     def pipeline(*args):
         counts["pipeline"] += 1
@@ -107,7 +107,7 @@ def _counted_runs(monkeypatch, fixture, oracle):
 
     def stacked_chain(self, X, params):
         counts["chain"] += len(X)
-        return stacked_value_and_jacobian(self, X, params)
+        return stacked_value_jacobian_tape(self, X, params)
 
     with monkeypatch.context() as m:
         if oracle:
@@ -120,7 +120,7 @@ def _counted_runs(monkeypatch, fixture, oracle):
         subtask_passes = counts["pipeline"]
         joint = train(tree, params, demos, LossSpec("joint_space"), opts)
         m.setattr(DiffeoChain, "value_jacobian_tape", chain)
-        m.setattr(DiffeoChain, "stacked_value_and_jacobian", stacked_chain)
+        m.setattr(DiffeoChain, "stacked_value_jacobian_tape", stacked_chain)
         baseline = train_independent_baseline(tree, params, demos, opts)
     return (subtask, joint, baseline), subtask_passes, counts["chain"]
 

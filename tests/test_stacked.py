@@ -1,6 +1,7 @@
-"""The stacked loss-only route against the per-sample route it replaces:
-the same bits for ``pi``, for every loss term and for the baseline's
-loss-only leaf terms, and the same errors, naming the failing sample."""
+"""The stacked routes against the per-sample routes they replace: the
+same bits for ``pi``, for every loss term, for the baseline's leaf terms
+and gradients and for each stacked reverse kernel, and the same errors,
+naming the failing sample."""
 
 import numpy as np
 import pytest
@@ -8,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemotion.errors import DomainError, NumericError, SingularMetricError, StructureError
-from treemotion.fixtures import random_tree
+from treemotion.fixtures import conflicting_demo_fixture, random_tree
 from treemotion.learning import (
     TrainOptions,
     _baseline_leaf_terms,
+    _baseline_sample_terms,
     _leaf_samples,
     _total_within,
     train,
 )
 from treemotion.losses import LossSpec, loss_value, sample_loss, sample_losses
-from treemotion.maps import DistanceToPoint, IdentityMap, PlanarArmFK
+from treemotion.maps import DiffeoChain, DistanceToPoint, IdentityMap, PlanarArmFK, stacked_mv
 from treemotion.policies import (
+    CholeskyMetricNet,
     ConstantMetric,
     RawVMLeaf,
     handcrafted_attractor,
@@ -183,3 +186,186 @@ def test_train_aborts_when_the_final_stacked_loss_fails():
             NumericError, match="^sample 0: leaf 1 produced a non-finite"):
         loss_value(LossSpec("joint_space"), tree, params.with_values(np.full(2, 1e308)),
                    samples)
+
+
+# ---------------------------------------------------------------------------
+# Stacked reverse kernels: each row is the per-sample kernel's bits
+# ---------------------------------------------------------------------------
+
+
+def test_stacked_mv_is_bit_identical_on_a_column_major_stack():
+    # A column-major stack, as ``GL[:, tril]`` is in the metric's reverse
+    # rule, against a transposed weight matrix, as there; the per-sample
+    # vector, ``GL[tril]`` there, is contiguous.
+    rng = np.random.default_rng(3)
+    A = rng.normal(0.0, 1.0, (3, 16)).T
+    X = np.asfortranarray(rng.normal(0.0, 1.0, (124, 3)))
+    Y = stacked_mv(A, X)
+    assert all(np.array_equal(Y[k], A @ X[k].copy()) for k in range(len(X)))
+
+
+@pytest.fixture(scope="module")
+def perturbed_fixture():
+    tree, params, demos, _, _ = conflicting_demo_fixture(seed=0)
+    rng = np.random.default_rng(5)
+    return tree, params.with_values(params.values + 0.05 * rng.normal(0.0, 1.0, params.size)), demos
+
+
+def added(params, rows, k):
+    """Row ``k`` of each ``(slice, R)`` pair added, in order, into zeros."""
+    grad = params.zeros_like()
+    for where, R in rows:
+        grad[where] += R[k]
+    return grad
+
+
+@pytest.mark.parametrize("leaf", [2, 3], ids=["chain-d2", "chain-d3"])
+@pytest.mark.parametrize("n", [1, 2, 7, 124])
+def test_stacked_reverse_kernels_match_the_per_sample_ones(perturbed_fixture, leaf, n):
+    tree, params, _ = perturbed_fixture
+    policy, latent = tree.leaf_table[leaf].policy, tree.leaf_table[leaf].latent
+    chain, metric, goal = latent.map, policy.metric, policy.pot.goal
+    d = chain.in_dim
+    rng = np.random.default_rng(10 * leaf + n)
+    X = rng.uniform(-1.0, 1.0, (n, d))
+    cot_y, cot_p = rng.normal(0.0, 1.0, (2, n, d))
+    V, cot_V = rng.normal(0.0, 1.0, (2, n, d, 1))
+    S = rng.normal(0.0, 1.0, (n, d, d))  # not symmetric
+
+    Y, J, tape = chain.stacked_value_jacobian_tape(X, params)
+    pulled = chain.stacked_pullback_vjp(X, params, cot_y, V, cot_V, tape)
+    goal_tape = chain.value_tape(goal, params)[1]
+    goal_rows = chain.stacked_value_vjp(goal, params, cot_y, goal_tape)
+    P, M, record = policy.stacked_evaluate(Y, params, parent_coords=X)
+    c_metric, metric_rows = metric.stacked_param_vjp(Y, params, S, record[1])
+    c_leaf, leaf_rows = policy.stacked_vjp(Y, params, cot_p, S, record, parent_coords=X)
+    assert [len(rows) for rows in (pulled, goal_rows, metric_rows, leaf_rows)] == [1, 1, 1, 2]
+
+    for k in range(n):
+        y, J_k, tape_k = chain.value_jacobian_tape(X[k], params)
+        assert np.array_equal(Y[k], y) and np.array_equal(J[k], J_k)
+        for stacked_entry, entry in zip(tape, tape_k):
+            assert all(np.array_equal(a[k], b) for a, b in zip(stacked_entry[:7], entry[:7]))
+            assert all(np.array_equal(a, b) for a, b in zip(stacked_entry[7:], entry[7:]))
+
+        grad = params.zeros_like()
+        chain.pullback_vjp(X[k], params, cot_y[k], V[k], cot_V[k], grad, tape_k)
+        assert np.abs(grad).max() > 0.0
+        assert np.array_equal(added(params, pulled, k), grad)
+
+        grad = params.zeros_like()
+        chain.value_vjp(goal, params, cot_y[k], grad, goal_tape)
+        assert np.array_equal(added(params, goal_rows, k), grad)
+
+        p, M_k, record_k = policy.evaluate(y, params, parent_coord=X[k])
+        assert np.array_equal(P[k], p) and np.array_equal(M[k], M_k)
+        grad = params.zeros_like()
+        c = metric.param_vjp(y, params, S[k], grad, record_k[1])
+        assert np.array_equal(c_metric[k], c)
+        assert np.array_equal(added(params, metric_rows, k), grad)
+
+        grad = params.zeros_like()
+        c = policy.vjp(y, params, cot_p[k], S[k], grad, parent_coord=X[k], tape=record_k)
+        assert np.array_equal(c_leaf[k], c)
+        assert np.array_equal(added(params, leaf_rows, k), grad)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([1, 2, 7]))
+def test_stacked_leaf_reverse_and_baseline_gradient_match_on_random_trees(seed, n):
+    # Every leaf kind, the inherited per-sample loops included, and the
+    # baseline's gradient on trees of natural-gradient leaves.
+    rng = np.random.default_rng(seed)
+    for natural_gradient_only in (False, True):
+        tree, params = random_tree(seed, natural_gradient_only=natural_gradient_only)
+        qs = rng.uniform(-1.0, 1.0, (n, tree.root_dim))
+        states, _ = run_stacked(tree, qs, params)
+        for node, policy, edge, _, _, _ in tree.leaf_table.values():
+            Z = states[node].coord
+            X = states[edge.parent].coord if edge is not None else None
+            _, _, record = policy.stacked_evaluate(Z, params, parent_coords=X)
+            cot_p = rng.normal(0.0, 1.0, Z.shape)
+            S = rng.normal(0.0, 1.0, (n, policy.dim, policy.dim))
+            C, rows = policy.stacked_vjp(Z, params, cot_p, S, record, parent_coords=X)
+            for k in range(n):
+                x = None if X is None else X[k]
+                record_k = policy.evaluate(Z[k], params, parent_coord=x)[2]
+                grad = params.zeros_like()
+                c = policy.vjp(Z[k], params, cot_p[k], S[k], grad, tape=record_k,
+                               parent_coord=x)
+                assert np.array_equal(C[k], c)
+                assert np.array_equal(added(params, rows, k), grad)
+
+    samples = list(zip(qs, rng.uniform(-1.0, 1.0, (n, tree.root_dim))))
+    for leaf, policy, _, _, _, latent in tree._reverse_leaves:
+        leaf_samples = _leaf_samples(tree, params, leaf, samples)
+        grad, expected_grad = params.zeros_like(), params.zeros_like()
+        terms = list(_baseline_leaf_terms(tree, params, leaf, leaf_samples, grad))
+        expected = list(_baseline_sample_terms(policy, latent and latent.map, params,
+                                               leaf_samples, expected_grad))
+        assert bit_equal(terms, expected)
+        assert np.array_equal(grad, expected_grad)
+
+
+def test_the_baseline_gradient_of_the_fixture_matches_the_per_sample_route(perturbed_fixture):
+    tree, params, demos = perturbed_fixture
+    for leaf, policy, _, _, _, latent in tree._reverse_leaves:
+        leaf_samples = _leaf_samples(tree, params, leaf, list(demos.samples()))
+        grad, expected_grad = params.zeros_like(), params.zeros_like()
+        terms = list(_baseline_leaf_terms(tree, params, leaf, leaf_samples, grad))
+        expected = list(_baseline_sample_terms(policy, latent.map, params, leaf_samples,
+                                               expected_grad))
+        assert len(terms) == 124 and bit_equal(terms, expected)
+        assert np.abs(grad).max() > 0.0 and np.array_equal(grad, expected_grad)
+
+
+def fail_at(bad, error):
+    """A pullback rule that raises ``error`` at the input ``bad``, per
+    sample and in any stack holding it."""
+    per_sample, stacked = DiffeoChain.pullback_vjp, DiffeoChain.stacked_pullback_vjp
+
+    def pullback_vjp(self, x, *args, **kwargs):
+        if np.array_equal(x, bad):
+            raise error("bad sample")
+        return per_sample(self, x, *args, **kwargs)
+
+    def stacked_pullback_vjp(self, X, *args):
+        if any(np.array_equal(x, bad) for x in X):
+            raise error("bad sample")
+        return stacked(self, X, *args)
+
+    return pullback_vjp, stacked_pullback_vjp
+
+
+@pytest.mark.parametrize("error", [NumericError, np.linalg.LinAlgError])
+@pytest.mark.parametrize("k", [3, 20, 45, None])
+def test_a_failing_stacked_gradient_is_redone_sample_by_sample(monkeypatch, perturbed_fixture,
+                                                              error, k):
+    # k = None: every stacked pullback fails, no per-sample one does. Otherwise
+    # sample k fails on both routes, after its goal and metric rows.
+    tree, params, demos = perturbed_fixture
+    policy, latent = tree.leaf_table[2].policy, tree.leaf_table[2].latent
+    samples = _leaf_samples(tree, params, 2, list(demos.samples()))
+    if k is None:
+        def stacked(self, *args):
+            raise error("bad stack")
+    else:
+        per_sample, stacked = fail_at(samples[k][0], error)
+        monkeypatch.setattr(DiffeoChain, "pullback_vjp", per_sample)
+    monkeypatch.setattr(DiffeoChain, "stacked_pullback_vjp", stacked)
+
+    def run(terms):
+        got = []
+        try:
+            for v in terms:
+                got.append(v)
+        except error as exc:
+            return got, str(exc)
+        return got, None
+
+    grad, expected_grad = params.zeros_like(), params.zeros_like()
+    got = run(_baseline_leaf_terms(tree, params, 2, samples, grad))
+    expected = run(_baseline_sample_terms(policy, latent.map, params, samples, expected_grad))
+    assert got[1] == expected[1] == (None if k is None else "bad sample")
+    assert len(got[0]) == (124 if k is None else k) and bit_equal(got[0], expected[0])
+    assert np.array_equal(grad, expected_grad)
