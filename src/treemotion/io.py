@@ -55,44 +55,81 @@ from .policies import (
 from .rollout import RolloutResult
 from .tree import Edge, TransformTree
 
-# The keys a tree spec, its entries and each kind of component may hold,
-# besides "kind"; any other key is a SpecFormatError. "features" is an
-# alias of "features_D".
+# The keys a tree spec and its entries may hold; any other key is a
+# SpecFormatError.
 TREE_KEYS = ("nodes", "edges", "leaves")
 NODE_KEYS = ("id", "dim")
 EDGE_KEYS = ("parent", "child", "map")
 LEAF_KEYS = ("node", "policy")
-MAP_KEYS = {
-    "identity": (),
-    "linear": ("matrix", "offset"),
-    "planar_arm_fk": ("lengths", "point"),
-    "distance_to_point": ("center",),
-    "diffeo_chain": ("features_D", "features", "layers", "length_scale", "seed",
-                     "learnable", "init_scale"),
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+# One table per component kind: spec key -> (constructor keyword, converter
+# or None to pass the value as given, required). Only the keys a spec holds
+# are passed, so the constructors' defaults are the only defaults; a key
+# outside "kind" and its kind's table is a SpecFormatError. A keyword of None
+# marks a key the builder reads itself: a nested spec, or a policy's
+# "learnable", the default of its cholesky_net metric's "learnable". Other
+# deliberate differences from the constructors: "features" is an alias of
+# "features_D" (which wins when both are given), "metric_space" names the
+# keyword metric_input, and a damper's gain and a constant metric's scale
+# default to 1.0 where the library requires them.
+MAP_FIELDS = {
+    "identity": {},
+    "linear": {"matrix": ("matrix", _floats, True), "offset": ("offset", _floats, False)},
+    "planar_arm_fk": {"lengths": ("lengths", None, True), "point": ("point", None, False)},
+    "distance_to_point": {"center": ("center", _floats, True)},
+    "diffeo_chain": {"features": ("n_features", int, False),
+                     "features_D": ("n_features", int, False),
+                     "layers": ("n_layers", int, False),
+                     "length_scale": ("length_scale", float, False),
+                     "seed": ("seed", int, False), "learnable": ("learnable", bool, False),
+                     "init_scale": ("init_scale", float, False)},
 }
-POLICY_KEYS = {
-    "natural_gradient": ("potential", "metric", "learnable", "metric_space"),
-    "raw_vm": ("velocity", "metric", "learnable"),
-    "damper": ("gain",),
-    "attractor": ("goal", "gain", "weight"),
-    "barrier": ("margin", "gain", "weight"),
+POLICY_FIELDS = {
+    "natural_gradient": {"potential": (None, None, True), "metric": (None, None, True),
+                         "learnable": (None, None, False),
+                         "metric_space": ("metric_input", None, False)},
+    "raw_vm": {"velocity": ("velocity", _floats, True), "metric": (None, None, True),
+               "learnable": ("learnable", bool, False)},
+    "damper": {"gain": ("gain", float, False)},
+    "attractor": {"goal": ("goal", _floats, True), "gain": ("gain", float, False),
+                  "weight": ("weight", float, False)},
+    "barrier": {"margin": ("margin", float, True), "gain": ("gain", float, False),
+                "weight": ("weight", float, False)},
 }
-METRIC_KEYS = {
-    "constant": ("matrix", "scale"),
-    "cholesky_net": ("in_dim", "hidden", "eps", "seed", "learnable"),
-    "inverse_square": ("weight", "margin"),
+METRIC_FIELDS = {
+    "constant": {"matrix": ("matrix", _floats, False), "scale": ("scale", float, False)},
+    "cholesky_net": {"in_dim": ("in_dim", int, False), "hidden": ("hidden", tuple, False),
+                     "eps": ("eps", float, False), "seed": ("seed", int, False),
+                     "learnable": ("learnable", bool, False)},
+    "inverse_square": {"weight": ("weight", float, True),
+                       "margin": ("margin", float, True)},
 }
-POTENTIAL_KEYS = {
-    "zero": (),
-    "quadratic": ("goal", "gain"),
-    "latent_quadratic": ("goal",),
-    "barrier": ("margin", "gain"),
+POTENTIAL_FIELDS = {
+    "zero": {},
+    "quadratic": {"goal": ("goal", _floats, True), "gain": ("gain", float, False)},
+    "latent_quadratic": {"goal": ("goal", _floats, True)},
+    "barrier": {"margin": ("margin", float, True), "gain": ("gain", float, False)},
 }
 # Short loss names accepted by training configs and ``tree-motion train --loss``.
 LOSS_KIND_ALIASES = {"subtask": "subtask_space", "joint": "joint_space",
                      "independent": "independent_baseline"}
-# The keys a training config and its "loss" object may hold.
-TRAINING_CONFIG_KEYS = ("loss", "alpha", "iterations", "seed", "minibatch", "momentum")
+# A training config's table, as above ("loss" is read by the parser, whose
+# default kind is subtask_space), and the keys its "loss" object may hold.
+TRAINING_CONFIG_FIELDS = {
+    "loss": (None, None, False), "alpha": ("alpha", _optional(float), False),
+    "iterations": ("iterations", int, False), "seed": ("seed", int, False),
+    "minibatch": ("minibatch", _optional(int), False),
+    "momentum": ("momentum", float, False),
+}
 TRAINING_LOSS_KEYS = ("kind", "lambda")
 
 
@@ -125,126 +162,80 @@ def _reject_unknown_keys(spec, accepted, context: str) -> None:
         )
 
 
-def _spec_kind(spec, keys: dict, what: str) -> str:
-    """``spec``'s kind, once it is one of ``keys`` and ``spec`` holds no
-    key outside ``"kind"`` and that kind's ``keys``."""
+def _keywords(spec: dict, fields: dict, context: str) -> dict:
+    """The constructor keywords of the keys ``spec`` holds, by ``fields``
+    (spec key -> ``(keyword, converter, required)``), once every required
+    key is present."""
+    for key, (_, _, required) in fields.items():
+        if required:
+            _require(spec, key, context)
+    return {keyword: convert(spec[key]) if convert else spec[key]
+            for key, (keyword, convert, _) in fields.items()
+            if keyword is not None and key in spec}
+
+
+def _spec_fields(spec, table: dict, what: str):
+    """``(kind, keywords)``: ``spec``'s kind, once it is one of ``table``
+    and ``spec`` holds no key outside ``"kind"`` and that kind's fields,
+    and the constructor keywords of the fields it holds."""
     kind = _require(spec, "kind", f"{what} spec")
-    if kind not in keys:
+    if kind not in table:
         raise SpecFormatError(
-            f"unknown {what} kind {kind!r}; registered kinds: {', '.join(keys)}"
+            f"unknown {what} kind {kind!r}; registered kinds: {', '.join(table)}"
         )
-    _reject_unknown_keys(spec, ("kind", *keys[kind]), f"{what} {kind!r}")
-    return kind
+    _reject_unknown_keys(spec, ("kind", *table[kind]), f"{what} {kind!r}")
+    return kind, _keywords(spec, table[kind], f"{what} {kind!r}")
 
 
 def build_map(spec: dict, in_dim: int):
     """Instantiate an edge map from its JSON spec; ``TransformTree`` checks
     its dimensions against the edge's nodes."""
-    kind = _spec_kind(spec, MAP_KEYS, "map")
-    if kind == "identity":
-        return IdentityMap(in_dim)
-    if kind == "linear":
-        return LinearMap(np.asarray(_require(spec, "matrix", "linear map"), dtype=float),
-                         None if "offset" not in spec
-                         else np.asarray(spec["offset"], dtype=float))
-    if kind == "planar_arm_fk":
-        return PlanarArmFK(_require(spec, "lengths", "planar_arm_fk"),
-                           spec.get("point", "ee"))
-    if kind == "distance_to_point":
-        return DistanceToPoint(np.asarray(_require(spec, "center", "distance map"),
-                                          dtype=float))
-    if kind == "diffeo_chain":
-        n_features = spec.get("features_D", spec.get("features", 128))
-        return DiffeoChain(
-            in_dim,
-            n_layers=int(spec.get("layers", 4)),
-            n_features=int(n_features),
-            length_scale=float(spec.get("length_scale", 1.0)),
-            seed=int(spec.get("seed", 0)),
-            learnable=bool(spec.get("learnable", True)),
-            init_scale=float(spec.get("init_scale", 0.0)),
-        )
+    kind, kw = _spec_fields(spec, MAP_FIELDS, "map")
+    if kind in ("identity", "diffeo_chain"):
+        return (IdentityMap if kind == "identity" else DiffeoChain)(in_dim, **kw)
+    return {"linear": LinearMap, "planar_arm_fk": PlanarArmFK,
+            "distance_to_point": DistanceToPoint}[kind](**kw)
 
 
 def build_metric(spec: dict, dim: int, default_learnable: bool = True):
-    kind = _spec_kind(spec, METRIC_KEYS, "metric")
+    kind, kw = _spec_fields(spec, METRIC_FIELDS, "metric")
     if kind == "constant":
-        if "matrix" in spec:
-            return ConstantMetric(np.asarray(spec["matrix"], dtype=float))
-        return ConstantMetric.scaled_identity(float(spec.get("scale", 1.0)), dim)
+        if "matrix" in kw:
+            return ConstantMetric(kw["matrix"])
+        return ConstantMetric.scaled_identity(kw.get("scale", 1.0), dim)
     if kind == "cholesky_net":
-        return CholeskyMetricNet(
-            dim,
-            in_dim=int(spec["in_dim"]) if "in_dim" in spec else None,
-            hidden=tuple(spec.get("hidden", (64, 64))),
-            eps=float(spec.get("eps", 1e-4)),
-            seed=int(spec.get("seed", 0)),
-            learnable=bool(spec.get("learnable", default_learnable)),
-        )
-    if kind == "inverse_square":
-        return InverseSquareMetric(float(_require(spec, "weight", "inverse_square")),
-                                   float(_require(spec, "margin", "inverse_square")))
+        return CholeskyMetricNet(dim, **{"learnable": default_learnable, **kw})
+    return InverseSquareMetric(**kw)
+
+
+def build_potential(spec: dict, parent_map):
+    """Instantiate a potential; ``parent_map`` supplies the latent chain
+    of a latent-quadratic potential."""
+    kind, kw = _spec_fields(spec, POTENTIAL_FIELDS, "potential")
+    if kind == "latent_quadratic":
+        if not isinstance(parent_map, DiffeoChain):
+            raise SpecFormatError(
+                "latent_quadratic potential requires the leaf's parent edge "
+                "to be a diffeo_chain"
+            )
+        return LatentQuadraticPotential(chain=parent_map, **kw)
+    return {"zero": ZeroPotential, "quadratic": QuadraticPotential,
+            "barrier": BarrierPotential}[kind](**kw)
 
 
 def build_policy(spec: dict, dim: int, parent_map):
-    """Instantiate a leaf policy; ``parent_map`` supplies the latent chain
-    for latent-quadratic potentials."""
-    kind = _spec_kind(spec, POLICY_KEYS, "policy")
+    """Instantiate a leaf policy; ``parent_map`` is its parent edge's map."""
+    kind, kw = _spec_fields(spec, POLICY_FIELDS, "policy")
     if kind == "damper":
-        return handcrafted_damper(float(spec.get("gain", 1.0)), dim)
-    if kind == "attractor":
-        return handcrafted_attractor(
-            np.asarray(_require(spec, "goal", "attractor"), dtype=float),
-            gain=float(spec.get("gain", 1.0)),
-            weight=float(spec.get("weight", 1.0)),
-        )
-    if kind == "barrier":
-        return handcrafted_barrier(
-            float(_require(spec, "margin", "barrier")),
-            gain=float(spec.get("gain", 1.0)),
-            weight=float(spec.get("weight", 1.0)),
-        )
+        return handcrafted_damper(kw.get("gain", 1.0), dim)
+    if kind in ("attractor", "barrier"):
+        return (handcrafted_attractor if kind == "attractor" else handcrafted_barrier)(**kw)
     if kind == "raw_vm":
-        metric = build_metric(_require(spec, "metric", "raw_vm"), dim)
-        return RawVMLeaf(
-            np.asarray(_require(spec, "velocity", "raw_vm"), dtype=float),
-            metric,
-            learnable=bool(spec.get("learnable", False)),
-        )
-    if kind == "natural_gradient":
-        pot_spec = _require(spec, "potential", "natural_gradient")
-        pot_kind = _spec_kind(pot_spec, POTENTIAL_KEYS, "potential")
-        if pot_kind == "zero":
-            potential = ZeroPotential()
-        elif pot_kind == "quadratic":
-            potential = QuadraticPotential(
-                np.asarray(_require(pot_spec, "goal", "quadratic"), dtype=float),
-                gain=float(pot_spec.get("gain", 1.0)),
-            )
-        elif pot_kind == "latent_quadratic":
-            if not isinstance(parent_map, DiffeoChain):
-                raise SpecFormatError(
-                    "latent_quadratic potential requires the leaf's parent edge "
-                    "to be a diffeo_chain"
-                )
-            potential = LatentQuadraticPotential(
-                np.asarray(_require(pot_spec, "goal", "latent_quadratic"),
-                           dtype=float),
-                parent_map,
-            )
-        elif pot_kind == "barrier":
-            potential = BarrierPotential(
-                float(_require(pot_spec, "margin", "barrier potential")),
-                gain=float(pot_spec.get("gain", 1.0)),
-            )
-        # policy-level "learnable" is the default for the metric network;
-        # the chain's own flag lives on its edge-map spec
-        metric = build_metric(_require(spec, "metric", "natural_gradient"), dim,
-                              default_learnable=bool(spec.get("learnable", True)))
-        return NaturalGradientLeaf(
-            dim, potential, metric,
-            metric_input=spec.get("metric_space", "latent"),
-        )
+        return RawVMLeaf(metric=build_metric(spec["metric"], dim), **kw)
+    potential = build_potential(spec["potential"], parent_map)
+    metric = build_metric(spec["metric"], dim,
+                          default_learnable=bool(spec.get("learnable", True)))
+    return NaturalGradientLeaf(dim, potential, metric, **kw)
 
 
 def tree_from_dict(data: dict) -> TransformTree:
@@ -393,9 +384,9 @@ def write_rollout(path_csv, result: RolloutResult) -> None:
 
 def parse_training_config(data: dict):
     """``{"loss": {"kind": ..., "lambda": [...]}, "alpha": ..., ...}`` ->
-    ``(LossSpec, TrainOptions)``. A key outside ``TRAINING_CONFIG_KEYS``
+    ``(LossSpec, TrainOptions)``. A key outside ``TRAINING_CONFIG_FIELDS``
     (or, in ``"loss"``, ``TRAINING_LOSS_KEYS``) raises ``SpecFormatError``."""
-    _reject_unknown_keys(data, TRAINING_CONFIG_KEYS, "training config")
+    _reject_unknown_keys(data, tuple(TRAINING_CONFIG_FIELDS), "training config")
     loss_spec = data.get("loss", {"kind": "subtask_space"})
     _reject_unknown_keys(loss_spec, TRAINING_LOSS_KEYS, "training config loss")
     with _field_types("training config"):
@@ -406,13 +397,7 @@ def parse_training_config(data: dict):
             loss = LossSpec(kind, None if lam is None else np.asarray(lam, dtype=float))
         except StructureError as exc:
             raise SpecFormatError(str(exc)) from exc
-        opts = TrainOptions(
-            alpha=None if data.get("alpha") is None else float(data["alpha"]),
-            iterations=int(data.get("iterations", 100)),
-            seed=int(data.get("seed", 0)),
-            minibatch=None if data.get("minibatch") is None else int(data["minibatch"]),
-            momentum=float(data.get("momentum", 0.0)),
-        )
+        opts = TrainOptions(**_keywords(data, TRAINING_CONFIG_FIELDS, "training config"))
     return loss, opts
 
 

@@ -250,11 +250,6 @@ class RFFNet:
         h = self.frequencies @ x + self.phases
         return self._scale * np.cos(h), -self._scale * np.sin(h)
 
-    def stacked_features_and_slope(self, X):
-        """``features_and_slope`` of each row of ``X``: ``(N, D)`` twice."""
-        h = stacked_mv(self.frequencies, X) + self.phases
-        return self._scale * np.cos(h), -self._scale * np.sin(h)
-
     def value(self, x, theta) -> np.ndarray:
         """``theta^T features(x)`` for weights ``theta`` of shape ``(D, out_dim)``."""
         return theta.T @ self.features(x)
@@ -273,6 +268,14 @@ class CouplingLayer:
     whether ``a`` is the leading or the trailing block, so stacking
     layers with alternating ``flip`` transforms every coordinate.
     Bijective for any weights since ``exp`` never vanishes.
+
+    The s-net and the t-net read the same ``a``, so the layer owns one
+    bank of both nets' frequencies ``[A_s; A_t]`` and phases
+    ``[beta_s; beta_t]``, and the nets hold views of its two halves. The
+    kernels evaluate the bank with one product, one ``cos`` and one
+    ``sin``; each net's half of the result is the same bits as its own
+    ``features_and_slope`` (for ``D >= 2``: with one feature numpy takes
+    a dot product instead, which may differ in the last bit).
     """
 
     def __init__(self, dim, flip, n_features, length_scale, seed):
@@ -288,9 +291,15 @@ class CouplingLayer:
             self._sa, self._sb = slice(0, na), slice(na, dim)
         self.ia, self.ib = idx[self._sa], idx[self._sb]
         self.flip = bool(flip)
-        nb = dim - na
-        self.s_net = RFFNet(na, nb, n_features, length_scale, seed=seed)
-        self.t_net = RFFNet(na, nb, n_features, length_scale, seed=seed + 1)
+        nets = [RFFNet(na, dim - na, n_features, length_scale, seed=seed + k)
+                for k in (0, 1)]
+        self._bank = np.concatenate([net.frequencies for net in nets])
+        self._phases = np.concatenate([net.phases for net in nets])
+        D = self._D = nets[0].n_features
+        for net, half in zip(nets, (slice(0, D), slice(D, 2 * D))):
+            net.frequencies, net.phases = self._bank[half], self._phases[half]
+        self.s_net, self.t_net = nets
+        self._scale = nets[0]._scale
         self.n_weights = 2 * self.s_net.n_weights
         self._eye = np.eye(dim)
 
@@ -306,30 +315,36 @@ class CouplingLayer:
         out[self._sb] = (y[self._sb] - t) * np.exp(-s)
         return out
 
+    def _features(self, bank_a):
+        """The bank's features and slopes from ``[A_s; A_t] a``."""
+        h = bank_a + self._phases
+        return self._scale * np.cos(h), -self._scale * np.sin(h)
+
     def value_jacobian_tape(self, y, theta_s, theta_t):
-        """``(forward(y), jacobian(y), entry)`` from one feature evaluation
-        per net.
+        """``(forward(y), jacobian(y), entry)`` from one bank evaluation.
 
         Every entry is computed by the same expressions, in the same
         order, as the separate evaluations, so both results are
         bit-identical to them. ``entry``, the layer's tape for the reverse
-        pass, is ``(b, bE, fs, gs, ft, gt, E, theta_s, theta_t)`` with
-        ``bE = b * E``.
+        pass, is ``(b, bE, f, g, E, theta_s, theta_t)`` with ``bE = b * E``
+        and the bank's features ``f = [f_s; f_t]`` and slopes
+        ``g = [g_s; g_t]`` (length ``2D``).
         """
+        D = self._D
         a = y[self._sa]
         b = y[self._sb]
-        fs, gs = self.s_net.features_and_slope(a)
-        ft, gt = self.t_net.features_and_slope(a)
-        E = np.exp(theta_s.T @ fs)
+        f, g = self._features(self._bank @ a)
+        E = np.exp(theta_s.T @ f[:D])
         bE = b * E
         out = y.copy()
-        out[self._sb] = bE + theta_t.T @ ft
+        out[self._sb] = bE + theta_t.T @ f[D:]
         J = self._eye.copy()
         J[self.ib, self.ib] = E
-        dba = bE[:, None] * (theta_s.T @ (gs[:, None] * self.s_net.frequencies))
-        dba += theta_t.T @ (gt[:, None] * self.t_net.frequencies)
+        G = g[:, None] * self._bank
+        dba = bE[:, None] * (theta_s.T @ G[:D])
+        dba += theta_t.T @ G[D:]
         J[self._sb, self._sa] = dba
-        return out, J, (b, bE, fs, gs, ft, gt, E, theta_s, theta_t)
+        return out, J, (b, bE, f, g, E, theta_s, theta_t)
 
     def jacobian(self, y, theta_s, theta_t):
         return self.value_jacobian_tape(y, theta_s, theta_t)[1]
@@ -338,20 +353,21 @@ class CouplingLayer:
         """``value_jacobian_tape`` of each row of ``Y``, by the same
         expressions on stacked arrays; the entry's arrays gain a leading
         sample axis, the weights stay shared."""
+        D = self._D
         a = Y[:, self._sa]
         b = Y[:, self._sb]
-        fs, gs = self.s_net.stacked_features_and_slope(a)
-        ft, gt = self.t_net.stacked_features_and_slope(a)
-        E = np.exp(stacked_mv(theta_s.T, fs))
+        f, g = self._features(stacked_mv(self._bank, a))
+        E = np.exp(stacked_mv(theta_s.T, f[:, :D]))
         bE = b * E
         out = Y.copy()
-        out[:, self._sb] = bE + stacked_mv(theta_t.T, ft)
+        out[:, self._sb] = bE + stacked_mv(theta_t.T, f[:, D:])
         J = np.tile(self._eye, (len(Y), 1, 1))
         J[:, self.ib, self.ib] = E
-        dba = bE[:, :, None] * np.matmul(theta_s.T, gs[:, :, None] * self.s_net.frequencies)
-        dba += np.matmul(theta_t.T, gt[:, :, None] * self.t_net.frequencies)
+        G = g[:, :, None] * self._bank
+        dba = bE[:, :, None] * np.matmul(theta_s.T, G[:, :D])
+        dba += np.matmul(theta_t.T, G[:, D:])
         J[:, self._sb, self._sa] = dba
-        return out, J, (b, bE, fs, gs, ft, gt, E, theta_s, theta_t)
+        return out, J, (b, bE, f, g, E, theta_s, theta_t)
 
 
 class DiffeoChain(DifferentiableMap):
@@ -363,13 +379,16 @@ class DiffeoChain(DifferentiableMap):
     gradient engine needs: the weight gradient of its value at a fixed
     input, and the weight gradient of ``J(x) v`` contracted against
     cotangent directions. Both reverse a tape that ``value_jacobian_tape``
-    records from the layers' fused kernels, which the forward stage keeps
+    records from the layers' fused kernels, one entry
+    ``(b, bE, f, g, E, theta_s, theta_t)`` per layer (see
+    :meth:`CouplingLayer.value_jacobian_tape`), which the forward stage keeps
     for a chain edge; ``pullback_vjp`` first pushes its tangents through
     the taped layers, which captures how the layer Jacobians move with
     their inputs. A latent goal keeps the ``value_tape`` of its own goal,
     so its image and its ``value_vjp`` read the same one. The stacked
     twins run the same expressions with a leading sample axis; the
-    per-sample kernels stay for ``loss_and_gradient``.
+    per-sample kernels stay for ``loss_and_gradient``. The layer weight
+    views are built once per parameter vector (``Learnable.weight_views``).
     """
 
     def __init__(self, dim, n_layers=4, n_features=128, length_scale=1.0,
@@ -408,24 +427,26 @@ class DiffeoChain(DifferentiableMap):
         rng = np.random.default_rng(self._seed + 17)
         return rng.normal(0.0, self._init_scale, size=size)
 
-    def _layer_thetas(self, block, m):
-        """Layer ``m``'s ``(theta_s, theta_t)``: two views of ``block``."""
-        lo, mid, hi, shape = self._spans[m]
-        return block[lo: mid].reshape(shape), block[mid: hi].reshape(shape)
+    def _layer_thetas(self, block):
+        """Each layer's ``(theta_s, theta_t)``: two views of ``block``."""
+        return tuple((block[lo: mid].reshape(shape), block[mid: hi].reshape(shape))
+                     for lo, mid, hi, shape in self._spans)
+
+    def _thetas(self, params):
+        """``_layer_thetas`` of the weights, built once per weight vector."""
+        return self.weight_views(params, self._layer_thetas)
 
     def value(self, x, params=None):
         # Cheaper than value_and_jacobian: no layer Jacobians.
-        block = self.weights(params)
         y = np.asarray(x, dtype=float)
-        for m, ly in enumerate(self.layers):
-            y = ly.forward(y, *self._layer_thetas(block, m))
+        for ly, thetas in zip(self.layers, self._thetas(params)):
+            y = ly.forward(y, *thetas)
         return y
 
     def inverse(self, y, params=None):
-        block = self.weights(params)
         x = np.asarray(y, dtype=float)
-        for m in range(len(self.layers) - 1, -1, -1):
-            x = self.layers[m].inverse(x, *self._layer_thetas(block, m))
+        for ly, thetas in reversed(list(zip(self.layers, self._thetas(params)))):
+            x = ly.inverse(x, *thetas)
         return x
 
     def value_and_jacobian(self, x, params=None):
@@ -433,7 +454,7 @@ class DiffeoChain(DifferentiableMap):
 
     def value_jacobian_tape(self, x, params=None):
         """The tape holds views of ``x`` and the weights: write neither."""
-        return self._taped_forward(self.weights(params), np.asarray(x, dtype=float))
+        return self._taped_forward(self._thetas(params), np.asarray(x, dtype=float))
 
     def stacked_value_and_jacobian(self, X, params=None):
         return self.stacked_value_jacobian_tape(X, params)[:2]
@@ -442,43 +463,42 @@ class DiffeoChain(DifferentiableMap):
         """``value_jacobian_tape`` of each row of ``X``: ``(Y, J, tape)``,
         whose layer entries are stacked. Write neither ``X`` nor the
         weights while the tape is in use."""
-        block = self.weights(params)
         J = self._eye
         tape = []
-        for m, ly in enumerate(self.layers):
-            X, J_layer, entry = ly.stacked_value_jacobian_tape(
-                X, *self._layer_thetas(block, m))
+        for ly, thetas in zip(self.layers, self._thetas(params)):
+            X, J_layer, entry = ly.stacked_value_jacobian_tape(X, *thetas)
             J = np.matmul(J_layer, J)
             tape.append(entry)
         return X, J, tape
 
     # -- reverse-mode support ----------------------------------------------
 
-    def _taped_forward(self, block, y):
-        """``(y, J, tape)`` through each layer's fused kernel."""
+    def _taped_forward(self, thetas, y):
+        """``(y, J, tape)`` through each layer's fused kernel, with each
+        layer's ``(theta_s, theta_t)`` from ``thetas``."""
         J = self._eye
         tape = []
-        for m, ly in enumerate(self.layers):
-            y, J_layer, entry = ly.value_jacobian_tape(y, *self._layer_thetas(block, m))
+        for ly, (ts, tt) in zip(self.layers, thetas):
+            y, J_layer, entry = ly.value_jacobian_tape(y, ts, tt)
             J = J_layer @ J
             tape.append(entry)
         return y, J, tape
 
     def _push_tangents(self, tape, V):
         """Push tangent columns ``V`` through the taped layers; returns
-        each layer's ``(Vb, Us, Ws, P, Ut, Wt, Q)`` for ``_aug_reverse``."""
+        each layer's ``(Vb, U, W, P, Q)`` for ``_aug_reverse``, with the
+        bank's ``U = [A_s; A_t] Va`` and ``W = g * U`` (``(2D, T)``)."""
         V = np.asarray(V, dtype=float)
         pushed = []
-        for ly, (b, bE, fs, gs, ft, gt, E, ts, tt) in zip(self.layers, tape):
+        for ly, (b, bE, f, g, E, ts, tt) in zip(self.layers, tape):
+            D = ly._D
             Va = V[ly._sa]
             Vb = V[ly._sb]
-            Us = ly.s_net.frequencies @ Va          # (D, T)
-            Ws = gs[:, None] * Us
-            P = ts.T @ Ws                           # (nb, T)
-            Ut = ly.t_net.frequencies @ Va
-            Wt = gt[:, None] * Ut
-            Q = tt.T @ Wt
-            pushed.append((Vb, Us, Ws, P, Ut, Wt, Q))
+            U = ly._bank @ Va
+            W = g[:, None] * U
+            P = ts.T @ W[:D]                        # (nb, T)
+            Q = tt.T @ W[D:]
+            pushed.append((Vb, U, W, P, Q))
             if len(pushed) < len(tape):
                 V = V.copy()
                 V[ly._sb] = Vb * E[:, None] + bE[:, None] * P + Q
@@ -499,13 +519,15 @@ class DiffeoChain(DifferentiableMap):
         width = cV.shape[1]
         for m in range(len(self.layers) - 1, -1, -1):
             ly = self.layers[m]
-            b, bE, fs, gs, ft, gt, E, ts, tt = tape[m]
+            b, bE, f, g, E, ts, tt = tape[m]
+            D = ly._D
+            fs, ft, gs, gt = f[:D], f[D:], g[:D], g[D:]
             cb_out = cy[ly._sb]
 
             # b' = b * E + t
             cE = cb_out * b
             if width:
-                Vb, Us, Ws, P, Ut, Wt, Q = pushed[m]
+                Vb, U, W, P, Q = pushed[m]
                 Cb_out = cV[ly._sb]
                 # Vb' = Vb * E + (b * E) * P + Q, with Q's cotangent Cb_out
                 rowsum_P = np.einsum("it,it->i", Cb_out, P)
@@ -519,8 +541,8 @@ class DiffeoChain(DifferentiableMap):
             gtheta_t = ft[:, None] * cb_out
             if width:
                 # P = ts^T (gs * (As Va)),  Q likewise for the t-net
-                gtheta_s += Ws @ CP.T                # (D, nb)
-                gtheta_t += Wt @ Cb_out.T
+                gtheta_s += W[:D] @ CP.T             # (D, nb)
+                gtheta_t += W[D:] @ Cb_out.T
             lo, mid, hi, _ = self._spans[m]
             grad_block[lo: mid] += gtheta_s.ravel()
             grad_block[mid: hi] += gtheta_t.ravel()
@@ -535,10 +557,10 @@ class DiffeoChain(DifferentiableMap):
                 CVb = Cb_out * E[:, None]
                 cb += E * rowsum_P
                 CWs = ts @ CP                        # (D, T)
-                dfs -= fs * np.einsum("it,it->i", CWs, Us)
+                dfs -= fs * np.einsum("it,it->i", CWs, U[:D])
                 CVa = cV[ly._sa] + ly.s_net.frequencies.T @ (gs[:, None] * CWs)
                 CWt = tt @ Cb_out
-                dft -= ft * np.einsum("it,it->i", CWt, Ut)
+                dft -= ft * np.einsum("it,it->i", CWt, U[D:])
                 CVa += ly.t_net.frequencies.T @ (gt[:, None] * CWt)
             ca = cy[ly._sa] + ly.s_net.frequencies.T @ dfs
             ca += ly.t_net.frequencies.T @ dft
@@ -554,16 +576,15 @@ class DiffeoChain(DifferentiableMap):
     def _stacked_push_tangents(self, tape, V):
         """``_push_tangents`` on a stacked tape and ``(N, d, T)`` tangents."""
         pushed = []
-        for ly, (b, bE, fs, gs, ft, gt, E, ts, tt) in zip(self.layers, tape):
+        for ly, (b, bE, f, g, E, ts, tt) in zip(self.layers, tape):
+            D = ly._D
             Va = V[:, ly._sa]
             Vb = V[:, ly._sb]
-            Us = np.matmul(ly.s_net.frequencies, Va)     # (N, D, T)
-            Ws = gs[:, :, None] * Us
-            P = np.matmul(ts.T, Ws)                      # (N, nb, T)
-            Ut = np.matmul(ly.t_net.frequencies, Va)
-            Wt = gt[:, :, None] * Ut
-            Q = np.matmul(tt.T, Wt)
-            pushed.append((Vb, Us, Ws, P, Ut, Wt, Q))
+            U = np.matmul(ly._bank, Va)                  # (N, 2D, T)
+            W = g[:, :, None] * U
+            P = np.matmul(ts.T, W[:, :D])                # (N, nb, T)
+            Q = np.matmul(tt.T, W[:, D:])
+            pushed.append((Vb, U, W, P, Q))
             if len(pushed) < len(tape):
                 V = V.copy()
                 V[:, ly._sb] = Vb * E[:, :, None] + bE[:, :, None] * P + Q
@@ -585,12 +606,14 @@ class DiffeoChain(DifferentiableMap):
         rows = np.empty((len(cy), self.n_params))
         for m in range(len(self.layers) - 1, -1, -1):
             ly = self.layers[m]
-            b, bE, fs, gs, ft, gt, E, ts, tt = tape[m]
+            b, bE, f, g, E, ts, tt = tape[m]
+            D = ly._D
+            fs, ft, gs, gt = f[..., :D], f[..., D:], g[..., :D], g[..., D:]
             cb_out = cy[:, ly._sb]
 
             cE = cb_out * b
             if width:
-                Vb, Us, Ws, P, Ut, Wt, Q = pushed[m]
+                Vb, U, W, P, Q = pushed[m]
                 Cb_out = cV[:, ly._sb]
                 rowsum_P = np.einsum("nit,nit->ni", Cb_out, P)
                 rowsum_Vb = np.einsum("nit,nit->ni", Cb_out, Vb)
@@ -600,8 +623,8 @@ class DiffeoChain(DifferentiableMap):
             gtheta_s = fs[..., :, None] * cs[:, None, :]
             gtheta_t = ft[..., :, None] * cb_out[:, None, :]
             if width:
-                gtheta_s += np.matmul(Ws, CP.transpose(0, 2, 1))
-                gtheta_t += np.matmul(Wt, Cb_out.transpose(0, 2, 1))
+                gtheta_s += np.matmul(W[:, :D], CP.transpose(0, 2, 1))
+                gtheta_t += np.matmul(W[:, D:], Cb_out.transpose(0, 2, 1))
             lo, mid, hi, _ = self._spans[m]
             rows[:, lo: mid] = gtheta_s.reshape(len(cy), -1)
             rows[:, mid: hi] = gtheta_t.reshape(len(cy), -1)
@@ -615,11 +638,11 @@ class DiffeoChain(DifferentiableMap):
                 CVb = Cb_out * E[:, :, None]
                 cb += E * rowsum_P
                 CWs = np.matmul(ts, CP)
-                dfs -= fs * np.einsum("nit,nit->ni", CWs, Us)
+                dfs -= fs * np.einsum("nit,nit->ni", CWs, U[:, :D])
                 CVa = cV[:, ly._sa] + np.matmul(ly.s_net.frequencies.T,
                                                 gs[:, :, None] * CWs)
                 CWt = np.matmul(tt, Cb_out)
-                dft -= ft * np.einsum("nit,nit->ni", CWt, Ut)
+                dft -= ft * np.einsum("nit,nit->ni", CWt, U[:, D:])
                 CVa += np.matmul(ly.t_net.frequencies.T, gt[:, :, None] * CWt)
             ca = cy[:, ly._sa] + stacked_mv(ly.s_net.frequencies.T, dfs)
             ca += stacked_mv(ly.t_net.frequencies.T, dft)
@@ -638,7 +661,7 @@ class DiffeoChain(DifferentiableMap):
         equals ``value(x, params)`` bit for bit and is read-only, so a
         caller that keeps the pair can share it.
         """
-        y, _, tape = self._taped_forward(self.weights(params).copy(),
+        y, _, tape = self._taped_forward(self._layer_thetas(self.weights(params).copy()),
                                          np.array(x, dtype=float))
         y.flags.writeable = False
         return y, tape

@@ -154,6 +154,8 @@ class Learnable:
     #: slice into the flat parameter vector, assigned at tree build time
     param_slice: slice | None = None
     _frozen: np.ndarray | None = None
+    #: (weight source, views) of the last ``weight_views`` call
+    _view_memo: tuple | None = None
 
     @property
     def is_learnable(self) -> bool:
@@ -173,3 +175,15 @@ class Learnable:
         if self.param_slice is None:
             raise StructureError(f"{type(self).__name__} has no assigned parameter slice")
         return params.values[self.param_slice]
+
+    def weight_views(self, params: ParamVector | None, build):
+        """``build(weights(params))``, built once per weight vector: kept
+        while the weights are read from the same array object, the frozen
+        copy or ``params.values``. ``build`` returns views of its argument,
+        so writes made in place show through; a new vector rebuilds them.
+        The memo is one tuple, stored by one assignment."""
+        source = getattr(params, "values", None) if self._frozen is None else self._frozen
+        memo = self._view_memo
+        if memo is None or memo[0] is not source:
+            memo = self._view_memo = (source, build(self.weights(params)))
+        return memo[1]

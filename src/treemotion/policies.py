@@ -160,20 +160,20 @@ class LatentQuadraticPotential(Potential):
         if chain.in_dim != self.goal.size:
             raise StructureError("latent potential goal dimension != chain dimension")
         self.chain = chain
-        # (weights, goal, image, tape) of the last goal tape
+        # (weight and goal bytes, image, tape) of the last goal tape
         self._tape = None
 
     def _goal_tape(self, params):
         """``(image, tape)`` of the chain at the goal, rebuilt only when
-        the chain weights or the goal change. Both are compared by value,
-        as callers may write ``params.values`` in place."""
-        block = self.chain.weights(params)
+        the bytes of the chain weights or of the goal change. Callers may
+        write ``params.values`` in place, so the memo compares one byte
+        string: it tells -0.0 from 0.0 and keeps a tape with NaN weights,
+        as an uncached evaluation would give the same bits."""
+        key = self.chain.weights(params).tobytes() + self.goal.tobytes()
         memo = self._tape
-        if (memo is None or not np.array_equal(memo[0], block)
-                or not np.array_equal(memo[1], self.goal)):
-            image, tape = self.chain.value_tape(self.goal, params)
-            memo = self._tape = (block.copy(), self.goal.copy(), image, tape)
-        return memo[2], memo[3]
+        if memo is None or memo[0] != key:
+            memo = self._tape = (key, *self.chain.value_tape(self.goal, params))
+        return memo[1], memo[2]
 
     def goal_image(self, params):
         """``chain(goal)``, read-only, recomputed only when the chain
@@ -408,8 +408,11 @@ class CholeskyMetricNet(Metric):
         return np.concatenate(chunks)
 
     def _weights(self, params):
-        block = self.weights(params)
-        return [block[start:stop].reshape(shape) for start, stop, shape in self._views]
+        """The weight arrays, views built once per weight vector."""
+        return self.weight_views(params, self._split)
+
+    def _split(self, block):
+        return tuple(block[start:stop].reshape(shape) for start, stop, shape in self._views)
 
     def _forward(self, x, weights):
         acts = [np.asarray(x, dtype=float)]

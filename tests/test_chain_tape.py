@@ -28,8 +28,7 @@ def reference_aug_forward(chain, block, x, V):
     y = np.asarray(x, dtype=float)
     V = np.asarray(V, dtype=float)
     caches = []
-    for m, ly in enumerate(chain.layers):
-        ts, tt = chain._layer_thetas(block, m)
+    for ly, (ts, tt) in zip(chain.layers, chain._layer_thetas(block)):
         a = y[ly.ia]
         b = y[ly.ib]
         Va = V[ly.ia, :]

@@ -539,3 +539,26 @@ def test_features_is_an_alias_of_features_d(tmp_path):
     path.write_text(json.dumps(spec))
     chain = tmio.load_tree(str(path)).leaf_table[2].latent.map
     assert chain.layers[0].s_net.n_features == 6
+
+
+def test_absent_spec_keys_take_the_constructors_defaults(monkeypatch):
+    # The reader passes only the keys a spec holds, so a changed library
+    # default reaches every spec and config that leaves the key out.
+    from treemotion.learning import TrainOptions
+    from treemotion.maps import DiffeoChain
+    from treemotion.policies import CholeskyMetricNet, handcrafted_attractor
+
+    monkeypatch.setattr(DiffeoChain.__init__, "__defaults__", (2, 6, 2.0, 3, True, 0.0))
+    monkeypatch.setattr(CholeskyMetricNet.__init__, "__defaults__",
+                        (None, (5,), 1e-3, 2, True))
+    monkeypatch.setattr(handcrafted_attractor, "__defaults__", (2.0, 3.0))
+    monkeypatch.setattr(TrainOptions.__init__, "__defaults__", (0.5, 7, 4, None, 0.25))
+
+    chain = tmio.build_map({"kind": "diffeo_chain"}, 2)
+    assert (len(chain.layers), chain.layers[0].s_net.n_features) == (2, 6)
+    net = tmio.build_metric({"kind": "cholesky_net"}, 2)
+    assert (net.hidden, net.eps) == ((5,), 1e-3)
+    leaf = tmio.build_policy({"kind": "attractor", "goal": [0.1, 0.2]}, 2, None)
+    assert (leaf.pot.gain, leaf.metric.matrix[0, 0]) == (2.0, 3.0)
+    _, opts = tmio.parse_training_config({"loss": {"kind": "joint"}})
+    assert (opts.alpha, opts.iterations, opts.seed, opts.momentum) == (0.5, 7, 4, 0.25)

@@ -145,13 +145,13 @@ def test_rff_input_jacobian_matches_fd(rng):
 
 def constant_net_layer(dim, s_const, t_const):
     """Coupling layer whose s/t nets are exactly constant (zero
-    frequencies), for closed-form checks."""
+    frequencies), for closed-form checks. The nets' arrays are views of
+    the layer's one bank, so they are zeroed in place."""
     layer = CouplingLayer(dim, flip=False, n_features=1, length_scale=1.0, seed=0)
     nb = layer.s_net.out_dim
-    layer.s_net.frequencies = np.zeros_like(layer.s_net.frequencies)
-    layer.s_net.phases = np.zeros_like(layer.s_net.phases)
-    layer.t_net.frequencies = np.zeros_like(layer.t_net.frequencies)
-    layer.t_net.phases = np.zeros_like(layer.t_net.phases)
+    for net in (layer.s_net, layer.t_net):
+        net.frequencies[...] = 0.0
+        net.phases[...] = 0.0
     theta_s = np.full((1, nb), s_const / np.sqrt(2.0))
     theta_t = np.full((1, nb), t_const / np.sqrt(2.0))
     return layer, theta_s, theta_t
@@ -286,8 +286,7 @@ def test_fused_chain_kernel_is_bit_identical_to_layer_composition(dim):
         block = params.values[chain.param_slice]
         x = rng.uniform(-1.5, 1.5, dim)
         y, J = x, np.eye(dim)
-        for m, ly in enumerate(chain.layers):
-            ts, tt = chain._layer_thetas(block, m)
+        for ly, (ts, tt) in zip(chain.layers, chain._layer_thetas(block)):
             J_layer = _unfused_layer_jacobian(ly, y, ts, tt)
             y_next = ly.forward(y, ts, tt)
             fused_y, fused_J, _ = ly.value_jacobian_tape(y, ts, tt)
