@@ -49,6 +49,14 @@ def _parse_vector(text: str) -> np.ndarray:
         raise _UsageError(f"cannot parse vector {text!r}: {exc}")
 
 
+def _parse_configuration(text: str, option: str) -> np.ndarray:
+    """A configuration vector; a non-finite entry is a validation error."""
+    q = _parse_vector(text)
+    if not np.isfinite(q).all():
+        raise StructureError(f"{option} must be finite, got {text}")
+    return q
+
+
 def _load_tree_and_params(args):
     tree = tmio.load_tree(args.tree_spec)
     if getattr(args, "params", None):
@@ -177,19 +185,20 @@ def _cmd_train(args) -> int:
 
 def _cmd_rollout(args) -> int:
     tree, params = _load_tree_and_params(args)
-    q0 = _parse_vector(args.q0)
+    q0 = _parse_configuration(args.q0, "--q0")
     result = integrate(tree, params, q0, dt=args.dt, max_steps=args.max_steps,
                        grad_tol=args.grad_tol,
                        record_potential=not args.no_potential)
     if args.out:
         tmio.write_rollout(args.out, result)
+    grad_norm = result.terminal_grad_norm  # NaN if the first evaluation failed
     summary = {
         "status": result.status,
         "steps": max(len(result.trajectory) - 1, 0),
-        "terminal_grad_norm": result.terminal_grad_norm,
+        "terminal_grad_norm": grad_norm if np.isfinite(grad_norm) else None,
         "message": result.message,
     }
-    text = json.dumps(summary, indent=1)
+    text = json.dumps(summary, indent=1, allow_nan=False)
     if args.summary:
         with open(args.summary, "w") as fh:
             fh.write(text + "\n")
@@ -213,7 +222,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_eval(args) -> int:
     tree, params = _load_tree_and_params(args)
-    q = _parse_vector(args.q)
+    q = _parse_configuration(args.q, "--q")
     pi = evaluate_policy(tree, q, params, regularization=args.regularization)
     print(json.dumps({"q": q.tolist(), "pi": pi.tolist()}))
     return EXIT_OK

@@ -13,10 +13,10 @@ leaf spaces where policies live. The one policy evaluation,
 4. resolve: solve ``(M_root + reg I) u = p_root`` for the configuration
    velocity (``solve_root``, the one SPD solve and singularity check,
    with or without the regularization ``reg``; its Cholesky factor also
-   serves the reverse pass). It calls the LAPACK routines
-   ``potrf``/``potrs`` directly: they are the routines
-   ``scipy.linalg.cho_factor``/``cho_solve`` wrap, without the
-   wrappers' per-call validation, so the results are the same bits.
+   serves the reverse pass). It calls LAPACK ``dpotrf``/``dpotrs`` from
+   scipy's ``_flapack`` extension, loaded from its file to skip the init
+   of ``scipy.linalg``: the routines ``cho_factor``/``cho_solve`` wrap,
+   minus their per-call validation, so the results are the same bits.
 
 Each leaf's place in the tree is decided once, in ``TransformTree``'s
 ``leaf_table`` of ``LeafRow``s; leaf evaluation, the flat solver, the
@@ -43,12 +43,15 @@ evaluations may share the read-only tree and parameters.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+import scipy
 
 from .errors import NumericError, SingularMetricError, StructureError
 from .maps import DiffeoChain, DifferentiableMap, stacked_mv
@@ -58,9 +61,26 @@ from .policies import LeafPolicy
 #: absolute eigenvalue floor below which the root metric counts as singular
 SINGULAR_EIG_TOL = 1e-12
 
+
+def _load_flapack():
+    """scipy's ``linalg/_flapack`` extension, without importing ``scipy.linalg``."""
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's LAPACK extension _flapack not found in {folder}")
+
+
 # The float64 Cholesky factorization and solve behind scipy's
-# ``cho_factor``/``cho_solve``, fetched once.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.zeros((1, 1)),))
+# ``cho_factor``/``cho_solve``, the objects ``get_lapack_funcs`` returns.
+# CPython registers a single-phase extension module under its spec name,
+# so a later ``import scipy.linalg`` reuses this module.
+_FLAPACK = _load_flapack()
+_POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 
 
 def factor_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -343,9 +363,10 @@ def solve_root(M: np.ndarray, p: np.ndarray,
     ``regularization`` must be finite and >= 0, else ``StructureError``.
     It shifts the diagonal of the one Cholesky solve; the shifted matrix
     must be positive definite, else ``SingularMetricError``. The solve
-    calls LAPACK ``potrf``/``potrs`` directly: the routines
-    ``cho_factor``/``cho_solve`` wrap, with the same arguments, minus
-    the wrappers' per-call validation. ``factor`` is ``potrf``'s lower
+    calls LAPACK ``potrf``/``potrs`` from scipy's ``_flapack`` extension,
+    loaded without ``scipy.linalg``'s init: the routines ``cho_factor``/
+    ``cho_solve`` wrap, with the same arguments, minus the wrappers'
+    per-call validation. ``factor`` is ``potrf``'s lower
     Cholesky factor of ``M + reg I`` (its upper triangle is left
     unused), kept for the reverse pass.
     """

@@ -373,6 +373,10 @@ def test_cli_train_rejects_out_of_range_options(tmp_path, spec_path, demo_path):
     ("gradcheck", "--fd-step=nan", "fd_step must be finite and > 0"),
     ("gradcheck", "--tol=-1", "tol must be finite and > 0"),
     ("gradcheck", "--tol=inf", "tol must be finite and > 0"),
+    ("eval", "--q=nan,0", "--q must be finite"),
+    ("eval", "--q=0,-inf", "--q must be finite"),
+    ("rollout", "--q0=inf,0", "--q0 must be finite"),
+    ("rollout", "--q0=0,nan", "--q0 must be finite"),
 ])
 def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, spec_path, demo_path,
                                           command, arg, message):
@@ -382,7 +386,9 @@ def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, spec_path, demo_path
     out = tmp_path / "params.json"
     extra = {"train": ["--demos", demo_path, "--out", str(out)],
              "check": [],
-             "gradcheck": ["--demos", demo_path]}[command]
+             "gradcheck": ["--demos", demo_path],
+             "eval": [],
+             "rollout": ["--out", str(out)]}[command]
     code = cli.main([command, spec_path, arg, *extra])
     printed, err = capsys.readouterr()
     assert code == 2 and err.startswith(f"validation error: {message}")
@@ -448,7 +454,13 @@ def test_cli_rollout_equilibrium_and_domain_error(tmp_path):
     path_bad.write_text(json.dumps(spec_bad))
     proc_bad = run_cli("rollout", str(path_bad), "--q0", "-0.3")
     assert proc_bad.returncode == 3
-    assert json.loads(proc_bad.stdout)["status"] == "error"
+
+    def strict(constant):
+        raise ValueError(f"summary is not strict JSON: {constant}")
+
+    rep_bad = json.loads(proc_bad.stdout, parse_constant=strict)
+    assert rep_bad["status"] == "error"
+    assert rep_bad["terminal_grad_norm"] is None
 
 
 def test_cli_rollout_seeded_fixture_converges_monotone(tmp_path, spec_path):
