@@ -72,7 +72,7 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
         u_k = u_at[leaf]
         pi_k = pi_at[leaf]
         cot_p = u_k
-        cot_M = -np.outer(u_k, pi_k)
+        cot_M = -(u_k[:, None] * pi_k)
         parent_coord = states[edge.parent].coord if edge is not None else None
         c_z = policy.vjp(states[leaf].coord, params, cot_p, cot_M, grad_out,
                          parent_coord=parent_coord, tape=states[leaf].record)
@@ -81,8 +81,10 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
             M_k = states[leaf].pulled_metric
             # Cotangent on the edge Jacobian J: (p_k - M_k pi_k) u_x^T
             # - (M_k u_k) pi_x^T, applied as two tangent/cotangent pairs.
-            tangents = np.column_stack((u_at[edge.parent], pi_at[edge.parent]))
-            cot_tangents = np.column_stack((p_k - M_k @ pi_k, -(M_k @ u_k)))
+            tangents = np.concatenate(
+                (u_at[edge.parent][:, None], pi_at[edge.parent][:, None]), axis=1)
+            cot_tangents = np.concatenate(
+                ((p_k - M_k @ pi_k)[:, None], -(M_k @ u_k)[:, None]), axis=1)
             edge.map.pullback_vjp(states[edge.parent].coord, params, c_z,
                                   tangents, cot_tangents, grad_out,
                                   tape=states[leaf].tape)

@@ -39,10 +39,9 @@ from .losses import (
     loss_samples,
     sample_loss,
     sample_losses,
-    squared_norms,
     stack_chunks,
 )
-from .maps import stacked_mv
+from .maps import squared_norms, stacked_mv
 from .params import ParamVector
 from .policies import NaturalGradientLeaf
 from .tree import TransformTree, run_pipeline

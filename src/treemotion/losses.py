@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError, TreeMotionError
-from .maps import stacked_mv
+from .maps import squared_norms, stacked_mv
 from .params import ParamVector
 from .tree import PipelineCache, TransformTree, run_pipeline, run_stacked
 
@@ -172,11 +172,6 @@ def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
         value += lk * float(Jr @ Jr)
         g -= 2.0 * lk * (J.T @ Jr)
     return value, g
-
-
-def squared_norms(R: np.ndarray) -> np.ndarray:
-    """``r @ r`` for each row ``r`` of ``R``, the same bits as per row."""
-    return np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
 
 
 def stack_chunks(n: int):

@@ -22,10 +22,11 @@ Conventions
 * ``stacked_value_and_jacobian(X, params)`` -> ``(Y, J)`` evaluates a
   stack of inputs ``(N, in_dim)`` into ``(N, out_dim)`` and
   ``(N, out_dim, in_dim)``. The inherited one loops
-  ``value_and_jacobian``; the identity, arm kinematics and chains
-  override it with stacked arrays whose every entry is the same bits as
-  the per-sample call: products are stacked ``np.matmul`` calls with a
-  per-sample or a broadcast operand, and sums run along the last axis.
+  ``value_and_jacobian``; the identity, arm kinematics, distance and
+  chains override it with stacked arrays whose every entry is the same
+  bits as the per-sample call: products are stacked ``np.matmul`` calls
+  with a per-sample or a broadcast operand, and sums run along the last
+  axis.
   The chain also has stacked twins of its taped forward and its two
   reverse rules (``stacked_value_jacobian_tape``, ``stacked_value_vjp``,
   ``stacked_pullback_vjp``), which return each sample's weight gradient
@@ -36,6 +37,8 @@ Conventions
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,6 +55,11 @@ def stacked_mv(A, X):
     ``(N, 3)`` stack, as fancy indexing returns, gave other last bits. So
     ``X`` is made C-contiguous here, which copies nothing when it is."""
     return np.matmul(A, np.ascontiguousarray(X)[..., None])[..., 0]
+
+
+def squared_norms(R: np.ndarray) -> np.ndarray:
+    """``r @ r`` for each row ``r`` of ``R``, the same bits as per row."""
+    return np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
 
 
 class DifferentiableMap(Learnable):
@@ -155,15 +163,15 @@ class PlanarArmFK(DifferentiableMap):
         self.out_dim = 2
 
     def value_and_jacobian(self, x, params=None):
-        c = np.cumsum(np.asarray(x, dtype=float)[: self.point])
-        L = self.lengths[: self.point]
-        # d x / d q_j = -sum_{i >= j} L_i sin c_i  (and +cos for the y row)
-        sx = L * np.sin(c)
-        cx = L * np.cos(c)
+        c = np.add.accumulate(np.asarray(x, dtype=float)[: self.point])
+        # Rows L_i cos c_i and L_i sin c_i; the position sums them, and
+        # d x / d q_j = -sum_{i >= j} L_i sin c_i  (and +cos for the y row).
+        T = self.lengths[: self.point] * np.array((np.cos(c), np.sin(c)))
+        tails = np.add.accumulate(T[:, ::-1], axis=1)[:, ::-1]
         J = np.zeros((2, self.in_dim))
-        J[0, : self.point] = -np.cumsum(sx[::-1])[::-1]
-        J[1, : self.point] = np.cumsum(cx[::-1])[::-1]
-        return np.array([cx.sum(), sx.sum()]), J
+        J[0, : self.point] = -tails[1]
+        J[1, : self.point] = tails[0]
+        return np.add.reduce(T, axis=1), J
 
     def stacked_value_and_jacobian(self, X, params=None):
         c = np.cumsum(X[:, : self.point], axis=-1)
@@ -192,12 +200,22 @@ class DistanceToPoint(DifferentiableMap):
 
     def value_and_jacobian(self, x, params=None):
         delta = np.asarray(x, dtype=float) - self.center
-        r = float(np.linalg.norm(delta))
+        r = math.sqrt(delta.dot(delta))  # np.linalg.norm(delta)'s expression
         if r < self.DEGENERATE_RADIUS:
-            raise DomainError(
-                f"distance map evaluated within {self.DEGENERATE_RADIUS} of its center"
-            )
+            raise self._degenerate()
         return np.array([r]), (delta / r)[None, :]
+
+    def stacked_value_and_jacobian(self, X, params=None):
+        delta = X - self.center
+        r = np.sqrt(squared_norms(delta))
+        if (r < self.DEGENERATE_RADIUS).any():
+            raise self._degenerate()
+        return r[:, None], (delta / r[:, None])[:, None, :]
+
+    def _degenerate(self) -> DomainError:
+        return DomainError(
+            f"distance map evaluated within {self.DEGENERATE_RADIUS} of its center"
+        )
 
 
 # ---------------------------------------------------------------------------

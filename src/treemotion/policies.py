@@ -483,10 +483,10 @@ class CholeskyMetricNet(Metric):
         k = 2 * len(self.hidden)
         h_last = acts[-1]
         if grads is not None:
-            grads[k] = np.outer(cd, h_last)
+            grads[k] = cd[:, None] * h_last
             grads[k + 1] = cd
             if self.n_off:
-                grads[k + 2] = np.outer(co, h_last)
+                grads[k + 2] = co[:, None] * h_last
                 grads[k + 3] = co
         ch = weights[k].T @ cd
         if self.n_off:
@@ -494,7 +494,7 @@ class CholeskyMetricNet(Metric):
         for i in range(len(self.hidden) - 1, -1, -1):
             cpre = ch * (pres[i] > 0)
             if grads is not None:
-                grads[2 * i] = np.outer(cpre, acts[i])
+                grads[2 * i] = cpre[:, None] * acts[i]
                 grads[2 * i + 1] = cpre
             ch = weights[2 * i].T @ cpre
         if grads is not None:
@@ -631,7 +631,7 @@ class RawVMLeaf(LeafPolicy, Learnable):
         M, metric_tape = tape
         v = self.weights(params)
         # p = M v couples the force cotangent into the metric cotangent.
-        S = cot_M + np.outer(cot_p, v)
+        S = cot_M + cot_p[:, None] * v
         c_z = self.metric.param_vjp(z, params, S, grad_out, metric_tape)
         if self.is_learnable:
             grad_out[self.param_slice] += M @ cot_p

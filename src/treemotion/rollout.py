@@ -9,6 +9,7 @@ traces would stop being byte-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,8 @@ def integrate(tree: TransformTree, params: ParamVector | None, q0,
             ts.append(t)
             qs.append(q.copy())
             qds.append(pi1)
-            terminal = float(np.linalg.norm(cache.states[0].pulled_force))
+            force = cache.states[0].pulled_force
+            terminal = math.sqrt(force.dot(force))  # np.linalg.norm's expression
             if terminal <= grad_tol:
                 status = "converged"
                 break

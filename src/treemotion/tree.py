@@ -39,6 +39,18 @@ can be checked against each other.
 Evaluation is a pure function of ``(tree, q, params)``: node states are
 freshly allocated scratch owned by the caller, and concurrent
 evaluations may share the read-only tree and parameters.
+
+One state through the four stages works on arrays of a few entries,
+where numpy's Python-level wrappers (``np.cumsum``, ``ndarray.sum`` and
+``.all``, ``np.linalg.norm``, ``np.outer``, ``np.column_stack``) cost
+more than their arithmetic. So the per-sample kernels call ufunc methods
+(``np.add.accumulate``, ``np.add.reduce``, ``np.minimum.reduce``), dot
+products and broadcast products directly, and only where the result is
+provably the same bits: the wrapper computes that very expression (the
+norm of a vector ``v`` is ``sqrt(v.dot(v))``, an outer product is
+``a[:, None] * b``), or the result is exact whatever the order (a
+minimum), or it only decides a check (``_all_finite``). ``einsum`` and
+``matmul`` stay as they are, since reassociating them moves last bits.
 """
 
 from __future__ import annotations
@@ -81,6 +93,21 @@ def _load_flapack():
 # so a later ``import scipy.linalg`` reuses this module.
 _FLAPACK = _load_flapack()
 _POTRF, _POTRS = _FLAPACK.dpotrf, _FLAPACK.dpotrs
+
+
+def _all_finite(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every entry of the arrays ``a`` and ``b`` is finite.
+
+    An inf or NaN entry makes the sum of squares ``a . a + b . b``
+    inf or NaN, so a finite sum settles it with two dot products. A sum
+    that is not finite is settled entrywise, because finite entries
+    beyond about 1e154 overflow it too (with numpy's overflow warning)
+    and are not an error.
+    """
+    a, b = a.ravel(), b.ravel()
+    if math.isfinite(a.dot(a) + b.dot(b)):
+        return True
+    return bool(np.isfinite(a).all() and np.isfinite(b).all())
 
 
 def factor_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,7 +350,7 @@ def leaf_evaluate(tree: TransformTree, states: list[NodeState],
         state = states[node]
         p, M, state.record = policy.evaluate(state.coord, params,
                                              parent_coord=parent_coord)
-        if not (np.isfinite(p).all() and np.isfinite(M).all()):
+        if not _all_finite(p, M):
             raise NumericError(f"leaf {node} produced a non-finite policy output")
         state.pulled_force = p
         state.pulled_metric = M
@@ -371,7 +398,7 @@ def solve_root(M: np.ndarray, p: np.ndarray,
     unused), kept for the reverse pass.
     """
     _check_regularization(regularization)
-    if not (np.isfinite(M).all() and np.isfinite(p).all()):
+    if not _all_finite(M, p):
         raise NumericError("root system contains non-finite entries")
     if regularization > 0.0:
         M = M + regularization * np.eye(len(M))
@@ -382,8 +409,7 @@ def solve_root(M: np.ndarray, p: np.ndarray,
             f"root metric is singular (Cholesky failed, min eigenvalue "
             f"{min_eig:.3e}); {_singular_hint(regularization)}"
         )
-    pivots = np.diagonal(factor)
-    if float(pivots.min()) ** 2 < SINGULAR_EIG_TOL:
+    if float(np.minimum.reduce(factor.diagonal())) ** 2 < SINGULAR_EIG_TOL:
         min_eig = float(np.linalg.eigvalsh(M).min())
         if min_eig < SINGULAR_EIG_TOL:
             raise SingularMetricError(
@@ -454,7 +480,7 @@ def run_stacked(tree: TransformTree, Q,
     for node, policy, edge, _, _, _ in tree.leaf_table.values():
         parent_coords = states[edge.parent].coord if edge is not None else None
         P, M, _ = policy.stacked_evaluate(states[node].coord, params, parent_coords)
-        if not (np.isfinite(P).all() and np.isfinite(M).all()):
+        if not _all_finite(P, M):
             raise NumericError(f"leaf {node} produced a non-finite policy output")
         states[node].pulled_force = P
         states[node].pulled_metric = M

@@ -204,6 +204,26 @@ def test_stacked_mv_is_bit_identical_on_a_column_major_stack():
     assert all(np.array_equal(Y[k], A @ X[k].copy()) for k in range(len(X)))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 124])
+def test_stacked_distance_rows_are_the_per_sample_bits(dim, n):
+    rng = np.random.default_rng(10 * n + dim)
+    d = DistanceToPoint(rng.normal(0.0, 1.0, dim))
+    X = rng.normal(0.0, 2.0, (n, dim))
+    Y, J = d.stacked_value_and_jacobian(X)
+    assert Y.shape == (n, 1) and J.shape == (n, 1, dim)
+    for k, x in enumerate(X):
+        y_k, J_k = d.value_and_jacobian(x)
+        assert np.array_equal(Y[k], y_k) and np.array_equal(J[k], J_k)
+    # A row inside the degenerate radius fails as the per-sample call does.
+    X[n // 2] = d.center + 1e-10
+    with pytest.raises(DomainError) as per_sample:
+        d.value_and_jacobian(X[n // 2])
+    with pytest.raises(DomainError) as stacked:
+        d.stacked_value_and_jacobian(X)
+    assert str(stacked.value) == str(per_sample.value)
+
+
 @pytest.fixture(scope="module")
 def perturbed_fixture():
     tree, params, demos, _, _ = conflicting_demo_fixture(seed=0)
