@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import operator
 import os
 
 import numpy as np
@@ -67,6 +68,17 @@ def _floats(value):
     return np.asarray(value, dtype=float)
 
 
+def _integer(value):
+    """The converter of every integer field: a float passes only when
+    whole (JSON ``3.0``), where ``int`` would truncate ``2.7`` to 2."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not an integer") from None
+
+
 def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
@@ -84,13 +96,14 @@ def _optional(convert):
 MAP_FIELDS = {
     "identity": {},
     "linear": {"matrix": ("matrix", _floats, True), "offset": ("offset", _floats, False)},
-    "planar_arm_fk": {"lengths": ("lengths", None, True), "point": ("point", None, False)},
+    "planar_arm_fk": {"lengths": ("lengths", None, True),
+                      "point": ("point", lambda v: v if v == "ee" else _integer(v), False)},
     "distance_to_point": {"center": ("center", _floats, True)},
-    "diffeo_chain": {"features": ("n_features", int, False),
-                     "features_D": ("n_features", int, False),
-                     "layers": ("n_layers", int, False),
+    "diffeo_chain": {"features": ("n_features", _integer, False),
+                     "features_D": ("n_features", _integer, False),
+                     "layers": ("n_layers", _integer, False),
                      "length_scale": ("length_scale", float, False),
-                     "seed": ("seed", int, False), "learnable": ("learnable", bool, False),
+                     "seed": ("seed", _integer, False), "learnable": ("learnable", bool, False),
                      "init_scale": ("init_scale", float, False)},
 }
 POLICY_FIELDS = {
@@ -107,8 +120,9 @@ POLICY_FIELDS = {
 }
 METRIC_FIELDS = {
     "constant": {"matrix": ("matrix", _floats, False), "scale": ("scale", float, False)},
-    "cholesky_net": {"in_dim": ("in_dim", int, False), "hidden": ("hidden", tuple, False),
-                     "eps": ("eps", float, False), "seed": ("seed", int, False),
+    "cholesky_net": {"in_dim": ("in_dim", _integer, False),
+                     "hidden": ("hidden", lambda v: tuple(map(_integer, v)), False),
+                     "eps": ("eps", float, False), "seed": ("seed", _integer, False),
                      "learnable": ("learnable", bool, False)},
     "inverse_square": {"weight": ("weight", float, True),
                        "margin": ("margin", float, True)},
@@ -126,8 +140,8 @@ LOSS_KIND_ALIASES = {"subtask": "subtask_space", "joint": "joint_space",
 # default kind is subtask_space), and the keys its "loss" object may hold.
 TRAINING_CONFIG_FIELDS = {
     "loss": (None, None, False), "alpha": ("alpha", _optional(float), False),
-    "iterations": ("iterations", int, False), "seed": ("seed", int, False),
-    "minibatch": ("minibatch", _optional(int), False),
+    "iterations": ("iterations", _integer, False), "seed": ("seed", _integer, False),
+    "minibatch": ("minibatch", _optional(_integer), False),
     "momentum": ("momentum", float, False),
 }
 TRAINING_LOSS_KEYS = ("kind", "lambda")
@@ -135,7 +149,7 @@ TRAINING_LOSS_KEYS = ("kind", "lambda")
 
 @contextlib.contextmanager
 def _field_types(context: str):
-    """Report a field of the wrong type or shape (``int("three")``,
+    """Report a field of the wrong type or shape (``_integer(2.5)``,
     ``float([1])``, a ragged matrix) as a ``SpecFormatError``."""
     try:
         yield
@@ -245,7 +259,7 @@ def tree_from_dict(data: dict) -> TransformTree:
         dims = {}
         for entry in nodes:
             _reject_unknown_keys(entry, NODE_KEYS, "node entry")
-            dims[int(_require(entry, "id", "node entry"))] = int(
+            dims[_integer(_require(entry, "id", "node entry"))] = _integer(
                 _require(entry, "dim", "node entry")
             )
         if sorted(dims) != list(range(len(dims))):
@@ -256,8 +270,8 @@ def tree_from_dict(data: dict) -> TransformTree:
         edge_maps = {}
         for entry in _require(data, "edges", "tree spec"):
             _reject_unknown_keys(entry, EDGE_KEYS, "edge entry")
-            parent = int(_require(entry, "parent", "edge entry"))
-            child = int(_require(entry, "child", "edge entry"))
+            parent = _integer(_require(entry, "parent", "edge entry"))
+            child = _integer(_require(entry, "child", "edge entry"))
             if parent not in dims or child not in dims:
                 raise SpecFormatError(f"edge {parent}->{child} references unknown nodes")
             try:
@@ -270,7 +284,7 @@ def tree_from_dict(data: dict) -> TransformTree:
         policies = {}
         for entry in _require(data, "leaves", "tree spec"):
             _reject_unknown_keys(entry, LEAF_KEYS, "leaf entry")
-            node = int(_require(entry, "node", "leaf entry"))
+            node = _integer(_require(entry, "node", "leaf entry"))
             if node not in dims:
                 raise SpecFormatError(f"leaf entry references unknown node {node}")
             try:

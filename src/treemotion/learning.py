@@ -27,19 +27,21 @@ kind must keep every per-sample term ``>= 0``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructureError, TreeMotionError
+from .errors import NumericError, SingularMetricError, StructureError
 from .gradients import pipeline_vjp
 from .losses import (
     DemoSet,
     LossSpec,
+    anchor_jacobian,
     loss_samples,
     sample_loss,
     sample_losses,
-    stack_chunks,
+    stacked_terms,
 )
 from .maps import squared_norms, stacked_mv
 from .params import ParamVector
@@ -82,7 +84,12 @@ class TrainOptions:
 
     def validate(self) -> None:
         """Reject settings that would train silently wrong (a negative
-        step climbs the loss, an empty minibatch trains on nothing)."""
+        step climbs the loss, an empty minibatch trains on nothing, a
+        fractional count is not a count)."""
+        for name, value in {"iterations": self.iterations, "seed": self.seed,
+                            "minibatch": self.minibatch or 1}.items():
+            if not isinstance(value, numbers.Integral):
+                raise StructureError(f"{name} must be an integer, got {value!r}")
         if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0):
             raise StructureError(f"alpha must be None or finite > 0, got {self.alpha}")
         if self.iterations < 0:
@@ -114,8 +121,11 @@ def loss_and_gradient(tree: TransformTree, params: ParamVector, demos_or_samples
     samples, lam = loss_samples(loss, tree, demos_or_samples)
     total = 0.0
     grad = params.zeros_like()
-    for q, qdot in samples:
+    for k, (q, qdot) in enumerate(samples):
         cache = run_pipeline(tree, q, params)
+        if np.shape(qdot) != cache.pi.shape:
+            raise StructureError(f"sample {k}: qdot has shape {np.shape(qdot)}, "
+                                 f"root dimension is {tree.root_dim}")
         value, g = sample_loss(tree, loss, lam, cache, qdot)
         # A per-sample buffer fixes the order of the sum; joint-loss
         # training amplifies any reordering within two steps.
@@ -263,34 +273,30 @@ def train(tree: TransformTree, params: ParamVector, demos: DemoSet,
 
 
 def _leaf_samples(tree, params, leaf, samples):
-    """``(x, zdot)``: each ``(q, qdot)`` mapped through the leaf's prefix."""
-    mapped = []
-    for q, qdot in samples:
-        x = np.asarray(q, dtype=float)
-        J_fix = np.eye(tree.root_dim)
-        for edge in tree.leaf_table[leaf].anchor:
-            x, J_edge = edge.map.value_and_jacobian(x, params)
-            J_fix = J_edge @ J_fix
-        mapped.append((x, J_fix @ qdot))
-    return mapped
+    """``(x, zdot)``: each ``(q, qdot)`` mapped through the leaf's anchor,
+    all as one stack."""
+    if not samples:
+        return []
+    x = np.array([q for q, _ in samples], dtype=float)
+
+    def edge_jacobian(edge):
+        nonlocal x
+        x, J = edge.map.stacked_value_and_jacobian(x, params)
+        return J
+
+    J = anchor_jacobian(tree, tree.leaf_table[leaf], edge_jacobian)
+    return list(zip(x, stacked_mv(J, np.array([qdot for _, qdot in samples], dtype=float))))
 
 
 def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
     """Objective for one leaf: match the leaf-mapped demo velocity with
     the leaf's own flow ``v = -M^{-1} grad(Phi)``, ignoring every other
     leaf. ``samples`` are ``_leaf_samples``' ``(x, zdot)`` pairs. Yields
-    each sample's ``|r|^2`` in sample order.
-
-    The samples are evaluated in stacked chunks (``stack_chunks``). With
-    ``grad`` given, the chunk's weight gradients come from the stacked
-    reverse rules on the chunk's stacked records, as one row per sample
-    and rule; sample ``k``'s rows are added into ``grad`` just before its
-    term is yielded, in the per-sample order (goal reverse, metric, edge
-    pullback), so ``grad`` holds the same bits as adding each sample's
-    gradient in turn. Only this leaf's slices are touched. A chunk whose
-    stacked evaluation raises, forward or reverse, has added nothing; it
-    is evaluated again sample by sample, which decides the first failure,
-    its error and the gradient added before it."""
+    each sample's ``|r|^2`` in sample order through ``stacked_terms``.
+    With ``grad`` given, sample ``k``'s weight rows are added into it just
+    before its term is yielded, in the per-sample order (goal reverse,
+    metric, edge pullback): the bits of adding each sample's gradient in
+    turn, in this leaf's slices only. A failing sample adds nothing."""
     _, policy, _, _, _, latent = tree.leaf_table[leaf]
     chain = latent.map if latent is not None else None
     if chain is None and getattr(policy, "metric_input", None) == "subtask":
@@ -298,70 +304,46 @@ def _baseline_leaf_terms(tree, params, leaf, samples, grad=None):
             "subtask metric input without a latent edge is ambiguous "
             "for the baseline objective"
         )
-    for lo, hi in stack_chunks(len(samples)):
-        try:
-            values, rows = _baseline_stacked_terms(policy, chain, params, samples[lo:hi],
-                                                   grad is not None)
-        except (TreeMotionError, np.linalg.LinAlgError):
-            yield from _baseline_sample_terms(policy, chain, params, samples[lo:hi], grad)
-            continue
-        for k, value in enumerate(values):
-            for where, R in rows:
-                grad[where] += R[k]
-            yield value
+    yield from stacked_terms(
+        lambda chunk: _baseline_stacked_terms(leaf, policy, chain, params, chunk, grad),
+        samples)
 
 
-def _baseline_stacked_terms(policy, chain, params, samples, with_grad):
-    """``_baseline_sample_terms`` on stacked arrays: the values, and with
-    ``with_grad`` the weight rows ``[(slice, R), ...]`` in the order the
-    per-sample route adds them (none without)."""
+def _baseline_stacked_terms(leaf, policy, chain, params, samples, grad):
+    """The terms of ``samples`` on stacked arrays; with ``grad``, as an
+    iterator that adds each sample's rows (of the stacked reverse rules,
+    run here) into ``grad`` just before yielding its term."""
     x = np.array([x for x, _ in samples])
     zdot = np.array([zdot for _, zdot in samples])
+    w, y = x, zdot
     if chain is not None:
         w, J_chain, tape = chain.stacked_value_jacobian_tape(x, params)
         y = stacked_mv(J_chain, zdot)
-    else:
-        w = x
-        y = zdot
+    # x is the subtask coordinate just below the latent edge.
     p, M, record = policy.stacked_evaluate(w, params, parent_coords=x)
-    v = np.linalg.solve(M, p[..., None])[..., 0]
+    try:
+        v = np.linalg.solve(M, p[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetricError(f"leaf {leaf} metric is singular ({exc})") from exc
     r = y - v
-    rows = []
-    if with_grad:
-        rho = np.linalg.solve(M, r[..., None])[..., 0]
-        c_w, rows = policy.stacked_vjp(w, params, -2.0 * rho,
-                                       2.0 * (rho[:, :, None] * v[:, None, :]), record,
-                                       parent_coords=x)
-        if chain is not None and chain.is_learnable:
-            rows = rows + chain.stacked_pullback_vjp(x, params, c_w, zdot[:, :, None],
-                                                     (2.0 * r)[:, :, None], tape)
-    return squared_norms(r).tolist(), rows
+    if grad is None:
+        return squared_norms(r).tolist()
+    rho = np.linalg.solve(M, r[..., None])[..., 0]
+    # v = M^{-1} p: d loss = 2 r.(dJ zdot) - 2 rho.dp + 2 rho.dM v
+    c_w, rows = policy.stacked_vjp(w, params, -2.0 * rho,
+                                   2.0 * (rho[:, :, None] * v[:, None, :]), record,
+                                   parent_coords=x)
+    if chain is not None and chain.is_learnable:
+        rows = rows + chain.stacked_pullback_vjp(x, params, c_w, zdot[:, :, None],
+                                                 (2.0 * r)[:, :, None], tape)
+    return _rows_added(squared_norms(r).tolist(), rows, grad)
 
 
-def _baseline_sample_terms(policy, chain, params, samples, grad):
-    """One sample at a time: ``_baseline_leaf_terms`` with or without
-    ``grad``, each sample's gradient added into ``grad`` before its term
-    is yielded."""
-    for x, zdot in samples:
-        if chain is not None:
-            w, J_chain, tape = chain.value_jacobian_tape(x, params)
-            y = J_chain @ zdot
-        else:
-            w = x
-            y = zdot
-        # x is the subtask coordinate just below the latent edge.
-        p, M, record = policy.evaluate(w, params, parent_coord=x)
-        v = np.linalg.solve(M, p)
-        r = y - v
-        if grad is not None:
-            rho = np.linalg.solve(M, r)
-            # v = M^{-1} p: d loss = 2 r.(dJ zdot) - 2 rho.dp + 2 rho.dM v
-            c_w = policy.vjp(w, params, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
-                             parent_coord=x, tape=record)
-            if chain is not None and chain.is_learnable:
-                chain.pullback_vjp(x, params, c_w, zdot[:, None],
-                                   (2.0 * r)[:, None], grad, tape=tape)
-        yield float(r @ r)
+def _rows_added(values, rows, grad):
+    for k, value in enumerate(values):
+        for where, R in rows:
+            grad[where] += R[k]
+        yield value
 
 
 def _baseline_leaf_loss_grad(tree, params, leaf, samples):
@@ -384,9 +366,10 @@ def train_independent_baseline(tree: TransformTree, params: ParamVector,
     ``sum || J_leaf qdot - v_leaf ||^2`` by ``train``'s loop and options;
     weights that no trained leaf reads are left untouched. Any trade-off
     between leaves is deferred to execution. A non-finite leaf loss or
-    step raises ``NumericError``. Each leaf maps the demos through its
-    prefix once, before its descent: exact, as a prefix edge that shares
-    weights with the leaf raises ``StructureError``.
+    step, or a singular leaf metric, raises ``NumericError``. Each leaf
+    maps the demos through its prefix once, as one stack, before its
+    descent: exact, as a prefix edge that shares weights with the leaf
+    raises ``StructureError``.
     """
     if opts is None:
         opts = TrainOptions()

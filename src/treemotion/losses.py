@@ -14,6 +14,8 @@ actually specified, as recorded in ``TransformTree.leaf_table``. Every
 other edge, a frozen chain higher up included, belongs to the anchor.
 Projecting through the learnable map itself would let training shrink
 the loss by shrinking the map instead of fitting the motion.
+``anchor_jacobian`` writes that Jacobian once, for a sample or a stack.
+``stacked_terms`` is the one route of every loss-only pass.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 from .errors import StructureError, TreeMotionError
 from .maps import squared_norms, stacked_mv
 from .params import ParamVector
-from .tree import PipelineCache, TransformTree, run_pipeline, run_stacked
+from .tree import LeafRow, PipelineCache, TransformTree, run_stacked
 
-# Sizes of the stacked chunks a loss-only pass evaluates, in sample
+# Sizes of the stacked chunks ``stacked_terms`` evaluates, in sample
 # order; the last size repeats. A line-search trial usually stops within
 # its first samples (a baseline trial mostly at the first, a subtask
 # trial within the first 3 to 73), so the chunks start small.
@@ -153,6 +155,16 @@ class LossSpec:
 # ---------------------------------------------------------------------------
 
 
+def anchor_jacobian(tree: TransformTree, row: LeafRow, edge_jacobian) -> np.ndarray:
+    """Jacobian of ``row``'s anchor: ``edge_jacobian(edge)`` (a matrix or a
+    stack) of each anchor edge, root to leaf, as ``np.matmul(J_edge, J)``;
+    a stack's rows are the per-sample product's bits."""
+    J = np.eye(tree.root_dim)
+    for edge in row.anchor:
+        J = np.matmul(edge_jacobian(edge), J)
+    return J
+
+
 def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
                 qdot) -> tuple[float, np.ndarray]:
     """One sample's loss and its cotangent on ``pi``, from the sample's
@@ -165,39 +177,70 @@ def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
     for lk, row in zip(lam, tree.leaf_table.values()):
         if lk == 0.0:
             continue
-        J = np.eye(tree.root_dim)
-        for edge in row.anchor:
-            J = cache.states[edge.child].jac_to_parent @ J
+        J = anchor_jacobian(tree, row, lambda edge: cache.states[edge.child].jac_to_parent)
         Jr = J @ r
         value += lk * float(Jr @ Jr)
         g -= 2.0 * lk * (J.T @ Jr)
     return value, g
 
 
-def stack_chunks(n: int):
-    """``(lo, hi)`` bounds of the ``STACK_CHUNKS`` that cover ``n`` samples."""
+def stacked_terms(evaluate, samples):
+    """The items ``evaluate(chunk)`` returns, one per sample, in sample
+    order: the one route of the loss-only passes and of the baseline.
+
+    The chunks are ``STACK_CHUNKS`` (8, 32, then 128 samples), each
+    evaluated when its first item is asked for. A chunk that raises a
+    ``TreeMotionError`` is evaluated again as stacks of one through the
+    same ``evaluate``: the items before its first failing sample ``k``
+    come from those stacks, nothing of ``k`` or after it is yielded or
+    evaluated, and ``k``'s error is raised with its class as ``"sample
+    k: <message>"``. Other exceptions leave as raised."""
     lo = 0
     for size in itertools.chain(STACK_CHUNKS, itertools.repeat(STACK_CHUNKS[-1])):
-        if lo >= n:
+        chunk = samples[lo:lo + size]
+        if not chunk:
             return
-        yield lo, min(lo + size, n)
+        try:
+            items = evaluate(chunk)
+        except TreeMotionError:
+            items = _stacks_of_one(evaluate, chunk, lo)
+        yield from items
         lo += size
+
+
+def _stacks_of_one(evaluate, chunk, lo):
+    for k, sample in enumerate(chunk, lo):
+        try:
+            items = evaluate([sample])
+        except TreeMotionError as exc:
+            raise type(exc)(f"sample {k}: {exc}") from exc
+        yield from items
+
+
+def _stack(samples, i, name, dim):
+    """Entry ``i`` of every sample as one ``(N, dim)`` array, or the
+    ``StructureError`` a per-sample check of a stack of one raises."""
+    try:
+        X = np.array([sample[i] for sample in samples], dtype=float)
+    except (TypeError, ValueError) as exc:  # entries of different lengths, or not numbers
+        raise StructureError(f"{name} entries do not form one array: {exc}") from exc
+    if X.shape[1:] != (dim,):
+        raise StructureError(f"{name} has shape {X.shape[1:]}, root dimension is {dim}")
+    return X
 
 
 def _stacked_sample_losses(loss: LossSpec, tree: TransformTree, lam, params, samples):
     """``sample_loss``'s values for ``samples``, from one ``run_stacked``
     pass and the same expressions on stacked arrays."""
-    states, pi = run_stacked(tree, [q for q, _ in samples], params)
-    r = np.array([qdot for _, qdot in samples], dtype=float) - pi
+    states, pi = run_stacked(tree, _stack(samples, 0, "q", tree.root_dim), params)
+    r = _stack(samples, 1, "qdot", tree.root_dim) - pi
     if loss.kind == "joint_space":
         return squared_norms(r).tolist()
     value = np.zeros(len(r))
     for lk, row in zip(lam, tree.leaf_table.values()):
         if lk == 0.0:
             continue
-        J = np.eye(tree.root_dim)
-        for edge in row.anchor:
-            J = np.matmul(states[edge.child].jac_to_parent, J)
+        J = anchor_jacobian(tree, row, lambda edge: states[edge.child].jac_to_parent)
         value += lk * squared_norms(stacked_mv(J, r))
     return list(value)
 
@@ -223,33 +266,14 @@ def loss_samples(loss: LossSpec, tree: TransformTree, demos_or_samples):
 def sample_losses(loss: LossSpec, tree: TransformTree, params: ParamVector | None,
                   demos):
     """Each sample's loss, in sample order, the same bits as
-    ``sample_loss`` on the sample's ``run_pipeline`` pass. The samples
-    are evaluated by ``run_stacked`` in chunks (``stack_chunks``), each
-    when its first term is asked for. A chunk whose stacked pass raises
-    is evaluated again sample by sample: the per-sample route yields the
-    terms before its first failing sample ``k`` and raises that sample's
-    error, of the same class, as ``"sample k: <message>"``. Every term
-    is ``>= 0`` (a squared norm, weighted by ``lam >= 0``) or
-    non-finite; the trainers' line search relies on that to stop summing
-    a trial early."""
+    ``sample_loss`` on the sample's ``run_pipeline`` pass, from
+    ``run_stacked`` passes over ``stacked_terms``' chunks; a failing
+    sample raises as ``stacked_terms`` states. Every term is ``>= 0`` (a
+    squared norm, weighted by ``lam >= 0``) or non-finite; the trainers'
+    line search relies on that to stop summing a trial early."""
     samples, lam = loss_samples(loss, tree, demos)
-    for lo, hi in stack_chunks(len(samples)):
-        try:
-            values = _stacked_sample_losses(loss, tree, lam, params, samples[lo:hi])
-        except TreeMotionError:
-            values = _per_sample_losses(loss, tree, lam, params, samples[lo:hi], lo)
-        yield from values
-
-
-def _per_sample_losses(loss, tree, lam, params, samples, first):
-    """``sample_loss`` on each sample's ``run_pipeline`` pass; an error at
-    ``samples[j]`` is raised as ``"sample {first + j}: <message>"``."""
-    for k, (q, qdot) in enumerate(samples, first):
-        try:
-            cache = run_pipeline(tree, q, params)
-        except TreeMotionError as exc:
-            raise type(exc)(f"sample {k}: {exc}") from exc
-        yield sample_loss(tree, loss, lam, cache, qdot)[0]
+    yield from stacked_terms(
+        lambda chunk: _stacked_sample_losses(loss, tree, lam, params, chunk), samples)
 
 
 def loss_value(loss: LossSpec, tree: TransformTree, params: ParamVector | None,

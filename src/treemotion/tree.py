@@ -456,7 +456,8 @@ def run_stacked(tree: TransformTree, Q,
     and the root solve is ``solve_root`` on each row. The stages run the
     per-sample checks on the whole stack, so a failing row raises the
     error the per-sample route raises, though not necessarily for the
-    first failing row. No tape or record is kept.
+    first failing row (``losses.stacked_terms`` finds that row with
+    stacks of one). No tape or record is kept.
     """
     try:
         Q = np.asarray(Q, dtype=float)

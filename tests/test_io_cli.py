@@ -192,6 +192,9 @@ def test_training_config_parse():
     assert loss.kind == "subtask_space"
     np.testing.assert_array_equal(loss.lam, [1.0, 0.0])
     assert opts.alpha == 0.05 and opts.iterations == 7 and opts.seed == 3
+    # A whole float (JSON 7.0) is the integer it names.
+    opts = tmio.parse_training_config({"iterations": 7.0, "minibatch": 3.0})[1]
+    assert (opts.iterations, opts.minibatch) == (7, 3) and type(opts.iterations) is int
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +261,12 @@ def _cli_exit_and_stderr(capsys, *argv):
     lambda s: s["edges"][0].update(
         map={"kind": "linear", "matrix": [[1.0, 0.0], [1.0]]}),
     lambda s: s.update(nodes=5),
-], ids=["dim", "layers", "ragged_matrix", "nodes"])
+    # A fractional count is not truncated (to a 2-D node, a chain of 2 layers).
+    lambda s: s["nodes"][2].update(dim=2.7),
+    lambda s: s["edges"][1]["map"].update(layers=2.9, features=3.5),
+    lambda s: s["leaves"][0]["policy"]["metric"].update(hidden=[6.5]),
+], ids=["dim", "layers", "ragged_matrix", "nodes", "fractional_dim", "fractional_layers",
+        "fractional_hidden"])
 def test_cli_malformed_spec_is_a_validation_error(tmp_path, capsys, edit):
     spec = json.loads(json.dumps(VALID_SPEC))
     edit(spec)
@@ -266,6 +274,8 @@ def test_cli_malformed_spec_is_a_validation_error(tmp_path, capsys, edit):
     path.write_text(json.dumps(spec))
     code, err = _cli_exit_and_stderr(capsys, "eval", path, "--q", "0.1,0.2")
     assert code == 2 and err.startswith("validation error:")
+    with pytest.raises(SpecFormatError):
+        tmio.tree_from_dict(spec)
 
 
 def test_cli_malformed_demo_csv_is_a_validation_error(tmp_path, capsys, spec_path):
@@ -276,7 +286,8 @@ def test_cli_malformed_demo_csv_is_a_validation_error(tmp_path, capsys, spec_pat
     assert code == 2 and err.startswith("validation error:") and "abc" in err
 
 
-@pytest.mark.parametrize("config", [{"alpha": "fast"}, {"iterations": [1]}, [1]])
+@pytest.mark.parametrize("config", [{"alpha": "fast"}, {"iterations": [1]}, [1],
+                                    {"iterations": 2.5}, {"minibatch": 7.5}, {"seed": 1.5}])
 def test_cli_malformed_training_config_is_a_validation_error(
         tmp_path, capsys, spec_path, demo_path, config):
     path = tmp_path / "config.json"

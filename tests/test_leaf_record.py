@@ -201,14 +201,21 @@ def fixture_one():
 
 def test_baseline_maps_each_sample_through_the_prefix_once(monkeypatch, fixture_one):
     tree, params, demos = fixture_one
+    # Each per-sample call, and each row of a stacked one.
     calls = [0]
     value_and_jacobian = PlanarArmFK.value_and_jacobian
+    stacked_value_and_jacobian = PlanarArmFK.stacked_value_and_jacobian
 
     def counted(self, *args):
         calls[0] += 1
         return value_and_jacobian(self, *args)
 
+    def stacked_counted(self, X, *args):
+        calls[0] += len(X)
+        return stacked_value_and_jacobian(self, X, *args)
+
     monkeypatch.setattr(PlanarArmFK, "value_and_jacobian", counted)
+    monkeypatch.setattr(PlanarArmFK, "stacked_value_and_jacobian", stacked_counted)
     opts = TrainOptions(alpha=None, iterations=2)
     trained = train_independent_baseline(tree, params, demos, opts)
     assert calls[0] == demos.n_samples == 124  # one leaf has the arm as prefix

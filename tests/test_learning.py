@@ -202,6 +202,7 @@ def test_train_deterministic_history():
     {"iterations": -4}, {"seed": -1},
     {"minibatch": -120}, {"minibatch": 0},
     {"momentum": -0.1}, {"momentum": 1.0},
+    {"iterations": 2.5}, {"seed": 1.5}, {"minibatch": 7.5},
 ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
 def test_trainers_reject_out_of_range_options(bad):
     tree, params = theta_policy_tree(2)

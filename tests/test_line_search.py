@@ -89,8 +89,7 @@ def _counted_runs(monkeypatch, fixture, oracle):
     per-sample pass and each row of a stacked one."""
     tree, params, demos, lam = fixture
     counts = {"pipeline": 0, "chain": 0}
-    run_pipeline, run_stacked = losses.run_pipeline, losses.run_stacked
-    value_jacobian_tape = DiffeoChain.value_jacobian_tape
+    run_pipeline, run_stacked = learning.run_pipeline, losses.run_stacked
     stacked_value_jacobian_tape = DiffeoChain.stacked_value_jacobian_tape
 
     def pipeline(*args):
@@ -101,10 +100,6 @@ def _counted_runs(monkeypatch, fixture, oracle):
         counts["pipeline"] += len(Q)
         return run_stacked(tree, Q, params)
 
-    def chain(self, *args):
-        counts["chain"] += 1
-        return value_jacobian_tape(self, *args)
-
     def stacked_chain(self, X, params):
         counts["chain"] += len(X)
         return stacked_value_jacobian_tape(self, X, params)
@@ -112,14 +107,12 @@ def _counted_runs(monkeypatch, fixture, oracle):
     with monkeypatch.context() as m:
         if oracle:
             m.setattr(learning, "_total_within", full_sum)
-        m.setattr(losses, "run_pipeline", pipeline)
         m.setattr(losses, "run_stacked", stacked)
         m.setattr(learning, "run_pipeline", pipeline)
         opts = TrainOptions(alpha=None, iterations=2)
         subtask = train(tree, params, demos, LossSpec("subtask_space", lam), opts)
         subtask_passes = counts["pipeline"]
         joint = train(tree, params, demos, LossSpec("joint_space"), opts)
-        m.setattr(DiffeoChain, "value_jacobian_tape", chain)
         m.setattr(DiffeoChain, "stacked_value_jacobian_tape", stacked_chain)
         baseline = train_independent_baseline(tree, params, demos, opts)
     return (subtask, joint, baseline), subtask_passes, counts["chain"]

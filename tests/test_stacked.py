@@ -3,32 +3,40 @@ same bits for ``pi``, for every loss term, for the baseline's leaf terms
 and gradients and for each stacked reverse kernel, and the same errors,
 naming the failing sample."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treemotion import learning, losses
 from treemotion.errors import DomainError, NumericError, SingularMetricError, StructureError
 from treemotion.fixtures import conflicting_demo_fixture, random_tree
 from treemotion.learning import (
     TrainOptions,
     _baseline_leaf_terms,
-    _baseline_sample_terms,
     _leaf_samples,
     _total_within,
+    loss_and_gradient,
     train,
+    train_independent_baseline,
 )
 from treemotion.losses import LossSpec, loss_value, sample_loss, sample_losses
 from treemotion.maps import DiffeoChain, DistanceToPoint, IdentityMap, PlanarArmFK, stacked_mv
 from treemotion.policies import (
     CholeskyMetricNet,
     ConstantMetric,
+    Metric,
+    NaturalGradientLeaf,
+    QuadraticPotential,
     RawVMLeaf,
     handcrafted_attractor,
     handcrafted_barrier,
     handcrafted_damper,
 )
 from treemotion.tree import Edge, TransformTree, run_pipeline, run_stacked
+from treemotion.verify import gradcheck_report
 
 
 def per_sample_losses(loss, tree, params, samples, lam):
@@ -37,18 +45,71 @@ def per_sample_losses(loss, tree, params, samples, lam):
         yield sample_loss(tree, loss, lam, run_pipeline(tree, q, params), qdot)[0]
 
 
-def per_sample_baseline_terms(tree, params, leaf, samples):
-    """Reference: the baseline's loss-only leaf terms, one sample at a time."""
+def per_sample_baseline_terms(tree, params, leaf, samples, grad=None):
+    """Reference: the baseline's leaf terms one sample at a time, with
+    each sample's gradient added into ``grad`` (if given) before its term
+    is yielded."""
     policy, latent = tree.leaf_table[leaf].policy, tree.leaf_table[leaf].latent
+    chain = latent.map if latent is not None else None
     for x, zdot in samples:
-        if latent is not None:
-            w, J_chain, _ = latent.map.value_jacobian_tape(x, params)
+        if chain is not None:
+            w, J_chain, tape = chain.value_jacobian_tape(x, params)
             y = J_chain @ zdot
         else:
             w, y = x, zdot
-        p, M, _ = policy.evaluate(w, params, parent_coord=x)
-        r = y - np.linalg.solve(M, p)
+        p, M, record = policy.evaluate(w, params, parent_coord=x)
+        v = np.linalg.solve(M, p)
+        r = y - v
+        if grad is not None:
+            rho = np.linalg.solve(M, r)
+            c_w = policy.vjp(w, params, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
+                             parent_coord=x, tape=record)
+            if chain is not None and chain.is_learnable:
+                chain.pullback_vjp(x, params, c_w, zdot[:, None], (2.0 * r)[:, None], grad,
+                                   tape=tape)
         yield float(r @ r)
+
+
+def per_sample_leaf_samples(tree, params, leaf, samples):
+    """Reference: each ``(q, qdot)`` mapped through the leaf's anchor alone."""
+    mapped = []
+    for q, qdot in samples:
+        x, J = np.asarray(q, dtype=float), np.eye(tree.root_dim)
+        for edge in tree.leaf_table[leaf].anchor:
+            x, J_edge = edge.map.value_and_jacobian(x, params)
+            J = J_edge @ J
+        mapped.append((x, J @ qdot))
+    return mapped
+
+
+def chunks_through(n, k):
+    """Sizes of the stacked chunks (8, 32, then 128 samples) of ``n``
+    samples, up to and including the one that holds sample ``k``."""
+    sizes, lo = [], 0
+    for size in itertools.chain((8, 32), itertools.repeat(128)):
+        sizes.append(min(size, n - lo))
+        lo += sizes[-1]
+        if k < lo:
+            return sizes
+
+
+def rows_up_to_failure(n, k):
+    """Rows evaluated when sample ``k`` of ``n`` fails: each chunk up to
+    ``k``'s once, then stacks of one from that chunk's start through ``k``."""
+    sizes = chunks_through(n, k)
+    return sizes + [1] * (k - sum(sizes[:-1]) + 1)
+
+
+def counting(module, name, stack_of):
+    """A wrapper of ``module.name`` that appends the number of rows of each
+    call, ``len(stack_of(args))``, to the list it returns with it."""
+    rows, evaluate = [], getattr(module, name)
+
+    def counted(*args):
+        rows.append(len(stack_of(args)))
+        return evaluate(*args)
+
+    return counted, rows
 
 
 def bit_equal(a, b):
@@ -75,13 +136,15 @@ def test_stacked_route_is_bit_identical_to_the_per_sample_route(seed, n):
 
     for leaf in tree.leaves:
         leaf_samples = _leaf_samples(tree, params, leaf, samples)
+        assert all(bit_equal(got, expected) for got, expected in zip(
+            leaf_samples, per_sample_leaf_samples(tree, params, leaf, samples)))
         expected = list(per_sample_baseline_terms(tree, params, leaf, leaf_samples))
         assert bit_equal(list(_baseline_leaf_terms(tree, params, leaf, leaf_samples)),
                          expected)
 
 
 # ---------------------------------------------------------------------------
-# Errors: the per-sample route decides which sample fails, and how
+# Errors: stacks of one decide which sample fails, and how
 # ---------------------------------------------------------------------------
 
 
@@ -113,7 +176,8 @@ BAD_STATES = [
 @pytest.mark.parametrize("build, bad, kind", BAD_STATES,
                          ids=["non-finite-leaf", "singular-root", "domain"])
 @pytest.mark.parametrize("k", [0, 4, 8])
-def test_a_failing_sample_raises_the_per_sample_error_naming_it(build, bad, kind, k):
+def test_a_failing_sample_raises_the_per_sample_error_naming_it(monkeypatch, build, bad,
+                                                                kind, k):
     tree = build()
     rng = np.random.default_rng(k)
     qs = list(rng.uniform(0.6, 1.0, (12, 2)))
@@ -121,11 +185,16 @@ def test_a_failing_sample_raises_the_per_sample_error_naming_it(build, bad, kind
     samples = [(q, np.zeros(2)) for q in qs]
     with pytest.raises(kind) as per_sample:
         run_pipeline(tree, qs[k])
+    counted, rows = counting(losses, "run_stacked", lambda args: args[1])
+    monkeypatch.setattr(losses, "run_stacked", counted)
     for loss in (LossSpec("joint_space"), LossSpec("subtask_space", np.ones(len(tree.leaves)))):
+        rows.clear()
         with pytest.raises(kind) as stacked:
             loss_value(loss, tree, None, samples)
         assert type(stacked.value) is type(per_sample.value)
         assert str(stacked.value) == f"sample {k}: {per_sample.value}"
+        # The failing chunk once, then stacks of one up to k; nothing after k.
+        assert rows == rows_up_to_failure(len(samples), k)
         # The terms before the failing sample are yielded as before.
         terms = sample_losses(loss, tree, None, samples)
         assert [next(terms) for _ in range(k)] == list(
@@ -160,6 +229,20 @@ def test_ragged_states_are_a_structure_error_naming_the_sample():
     samples = [(np.zeros(2), np.zeros(2)), (np.zeros(3), np.zeros(2))]
     with pytest.raises(StructureError, match=r"^sample 1: q has shape \(3,\)"):
         loss_value(LossSpec("joint_space"), tree, None, samples)
+    # A qdot of the wrong length, on every route that takes samples.
+    samples = [(np.zeros(2), np.zeros(2)), (np.zeros(2), np.zeros(3))]
+    message = r"^sample 1: qdot has shape \(3,\), root dimension is 2$"
+    leaf = RawVMLeaf(np.zeros(2), ConstantMetric(np.eye(2)), learnable=True)
+    learnable = TransformTree([2, 2], [Edge(0, 1, IdentityMap(2))], {1: leaf})
+    params = learnable.init_params()
+    for loss in (LossSpec("joint_space"), LossSpec("subtask_space", np.ones(1))):
+        for run in (lambda: loss_value(loss, learnable, params, samples),
+                    lambda: loss_and_gradient(learnable, params, samples, loss),
+                    lambda: train(learnable, params, samples, loss,
+                                  TrainOptions(alpha=0.1, iterations=1)),
+                    lambda: gradcheck_report(learnable, params, samples, loss)):
+            with pytest.raises(StructureError, match=message):
+                run()
 
 
 def test_an_empty_stack_sums_to_zero():
@@ -317,75 +400,123 @@ def test_stacked_leaf_reverse_and_baseline_gradient_match_on_random_trees(seed, 
                 assert np.array_equal(added(params, rows, k), grad)
 
     samples = list(zip(qs, rng.uniform(-1.0, 1.0, (n, tree.root_dim))))
-    for leaf, policy, _, _, _, latent in tree._reverse_leaves:
+    for leaf, _, _, _, _, _ in tree._reverse_leaves:
         leaf_samples = _leaf_samples(tree, params, leaf, samples)
         grad, expected_grad = params.zeros_like(), params.zeros_like()
         terms = list(_baseline_leaf_terms(tree, params, leaf, leaf_samples, grad))
-        expected = list(_baseline_sample_terms(policy, latent and latent.map, params,
-                                               leaf_samples, expected_grad))
+        expected = list(per_sample_baseline_terms(tree, params, leaf, leaf_samples,
+                                                  expected_grad))
         assert bit_equal(terms, expected)
         assert np.array_equal(grad, expected_grad)
 
 
 def test_the_baseline_gradient_of_the_fixture_matches_the_per_sample_route(perturbed_fixture):
     tree, params, demos = perturbed_fixture
-    for leaf, policy, _, _, _, latent in tree._reverse_leaves:
+    for leaf, _, _, _, _, _ in tree._reverse_leaves:
         leaf_samples = _leaf_samples(tree, params, leaf, list(demos.samples()))
         grad, expected_grad = params.zeros_like(), params.zeros_like()
         terms = list(_baseline_leaf_terms(tree, params, leaf, leaf_samples, grad))
-        expected = list(_baseline_sample_terms(policy, latent.map, params, leaf_samples,
-                                               expected_grad))
+        expected = list(per_sample_baseline_terms(tree, params, leaf, leaf_samples,
+                                                  expected_grad))
         assert len(terms) == 124 and bit_equal(terms, expected)
         assert np.abs(grad).max() > 0.0 and np.array_equal(grad, expected_grad)
+        # Sample k's rows are added as its term is yielded, not before.
+        grad, expected_grad = params.zeros_like(), params.zeros_like()
+        terms = _baseline_leaf_terms(tree, params, leaf, leaf_samples, grad)
+        assert [next(terms) for _ in range(5)] == expected[:5]
+        list(per_sample_baseline_terms(tree, params, leaf, leaf_samples[:5], expected_grad))
+        assert np.array_equal(grad, expected_grad)
 
 
 def fail_at(bad, error):
-    """A pullback rule that raises ``error`` at the input ``bad``, per
-    sample and in any stack holding it."""
-    per_sample, stacked = DiffeoChain.pullback_vjp, DiffeoChain.stacked_pullback_vjp
-
-    def pullback_vjp(self, x, *args, **kwargs):
-        if np.array_equal(x, bad):
-            raise error("bad sample")
-        return per_sample(self, x, *args, **kwargs)
+    """A stacked pullback rule that raises ``error`` in any stack holding
+    the input ``bad``."""
+    stacked = DiffeoChain.stacked_pullback_vjp
 
     def stacked_pullback_vjp(self, X, *args):
         if any(np.array_equal(x, bad) for x in X):
             raise error("bad sample")
         return stacked(self, X, *args)
 
-    return pullback_vjp, stacked_pullback_vjp
+    return stacked_pullback_vjp
+
+
+def consume(terms, error):
+    """The terms yielded before ``error`` is raised, and its message."""
+    got = []
+    with pytest.raises(error) as info:
+        for v in terms:
+            got.append(v)
+    return got, str(info.value)
 
 
 @pytest.mark.parametrize("error", [NumericError, np.linalg.LinAlgError])
 @pytest.mark.parametrize("k", [3, 20, 45, None])
 def test_a_failing_stacked_gradient_is_redone_sample_by_sample(monkeypatch, perturbed_fixture,
                                                               error, k):
-    # k = None: every stacked pullback fails, no per-sample one does. Otherwise
-    # sample k fails on both routes, after its goal and metric rows.
+    # Sample k's pullback fails, after its goal and metric rows; k = None:
+    # every pullback fails, so sample 0's does. A library error is redone
+    # as stacks of one: it names sample k, and grad holds the rows of
+    # samples[:k] only. Any other error leaves its chunk as raised, with
+    # the rows of the chunks before.
     tree, params, demos = perturbed_fixture
-    policy, latent = tree.leaf_table[2].policy, tree.leaf_table[2].latent
     samples = _leaf_samples(tree, params, 2, list(demos.samples()))
     if k is None:
         def stacked(self, *args):
             raise error("bad stack")
     else:
-        per_sample, stacked = fail_at(samples[k][0], error)
-        monkeypatch.setattr(DiffeoChain, "pullback_vjp", per_sample)
+        stacked = fail_at(samples[k][0], error)
     monkeypatch.setattr(DiffeoChain, "stacked_pullback_vjp", stacked)
+    counted, rows = counting(learning, "_baseline_stacked_terms", lambda args: args[4])
+    monkeypatch.setattr(learning, "_baseline_stacked_terms", counted)
 
-    def run(terms):
-        got = []
-        try:
-            for v in terms:
-                got.append(v)
-        except error as exc:
-            return got, str(exc)
-        return got, None
-
-    grad, expected_grad = params.zeros_like(), params.zeros_like()
-    got = run(_baseline_leaf_terms(tree, params, 2, samples, grad))
-    expected = run(_baseline_sample_terms(policy, latent.map, params, samples, expected_grad))
-    assert got[1] == expected[1] == (None if k is None else "bad sample")
-    assert len(got[0]) == (124 if k is None else k) and bit_equal(got[0], expected[0])
+    first = 0 if k is None else k
+    grad = params.zeros_like()
+    got, message = consume(_baseline_leaf_terms(tree, params, 2, samples, grad), error)
+    if error is NumericError:
+        done = first
+        assert message == f"sample {first}: " + ("bad stack" if k is None else "bad sample")
+        assert rows == rows_up_to_failure(len(samples), first)
+    else:
+        done = sum(chunks_through(len(samples), first)[:-1])
+        assert message == ("bad stack" if k is None else "bad sample")
+        assert rows == chunks_through(len(samples), first)
+    expected_grad = params.zeros_like()
+    expected = list(per_sample_baseline_terms(tree, params, 2, samples[:done], expected_grad))
+    assert len(got) == done and bit_equal(got, expected)
     assert np.array_equal(grad, expected_grad)
+    assert (np.abs(grad).max() > 0.0) == (done > 0)
+
+
+class SingularAt(Metric):
+    """The identity, except the zero matrix at the input ``bad``."""
+
+    def __init__(self, bad):
+        self.bad = np.asarray(bad, dtype=float)
+
+    def value(self, x, params):
+        return np.zeros((2, 2)) if np.array_equal(x, self.bad) else np.eye(2)
+
+
+def test_a_singular_baseline_metric_is_a_singular_metric_error_naming_the_sample():
+    # The metric sees the subtask coordinate x, which training never moves.
+    rng = np.random.default_rng(0)
+    qs = rng.uniform(-1.0, 1.0, (12, 2))
+    demos = [(q, rng.uniform(-1.0, 1.0, 2)) for q in qs]
+    leaf = NaturalGradientLeaf(2, QuadraticPotential(np.zeros(2)), SingularAt(qs[5]),
+                               metric_input="subtask")
+    chain = DiffeoChain(2, n_layers=1, n_features=4, init_scale=0.1)
+    tree = TransformTree([2, 2], [Edge(0, 1, chain)], {1: leaf})
+    params = tree.init_params()
+    samples = _leaf_samples(tree, params, 1, demos)
+    for grad in (None, params.zeros_like()):
+        got, message = consume(_baseline_leaf_terms(tree, params, 1, samples, grad),
+                               SingularMetricError)
+        assert message == "sample 5: leaf 1 metric is singular (Singular matrix)"
+        assert bit_equal(got, list(per_sample_baseline_terms(tree, params, 1, samples[:5])))
+    with pytest.raises(NumericError) as info:
+        train_independent_baseline(tree, params, losses.DemoSet([losses.Trajectory(
+            np.arange(12.0), qs, np.array([qdot for _, qdot in demos]))]),
+            TrainOptions(alpha=0.1, iterations=1))
+    assert type(info.value) is NumericError
+    assert str(info.value) == "baseline loss for leaf 1 is not finite"

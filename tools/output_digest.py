@@ -36,7 +36,13 @@ bit-identical print the same digest. The digest covers:
   ``DiffeoChain.value``, and with it ``CouplingLayer.forward`` and
   ``RFFNet.value``), the exit code and output of CLI ``check`` on
   ``demos/arm_fixture.json``, and ``potential_gradient_fd`` on the arm
-  at the 10 ``stability_seed_states``.
+  at the 10 ``stability_seed_states``;
+- the failure routes: the terms ``sample_losses`` yields (subtask and
+  joint loss) and the error it raises on 12 seeded samples with one bad
+  state at sample 0, 4 or 8 (a non-finite leaf output, a singular root
+  metric, a distance map outside its domain), the error of the first
+  failing sample where a later one fails at an earlier stage, and
+  ``train`` aborting when its final loss fails.
 
 A library error (``TreeMotionError``) an operation raises is digested as
 its type and message, so a checkout that starts or stops raising
@@ -305,6 +311,71 @@ def check_outputs(tm, src_dir, dig):
                 _attempt(lambda: potential_gradient_fd(tree, q, params)))
 
 
+def _failure_trees(tm):
+    """Three small trees, each with a state where one stage fails."""
+    from treemotion.policies import (
+        handcrafted_attractor,
+        handcrafted_barrier,
+        handcrafted_damper,
+    )
+
+    Edge, Tree = tm.Edge, tm.TransformTree
+    attractor = Tree([2, 2, 2], [Edge(0, 1, tm.IdentityMap(2)), Edge(0, 2, tm.IdentityMap(2))],
+                     {1: handcrafted_attractor([0.5, -0.5]), 2: handcrafted_damper(0.5, 2)})
+    # No damper: the root metric is singular where the arm is straight.
+    arm = Tree([2, 2], [Edge(0, 1, tm.PlanarArmFK([1.0, 1.0]))],
+               {1: handcrafted_attractor([1.0, 1.0])})
+    obstacle = Tree([2, 1, 2], [Edge(0, 1, tm.DistanceToPoint([0.3, 0.2])),
+                                Edge(0, 2, tm.IdentityMap(2))],
+                    {1: handcrafted_barrier(0.5), 2: handcrafted_damper(0.5, 2)})
+    return [("non-finite leaf", attractor, [np.inf, 0.0]),
+            ("singular root", arm, [0.3, 0.0]),
+            ("domain", obstacle, [0.3, 0.2])]
+
+
+def _consumed(terms):
+    """The items of ``terms`` up to the library error it raises, then that
+    error's type and message (if it raises one)."""
+    got = []
+
+    def run():
+        for v in terms:
+            got.append(v)
+
+    error = _attempt(run)
+    return got if error is None else got + [error]
+
+
+def failure_outputs(tm, dig):
+    from treemotion.losses import sample_losses
+
+    dig.start("failure routes")
+    trees = _failure_trees(tm)
+    for name, tree, bad in trees:
+        for k in (0, 4, 8):
+            rng = np.random.default_rng(k)
+            qs = list(rng.uniform(0.6, 1.0, (12, 2)))
+            qs[k] = np.array(bad)
+            samples = list(zip(qs, rng.uniform(-1.0, 1.0, (12, 2))))
+            for loss in (tm.LossSpec("joint_space"),
+                         tm.LossSpec("subtask_space", np.ones(len(tree.leaves)))):
+                dig.add(("sample_losses", name, k, loss.kind),
+                        _consumed(sample_losses(loss, tree, None, samples)))
+    # Sample 5 fails in the forward stage, sample 3 only at the leaves.
+    obstacle = trees[2][1]
+    qs = [np.array([1.0, 1.0])] * 8
+    qs[3] = np.array([np.nan, 1.0])
+    qs[5] = np.array([0.3, 0.2])
+    dig.add(("first failing sample",), _attempt(lambda: tm.loss_value(
+        tm.LossSpec("joint_space"), obstacle, None, [(q, np.zeros(2)) for q in qs])))
+    # One step lands the learnable velocity where the leaf force overflows.
+    leaf = tm.RawVMLeaf(np.zeros(2), tm.ConstantMetric(4.0 * np.eye(2)), learnable=True)
+    tree = tm.TransformTree([2, 2], [tm.Edge(0, 1, tm.IdentityMap(2))], {1: leaf})
+    dig.add(("train aborts on its final loss",), _trained(_attempt(lambda: tm.train(
+        tree, tree.init_params(), [(np.zeros(2), np.ones(2))], tm.LossSpec("joint_space"),
+        tm.TrainOptions(alpha=0.5e308, iterations=1)))))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1 or not (Path(argv[0]) / "treemotion").is_dir():
@@ -325,6 +396,7 @@ def main(argv=None) -> int:
     policy_jacobian_outputs(dig)
     minibatch_outputs(tm, dig)
     check_outputs(tm, src_dir, dig)
+    failure_outputs(tm, dig)
     dig.finish()
     print(dig.total.hexdigest())
     return 0
