@@ -23,12 +23,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import operator
 import os
 
 import numpy as np
 
-from .errors import SpecFormatError, StructureError
+from .errors import SpecFormatError, StructureError, as_integer
 from .learning import TrainOptions
 from .losses import DemoSet, LossSpec, Trajectory, velocities_by_central_difference
 from .maps import (
@@ -68,15 +67,9 @@ def _floats(value):
     return np.asarray(value, dtype=float)
 
 
-def _integer(value):
-    """The converter of every integer field: a float passes only when
-    whole (JSON ``3.0``), where ``int`` would truncate ``2.7`` to 2."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{value!r} is not an integer") from None
+def _integer(name):
+    """The converter of an integer field: ``as_integer``, naming ``name``."""
+    return lambda value: as_integer(value, name)
 
 
 def _optional(convert):
@@ -84,7 +77,8 @@ def _optional(convert):
 
 
 # One table per component kind: spec key -> (constructor keyword, converter
-# or None to pass the value as given, required). Only the keys a spec holds
+# or None to pass the value as given, required; the constructors check their
+# counts and seeds with ``as_integer``). Only the keys a spec holds
 # are passed, so the constructors' defaults are the only defaults; a key
 # outside "kind" and its kind's table is a SpecFormatError. A keyword of None
 # marks a key the builder reads itself: a nested spec, or a policy's
@@ -97,13 +91,13 @@ MAP_FIELDS = {
     "identity": {},
     "linear": {"matrix": ("matrix", _floats, True), "offset": ("offset", _floats, False)},
     "planar_arm_fk": {"lengths": ("lengths", None, True),
-                      "point": ("point", lambda v: v if v == "ee" else _integer(v), False)},
+                      "point": ("point", None, False)},
     "distance_to_point": {"center": ("center", _floats, True)},
-    "diffeo_chain": {"features": ("n_features", _integer, False),
-                     "features_D": ("n_features", _integer, False),
-                     "layers": ("n_layers", _integer, False),
+    "diffeo_chain": {"features": ("n_features", None, False),
+                     "features_D": ("n_features", None, False),
+                     "layers": ("n_layers", None, False),
                      "length_scale": ("length_scale", float, False),
-                     "seed": ("seed", _integer, False), "learnable": ("learnable", bool, False),
+                     "seed": ("seed", None, False), "learnable": ("learnable", bool, False),
                      "init_scale": ("init_scale", float, False)},
 }
 POLICY_FIELDS = {
@@ -120,9 +114,8 @@ POLICY_FIELDS = {
 }
 METRIC_FIELDS = {
     "constant": {"matrix": ("matrix", _floats, False), "scale": ("scale", float, False)},
-    "cholesky_net": {"in_dim": ("in_dim", _integer, False),
-                     "hidden": ("hidden", lambda v: tuple(map(_integer, v)), False),
-                     "eps": ("eps", float, False), "seed": ("seed", _integer, False),
+    "cholesky_net": {"in_dim": ("in_dim", None, False), "hidden": ("hidden", None, False),
+                     "eps": ("eps", float, False), "seed": ("seed", None, False),
                      "learnable": ("learnable", bool, False)},
     "inverse_square": {"weight": ("weight", float, True),
                        "margin": ("margin", float, True)},
@@ -140,8 +133,9 @@ LOSS_KIND_ALIASES = {"subtask": "subtask_space", "joint": "joint_space",
 # default kind is subtask_space), and the keys its "loss" object may hold.
 TRAINING_CONFIG_FIELDS = {
     "loss": (None, None, False), "alpha": ("alpha", _optional(float), False),
-    "iterations": ("iterations", _integer, False), "seed": ("seed", _integer, False),
-    "minibatch": ("minibatch", _optional(_integer), False),
+    "iterations": ("iterations", _integer("iterations"), False),
+    "seed": ("seed", _integer("seed"), False),
+    "minibatch": ("minibatch", _optional(_integer("minibatch")), False),
     "momentum": ("momentum", float, False),
 }
 TRAINING_LOSS_KEYS = ("kind", "lambda")
@@ -149,11 +143,13 @@ TRAINING_LOSS_KEYS = ("kind", "lambda")
 
 @contextlib.contextmanager
 def _field_types(context: str):
-    """Report a field of the wrong type or shape (``_integer(2.5)``,
+    """Report a field of the wrong type or shape (``as_integer(2.5, ...)``,
     ``float([1])``, a ragged matrix) as a ``SpecFormatError``."""
     try:
         yield
-    except (ValueError, TypeError) as exc:
+    except SpecFormatError:
+        raise
+    except (ValueError, TypeError, StructureError) as exc:
         raise SpecFormatError(f"{context}: {exc}") from exc
 
 
@@ -259,9 +255,8 @@ def tree_from_dict(data: dict) -> TransformTree:
         dims = {}
         for entry in nodes:
             _reject_unknown_keys(entry, NODE_KEYS, "node entry")
-            dims[_integer(_require(entry, "id", "node entry"))] = _integer(
-                _require(entry, "dim", "node entry")
-            )
+            dims[as_integer(_require(entry, "id", "node entry"), "node id")] = as_integer(
+                _require(entry, "dim", "node entry"), "node dim")
         if sorted(dims) != list(range(len(dims))):
             raise SpecFormatError("node ids must be contiguous starting at 0")
         node_dims = [dims[i] for i in range(len(dims))]
@@ -270,8 +265,8 @@ def tree_from_dict(data: dict) -> TransformTree:
         edge_maps = {}
         for entry in _require(data, "edges", "tree spec"):
             _reject_unknown_keys(entry, EDGE_KEYS, "edge entry")
-            parent = _integer(_require(entry, "parent", "edge entry"))
-            child = _integer(_require(entry, "child", "edge entry"))
+            parent = as_integer(_require(entry, "parent", "edge entry"), "edge parent")
+            child = as_integer(_require(entry, "child", "edge entry"), "edge child")
             if parent not in dims or child not in dims:
                 raise SpecFormatError(f"edge {parent}->{child} references unknown nodes")
             try:
@@ -284,7 +279,7 @@ def tree_from_dict(data: dict) -> TransformTree:
         policies = {}
         for entry in _require(data, "leaves", "tree spec"):
             _reject_unknown_keys(entry, LEAF_KEYS, "leaf entry")
-            node = _integer(_require(entry, "node", "leaf entry"))
+            node = as_integer(_require(entry, "node", "leaf entry"), "leaf node")
             if node not in dims:
                 raise SpecFormatError(f"leaf entry references unknown node {node}")
             try:

@@ -39,6 +39,7 @@ from .losses import (
     LossSpec,
     anchor_jacobian,
     loss_samples,
+    naming_sample,
     sample_loss,
     sample_losses,
     stacked_terms,
@@ -117,20 +118,22 @@ class TrainResult:
 def loss_and_gradient(tree: TransformTree, params: ParamVector, demos_or_samples,
                       loss: LossSpec):
     """Loss value and weight gradient in one pass over the samples: the
-    gradient ``train`` descends and ``gradcheck`` checks."""
+    gradient ``train`` descends and ``gradcheck`` checks. A failing
+    sample raises as in ``loss_value``: ``sample k: <message>``."""
     samples, lam = loss_samples(loss, tree, demos_or_samples)
     total = 0.0
     grad = params.zeros_like()
     for k, (q, qdot) in enumerate(samples):
-        cache = run_pipeline(tree, q, params)
-        if np.shape(qdot) != cache.pi.shape:
-            raise StructureError(f"sample {k}: qdot has shape {np.shape(qdot)}, "
-                                 f"root dimension is {tree.root_dim}")
-        value, g = sample_loss(tree, loss, lam, cache, qdot)
-        # A per-sample buffer fixes the order of the sum; joint-loss
-        # training amplifies any reordering within two steps.
-        g_theta = params.zeros_like()
-        pipeline_vjp(tree, cache, params, g, g_theta)
+        with naming_sample(k):
+            cache = run_pipeline(tree, q, params)
+            if np.shape(qdot) != cache.pi.shape:
+                raise StructureError(f"qdot has shape {np.shape(qdot)}, "
+                                     f"root dimension is {tree.root_dim}")
+            value, g = sample_loss(tree, loss, lam, cache, qdot)
+            # A per-sample buffer fixes the order of the sum; joint-loss
+            # training amplifies any reordering within two steps.
+            g_theta = params.zeros_like()
+            pipeline_vjp(tree, cache, params, g, g_theta)
         total += value
         grad += g_theta
     return total, grad

@@ -20,6 +20,7 @@ the loss by shrinking the map instead of fitting the motion.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -208,12 +209,19 @@ def stacked_terms(evaluate, samples):
         lo += size
 
 
+@contextlib.contextmanager
+def naming_sample(k):
+    """Re-raise the block's ``TreeMotionError``, of its class, as ``sample k: ...``."""
+    try:
+        yield
+    except TreeMotionError as exc:
+        raise type(exc)(f"sample {k}: {exc}") from exc
+
+
 def _stacks_of_one(evaluate, chunk, lo):
     for k, sample in enumerate(chunk, lo):
-        try:
+        with naming_sample(k):
             items = evaluate([sample])
-        except TreeMotionError as exc:
-            raise type(exc)(f"sample {k}: {exc}") from exc
         yield from items
 
 

@@ -26,11 +26,11 @@ Conventions
   chains override it with stacked arrays whose every entry is the same
   bits as the per-sample call: products are stacked ``np.matmul`` calls
   with a per-sample or a broadcast operand, and sums run along the last
-  axis.
-  The chain also has stacked twins of its taped forward and its two
-  reverse rules (``stacked_value_jacobian_tape``, ``stacked_value_vjp``,
-  ``stacked_pullback_vjp``), which return each sample's weight gradient
-  as a row instead of adding it.
+  axis. The chain's ``stacked_value_jacobian_tape``, ``stacked_value_vjp``
+  and ``stacked_pullback_vjp`` return each sample's weight gradient as
+  a row instead of adding it; they and the per-sample rules run one
+  body over an optional leading sample axis. A custom map implements
+  only the per-sample contract.
 * Parameterized maps read their weights through
   :meth:`~treemotion.params.Learnable.weights`: the slice assigned at
   tree construction, or frozen values.
@@ -42,8 +42,14 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, StructureError, as_integer
 from .params import Learnable, ParamVector
+
+
+# Index tuples of a matrix's columns and rows over any leading axes:
+# ``v[AS_COLUMN] * w[AS_ROW]`` is the outer product of the last axes of ``v`` and ``w``.
+AS_COLUMN = (Ellipsis, slice(None), None)
+AS_ROW = (Ellipsis, None, slice(None))
 
 
 def stacked_mv(A, X):
@@ -153,9 +159,7 @@ class PlanarArmFK(DifferentiableMap):
             raise StructureError("link lengths must be a nonempty positive vector")
         self.lengths = lengths
         n = lengths.size
-        if point == "ee":
-            point = n
-        point = int(point)
+        point = n if point == "ee" else as_integer(point, "point")
         if not 1 <= point <= n:
             raise StructureError(f"point must be in 1..{n} or 'ee', got {point}")
         self.point = point
@@ -314,12 +318,19 @@ class CouplingLayer:
         self._bank = np.concatenate([net.frequencies for net in nets])
         self._phases = np.concatenate([net.phases for net in nets])
         D = self._D = nets[0].n_features
-        for net, half in zip(nets, (slice(0, D), slice(D, 2 * D))):
+        halves = (slice(0, D), slice(D, 2 * D))  # the s-net's and the t-net's
+        for net, half in zip(nets, halves):
             net.frequencies, net.phases = self._bank[half], self._phases[half]
         self.s_net, self.t_net = nets
         self._scale = nets[0]._scale
         self.n_weights = 2 * self.s_net.n_weights
         self._eye = np.eye(dim)
+        # The halves a, b, s and t of (..., dim) and (..., 2D) vectors and
+        # the same rows of (..., dim, T) and (..., 2D, T) tangent matrices.
+        parts = (self._sa, self._sb, *halves)
+        self._at_a, self._at_b, self._at_s, self._at_t = ((Ellipsis, p) for p in parts)
+        self._rows_a, self._rows_b, self._rows_s, self._rows_t = (
+            (Ellipsis, p, slice(None)) for p in parts)
 
     def forward(self, y, theta_s, theta_t):
         a, out = y[self._sa], y.copy()
@@ -403,10 +414,11 @@ class DiffeoChain(DifferentiableMap):
     for a chain edge; ``pullback_vjp`` first pushes its tangents through
     the taped layers, which captures how the layer Jacobians move with
     their inputs. A latent goal keeps the ``value_tape`` of its own goal,
-    so its image and its ``value_vjp`` read the same one. The stacked
-    twins run the same expressions with a leading sample axis; the
-    per-sample kernels stay for ``loss_and_gradient``. The layer weight
-    views are built once per parameter vector (``Learnable.weight_views``).
+    so its image and its ``value_vjp`` read the same one. One input and a
+    stack run the same layer loop and the same reverse body, indexed over
+    an optional leading sample axis; only the layers keep a per-sample
+    kernel beside the stacked one. The layer weight views are built once
+    per parameter vector (``Learnable.weight_views``).
     """
 
     def __init__(self, dim, n_layers=4, n_features=128, length_scale=1.0,
@@ -417,13 +429,16 @@ class DiffeoChain(DifferentiableMap):
                 "diffeo chains need dimension >= 2 (the coupling split is "
                 "impossible in 1-D)"
             )
+        n_layers = as_integer(n_layers, "n_layers")
+        n_features = as_integer(n_features, "n_features")
+        seed = as_integer(seed, "seed")
         if n_layers < 1:
             raise StructureError("diffeo chains need at least one layer")
         self.in_dim = self.out_dim = dim
         self.layers = [
             CouplingLayer(dim, flip=bool(m % 2), n_features=n_features,
                           length_scale=length_scale, seed=1000 * seed + 2 * m)
-            for m in range(int(n_layers))
+            for m in range(n_layers)
         ]
         # per layer (lo, mid, hi, shape): theta_s = block[lo:mid], theta_t = block[mid:hi]
         self._spans, hi = [], 0
@@ -432,10 +447,9 @@ class DiffeoChain(DifferentiableMap):
             self._spans.append((lo, mid, hi, (ly.s_net.n_features, ly.s_net.out_dim)))
         self.n_params = hi
         self._init_scale = float(init_scale)
-        self._seed = int(seed)
+        self._seed = seed
         if not learnable:
             self.freeze()
-        self._no_tangents = np.zeros((dim, 0))
         self._eye = np.eye(dim)
 
     def init_values(self) -> np.ndarray:
@@ -471,207 +485,122 @@ class DiffeoChain(DifferentiableMap):
         return self.value_jacobian_tape(x, params)[:2]
 
     def value_jacobian_tape(self, x, params=None):
-        """The tape holds views of ``x`` and the weights: write neither."""
+        """For one input, or for a stack ``(N, d)`` with stacked layer
+        entries. The tape holds views of ``x`` and the weights: write
+        neither while it is in use."""
         return self._taped_forward(self._thetas(params), np.asarray(x, dtype=float))
+
+    stacked_value_jacobian_tape = value_jacobian_tape
 
     def stacked_value_and_jacobian(self, X, params=None):
         return self.stacked_value_jacobian_tape(X, params)[:2]
 
-    def stacked_value_jacobian_tape(self, X, params=None):
-        """``value_jacobian_tape`` of each row of ``X``: ``(Y, J, tape)``,
-        whose layer entries are stacked. Write neither ``X`` nor the
-        weights while the tape is in use."""
-        J = self._eye
-        tape = []
-        for ly, thetas in zip(self.layers, self._thetas(params)):
-            X, J_layer, entry = ly.stacked_value_jacobian_tape(X, *thetas)
-            J = np.matmul(J_layer, J)
-            tape.append(entry)
-        return X, J, tape
-
     # -- reverse-mode support ----------------------------------------------
 
     def _taped_forward(self, thetas, y):
-        """``(y, J, tape)`` through each layer's fused kernel, with each
-        layer's ``(theta_s, theta_t)`` from ``thetas``."""
+        """``(y, J, tape)`` through each layer's fused kernel, its stacked
+        one for a stack ``(N, d)``, with each layer's ``(theta_s,
+        theta_t)`` from ``thetas``."""
         J = self._eye
         tape = []
         for ly, (ts, tt) in zip(self.layers, thetas):
-            y, J_layer, entry = ly.value_jacobian_tape(y, ts, tt)
+            kernel = (ly.stacked_value_jacobian_tape if y.ndim > 1
+                      else ly.value_jacobian_tape)
+            y, J_layer, entry = kernel(y, ts, tt)
             J = J_layer @ J
             tape.append(entry)
         return y, J, tape
 
-    def _push_tangents(self, tape, V):
-        """Push tangent columns ``V`` through the taped layers; returns
-        each layer's ``(Vb, U, W, P, Q)`` for ``_aug_reverse``, with the
-        bank's ``U = [A_s; A_t] Va`` and ``W = g * U`` (``(2D, T)``)."""
+    def _pushed_tangents(self, tape, V):
+        """Push tangent columns ``V`` (``(..., d, T)``) through the taped
+        layers; returns each layer's ``(Vb, U, W, P, Q)`` for ``_reverse_rows``,
+        with the bank's ``U = [A_s; A_t] Va`` and ``W = g * U``."""
         V = np.asarray(V, dtype=float)
         pushed = []
         for ly, (b, bE, f, g, E, ts, tt) in zip(self.layers, tape):
-            D = ly._D
-            Va = V[ly._sa]
-            Vb = V[ly._sb]
-            U = ly._bank @ Va
-            W = g[:, None] * U
-            P = ts.T @ W[:D]                        # (nb, T)
-            Q = tt.T @ W[D:]
+            Vb = V[ly._rows_b]
+            U = np.matmul(ly._bank, V[ly._rows_a])
+            W = g[AS_COLUMN] * U
+            P = np.matmul(ts.T, W[ly._rows_s])           # (..., nb, T)
+            Q = np.matmul(tt.T, W[ly._rows_t])
             pushed.append((Vb, U, W, P, Q))
             if len(pushed) < len(tape):
                 V = V.copy()
-                V[ly._sb] = Vb * E[:, None] + bE[:, None] * P + Q
+                V[ly._rows_b] = Vb * E[AS_COLUMN] + bE[AS_COLUMN] * P + Q
         return pushed
 
-    def _aug_reverse(self, tape, pushed, cot_y, cot_V, grad_block):
-        """Back-propagate cotangents on the chain output (and on the pushed
-        tangents) to weight gradients, added into ``grad_block``.
+    def _reverse_rows(self, tape, cot_y, pushed=None, cot_V=None):
+        """The chain's one reverse body: cotangents on the output
+        (``(..., d)``) and on the pushed tangents (``(..., d, T)``) back to
+        the weight gradient, one ``(n_params,)`` row per sample.
 
         The chain input is a constant of both entry points, so layer 0
-        stops at its weight gradient: no input cotangent is formed. With
-        zero tangent columns (``value_vjp``) the tangent half of each
-        layer only adds zeros, so it is skipped and ``pushed`` is unused.
-        Nothing read here is written.
+        stops at its weight gradient: no input cotangent is formed.
+        Without tangents (``pushed=None``, as ``value_vjp`` runs it) the
+        tangent half of each layer would only add zeros, so it is skipped,
+        and the tape may be one unbatched tape (a latent goal's), broadcast
+        against stacked cotangents. Nothing read here is written.
         """
-        cy = np.asarray(cot_y, dtype=float)
-        cV = np.asarray(cot_V, dtype=float)
-        width = cV.shape[1]
+        cy, cV = np.asarray(cot_y, dtype=float), cot_V
+        width = 0 if pushed is None else cV.shape[-1]
+        lead = cy.shape[:-1]
+        mv = stacked_mv if lead else np.matmul  # one input: the plain A @ x
+        rows = np.empty(lead + (self.n_params,))
         for m in range(len(self.layers) - 1, -1, -1):
             ly = self.layers[m]
             b, bE, f, g, E, ts, tt = tape[m]
-            D = ly._D
-            fs, ft, gs, gt = f[:D], f[D:], g[:D], g[D:]
-            cb_out = cy[ly._sb]
+            fs, ft, gs, gt = f[ly._at_s], f[ly._at_t], g[ly._at_s], g[ly._at_t]
+            cb_out = cy[ly._at_b]
 
             # b' = b * E + t
             cE = cb_out * b
             if width:
                 Vb, U, W, P, Q = pushed[m]
-                Cb_out = cV[ly._sb]
+                Cb_out = cV[ly._rows_b]
                 # Vb' = Vb * E + (b * E) * P + Q, with Q's cotangent Cb_out
-                rowsum_P = np.einsum("it,it->i", Cb_out, P)
-                rowsum_Vb = np.einsum("it,it->i", Cb_out, Vb)
+                rowsum_P = np.einsum("...it,...it->...i", Cb_out, P)
+                rowsum_Vb = np.einsum("...it,...it->...i", Cb_out, Vb)
                 cE += rowsum_Vb + b * rowsum_P
-                CP = Cb_out * bE[:, None]
+                CP = Cb_out * bE[AS_COLUMN]
             # E = exp(s)
             cs = cE * E
             # s = ts^T fs, t = tt^T ft
-            gtheta_s = fs[:, None] * cs
-            gtheta_t = ft[:, None] * cb_out
+            gtheta_s = fs[AS_COLUMN] * cs[AS_ROW]
+            gtheta_t = ft[AS_COLUMN] * cb_out[AS_ROW]
             if width:
                 # P = ts^T (gs * (As Va)),  Q likewise for the t-net
-                gtheta_s += W[:D] @ CP.T             # (D, nb)
-                gtheta_t += W[D:] @ Cb_out.T
+                gtheta_s += np.matmul(W[ly._rows_s], CP.swapaxes(-1, -2))
+                gtheta_t += np.matmul(W[ly._rows_t], Cb_out.swapaxes(-1, -2))
             lo, mid, hi, _ = self._spans[m]
-            grad_block[lo: mid] += gtheta_s.ravel()
-            grad_block[mid: hi] += gtheta_t.ravel()
-            if m == 0:
-                return
-
-            cb = cb_out * E
-            # feature/slope input paths: dfs = gs*(As da), dgs = -fs*(As da)
-            dfs = gs * (ts @ cs)
-            dft = gt * (tt @ cb_out)
-            if width:
-                CVb = Cb_out * E[:, None]
-                cb += E * rowsum_P
-                CWs = ts @ CP                        # (D, T)
-                dfs -= fs * np.einsum("it,it->i", CWs, U[:D])
-                CVa = cV[ly._sa] + ly.s_net.frequencies.T @ (gs[:, None] * CWs)
-                CWt = tt @ Cb_out
-                dft -= ft * np.einsum("it,it->i", CWt, U[D:])
-                CVa += ly.t_net.frequencies.T @ (gt[:, None] * CWt)
-            ca = cy[ly._sa] + ly.s_net.frequencies.T @ dfs
-            ca += ly.t_net.frequencies.T @ dft
-
-            cy = np.empty_like(cy)
-            cy[ly._sa] = ca
-            cy[ly._sb] = cb
-            if width:
-                cV = np.empty_like(cV)
-                cV[ly._sa] = CVa
-                cV[ly._sb] = CVb
-
-    def _stacked_push_tangents(self, tape, V):
-        """``_push_tangents`` on a stacked tape and ``(N, d, T)`` tangents."""
-        pushed = []
-        for ly, (b, bE, f, g, E, ts, tt) in zip(self.layers, tape):
-            D = ly._D
-            Va = V[:, ly._sa]
-            Vb = V[:, ly._sb]
-            U = np.matmul(ly._bank, Va)                  # (N, 2D, T)
-            W = g[:, :, None] * U
-            P = np.matmul(ts.T, W[:, :D])                # (N, nb, T)
-            Q = np.matmul(tt.T, W[:, D:])
-            pushed.append((Vb, U, W, P, Q))
-            if len(pushed) < len(tape):
-                V = V.copy()
-                V[:, ly._sb] = Vb * E[:, :, None] + bE[:, :, None] * P + Q
-        return pushed
-
-    def _stacked_aug_reverse(self, tape, pushed, cot_y, cot_V):
-        """``_aug_reverse`` on ``(N, d)`` cotangents and ``(N, d, T)``
-        tangent cotangents; returns each sample's weight gradient as a row
-        of an ``(N, n_params)`` array instead of adding it anywhere.
-
-        Every expression is ``_aug_reverse``'s with a leading sample axis,
-        so each row is the same bits as the per-sample one. With zero
-        tangent columns the tape may be one per-sample tape (the goal
-        tape of a latent potential), broadcast against the cotangents.
-        """
-        cy = cot_y
-        cV = cot_V
-        width = cV.shape[-1]
-        rows = np.empty((len(cy), self.n_params))
-        for m in range(len(self.layers) - 1, -1, -1):
-            ly = self.layers[m]
-            b, bE, f, g, E, ts, tt = tape[m]
-            D = ly._D
-            fs, ft, gs, gt = f[..., :D], f[..., D:], g[..., :D], g[..., D:]
-            cb_out = cy[:, ly._sb]
-
-            cE = cb_out * b
-            if width:
-                Vb, U, W, P, Q = pushed[m]
-                Cb_out = cV[:, ly._sb]
-                rowsum_P = np.einsum("nit,nit->ni", Cb_out, P)
-                rowsum_Vb = np.einsum("nit,nit->ni", Cb_out, Vb)
-                cE += rowsum_Vb + b * rowsum_P
-                CP = Cb_out * bE[:, :, None]
-            cs = cE * E
-            gtheta_s = fs[..., :, None] * cs[:, None, :]
-            gtheta_t = ft[..., :, None] * cb_out[:, None, :]
-            if width:
-                gtheta_s += np.matmul(W[:, :D], CP.transpose(0, 2, 1))
-                gtheta_t += np.matmul(W[:, D:], Cb_out.transpose(0, 2, 1))
-            lo, mid, hi, _ = self._spans[m]
-            rows[:, lo: mid] = gtheta_s.reshape(len(cy), -1)
-            rows[:, mid: hi] = gtheta_t.reshape(len(cy), -1)
+            rows[..., lo: mid] = gtheta_s.reshape(lead + (-1,))
+            rows[..., mid: hi] = gtheta_t.reshape(lead + (-1,))
             if m == 0:
                 return rows
 
             cb = cb_out * E
-            dfs = gs * stacked_mv(ts, cs)
-            dft = gt * stacked_mv(tt, cb_out)
+            # feature/slope input paths: dfs = gs*(As da), dgs = -fs*(As da)
+            dfs = gs * mv(ts, cs)
+            dft = gt * mv(tt, cb_out)
             if width:
-                CVb = Cb_out * E[:, :, None]
+                CVb = Cb_out * E[AS_COLUMN]
                 cb += E * rowsum_P
-                CWs = np.matmul(ts, CP)
-                dfs -= fs * np.einsum("nit,nit->ni", CWs, U[:, :D])
-                CVa = cV[:, ly._sa] + np.matmul(ly.s_net.frequencies.T,
-                                                gs[:, :, None] * CWs)
+                CWs = np.matmul(ts, CP)                      # (..., D, T)
+                dfs -= fs * np.einsum("...it,...it->...i", CWs, U[ly._rows_s])
+                CVa = cV[ly._rows_a] + np.matmul(ly.s_net.frequencies.T,
+                                                 gs[AS_COLUMN] * CWs)
                 CWt = np.matmul(tt, Cb_out)
-                dft -= ft * np.einsum("nit,nit->ni", CWt, U[:, D:])
-                CVa += np.matmul(ly.t_net.frequencies.T, gt[:, :, None] * CWt)
-            ca = cy[:, ly._sa] + stacked_mv(ly.s_net.frequencies.T, dfs)
-            ca += stacked_mv(ly.t_net.frequencies.T, dft)
+                dft -= ft * np.einsum("...it,...it->...i", CWt, U[ly._rows_t])
+                CVa += np.matmul(ly.t_net.frequencies.T, gt[AS_COLUMN] * CWt)
+            ca = cy[ly._at_a] + mv(ly.s_net.frequencies.T, dfs)
+            ca += mv(ly.t_net.frequencies.T, dft)
 
             cy = np.empty_like(cy)
-            cy[:, ly._sa] = ca
-            cy[:, ly._sb] = cb
+            cy[ly._at_a] = ca
+            cy[ly._at_b] = cb
             if width:
                 cV = np.empty_like(cV)
-                cV[:, ly._sa] = CVa
-                cV[:, ly._sb] = CVb
+                cV[ly._rows_a] = CVa
+                cV[ly._rows_b] = CVb
 
     def value_tape(self, x, params=None):
         """``(value, tape)`` at ``x``, built from private copies of ``x``
@@ -689,8 +618,7 @@ class DiffeoChain(DifferentiableMap):
         on a tape of this chain at ``x`` and the same weights."""
         if not self.is_learnable:
             return
-        self._aug_reverse(tape, None, cotangent, self._no_tangents,
-                          grad_out[self.param_slice])
+        grad_out[self.param_slice] += self._reverse_rows(tape, cotangent)
 
     def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
                      tape):
@@ -699,8 +627,8 @@ class DiffeoChain(DifferentiableMap):
         if not self.is_learnable:
             return
         cy = np.zeros(self.out_dim) if cot_value is None else cot_value
-        self._aug_reverse(tape, self._push_tangents(tape, tangents), cy, cot_tangents,
-                          grad_out[self.param_slice])
+        grad_out[self.param_slice] += self._reverse_rows(
+            tape, cy, self._pushed_tangents(tape, tangents), cot_tangents)
 
     def stacked_value_vjp(self, X, params, cotangents, tape):
         """``value_vjp`` for each row of the ``(N, d)`` ``cotangents``, as
@@ -709,9 +637,7 @@ class DiffeoChain(DifferentiableMap):
         or the one tape of a single point ``X`` shared by every row."""
         if not self.is_learnable:
             return []
-        width0 = np.zeros((len(cotangents), self.out_dim, 0))
-        return [(self.param_slice,
-                 self._stacked_aug_reverse(tape, None, cotangents, width0))]
+        return [(self.param_slice, self._reverse_rows(tape, cotangents))]
 
     def stacked_pullback_vjp(self, X, params, cot_value, tangents, cot_tangents,
                              tape):
@@ -721,6 +647,6 @@ class DiffeoChain(DifferentiableMap):
         ``stacked_value_vjp``."""
         if not self.is_learnable:
             return []
-        pushed = self._stacked_push_tangents(tape, tangents)
+        pushed = self._pushed_tangents(tape, tangents)
         return [(self.param_slice,
-                 self._stacked_aug_reverse(tape, pushed, cot_value, cot_tangents))]
+                 self._reverse_rows(tape, cot_value, pushed, cot_tangents))]

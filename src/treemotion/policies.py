@@ -36,15 +36,17 @@ method (their records are lists of per-sample records, their rows
 full-width), so a custom component implements only the per-sample
 contract; the overrides here give the same bits as that loop. A class
 that overrides a stacked forward overrides its stacked reverse too, as
-the two share the record's layout.
+the two share the record's layout. The Cholesky metric net writes its
+forward (``decompose``) and reverse (``stacked_param_vjp``) once, over an
+optional leading sample axis; its per-sample rules call them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, StructureError
-from .maps import DiffeoChain, stacked_mv
+from .errors import DomainError, StructureError, as_integer
+from .maps import AS_COLUMN, AS_ROW, DiffeoChain, stacked_mv
 from .params import Learnable
 
 
@@ -106,8 +108,7 @@ class ZeroPotential(Potential):
     def grad(self, z, params):
         return np.zeros_like(np.asarray(z, dtype=float))
 
-    def stacked_grad_tape(self, Z, params):
-        return np.zeros_like(Z), None
+    stacked_grad_tape = Potential.grad_tape  # grad takes a stack too
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape):
         return np.zeros_like(np.asarray(cot, dtype=float))
@@ -132,8 +133,7 @@ class QuadraticPotential(Potential):
     def grad(self, z, params):
         return self.gain * (z - self.goal)
 
-    def stacked_grad_tape(self, Z, params):
-        return self.gain * (Z - self.goal), None
+    stacked_grad_tape = Potential.grad_tape  # grad takes a stack too
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape):
         return self.gain * cot
@@ -188,12 +188,11 @@ class LatentQuadraticPotential(Potential):
         return z - self.goal_image(params)
 
     def grad_tape(self, z, params):
+        # One input or a stack: every row reads the one goal tape.
         image, tape = self._goal_tape(params)
         return z - image, tape
 
-    def stacked_grad_tape(self, Z, params):
-        image, tape = self._goal_tape(params)
-        return Z - image, tape
+    stacked_grad_tape = grad_tape
 
     def grad_param_vjp(self, z, params, cot, grad_out, tape):
         # grad Phi = z - chain(goal): only the goal image carries weights.
@@ -351,18 +350,19 @@ class CholeskyMetricNet(Metric):
 
     def __init__(self, dim, in_dim=None, hidden=(64, 64), eps=1e-4, seed=0,
                  learnable=True):
-        self.dim = int(dim)
-        self.in_dim = self.dim if in_dim is None else int(in_dim)
+        self.dim = as_integer(dim, "dim")
+        self.in_dim = self.dim if in_dim is None else as_integer(in_dim, "in_dim")
         if eps <= 0:
             raise StructureError("Cholesky diagonal bias eps must be positive")
         self.eps = float(eps)
-        self.hidden = tuple(int(h) for h in hidden)
+        self.hidden = tuple(as_integer(h, "hidden") for h in hidden)
         if any(h < 1 for h in self.hidden):
             raise StructureError("hidden layer sizes must be positive")
         self.n_off = self.dim * (self.dim - 1) // 2
-        self._tril = np.tril_indices(self.dim, -1)
-        self._diag = np.diag_indices(self.dim)
-        self._seed = int(seed)
+        # the strictly-lower and the diagonal entries of (..., dim, dim)
+        self._tril = (Ellipsis, *np.tril_indices(self.dim, -1))
+        self._diag = (Ellipsis, *np.diag_indices(self.dim))
+        self._seed = as_integer(seed, "seed")
         self._shapes = []
         fan_in = self.in_dim
         for h in self.hidden:
@@ -414,31 +414,28 @@ class CholeskyMetricNet(Metric):
     def _split(self, block):
         return tuple(block[start:stop].reshape(shape) for start, stop, shape in self._views)
 
-    def _forward(self, x, weights):
-        acts = [np.asarray(x, dtype=float)]
-        pres = []
-        h = acts[0]
+    def decompose(self, x, params):
+        """``(L, M, record)`` at one input, or at a stack ``(N, in_dim)``
+        with a leading sample axis on every array: ``L`` lower-triangular,
+        ``M = L L^T``, and ``param_vjp``'s record
+        ``(weights, acts, pres, d_raw, L)``."""
+        weights = self._weights(params)
+        h = np.asarray(x, dtype=float)
+        mv = stacked_mv if h.ndim > 1 else np.matmul  # one input: the plain A @ x
+        acts, pres = [h], []
         for i in range(len(self.hidden)):
-            pre = weights[2 * i] @ h + weights[2 * i + 1]
+            pre = mv(weights[2 * i], h) + weights[2 * i + 1]
             pres.append(pre)
             h = np.maximum(pre, 0.0)
             acts.append(h)
         k = 2 * len(self.hidden)
-        d_raw = weights[k] @ h + weights[k + 1]
-        o_raw = weights[k + 2] @ h + weights[k + 3] if self.n_off else np.zeros(0)
-        return acts, pres, d_raw, o_raw
-
-    def decompose(self, x, params):
-        """``(L, M, record)``: ``L`` lower-triangular, ``M = L L^T``, and
-        ``param_vjp``'s ``record = (weights, acts, pres, d_raw, L)``."""
-        weights = self._weights(params)
-        acts, pres, d_raw, o_raw = self._forward(x, weights)
-        L = np.zeros((self.dim, self.dim))
+        d_raw = mv(weights[k], h) + weights[k + 1]
+        L = np.zeros(h.shape[:-1] + (self.dim, self.dim))
         L[self._diag] = np.abs(d_raw) + self.eps
         if self.n_off:
-            L[self._tril] = o_raw
-        M = L @ L.T
-        return L, 0.5 * (M + M.T), (weights, acts, pres, d_raw, L)
+            L[self._tril] = mv(weights[k + 2], h) + weights[k + 3]
+        M = L @ L.swapaxes(-1, -2)
+        return L, 0.5 * (M + M.swapaxes(-1, -2)), (weights, acts, pres, d_raw, L)
 
     def value(self, x, params):
         return self.decompose(x, params)[1]
@@ -446,88 +443,46 @@ class CholeskyMetricNet(Metric):
     def value_tape(self, x, params):
         return self.decompose(x, params)[1:]
 
-    def stacked_value_tape(self, X, params):
-        """``value_tape`` of each row of ``X``: ``decompose``'s expressions
-        on stacked arrays, and its record with a leading sample axis on
-        ``acts``, ``pres``, ``d_raw`` and ``L``."""
-        weights = self._weights(params)
-        acts, pres = [X], []
-        h = X
-        for i in range(len(self.hidden)):
-            pre = stacked_mv(weights[2 * i], h) + weights[2 * i + 1]
-            pres.append(pre)
-            h = np.maximum(pre, 0.0)
-            acts.append(h)
-        k = 2 * len(self.hidden)
-        d_raw = stacked_mv(weights[k], h) + weights[k + 1]
-        L = np.zeros((len(X), self.dim, self.dim))
-        L[:, self._diag[0], self._diag[1]] = np.abs(d_raw) + self.eps
-        if self.n_off:
-            L[:, self._tril[0], self._tril[1]] = (
-                stacked_mv(weights[k + 2], h) + weights[k + 3])
-        M = np.matmul(L, L.transpose(0, 2, 1))
-        return 0.5 * (M + M.transpose(0, 2, 1)), (weights, acts, pres, d_raw, L)
+    stacked_value_tape = value_tape
 
     def param_vjp(self, x, params, S, grad_out, tape):
-        """:meth:`Metric.param_vjp` on ``decompose``'s record at ``x``."""
-        learn = grad_out is not None and self.is_learnable
-        grad_block = grad_out[self.param_slice] if learn else None
-        weights, acts, pres, d_raw, L = tape
-        # M = L L^T: cotangent on L is (S + S^T) L for any (possibly
-        # asymmetric) cotangent S on M.
-        GL = (S + S.T) @ L
-        cd = np.sign(d_raw) * GL[self._diag]
-        co = GL[self._tril] if self.n_off else np.zeros(0)
-
-        grads = [None] * len(self._shapes) if grad_block is not None else None
-        k = 2 * len(self.hidden)
-        h_last = acts[-1]
-        if grads is not None:
-            grads[k] = cd[:, None] * h_last
-            grads[k + 1] = cd
-            if self.n_off:
-                grads[k + 2] = co[:, None] * h_last
-                grads[k + 3] = co
-        ch = weights[k].T @ cd
-        if self.n_off:
-            ch = ch + weights[k + 2].T @ co
-        for i in range(len(self.hidden) - 1, -1, -1):
-            cpre = ch * (pres[i] > 0)
-            if grads is not None:
-                grads[2 * i] = cpre[:, None] * acts[i]
-                grads[2 * i + 1] = cpre
-            ch = weights[2 * i].T @ cpre
-        if grads is not None:
-            for g, (start, stop, _) in zip(grads, self._views):
-                grad_block[start:stop] += g.ravel()
-        return ch  # cotangent on the network input
+        """:meth:`Metric.param_vjp` on ``decompose``'s record at ``x``:
+        ``stacked_param_vjp``'s one row, added into ``grad_out``."""
+        ch, rows = self.stacked_param_vjp(x, params, S, tape)
+        if grad_out is not None:
+            for where, row in rows:
+                grad_out[where] += row
+        return ch
 
     def stacked_param_vjp(self, X, params, S, tape):
-        """``param_vjp`` of each row on ``stacked_value_tape``'s record, by
-        its expressions on stacked arrays: ``(input cotangents, rows)``."""
+        """``param_vjp`` on ``decompose``'s record, for one input or a
+        stack: ``(input cotangents, rows)``, the net's one reverse body."""
         weights, acts, pres, d_raw, L = tape
-        n, k = len(X), 2 * len(self.hidden)
-        GL = np.matmul(S + S.transpose(0, 2, 1), L)
-        cd = np.sign(d_raw) * GL[:, self._diag[0], self._diag[1]]
+        lead, k = d_raw.shape[:-1], 2 * len(self.hidden)
+        mv = stacked_mv if lead else np.matmul  # one input: the plain A @ x
+        # M = L L^T: cotangent on L is (S + S^T) L for any (possibly
+        # asymmetric) cotangent S on M.
+        GL = np.matmul(S + S.swapaxes(-1, -2), L)
+        cd = np.sign(d_raw) * GL[self._diag]
         grads = [None] * len(self._shapes)
-        grads[k] = cd[:, :, None] * acts[-1][:, None, :]
+        grads[k] = cd[AS_COLUMN] * acts[-1][AS_ROW]
         grads[k + 1] = cd
-        ch = stacked_mv(weights[k].T, cd)
+        ch = mv(weights[k].T, cd)
         if self.n_off:
-            co = GL[:, self._tril[0], self._tril[1]]
-            grads[k + 2] = co[:, :, None] * acts[-1][:, None, :]
+            co = GL[self._tril]
+            grads[k + 2] = co[AS_COLUMN] * acts[-1][AS_ROW]
             grads[k + 3] = co
-            ch = ch + stacked_mv(weights[k + 2].T, co)
+            ch = ch + mv(weights[k + 2].T, co)
         for i in range(len(self.hidden) - 1, -1, -1):
             cpre = ch * (pres[i] > 0)
-            grads[2 * i] = cpre[:, :, None] * acts[i][:, None, :]
+            grads[2 * i] = cpre[AS_COLUMN] * acts[i][AS_ROW]
             grads[2 * i + 1] = cpre
-            ch = stacked_mv(weights[2 * i].T, cpre)
+            ch = mv(weights[2 * i].T, cpre)
         if not self.is_learnable:
             return ch, []
-        rows = np.empty((n, self.n_params))
+        rows = np.empty(lead + (self.n_params,))
         for g, (start, stop, _) in zip(grads, self._views):
-            rows[:, start:stop] = g.reshape(n, -1)
+            rows[..., start:stop] = g.reshape(lead + (-1,))
         return ch, [(self.param_slice, rows)]
 
     def input_vjp(self, x, params, S):

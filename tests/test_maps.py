@@ -11,6 +11,7 @@ from treemotion.maps import (
     RFFNet,
 )
 from treemotion.params import ParamRegistryBuilder
+from treemotion.policies import CholeskyMetricNet
 
 from conftest import fd_jacobian
 
@@ -197,9 +198,17 @@ def test_coupling_jacobian_matches_fd(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_chain_rejects_one_dimensional_space():
+@pytest.mark.parametrize("build", [
+    lambda: DiffeoChain(1),
+    # A fractional count is not truncated (to 2 layers, 6 units, link 1).
+    lambda: DiffeoChain(2, n_layers=2.9),
+    lambda: CholeskyMetricNet(2, hidden=(6.5,)),
+    lambda: PlanarArmFK([1.0, 1.0], point=1.5),
+], ids=["one-dimensional-chain", "fractional-layers", "fractional-hidden",
+        "fractional-point"])
+def test_constructors_reject_bad_sizes(build):
     with pytest.raises(StructureError):
-        DiffeoChain(1)
+        build()
 
 
 def test_chain_zero_init_is_identity(rng):
@@ -352,24 +361,28 @@ def test_value_vjp_memo_follows_weights_and_input(rng):
 
 
 def test_zero_width_reverse_matches_the_tangent_path(rng):
-    # value_vjp feeds (d, 0) tangents, for which _aug_reverse skips the
-    # tangent half. The full path, run with one tangent column whose
-    # cotangent is zero, adds only zeros; both must agree exactly.
+    # value_vjp feeds no tangents, for which the reverse body skips the
+    # tangent half. The full path, run with one tangent column
+    # whose cotangent is zero, adds only zeros; both must agree exactly,
+    # for one input and for stacks of 1, 2 and 7.
     chain, params = make_learnable_chain(3, seed=8, n_layers=3, n_features=6)
-    x = rng.uniform(-1.0, 1.0, 3)
-    cot = rng.normal(0.0, 1.0, 3)
+    for n in (None, 1, 2, 7):
+        lead = () if n is None else (n,)
+        X = rng.uniform(-1.0, 1.0, lead + (3,))
+        cot = rng.normal(0.0, 1.0, lead + (3,))
+        if n is None:
+            _, _, tape = chain.value_jacobian_tape(X, params)
+        else:
+            _, _, tape = chain.stacked_value_jacobian_tape(X, params)
 
-    _, _, tape = chain.value_jacobian_tape(x, params)
-    g_skip = params.zeros_like()
-    chain._aug_reverse(tape, None, cot, np.zeros((3, 0)), g_skip)
+        g_skip = chain._reverse_rows(tape, cot)
+        pushed = chain._pushed_tangents(tape, rng.normal(0.0, 1.0, lead + (3, 1)))
+        g_full = chain._reverse_rows(tape, cot, pushed, np.zeros(lead + (3, 1)))
 
-    pushed = chain._push_tangents(tape, rng.normal(0.0, 1.0, (3, 1)))
-    g_full = params.zeros_like()
-    chain._aug_reverse(tape, pushed, cot, np.zeros((3, 1)), g_full)
-
-    assert np.abs(g_skip).max() > 0.0
-    assert np.array_equal(g_skip, g_full)
-    assert np.array_equal(_value_vjp(chain, x, params, cot), g_skip)
+        assert np.abs(g_skip).max() > 0.0
+        assert np.array_equal(g_skip, g_full)
+        for k in np.ndindex(lead):
+            assert np.array_equal(_value_vjp(chain, X[k], params, cot[k]), g_skip[k])
 
 
 def test_value_vjp_memos_of_two_chains_do_not_mix(rng):

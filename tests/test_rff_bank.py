@@ -103,10 +103,11 @@ def test_pushed_tangents_are_bit_identical_to_one_product_per_net(dim, n_feature
             X = rng.uniform(-1.0, 1.0, (n, dim))
             V = rng.normal(0.0, 1.0, (n, dim, width))
             _, _, stacked_tape = chain.stacked_value_jacobian_tape(X, params)
-            stacked = chain._stacked_push_tangents(stacked_tape, V)
+            # The one body, on the stacked tape and on each sample's tape.
+            stacked = chain._pushed_tangents(stacked_tape, V)
             for k in range(n):
                 _, _, tape = chain.value_jacobian_tape(X[k], params)
-                pushed = chain._push_tangents(tape, V[k])
+                pushed = chain._pushed_tangents(tape, V[k])
                 v = V[k]
                 for m, (ly, entry) in enumerate(zip(chain.layers, tape)):
                     want = reference_push(ly, entry, v)

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemotion import learning, losses
-from treemotion.errors import DomainError, NumericError, SingularMetricError, StructureError
+from treemotion.errors import (
+    DomainError,
+    NumericError,
+    SingularMetricError,
+    StructureError,
+    TreeMotionError,
+)
 from treemotion.fixtures import conflicting_demo_fixture, random_tree
 from treemotion.learning import (
     TrainOptions,
@@ -213,6 +219,26 @@ def test_the_first_failing_sample_wins_whatever_stage_fails():
         loss_value(LossSpec("joint_space"), tree, None, [(q, np.zeros(2)) for q in qs])
     assert type(info.value) is NumericError
     assert str(info.value) == "sample 3: leaf 1 produced a non-finite policy output"
+
+
+def test_the_training_gradient_names_the_failing_sample_as_the_loss_does():
+    # A ragged state at sample 1, and a singular root metric at sample 4.
+    ragged = [(np.zeros(2), np.zeros(2)), (np.zeros(3), np.zeros(2))]
+    build, bad, _ = BAD_STATES[1]
+    qs = list(np.random.default_rng(4).uniform(0.6, 1.0, (12, 2)))
+    qs[4] = np.array(bad)
+    singular = [(q, np.zeros(2)) for q in qs]
+    for tree, samples, k in ((attractor_tree(), ragged, 1), (build(), singular, 4)):
+        params = tree.init_params()
+        for loss in (LossSpec("joint_space"),
+                     LossSpec("subtask_space", np.ones(len(tree.leaves)))):
+            with pytest.raises(TreeMotionError) as summed:
+                loss_value(loss, tree, params, samples)
+            with pytest.raises(TreeMotionError) as graded:
+                loss_and_gradient(tree, params, samples, loss)
+            assert type(graded.value) is type(summed.value)
+            assert str(graded.value) == str(summed.value)
+            assert str(graded.value).startswith(f"sample {k}: ")
 
 
 @pytest.mark.parametrize("Q", [np.zeros((3, 3)), np.zeros(2), np.zeros((0, 2)),

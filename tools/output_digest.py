@@ -37,6 +37,12 @@ bit-identical print the same digest. The digest covers:
   ``RFFNet.value``), the exit code and output of CLI ``check`` on
   ``demos/arm_fixture.json``, and ``potential_gradient_fd`` on the arm
   at the 10 ``stability_seed_states``;
+- the learned kernels: the forward tapes and the weight rows of the two
+  chains and the two Cholesky metric nets of ``conflicting_demo_fixture``
+  at fixture seeds 1 and 9, for one input and for stacks of 1, 2 and 7,
+  through ``value_vjp``, ``pullback_vjp``, ``param_vjp`` and their
+  ``stacked_*`` forms, and a latent goal's one tape reversed against
+  stacked cotangents;
 - the failure routes: the terms ``sample_losses`` yields (subtask and
   joint loss) and the error it raises on 12 seeded samples with one bad
   state at sample 0, 4 or 8 (a non-finite leaf output, a singular root
@@ -311,6 +317,51 @@ def check_outputs(tm, src_dir, dig):
                 _attempt(lambda: potential_gradient_fd(tree, q, params)))
 
 
+def kernel_outputs(tm, dig):
+    from treemotion.policies import CholeskyMetricNet
+
+    dig.start("kernels")
+    for seed in (1, 9):
+        tree, params, *_ = tm.conflicting_demo_fixture(seed=seed)
+        rng = np.random.default_rng(seed)
+        chains = [e.map for e in tree.edges if isinstance(e.map, tm.DiffeoChain)]
+        nets = [row.policy.metric for row in tree.leaf_table.values()
+                if isinstance(row.policy.metric, CholeskyMetricNet)]
+        for c, chain in enumerate(chains):
+            _, goal_tape = chain.value_tape(rng.uniform(-1.0, 1.0, chain.in_dim), params)
+            for n in (None, 1, 2, 7):
+                lead = () if n is None else (n,)
+                X = rng.uniform(-1.0, 1.0, lead + (chain.in_dim,))
+                cot = rng.normal(0.0, 1.0, X.shape)
+                V, C = rng.normal(0.0, 1.0, (2, *X.shape, 2))
+                if n is None:
+                    y, J, tape = chain.value_jacobian_tape(X, params)
+                    rows = [params.zeros_like() for _ in range(3)]
+                    chain.value_vjp(X, params, cot, rows[0], tape)
+                    chain.pullback_vjp(X, params, cot, V, C, rows[1], tape)
+                    chain.value_vjp(X, params, cot, rows[2], goal_tape)
+                else:
+                    y, J, tape = chain.stacked_value_jacobian_tape(X, params)
+                    rows = [chain.stacked_value_vjp(X, params, cot, tape),
+                            chain.stacked_pullback_vjp(X, params, cot, V, C, tape),
+                            chain.stacked_value_vjp(X, params, cot, goal_tape)]
+                dig.add(("chain", seed, c, n), [y, J, tape, rows])
+        for c, net in enumerate(nets):
+            for n in (None, 1, 2, 7):
+                lead = () if n is None else (n,)
+                X = rng.uniform(-1.0, 1.0, lead + (net.in_dim,))
+                S = rng.normal(0.0, 1.0, lead + (net.dim, net.dim))
+                if n is None:
+                    M, record = net.value_tape(X, params)
+                    grad = params.zeros_like()
+                    rows = [net.param_vjp(X, params, S, grad, record), grad,
+                            net.param_vjp(X, params, S, None, record)]
+                else:
+                    M, record = net.stacked_value_tape(X, params)
+                    rows = net.stacked_param_vjp(X, params, S, record)
+                dig.add(("metric", seed, c, n), [M, record, rows])
+
+
 def _failure_trees(tm):
     """Three small trees, each with a state where one stage fails."""
     from treemotion.policies import (
@@ -396,6 +447,7 @@ def main(argv=None) -> int:
     policy_jacobian_outputs(dig)
     minibatch_outputs(tm, dig)
     check_outputs(tm, src_dir, dig)
+    kernel_outputs(tm, dig)
     failure_outputs(tm, dig)
     dig.finish()
     print(dig.total.hexdigest())
