@@ -27,12 +27,11 @@ kind must keep every per-sample term ``>= 0``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, SingularMetricError, StructureError
+from .errors import NumericError, SingularMetricError, StructureError, as_integer
 from .gradients import pipeline_vjp
 from .losses import (
     DemoSet,
@@ -47,7 +46,7 @@ from .losses import (
 from .maps import squared_norms, stacked_mv
 from .params import ParamVector
 from .policies import NaturalGradientLeaf
-from .tree import TransformTree, run_pipeline
+from .tree import TransformTree, one_state, run_pipeline
 
 
 def suggest_length_scale(points) -> float:
@@ -86,11 +85,12 @@ class TrainOptions:
     def validate(self) -> None:
         """Reject settings that would train silently wrong (a negative
         step climbs the loss, an empty minibatch trains on nothing, a
-        fractional count is not a count)."""
-        for name, value in {"iterations": self.iterations, "seed": self.seed,
-                            "minibatch": self.minibatch or 1}.items():
-            if not isinstance(value, numbers.Integral):
-                raise StructureError(f"{name} must be an integer, got {value!r}")
+        fractional count is not a count), and store the counts as the
+        integers ``errors.as_integer`` makes of them (7.0 trains as 7)."""
+        self.iterations = as_integer(self.iterations, "iterations")
+        self.seed = as_integer(self.seed, "seed")
+        if self.minibatch is not None:
+            self.minibatch = as_integer(self.minibatch, "minibatch")
         if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0):
             raise StructureError(f"alpha must be None or finite > 0, got {self.alpha}")
         if self.iterations < 0:
@@ -126,10 +126,7 @@ def loss_and_gradient(tree: TransformTree, params: ParamVector, demos_or_samples
     for k, (q, qdot) in enumerate(samples):
         with naming_sample(k):
             cache = run_pipeline(tree, q, params)
-            if np.shape(qdot) != cache.pi.shape:
-                raise StructureError(f"qdot has shape {np.shape(qdot)}, "
-                                     f"root dimension is {tree.root_dim}")
-            value, g = sample_loss(tree, loss, lam, cache, qdot)
+            value, g = sample_loss(tree, loss, lam, cache, one_state(tree, qdot, "qdot"))
             # A per-sample buffer fixes the order of the sum; joint-loss
             # training amplifies any reordering within two steps.
             g_theta = params.zeros_like()

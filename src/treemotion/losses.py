@@ -167,22 +167,25 @@ def anchor_jacobian(tree: TransformTree, row: LeafRow, edge_jacobian) -> np.ndar
 
 
 def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
-                qdot) -> tuple[float, np.ndarray]:
-    """One sample's loss and its cotangent on ``pi``, from the sample's
-    ``run_pipeline`` pass and validated ``lam`` (``None`` for joint)."""
+                qdot) -> tuple:
+    """The loss and its cotangent on ``pi`` of one sample, from its
+    ``run_pipeline`` pass, or of each row of ``run_stacked``'s pass (with
+    ``(N, root_dim)`` ``qdot``; each row the per-sample bits), for
+    validated ``lam`` (``None`` for the joint loss)."""
     r = qdot - cache.pi
     if loss.kind == "joint_space":
-        return float(r @ r), -2.0 * r
-    value = 0.0
+        return squared_norms(r), -2.0 * r
+    mv = stacked_mv if r.ndim > 1 else np.matmul  # one sample: the plain A @ x
+    value = np.zeros(r.shape[:-1])
     g = np.zeros_like(cache.pi)
     for lk, row in zip(lam, tree.leaf_table.values()):
         if lk == 0.0:
             continue
         J = anchor_jacobian(tree, row, lambda edge: cache.states[edge.child].jac_to_parent)
-        Jr = J @ r
-        value += lk * float(Jr @ Jr)
-        g -= 2.0 * lk * (J.T @ Jr)
-    return value, g
+        Jr = mv(J, r)
+        value += lk * squared_norms(Jr)
+        g -= 2.0 * lk * mv(J.swapaxes(-1, -2), Jr)
+    return value[()], g  # [()]: one sample's loss as a scalar
 
 
 def stacked_terms(evaluate, samples):
@@ -237,22 +240,6 @@ def _stack(samples, i, name, dim):
     return X
 
 
-def _stacked_sample_losses(loss: LossSpec, tree: TransformTree, lam, params, samples):
-    """``sample_loss``'s values for ``samples``, from one ``run_stacked``
-    pass and the same expressions on stacked arrays."""
-    states, pi = run_stacked(tree, _stack(samples, 0, "q", tree.root_dim), params)
-    r = _stack(samples, 1, "qdot", tree.root_dim) - pi
-    if loss.kind == "joint_space":
-        return squared_norms(r).tolist()
-    value = np.zeros(len(r))
-    for lk, row in zip(lam, tree.leaf_table.values()):
-        if lk == 0.0:
-            continue
-        J = anchor_jacobian(tree, row, lambda edge: states[edge.child].jac_to_parent)
-        value += lk * squared_norms(stacked_mv(J, r))
-    return list(value)
-
-
 def loss_samples(loss: LossSpec, tree: TransformTree, demos_or_samples):
     """``(samples, lam)`` of a summed demo loss; ``lam`` is ``None`` for the
     joint loss, and the per-leaf baseline kind is rejected."""
@@ -275,13 +262,20 @@ def sample_losses(loss: LossSpec, tree: TransformTree, params: ParamVector | Non
                   demos):
     """Each sample's loss, in sample order, the same bits as
     ``sample_loss`` on the sample's ``run_pipeline`` pass, from
-    ``run_stacked`` passes over ``stacked_terms``' chunks; a failing
-    sample raises as ``stacked_terms`` states. Every term is ``>= 0`` (a
-    squared norm, weighted by ``lam >= 0``) or non-finite; the trainers'
-    line search relies on that to stop summing a trial early."""
+    ``sample_loss`` on ``run_stacked`` passes over ``stacked_terms``'
+    chunks; a failing sample raises as ``stacked_terms`` states. Every
+    term is ``>= 0`` (a squared norm, weighted by ``lam >= 0``) or
+    non-finite; the trainers' line search relies on that to stop summing
+    a trial early."""
     samples, lam = loss_samples(loss, tree, demos)
-    yield from stacked_terms(
-        lambda chunk: _stacked_sample_losses(loss, tree, lam, params, chunk), samples)
+
+    def chunk_losses(chunk):
+        states, pi = run_stacked(tree, _stack(chunk, 0, "q", tree.root_dim), params)
+        qdot = _stack(chunk, 1, "qdot", tree.root_dim)
+        cache = PipelineCache(states, pi, None)
+        return sample_loss(tree, loss, lam, cache, qdot)[0].tolist()
+
+    yield from stacked_terms(chunk_losses, samples)
 
 
 def loss_value(loss: LossSpec, tree: TransformTree, params: ParamVector | None,

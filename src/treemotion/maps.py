@@ -26,11 +26,12 @@ Conventions
   chains override it with stacked arrays whose every entry is the same
   bits as the per-sample call: products are stacked ``np.matmul`` calls
   with a per-sample or a broadcast operand, and sums run along the last
-  axis. The chain's ``stacked_value_jacobian_tape``, ``stacked_value_vjp``
-  and ``stacked_pullback_vjp`` return each sample's weight gradient as
-  a row instead of adding it; they and the per-sample rules run one
-  body over an optional leading sample axis. A custom map implements
-  only the per-sample contract.
+  axis. ``stacked_value_jacobian_tape`` is what the forward stage calls
+  on a stack; the inherited one has tape ``None``. The chain's, and its
+  ``stacked_value_vjp`` and ``stacked_pullback_vjp`` (which return each
+  sample's weight gradient as a row), run its per-sample rules' one body
+  over a leading sample axis. A custom map implements only the
+  per-sample contract.
 * Parameterized maps read their weights through
   :meth:`~treemotion.params.Learnable.weights`: the slice assigned at
   tree construction, or frozen values.
@@ -64,8 +65,9 @@ def stacked_mv(A, X):
 
 
 def squared_norms(R: np.ndarray) -> np.ndarray:
-    """``r @ r`` for each row ``r`` of ``R``, the same bits as per row."""
-    return np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
+    """``r @ r`` for each row ``r`` of ``R`` along its last axis, the same
+    bits as per row; a scalar for one vector."""
+    return np.matmul(R[AS_ROW], R[AS_COLUMN])[..., 0, 0]
 
 
 class DifferentiableMap(Learnable):
@@ -99,6 +101,12 @@ class DifferentiableMap(Learnable):
         pairs = [self.value_and_jacobian(x, params) for x in X]
         return np.stack([y for y, _ in pairs]), np.stack([J for _, J in pairs])
 
+    def stacked_value_jacobian_tape(self, X: np.ndarray,
+                                    params: ParamVector | None = None):
+        """``(Y, J, tape)`` of the stack ``X``, as ``value_jacobian_tape``:
+        ``stacked_value_and_jacobian`` and no tape here."""
+        return (*self.stacked_value_and_jacobian(X, params), None)
+
     # -- gradient support, overridden by parameterized maps ----------------
 
     def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
@@ -117,7 +125,7 @@ class DifferentiableMap(Learnable):
 
 class IdentityMap(DifferentiableMap):
     def __init__(self, dim: int):
-        self.in_dim = self.out_dim = int(dim)
+        self.in_dim = self.out_dim = as_integer(dim, "dim")
         self._eye = np.eye(self.in_dim)
 
     def value_and_jacobian(self, x, params=None):
@@ -239,9 +247,9 @@ class RFFNet:
 
     def __init__(self, in_dim, out_dim, n_features, length_scale=1.0, seed=0,
                  frequencies=None, phases=None):
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
-        self.n_features = int(n_features)
+        self.in_dim = as_integer(in_dim, "in_dim")
+        self.out_dim = as_integer(out_dim, "out_dim")
+        self.n_features = as_integer(n_features, "n_features")
         if length_scale <= 0:
             raise StructureError("length scale must be positive")
         self.length_scale = float(length_scale)
@@ -301,7 +309,7 @@ class CouplingLayer:
     """
 
     def __init__(self, dim, flip, n_features, length_scale, seed):
-        dim = int(dim)
+        dim = as_integer(dim, "dim")
         if dim < 2:
             raise StructureError("coupling layers need dimension >= 2")
         self.dim = dim
@@ -423,7 +431,7 @@ class DiffeoChain(DifferentiableMap):
 
     def __init__(self, dim, n_layers=4, n_features=128, length_scale=1.0,
                  seed=0, learnable=True, init_scale=0.0):
-        dim = int(dim)
+        dim = as_integer(dim, "dim")
         if dim < 2:
             raise StructureError(
                 "diffeo chains need dimension >= 2 (the coupling split is "

@@ -302,7 +302,7 @@ class ConstantMetric(Metric):
     def scaled_identity(cls, scale, dim):
         if scale <= 0:
             raise StructureError("metric scale must be positive")
-        return cls(float(scale) * np.eye(int(dim)))
+        return cls(float(scale) * np.eye(as_integer(dim, "dim")))
 
     def value(self, x, params):
         return self.matrix
@@ -617,7 +617,7 @@ class NaturalGradientLeaf(LeafPolicy):
 
     def __init__(self, dim, potential: Potential, metric: Metric,
                  metric_input: str = "latent"):
-        self.dim = int(dim)
+        self.dim = as_integer(dim, "dim")
         self.pot = potential
         self.metric = metric
         if metric_input not in ("latent", "subtask"):
@@ -683,7 +683,8 @@ def handcrafted_damper(gain, dim) -> RawVMLeaf:
     policy toward rest. Carries the constant potential 0."""
     if gain <= 0:
         raise StructureError("damper gain must be positive")
-    return RawVMLeaf(np.zeros(int(dim)), ConstantMetric.scaled_identity(gain, dim),
+    dim = as_integer(dim, "dim")
+    return RawVMLeaf(np.zeros(dim), ConstantMetric.scaled_identity(gain, dim),
                      zero_potential=True)
 
 

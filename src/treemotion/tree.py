@@ -26,10 +26,14 @@ learnable edge map ends at a leaf) is decided at construction too. The
 reverse pass reads the tapes and records these stages kept and runs no
 forward kernel again.
 
-``run_stacked`` runs the same four stages on a stack of states for the
-passes that need only ``pi`` (losses, line searches): every array gains
-a leading sample axis, no tape or record is kept, and each row of its
-``pi`` is the same bits as ``run_pipeline``'s at that state.
+The first three stages take one state or a stack ``(N, root_dim)`` and
+pick their kernels once per call from its rank: per-sample, or the maps'
+and leaves' ``stacked_*`` methods and stacked products. ``run_stacked``
+runs them on a stack for the passes that need only ``pi`` (losses, line
+searches): every array gains a leading sample axis, tapes and records
+are kept as in ``run_pipeline``, and each row is the same bits as
+``run_pipeline``'s at that state. The entry points that take one state
+reject a stack with the per-sample shape error (``one_state``).
 
 ``flat_solve`` answers the same weighted least-squares problem without
 the tree recursion (explicit root-to-leaf compositions and stacked
@@ -58,6 +62,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -65,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .errors import NumericError, SingularMetricError, StructureError
+from .errors import NumericError, SingularMetricError, StructureError, as_integer
 from .maps import DiffeoChain, DifferentiableMap, stacked_mv
 from .params import Learnable, ParamRegistryBuilder, ParamVector
 from .policies import LeafPolicy
@@ -195,7 +200,7 @@ class TransformTree:
     """
 
     def __init__(self, node_dims, edges, leaf_policies):
-        self.node_dims = [int(d) for d in node_dims]
+        self.node_dims = [as_integer(d, "node dimension") for d in node_dims]
         self.n_nodes = len(self.node_dims)
         if self.n_nodes == 0:
             raise StructureError("tree needs at least a root node")
@@ -319,22 +324,35 @@ class TransformTree:
 # ---------------------------------------------------------------------------
 
 
-def forward_pass(tree: TransformTree, q: np.ndarray,
-                 params: ParamVector | None = None) -> list[NodeState]:
-    """Push coordinates root to leaves; keep each edge's Jacobian and tape."""
+def one_state(tree: TransformTree, q, name: str = "q") -> np.ndarray:
+    """``q`` as a float array of shape ``(root_dim,)``, else
+    ``StructureError`` naming it ``name``: the check of every entry point
+    that takes one state (or velocity), so a stack is rejected there too."""
     q = np.asarray(q, dtype=float)
     if q.shape != (tree.root_dim,):
         raise StructureError(
-            f"q has shape {q.shape}, root dimension is {tree.root_dim}"
-        )
+            f"{name} has shape {q.shape}, root dimension is {tree.root_dim}")
+    return q
+
+
+def forward_pass(tree: TransformTree, q,
+                 params: ParamVector | None = None) -> list[NodeState]:
+    """Push coordinates root to leaves; keep each edge's Jacobian and tape.
+    ``q`` is a stack ``(N, root_dim)``, every array then gaining its
+    leading axis, or else one state (``one_state``)."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[1] != tree.root_dim:
+        q = one_state(tree, q)
+    kernel = "stacked_value_jacobian_tape" if q.ndim == 2 else "value_jacobian_tape"
+    lead = q.shape[:-1]
     # Edges are sorted by child and every node past the root has exactly
     # one, so edge k ends at node k + 1 and the states fill in order.
     states = [NodeState(coord=q)]
     for e in tree.edges:
-        y, J, tape = e.map.value_jacobian_tape(states[e.parent].coord, params)
-        if y.shape != (tree.node_dims[e.child],):
+        y, J, tape = getattr(e.map, kernel)(states[e.parent].coord, params)
+        if y.shape != lead + (tree.node_dims[e.child],):
             raise StructureError(
-                f"{e.name()}: map produced shape {y.shape}, node dim is "
+                f"{e.name()}: map produced shape {y.shape[len(lead):]}, node dim is "
                 f"{tree.node_dims[e.child]}"
             )
         states.append(NodeState(y, J, tape))
@@ -344,12 +362,12 @@ def forward_pass(tree: TransformTree, q: np.ndarray,
 def leaf_evaluate(tree: TransformTree, states: list[NodeState],
                   params: ParamVector | None = None) -> list[NodeState]:
     """Evaluate every leaf policy into ``(pulled_force, pulled_metric,
-    record)``."""
+    record)``, through ``evaluate`` or, on a stack, ``stacked_evaluate``."""
+    kernel = "stacked_evaluate" if states[0].coord.ndim == 2 else "evaluate"
     for node, policy, edge, _, _, _ in tree.leaf_table.values():
         parent_coord = states[edge.parent].coord if edge is not None else None
         state = states[node]
-        p, M, state.record = policy.evaluate(state.coord, params,
-                                             parent_coord=parent_coord)
+        p, M, state.record = getattr(policy, kernel)(state.coord, params, parent_coord)
         if not _all_finite(p, M):
             raise NumericError(f"leaf {node} produced a non-finite policy output")
         state.pulled_force = p
@@ -357,18 +375,29 @@ def leaf_evaluate(tree: TransformTree, states: list[NodeState],
     return states
 
 
+# ``A^T`` of one matrix or of each matrix of a stack, as C-level calls.
+_TRANSPOSED = operator.attrgetter("T")
+_STACKED_TRANSPOSED = operator.methodcaller("transpose", 0, 2, 1)
+
+
 def backward_pass(tree: TransformTree, states: list[NodeState]) -> list[NodeState]:
-    """Pull forces/metrics to the root: ``p += J^T p_c``, ``M += J^T M_c J``."""
+    """Pull forces/metrics to the root: ``p += J^T p_c``, ``M += J^T M_c J``,
+    with the plain products for one state and ``stacked_mv`` and stacked
+    transposes for a stack, so each row is the per-sample bits."""
+    lead = states[0].coord.shape[:-1]
+    mv, transposed = ((stacked_mv, _STACKED_TRANSPOSED) if lead
+                      else (operator.matmul, _TRANSPOSED))
     for i, d in tree._inner_dims:
-        states[i].pulled_force = np.zeros(d)
-        states[i].pulled_metric = np.zeros((d, d))
+        states[i].pulled_force = np.zeros(lead + (d,))
+        states[i].pulled_metric = np.zeros(lead + (d, d))
     for e in reversed(tree.edges):
         child = states[e.child]
         J = child.jac_to_parent
+        JT = transposed(J)
         parent = states[e.parent]
-        parent.pulled_force = parent.pulled_force + J.T @ child.pulled_force
-        M = parent.pulled_metric + J.T @ child.pulled_metric @ J
-        parent.pulled_metric = 0.5 * (M + M.T)
+        parent.pulled_force = parent.pulled_force + mv(JT, child.pulled_force)
+        M = parent.pulled_metric + JT @ child.pulled_metric @ J
+        parent.pulled_metric = 0.5 * (M + transposed(M))
     return states
 
 
@@ -427,9 +456,10 @@ def resolve(states: list[NodeState], regularization: float = 0.0) -> tuple:
 
 def run_pipeline(tree: TransformTree, q, params: ParamVector | None = None,
                  regularization: float = 0.0) -> PipelineCache:
-    """Run the four stages once and keep everything the reverse pass
-    needs (coordinates, edge Jacobians, leaf outputs, root factor)."""
-    states = forward_pass(tree, q, params)
+    """Run the four stages once on one state and keep everything the
+    reverse pass needs (coordinates, edge Jacobians, tapes, leaf outputs
+    and records, root factor)."""
+    states = forward_pass(tree, one_state(tree, q), params)
     leaf_evaluate(tree, states, params)
     backward_pass(tree, states)
     pi, factor = resolve(states, regularization)
@@ -447,17 +477,15 @@ def run_stacked(tree: TransformTree, Q,
     """The four stages on the states ``Q``, ``(N, root_dim)`` with
     ``N >= 1``, at once.
 
-    Returns ``(states, pi)``: per node, a ``NodeState`` whose coordinates
-    and parent-edge Jacobian carry a leading axis of length ``N``, and
-    ``pi`` of shape ``(N, root_dim)``. Row ``k`` of every array is the
-    same bits as ``run_pipeline(tree, Q[k], params)`` gives: maps and
-    leaves evaluate through their ``stacked_*`` methods, every product
-    is a stacked ``np.matmul`` with a per-sample or broadcast operand,
-    and the root solve is ``solve_root`` on each row. The stages run the
-    per-sample checks on the whole stack, so a failing row raises the
-    error the per-sample route raises, though not necessarily for the
-    first failing row (``losses.stacked_terms`` finds that row with
-    stacks of one). No tape or record is kept.
+    Returns ``(states, pi)``: per node, a ``NodeState`` whose arrays
+    carry a leading axis of length ``N``, tapes and records included,
+    and ``pi`` of shape ``(N, root_dim)``. The stages are
+    ``run_pipeline``'s, on the stack, and the root solve is
+    ``solve_root`` on each row, so row ``k`` of every array is the same
+    bits as ``run_pipeline(tree, Q[k], params)`` gives. A failing row
+    raises the error the per-sample route raises, though not necessarily
+    for the first failing row (``losses.stacked_terms`` finds that row
+    with stacks of one).
     """
     try:
         Q = np.asarray(Q, dtype=float)
@@ -468,39 +496,12 @@ def run_stacked(tree: TransformTree, Q,
             f"stacked states have shape {Q.shape}, expected (N, {tree.root_dim}) "
             "with N >= 1"
         )
-    n = len(Q)
-    states = [NodeState(coord=Q)]
-    for e in tree.edges:
-        Y, J = e.map.stacked_value_and_jacobian(states[e.parent].coord, params)
-        if Y.shape != (n, tree.node_dims[e.child]):
-            raise StructureError(
-                f"{e.name()}: map produced shape {Y.shape[1:]}, node dim is "
-                f"{tree.node_dims[e.child]}"
-            )
-        states.append(NodeState(Y, J))
-    for node, policy, edge, _, _, _ in tree.leaf_table.values():
-        parent_coords = states[edge.parent].coord if edge is not None else None
-        P, M, _ = policy.stacked_evaluate(states[node].coord, params, parent_coords)
-        if not _all_finite(P, M):
-            raise NumericError(f"leaf {node} produced a non-finite policy output")
-        states[node].pulled_force = P
-        states[node].pulled_metric = M
-    for i, d in tree._inner_dims:
-        states[i].pulled_force = np.zeros((n, d))
-        states[i].pulled_metric = np.zeros((n, d, d))
-    for e in reversed(tree.edges):
-        child = states[e.child]
-        J = child.jac_to_parent
-        JT = J.transpose(0, 2, 1)
-        parent = states[e.parent]
-        parent.pulled_force = parent.pulled_force + stacked_mv(JT, child.pulled_force)
-        M = parent.pulled_metric + np.matmul(np.matmul(JT, child.pulled_metric), J)
-        parent.pulled_metric = 0.5 * (M + M.transpose(0, 2, 1))
+    states = forward_pass(tree, Q, params)
+    leaf_evaluate(tree, states, params)
+    backward_pass(tree, states)
     root = states[0]
-    pi = np.empty((n, tree.root_dim))
-    for k in range(n):
-        pi[k] = solve_root(root.pulled_metric[k], root.pulled_force[k])[0]
-    return states, pi
+    return states, np.array([solve_root(M, p)[0] for M, p in
+                             zip(root.pulled_metric, root.pulled_force)])
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +520,7 @@ def flat_solve(tree: TransformTree, q, params: ParamVector | None = None,
     routes is a meaningful check.
     """
     _check_regularization(regularization)
-    q = np.asarray(q, dtype=float)
-    if q.shape != (tree.root_dim,):
-        raise StructureError(
-            f"q has shape {q.shape}, root dimension is {tree.root_dim}"
-        )
+    q = one_state(tree, q)
     d = tree.root_dim
     A = np.zeros((d, d))
     b = np.zeros(d)
@@ -574,5 +571,5 @@ def root_potential(tree: TransformTree, q, params: ParamVector | None = None) ->
     When every leaf is a natural-gradient leaf this is the Lyapunov
     function of the composed flow, with gradient ``-p_root``.
     """
-    states = forward_pass(tree, q, params)
+    states = forward_pass(tree, one_state(tree, q), params)
     return leaf_potential_sum(tree, states, params)

@@ -197,6 +197,23 @@ def test_train_deterministic_history():
     assert np.array_equal(r1.params.values, r2.params.values)
 
 
+def test_whole_float_counts_train_as_their_integers():
+    # The one integer rule of the library: 7.0 is 7, and 7.5 is no count.
+    tree, params = theta_policy_tree(2)
+    rng = np.random.default_rng(2)
+    demos = demo_from_samples(rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2)))
+    whole = TrainOptions(iterations=7.0, seed=5.0, minibatch=3.0)
+    got = train(tree, params, demos, LossSpec("joint_space"), whole)
+    expected = train(tree, params, demos, LossSpec("joint_space"),
+                     TrainOptions(iterations=7, seed=5, minibatch=3))
+    assert [(type(v), v) for v in (whole.iterations, whole.seed, whole.minibatch)] == [
+        (int, 7), (int, 5), (int, 3)]
+    assert len(got.history) == 8 and np.array_equal(got.history, expected.history)
+    assert np.array_equal(got.params.values, expected.params.values)
+    with pytest.raises(StructureError, match=r"^iterations must be an integer, got 7\.5$"):
+        train(tree, params, demos, LossSpec("joint_space"), TrainOptions(iterations=7.5))
+
+
 @pytest.mark.parametrize("bad", [
     {"alpha": -0.05}, {"alpha": 0.0}, {"alpha": float("inf")}, {"alpha": float("nan")},
     {"iterations": -4}, {"seed": -1},

@@ -6,12 +6,20 @@ from treemotion.maps import (
     CouplingLayer,
     DiffeoChain,
     DistanceToPoint,
+    IdentityMap,
     LinearMap,
     PlanarArmFK,
     RFFNet,
 )
 from treemotion.params import ParamRegistryBuilder
-from treemotion.policies import CholeskyMetricNet
+from treemotion.policies import (
+    CholeskyMetricNet,
+    ConstantMetric,
+    NaturalGradientLeaf,
+    ZeroPotential,
+    handcrafted_damper,
+)
+from treemotion.tree import TransformTree
 
 from conftest import fd_jacobian
 
@@ -204,8 +212,22 @@ def test_coupling_jacobian_matches_fd(rng):
     lambda: DiffeoChain(2, n_layers=2.9),
     lambda: CholeskyMetricNet(2, hidden=(6.5,)),
     lambda: PlanarArmFK([1.0, 1.0], point=1.5),
+    # A fractional dimension is not truncated either (to 2).
+    lambda: DiffeoChain(2.5),
+    lambda: IdentityMap(2.7),
+    lambda: RFFNet(2.5, 2, 4),
+    lambda: RFFNet(2, 2.5, 4),
+    lambda: RFFNet(2, 2, 4.5),
+    lambda: CouplingLayer(2.5, False, 4, 1.0, 0),
+    lambda: NaturalGradientLeaf(2.5, ZeroPotential(), ConstantMetric(np.eye(2))),
+    lambda: ConstantMetric.scaled_identity(1.0, 2.5),
+    lambda: handcrafted_damper(1.0, 2.5),
+    lambda: TransformTree([2.9], [], {0: handcrafted_damper(1.0, 2)}),
 ], ids=["one-dimensional-chain", "fractional-layers", "fractional-hidden",
-        "fractional-point"])
+        "fractional-point", "fractional-chain-dim", "fractional-identity-dim",
+        "fractional-rff-in-dim", "fractional-rff-out-dim", "fractional-rff-features",
+        "fractional-coupling-dim", "fractional-leaf-dim", "fractional-metric-dim",
+        "fractional-damper-dim", "fractional-node-dim"])
 def test_constructors_reject_bad_sizes(build):
     with pytest.raises(StructureError):
         build()

@@ -130,9 +130,19 @@ def test_stacked_route_is_bit_identical_to_the_per_sample_route(seed, n):
     qs = rng.uniform(-1.0, 1.0, (n, tree.root_dim))
     samples = list(zip(qs, rng.uniform(-1.0, 1.0, (n, tree.root_dim))))
 
-    _, pi = run_stacked(tree, qs, params)
-    assert all(np.array_equal(pi[k], run_pipeline(tree, q, params).pi)
-               for k, q in enumerate(qs))
+    # Every row of every node state of the stacked sweep, and each tape
+    # and record the per-sample sweep keeps, the stacked one keeps too.
+    states, pi = run_stacked(tree, qs, params)
+    for k, q in enumerate(qs):
+        cache = run_pipeline(tree, q, params)
+        assert np.array_equal(pi[k], cache.pi)
+        for stacked, single in zip(states, cache.states, strict=True):
+            for field in ("coord", "jac_to_parent", "pulled_force", "pulled_metric"):
+                expected = getattr(single, field)
+                assert (getattr(stacked, field) is None if expected is None
+                        else np.array_equal(getattr(stacked, field)[k], expected))
+            assert single.tape is None or stacked.tape is not None
+            assert single.record is None or stacked.record is not None
 
     lam = rng.uniform(0.0, 2.0, len(tree.leaves)) * (rng.random(len(tree.leaves)) < 0.7)
     for loss, lam_k in ((LossSpec("joint_space"), None), (LossSpec("subtask_space", lam), lam)):

@@ -3,8 +3,12 @@ import pytest
 import scipy.linalg
 
 from treemotion.errors import NumericError, SingularMetricError, StructureError
-from treemotion.fixtures import random_tree
-from treemotion.gradients import policy_vjp, run_pipeline
+from treemotion.fixtures import (
+    random_tree,
+    stability_seed_states,
+    three_link_stability_fixture,
+)
+from treemotion.gradients import policy_param_jacobian, policy_vjp, run_pipeline
 from treemotion.maps import DifferentiableMap, IdentityMap, LinearMap, PlanarArmFK
 from treemotion.policies import (
     CholeskyMetricNet,
@@ -15,6 +19,7 @@ from treemotion.policies import (
     handcrafted_attractor,
     handcrafted_damper,
 )
+from treemotion.rollout import integrate
 from treemotion.tree import (
     Edge,
     TransformTree,
@@ -25,6 +30,7 @@ from treemotion.tree import (
     forward_pass,
     leaf_evaluate,
     resolve,
+    root_potential,
     solve_root,
 )
 from treemotion.verify import check_tree
@@ -286,6 +292,21 @@ def test_evaluate_policy_reads_run_pipeline(rng):
         for reg in (0.0, 0.1):
             assert np.array_equal(evaluate_policy(tree, q, params, reg),
                                   run_pipeline(tree, q, params, reg).pi)
+
+
+@pytest.mark.parametrize("entry", [
+    run_pipeline, evaluate_policy, root_potential, flat_solve,
+    lambda tree, q, params: policy_vjp(tree, q, params, np.ones(3)),
+    policy_param_jacobian, lambda tree, q, params: integrate(tree, params, q),
+], ids=["run_pipeline", "evaluate_policy", "root_potential", "flat_solve", "policy_vjp",
+        "policy_param_jacobian", "integrate"])
+def test_single_state_entry_points_reject_a_stack(entry):
+    # The stages take a stack too; an entry point that takes one state
+    # must not pass one on.
+    tree, params, _ = three_link_stability_fixture()
+    Q = np.stack(stability_seed_states(10, seed=0)[:2])
+    with pytest.raises(StructureError, match=r"^q has shape \(2, 3\), root dimension is 3$"):
+        entry(tree, Q, params)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,11 @@ bit-identical print the same digest. The digest covers:
   state at sample 0, 4 or 8 (a non-finite leaf output, a singular root
   metric, a distance map outside its domain), the error of the first
   failing sample where a later one fails at an earlier stage, and
-  ``train`` aborting when its final loss fails.
+  ``train`` aborting when its final loss fails;
+- the stacked losses: the terms ``sample_losses`` yields (subtask and
+  joint loss) on the 40 ``random_tree`` seeds, 9 seeded samples each
+  (a chunk of 8, then one of 1), which runs every component kind's
+  stacked kernels on the loss-only route.
 
 A library error (``TreeMotionError``) an operation raises is digested as
 its type and message, so a checkout that starts or stops raising
@@ -427,6 +431,21 @@ def failure_outputs(tm, dig):
         tm.TrainOptions(alpha=0.5e308, iterations=1)))))
 
 
+def stacked_loss_outputs(tm, dig):
+    from treemotion.losses import sample_losses
+
+    dig.start("stacked losses")
+    for seed, tree, params, _, _ in _random_tree_cases():
+        rng = np.random.default_rng(2000 + seed)
+        samples = list(zip(rng.uniform(-0.6, 0.6, (9, tree.root_dim)),
+                           rng.uniform(-1.0, 1.0, (9, tree.root_dim))))
+        lam = rng.uniform(0.0, 2.0, len(tree.leaves))
+        for loss in (tm.LossSpec("joint_space"),
+                     tm.LossSpec("subtask_space", lam)):
+            dig.add(("sample_losses", seed, loss.kind),
+                    _consumed(sample_losses(loss, tree, params, samples)))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1 or not (Path(argv[0]) / "treemotion").is_dir():
@@ -449,6 +468,7 @@ def main(argv=None) -> int:
     check_outputs(tm, src_dir, dig)
     kernel_outputs(tm, dig)
     failure_outputs(tm, dig)
+    stacked_loss_outputs(tm, dig)
     dig.finish()
     print(dig.total.hexdigest())
     return 0
