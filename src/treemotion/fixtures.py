@@ -11,6 +11,8 @@ joint-space regression).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .learning import suggest_length_scale
@@ -236,8 +238,10 @@ def _three_link_ik(x, q1_candidates):
 
 
 def _null_direction(J, previous=None):
-    n = np.cross(J[0], J[1])
-    norm = np.linalg.norm(n)
+    # np.cross(J[0], J[1]) and np.linalg.norm: their very expressions.
+    (a0, a1, a2), (b0, b1, b2) = J.tolist()
+    n = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    norm = math.sqrt(n.dot(n))
     if norm < 1e-12:
         return np.zeros(3) if previous is None else previous
     n = n / norm

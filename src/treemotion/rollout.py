@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructureError
+from .errors import NumericError, StructureError, as_integer
 from .losses import Trajectory
 from .params import ParamVector
 from .tree import TransformTree, evaluate_policy, leaf_potential_sum, run_pipeline
@@ -51,14 +51,16 @@ def integrate(tree: TransformTree, params: ParamVector | None, q0,
     vanishes (``||grad Phi_root|| = ||p_root|| <= grad_tol``) or the step
     budget runs out.
 
-    ``dt`` must be finite and > 0, ``max_steps`` >= 0 and ``grad_tol``
-    finite and >= 0; anything else raises ``StructureError`` before the
-    first step. ``record_potential`` requires every leaf to carry a
-    potential; a policy failure mid-rollout returns the partial
+    ``dt`` must be finite and > 0, ``max_steps`` an integer >= 0 (a
+    whole float counts as its integer, ``errors.as_integer``) and
+    ``grad_tol`` finite and >= 0; anything else raises ``StructureError``
+    before the first step. ``record_potential`` requires every leaf to
+    carry a potential; a policy failure mid-rollout returns the partial
     trajectory with status ``"error"``.
     """
     if not 0.0 < dt < np.inf:  # also false for NaN
         raise StructureError(f"dt must be finite and > 0, got {dt}")
+    max_steps = as_integer(max_steps, "max_steps")
     if max_steps < 0:
         raise StructureError(f"max_steps must be >= 0, got {max_steps}")
     if not 0.0 <= grad_tol < np.inf:

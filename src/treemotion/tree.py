@@ -7,9 +7,15 @@ leaf spaces where policies live. The one policy evaluation,
 1. forward pass: push coordinates root-to-leaves, keeping each edge's
    Jacobian and forward tape (``value_jacobian_tape``);
 2. leaf evaluation: each leaf reports its weighted force ``p = M v``,
-   weight ``M`` and forward record;
+   weight ``M`` and forward record, ``(p, M)`` checked finite and of the
+   leaf's shape (stage 3 may pass them on without a product);
 3. backward pass: pull ``(p, M)`` to the root through ``J^T p`` and
-   ``J^T M J``, reusing shared subpaths once;
+   ``J^T M J``, reusing shared subpaths once. An ``IdentityMap`` edge
+   passes its child's ``(p, M)`` through without products, and each
+   parent starts from its first child's terms ``+ 0.0``, not a zero
+   array. The bits are the same: on finite entries ``I^T x`` differs
+   from ``x`` only where ``-0.0`` becomes ``+0.0``, and a sum that starts
+   at ``+0.0`` never holds ``-0.0``, so both add alike;
 4. resolve: solve ``(M_root + reg I) u = p_root`` for the configuration
    velocity (``solve_root``, the one SPD solve and singularity check,
    with or without the regularization ``reg``; its Cholesky factor also
@@ -71,7 +77,7 @@ import numpy as np
 import scipy
 
 from .errors import NumericError, SingularMetricError, StructureError, as_integer
-from .maps import DiffeoChain, DifferentiableMap, stacked_mv
+from .maps import DiffeoChain, DifferentiableMap, IdentityMap, stacked_mv
 from .params import Learnable, ParamRegistryBuilder, ParamVector
 from .policies import LeafPolicy
 
@@ -269,8 +275,13 @@ class TransformTree:
             latent = edge if edge is not None and isinstance(edge.map, DiffeoChain) else None
             self.leaf_table[leaf] = LeafRow(leaf, self.leaf_policies[leaf], edge, path,
                                             path[:-1] if latent else path, latent)
-        self._inner_dims = [(i, self.node_dims[i]) for i in range(self.n_nodes)
-                            if self._children[i]]
+        # The backward stage's order: (parent, child, identity, first) per edge,
+        # last child first; ``first`` marks a parent's first child in it.
+        self._backward_order, started = [], set()
+        for e in reversed(self.edges):
+            self._backward_order.append((e.parent, e.child, type(e.map) is IdentityMap,
+                                         e.parent not in started))
+            started.add(e.parent)
 
         # Parameter slice assignment (deterministic order), one slice per
         # component object. Components read their weights through their
@@ -335,13 +346,15 @@ def one_state(tree: TransformTree, q, name: str = "q") -> np.ndarray:
     return q
 
 
-def forward_pass(tree: TransformTree, q,
-                 params: ParamVector | None = None) -> list[NodeState]:
+def forward_pass(tree: TransformTree, q, params: ParamVector | None = None,
+                 *, stack: bool = True) -> list[NodeState]:
     """Push coordinates root to leaves; keep each edge's Jacobian and tape.
     ``q`` is a stack ``(N, root_dim)``, every array then gaining its
-    leading axis, or else one state (``one_state``)."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[1] != tree.root_dim:
+    leading axis, or else (always, if ``stack`` is false) one state
+    (``one_state``)."""
+    if stack:
+        q = np.asarray(q, dtype=float)
+    if not (stack and q.ndim == 2 and q.shape[1] == tree.root_dim):
         q = one_state(tree, q)
     kernel = "stacked_value_jacobian_tape" if q.ndim == 2 else "value_jacobian_tape"
     lead = q.shape[:-1]
@@ -370,6 +383,9 @@ def leaf_evaluate(tree: TransformTree, states: list[NodeState],
         p, M, state.record = getattr(policy, kernel)(state.coord, params, parent_coord)
         if not _all_finite(p, M):
             raise NumericError(f"leaf {node} produced a non-finite policy output")
+        if p.shape != state.coord.shape or M.shape != p.shape + p.shape[-1:]:
+            raise StructureError(f"leaf {node}: policy output shapes {p.shape} and "
+                                 f"{M.shape} at a coordinate of shape {state.coord.shape}")
         state.pulled_force = p
         state.pulled_metric = M
     return states
@@ -383,20 +399,23 @@ _STACKED_TRANSPOSED = operator.methodcaller("transpose", 0, 2, 1)
 def backward_pass(tree: TransformTree, states: list[NodeState]) -> list[NodeState]:
     """Pull forces/metrics to the root: ``p += J^T p_c``, ``M += J^T M_c J``,
     with the plain products for one state and ``stacked_mv`` and stacked
-    transposes for a stack, so each row is the per-sample bits."""
-    lead = states[0].coord.shape[:-1]
-    mv, transposed = ((stacked_mv, _STACKED_TRANSPOSED) if lead
+    transposes for a stack, so each row is the per-sample bits. Identity
+    edges and first children: see stage 3 of the module docstring."""
+    mv, transposed = ((stacked_mv, _STACKED_TRANSPOSED) if states[0].coord.ndim == 2
                       else (operator.matmul, _TRANSPOSED))
-    for i, d in tree._inner_dims:
-        states[i].pulled_force = np.zeros(lead + (d,))
-        states[i].pulled_metric = np.zeros(lead + (d, d))
-    for e in reversed(tree.edges):
-        child = states[e.child]
-        J = child.jac_to_parent
-        JT = transposed(J)
-        parent = states[e.parent]
-        parent.pulled_force = parent.pulled_force + mv(JT, child.pulled_force)
-        M = parent.pulled_metric + JT @ child.pulled_metric @ J
+    for i, c, identity, first in tree._backward_order:
+        child, parent = states[c], states[i]
+        p, M = child.pulled_force, child.pulled_metric
+        if not identity:
+            J = child.jac_to_parent
+            JT = transposed(J)
+            p, M = mv(JT, p), JT @ M @ J
+        if first:
+            parent.pulled_force = p + 0.0
+            M = M + 0.0
+        else:
+            parent.pulled_force = parent.pulled_force + p
+            M = parent.pulled_metric + M
         parent.pulled_metric = 0.5 * (M + transposed(M))
     return states
 
@@ -459,7 +478,7 @@ def run_pipeline(tree: TransformTree, q, params: ParamVector | None = None,
     """Run the four stages once on one state and keep everything the
     reverse pass needs (coordinates, edge Jacobians, tapes, leaf outputs
     and records, root factor)."""
-    states = forward_pass(tree, one_state(tree, q), params)
+    states = forward_pass(tree, q, params, stack=False)
     leaf_evaluate(tree, states, params)
     backward_pass(tree, states)
     pi, factor = resolve(states, regularization)
@@ -571,5 +590,5 @@ def root_potential(tree: TransformTree, q, params: ParamVector | None = None) ->
     When every leaf is a natural-gradient leaf this is the Lyapunov
     function of the composed flow, with gradient ``-p_root``.
     """
-    states = forward_pass(tree, one_state(tree, q), params)
+    states = forward_pass(tree, q, params, stack=False)
     return leaf_potential_sum(tree, states, params)

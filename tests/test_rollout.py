@@ -59,6 +59,18 @@ def test_constant_trace_at_equilibrium():
     np.testing.assert_allclose(res.potential_trace, 0.0, atol=1e-15)
 
 
+def test_whole_float_step_count_runs_as_its_integer():
+    tree = one_dimensional_flow_tree()
+    whole = integrate(tree, None, np.array([1.0]), dt=0.01, max_steps=7.0, grad_tol=0.0)
+    exact = integrate(tree, None, np.array([1.0]), dt=0.01, max_steps=7, grad_tol=0.0)
+    assert len(whole.trajectory) == len(exact.trajectory) == 8
+    assert whole.status == exact.status == "max_steps"
+    assert whole.trajectory.q.tobytes() == exact.trajectory.q.tobytes()
+    for bad in (2.5, "3"):
+        with pytest.raises(StructureError, match="max_steps must be an integer"):
+            integrate(tree, None, np.array([1.0]), max_steps=bad)
+
+
 def test_rollout_requires_potentials_for_trace():
     leaf = RawVMLeaf(np.array([1.0]), ConstantMetric(np.eye(1)))
     tree = TransformTree([1, 1], [Edge(0, 1, IdentityMap(1))], {1: leaf})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,14 +11,22 @@ from treemotion.fixtures import (
     three_link_stability_fixture,
 )
 from treemotion.gradients import policy_param_jacobian, policy_vjp, run_pipeline
-from treemotion.maps import DifferentiableMap, IdentityMap, LinearMap, PlanarArmFK
+from treemotion.maps import (
+    DifferentiableMap,
+    DistanceToPoint,
+    IdentityMap,
+    LinearMap,
+    PlanarArmFK,
+)
 from treemotion.policies import (
     CholeskyMetricNet,
     ConstantMetric,
+    LeafPolicy,
     NaturalGradientLeaf,
     QuadraticPotential,
     RawVMLeaf,
     handcrafted_attractor,
+    handcrafted_barrier,
     handcrafted_damper,
 )
 from treemotion.rollout import integrate
@@ -31,6 +41,7 @@ from treemotion.tree import (
     leaf_evaluate,
     resolve,
     root_potential,
+    run_stacked,
     solve_root,
 )
 from treemotion.verify import check_tree
@@ -86,6 +97,29 @@ def test_forward_rejects_wrong_q_shape():
     tree = single_leaf_tree(2, raw_leaf([0.0, 0.0], np.eye(2)))
     with pytest.raises(StructureError):
         forward_pass(tree, np.zeros(3))
+
+
+class OneEntryLeaf(LeafPolicy):
+    """A 2-D leaf whose force and metric have one entry."""
+
+    kind, dim = "one_entry", 2
+
+    def evaluate(self, z, params, parent_coord=None):
+        return np.ones(1), np.eye(1), None
+
+
+def test_misshapen_leaf_outputs_raise():
+    # The backward stage passes an identity edge's (p, M) on as they are,
+    # so no product would stop a misshapen one from broadcasting into the
+    # sum of its parent.
+    tree = TransformTree([2, 2, 2], [Edge(0, 1, IdentityMap(2)), Edge(0, 2, IdentityMap(2))],
+                         {1: OneEntryLeaf(), 2: handcrafted_damper(0.5, 2)})
+    with pytest.raises(StructureError, match=re.escape(
+            "leaf 1: policy output shapes (1,) and (1, 1) at a coordinate of shape (2,)")):
+        evaluate_policy(tree, np.zeros(2))
+    with pytest.raises(StructureError, match=re.escape(
+            "leaf 1: policy output shapes (3, 1) and (3, 1, 1) at a coordinate of shape (3, 2)")):
+        run_stacked(tree, np.zeros((3, 2)))
 
 
 def test_dimension_mismatch_names_edge():
@@ -182,6 +216,117 @@ def test_backward_metrics_stay_symmetric_psd(rng):
             M = states[i].pulled_metric
             np.testing.assert_allclose(M, M.T, atol=1e-12)
             assert np.linalg.eigvalsh(M).min() >= -1e-10
+
+
+class DoublingMap(IdentityMap):
+    """``x -> 2 x``: an ``IdentityMap`` subclass with its own Jacobian."""
+
+    def value_and_jacobian(self, x, params=None):
+        return 2.0 * np.asarray(x, dtype=float), 2.0 * self._eye
+
+    stacked_value_and_jacobian = DifferentiableMap.stacked_value_and_jacobian
+
+
+def reference_backward(tree, states):
+    """The backward stage as explicit products: ``J^T p`` and ``J^T M J``
+    on every edge, identity edges included, summed into zero arrays, each
+    parent's metric symmetrized after every child."""
+    for e in tree.edges:
+        d = tree.node_dims[e.parent]
+        states[e.parent].pulled_force = np.zeros(d)
+        states[e.parent].pulled_metric = np.zeros((d, d))
+    for e in reversed(tree.edges):
+        child, parent = states[e.child], states[e.parent]
+        J = child.jac_to_parent
+        parent.pulled_force = parent.pulled_force + J.T @ child.pulled_force
+        M = parent.pulled_metric + J.T @ child.pulled_metric @ J
+        parent.pulled_metric = 0.5 * (M + M.T)
+    return states
+
+
+def leaf_states(tree, q, params):
+    return leaf_evaluate(tree, forward_pass(tree, q, params), params)
+
+
+def pulled_bytes(states, row=None):
+    """The bytes of every node's ``(p, M)``, or of row ``row`` of a stack:
+    unlike ``np.array_equal``, they tell ``-0.0`` from ``0.0``."""
+    take = (lambda a: a) if row is None else (lambda a: a[row])
+    return [(take(s.pulled_force).tobytes(), take(s.pulled_metric).tobytes())
+            for s in states]
+
+
+def inner_identity_tree(identity):
+    """``identity`` edges into an inner node, into a barrier and into a
+    leaf whose metric holds -0.0 entries, the last two each the one child
+    of its parent, so a -0.0 they pass on is not summed away."""
+    return TransformTree(
+        [2, 1, 1, 2, 2, 2],
+        [Edge(0, 1, DistanceToPoint([0.4, -0.2])), Edge(1, 2, identity(1)),
+         Edge(0, 3, identity(2)), Edge(3, 4, identity(2)),
+         Edge(0, 5, LinearMap(np.array([[1.0, 0.5], [-0.3, 2.0]])))],
+        {2: handcrafted_barrier(0.5), 4: raw_leaf([0.3, -0.2], [[1.0, -0.0], [-0.0, 2.0]]),
+         5: handcrafted_attractor([0.5, -0.5])})
+
+
+def arm_case():
+    tree, params, _ = three_link_stability_fixture()
+    # The barrier is inert at the first state (its force is -0.0) and
+    # active at the second.
+    return tree, params, np.stack(stability_seed_states(10, seed=0)[:7])
+
+
+def random_tree_case(seed):
+    tree, params = random_tree(seed)
+    return tree, params, np.random.default_rng(seed).uniform(-0.6, 0.6, (7, tree.root_dim))
+
+
+def small_tree_case(identity):
+    # The barrier is inert at the first state and active at the second.
+    Q = np.array([[-0.6, -0.2], [0.1, -0.1], [0.4, 0.3], [0.5, 0.0], [0.9, -0.2],
+                  [0.4, 0.6], [-0.1, -0.8]])
+    return inner_identity_tree(identity), None, Q
+
+
+# Every random tree has an identity edge (its root damper's); all of
+# these but seed 0 also have one into an inner node.
+IDENTITY_EDGE_SEEDS = (0, 1, 7, 18, 20, 23, 36)
+
+
+@pytest.mark.parametrize("case", [
+    arm_case,
+    *[lambda seed=seed: random_tree_case(seed) for seed in IDENTITY_EDGE_SEEDS],
+    lambda: small_tree_case(IdentityMap),
+    lambda: small_tree_case(DoublingMap),
+], ids=["arm", *[f"random_tree_{seed}" for seed in IDENTITY_EDGE_SEEDS],
+        "small_tree", "small_tree_identity_subclass"])
+def test_backward_pass_is_the_explicit_product_route_bit_for_bit(case):
+    # Identity edges skip their products and each parent starts from its
+    # first child's terms; the bits of every node stay those of the
+    # product route into zeros, for one state and for every stack row.
+    tree, params, Q = case()
+    expected = []
+    for q in Q:
+        ref = reference_backward(tree, leaf_states(tree, q, params))
+        got = backward_pass(tree, leaf_states(tree, q, params))
+        assert pulled_bytes(got) == pulled_bytes(ref)
+        expected.append(pulled_bytes(ref))
+    for n in (1, 2, 7):
+        states, _ = run_stacked(tree, Q[:n], params)
+        for k in range(n):
+            assert pulled_bytes(states, k) == expected[k]
+
+
+def test_pass_through_cases_meet_signed_zeros_and_subclasses():
+    # The cases above hold a leaf force of -0.0 (an inert barrier) beside
+    # an active one, and only the exact IdentityMap skips its products.
+    for (tree, params, Q), barrier in ((arm_case(), 3), (small_tree_case(IdentityMap), 2)):
+        forces = [leaf_states(tree, q, params)[barrier].pulled_force for q in Q[:2]]
+        assert np.signbit(forces[0]).all() and forces[0][0] == 0.0 and forces[1][0] > 0.0
+    assert [identity for *_, identity, _ in inner_identity_tree(IdentityMap)._backward_order] \
+        == [False, True, True, True, False]
+    assert not any(identity for *_, identity, _ in
+                   inner_identity_tree(DoublingMap)._backward_order)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ neither side imports from a cache the other lacks. For every seed, one
 ``perfbench/run.py --seconds S --trace 0`` run per side makes a pair, ``S``
 being the ``run_seconds`` of ``BENCHMARK.json``; even seeds run the base
 first, odd seeds the change. ``--trace-seed`` adds one ``--trace 1`` run
-per side and records the ``.calls`` counts.
+per side and records the ``.calls`` counts and, per traced function
+called on both sides, its self time per call in microseconds.
 
 Writes ``BENCH_<label>.json`` (default label: the first workload) in the
 repository root: per workload and end-to-end metric, each side's runs,
@@ -151,17 +152,23 @@ def main(argv=None):
             for workload in args.workload:
                 traced = {side: run(checkouts[side], workload, args.trace_seed,
                                     seconds, 1)[0] for side in SIDES}
-                calls = {}
+                calls, self_us = {}, {}
                 for name in traced["parent"]["metrics"]:
                     if name.endswith(".calls"):
                         pair = {side: traced[side]["metrics"][name]["value"]
                                 for side in SIDES}
                         if any(pair.values()):
                             calls[name] = pair
+                        self_s = name[:-len("calls")] + "self_s"
+                        if self_s in traced["parent"]["metrics"] and all(pair.values()):
+                            self_us[self_s[:-2] + "_us_per_call"] = {
+                                side: 1e6 * traced[side]["metrics"][self_s]["value"]
+                                / pair[side] for side in SIDES}
                 out["trace_1"][workload] = {
                     "seed": args.trace_seed,
                     "correct": [traced[side]["correct"] for side in SIDES],
-                    "calls": calls}
+                    "calls": calls,
+                    "self_us_per_call": self_us}
 
     out["host"] = {"nproc": meta["nproc"], "python": meta["python"],
                    "numpy": meta["numpy"], "scipy": meta["scipy"],

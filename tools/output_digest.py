@@ -52,7 +52,14 @@ bit-identical print the same digest. The digest covers:
 - the stacked losses: the terms ``sample_losses`` yields (subtask and
   joint loss) on the 40 ``random_tree`` seeds, 9 seeded samples each
   (a chunk of 8, then one of 1), which runs every component kind's
-  stacked kernels on the loss-only route.
+  stacked kernels on the loss-only route;
+- the root systems: the root ``(p, M)``, ``pi`` and Cholesky factor of
+  ``run_pipeline`` and, row by row, of ``run_stacked`` (its factor as
+  ``solve_root`` makes it from the row), on the three-link arm at the 10
+  ``stability_seed_states`` and at a state with the barrier inert and
+  one with it active, and on the 40 ``random_tree`` seeds, 5 seeded
+  states each. Root entries go in as bytes, so a ``-0.0`` that becomes
+  ``0.0`` changes the digest.
 
 A library error (``TreeMotionError``) an operation raises is digested as
 its type and message, so a checkout that starts or stops raising
@@ -446,6 +453,41 @@ def stacked_loss_outputs(tm, dig):
                     _consumed(sample_losses(loss, tree, params, samples)))
 
 
+def _root_system(tree, q, params):
+    from treemotion.tree import run_pipeline
+
+    cache = run_pipeline(tree, q, params)
+    root = cache.states[0]
+    return [root.pulled_force, root.pulled_metric, cache.pi, cache.factor]
+
+
+def _stacked_root_systems(tree, Q, params):
+    from treemotion.tree import run_stacked, solve_root
+
+    states, pi = run_stacked(tree, Q, params)
+    root = states[0]
+    return [[p, M, u, solve_root(M, p)[1]]
+            for p, M, u in zip(root.pulled_force, root.pulled_metric, pi)]
+
+
+def root_system_outputs(tm, dig):
+    dig.start("root systems")
+    tree, params, _ = tm.three_link_stability_fixture()
+    # The base pose leaves the barrier inert (its force is -0.0); the
+    # second state puts the end effector 0.15 from the obstacle.
+    Q = np.array([*tm.stability_seed_states(10, seed=0),
+                  [0.35, 0.55, 0.35], [-0.4, 1.3, 0.35]])
+    dig.add(("arm", "run_pipeline"), [_attempt(lambda: _root_system(tree, q, params))
+                                      for q in Q])
+    dig.add(("arm", "run_stacked"), _attempt(lambda: _stacked_root_systems(tree, Q, params)))
+    for seed, tree, params, _, _ in _random_tree_cases():
+        Q = np.random.default_rng(3000 + seed).uniform(-0.6, 0.6, (5, tree.root_dim))
+        dig.add(("random_tree", seed, "run_pipeline"),
+                [_attempt(lambda: _root_system(tree, q, params)) for q in Q])
+        dig.add(("random_tree", seed, "run_stacked"),
+                _attempt(lambda: _stacked_root_systems(tree, Q, params)))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1 or not (Path(argv[0]) / "treemotion").is_dir():
@@ -469,6 +511,7 @@ def main(argv=None) -> int:
     kernel_outputs(tm, dig)
     failure_outputs(tm, dig)
     stacked_loss_outputs(tm, dig)
+    root_system_outputs(tm, dig)
     dig.finish()
     print(dig.total.hexdigest())
     return 0
