@@ -48,11 +48,11 @@ class PolicyGradient:
 
 def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
                  cotangent: np.ndarray, grad_out: np.ndarray) -> None:
-    """Accumulate ``(d pi / d theta)^T cotangent`` into ``grad_out``,
-    visiting only the leaves in ``tree._reverse_leaves``. The cache may
+    """Add ``(d pi / d theta)^T cotangent`` into ``grad_out``: the rows of
+    each leaf in ``tree._reverse_leaves``, then of its edge. The cache may
     come from a regularized ``run_pipeline`` at these ``params``. A leaf's
-    ``vjp`` reads the leaf's forward record and its edge's ``pullback_vjp``
-    the edge's tape, both kept by the cache: no forward runs again."""
+    ``vjp`` reads its forward record and the edge's ``pullback_vjp`` the
+    edge's tape, both kept by the cache: no forward runs again."""
     if tree._gradient_error:
         raise StructureError(tree._gradient_error)
     states = cache.states
@@ -74,8 +74,8 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
         cot_p = u_k
         cot_M = -(u_k[:, None] * pi_k)
         parent_coord = states[edge.parent].coord if edge is not None else None
-        c_z = policy.vjp(states[leaf].coord, params, cot_p, cot_M, grad_out,
-                         parent_coord=parent_coord, tape=states[leaf].record)
+        c_z, rows = policy.vjp(states[leaf].coord, params, cot_p, cot_M,
+                               parent_coord=parent_coord, tape=states[leaf].record)
         if edge is not None and edge.map.is_learnable:
             p_k = states[leaf].pulled_force
             M_k = states[leaf].pulled_metric
@@ -85,9 +85,11 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
                 (u_at[edge.parent][:, None], pi_at[edge.parent][:, None]), axis=1)
             cot_tangents = np.concatenate(
                 ((p_k - M_k @ pi_k)[:, None], -(M_k @ u_k)[:, None]), axis=1)
-            edge.map.pullback_vjp(states[edge.parent].coord, params, c_z,
-                                  tangents, cot_tangents, grad_out,
-                                  tape=states[leaf].tape)
+            rows = rows + edge.map.pullback_vjp(states[edge.parent].coord, params, c_z,
+                                                tangents, cot_tangents,
+                                                tape=states[leaf].tape)
+        for where, R in rows:
+            grad_out[where] += R
 
 
 def policy_vjp(tree: TransformTree, q, params: ParamVector,

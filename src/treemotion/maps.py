@@ -27,11 +27,12 @@ Conventions
   bits as the per-sample call: products are stacked ``np.matmul`` calls
   with a per-sample or a broadcast operand, and sums run along the last
   axis. ``stacked_value_jacobian_tape`` is what the forward stage calls
-  on a stack; the inherited one has tape ``None``. The chain's, and its
-  ``stacked_value_vjp`` and ``stacked_pullback_vjp`` (which return each
-  sample's weight gradient as a row), run its per-sample rules' one body
-  over a leading sample axis. A custom map implements only the
-  per-sample contract.
+  on a stack; the inherited one has tape ``None``. A custom map
+  implements only the per-sample contract.
+* A reverse rule returns its weight gradient as rows, ``(slice, R)``
+  pairs to add into ``grad[slice]``, ``R`` being ``(N, n)`` on a stack.
+  The chain's ``value_vjp`` and ``pullback_vjp`` call their ``stacked_*``
+  twins: one body serves one input and a stack.
 * Parameterized maps read their weights through
   :meth:`~treemotion.params.Learnable.weights`: the slice assigned at
   tree construction, or frozen values.
@@ -109,18 +110,18 @@ class DifferentiableMap(Learnable):
 
     # -- gradient support, overridden by parameterized maps ----------------
 
-    def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
-                     tape) -> None:
-        """Accumulate the weight gradient of a pulled-back contraction.
+    def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, tape):
+        """The weight gradient of a pulled-back contraction, as rows.
 
         Computes ``d/d theta [cot_value . psi(x) + sum_k cot_tangents[:, k]
-        . J(x) tangents[:, k]]`` and adds it to ``grad_out``. ``x`` is
-        treated as a constant; ``tangents`` is ``(in_dim, K)`` and
-        ``cot_tangents`` is ``(out_dim, K)``. ``tape`` is the one
-        ``value_jacobian_tape`` recorded at ``x`` and these weights.
+        . J(x) tangents[:, k]]``. ``x`` is treated as a constant;
+        ``tangents`` is ``(in_dim, K)`` and ``cot_tangents`` is
+        ``(out_dim, K)``. ``tape`` is the one ``value_jacobian_tape``
+        recorded at ``x`` and these weights.
         """
         if self.is_learnable:
             raise NotImplementedError
+        return []
 
 
 class IdentityMap(DifferentiableMap):
@@ -621,38 +622,30 @@ class DiffeoChain(DifferentiableMap):
         y.flags.writeable = False
         return y, tape
 
-    def value_vjp(self, x, params, cotangent, grad_out, tape):
-        """Accumulate ``(d value / d theta)^T cotangent`` into ``grad_out``,
-        on a tape of this chain at ``x`` and the same weights."""
-        if not self.is_learnable:
-            return
-        grad_out[self.param_slice] += self._reverse_rows(tape, cotangent)
+    def value_vjp(self, x, params, cotangent, tape):
+        """The rows of ``(d value / d theta)^T cotangent``, on a tape of this
+        chain at ``x`` and the same weights."""
+        return self.stacked_value_vjp(x, params, cotangent, tape)
 
-    def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, grad_out,
-                     tape):
+    def pullback_vjp(self, x, params, cot_value, tangents, cot_tangents, tape):
         """``pullback_vjp`` of :class:`DifferentiableMap`, on a tape as
         ``value_vjp``."""
-        if not self.is_learnable:
-            return
-        cy = np.zeros(self.out_dim) if cot_value is None else cot_value
-        grad_out[self.param_slice] += self._reverse_rows(
-            tape, cy, self._pushed_tangents(tape, tangents), cot_tangents)
+        return self.stacked_pullback_vjp(x, params, cot_value, tangents, cot_tangents, tape)
 
     def stacked_value_vjp(self, X, params, cotangents, tape):
-        """``value_vjp`` for each row of the ``(N, d)`` ``cotangents``, as
-        weight rows: ``[(param_slice, (N, n_params) rows)]``, or ``[]`` for
-        a frozen chain. ``tape`` is a stacked tape at the rows of ``X``,
-        or the one tape of a single point ``X`` shared by every row."""
+        """``value_vjp`` for one cotangent or for each row of ``(N, d)``
+        ``cotangents``: ``[(param_slice, rows)]``, or ``[]`` for a frozen
+        chain. ``tape`` is one at ``X``, one input or a stack, or the one
+        tape of a single point ``X`` shared by every row."""
         if not self.is_learnable:
             return []
         return [(self.param_slice, self._reverse_rows(tape, cotangents))]
 
     def stacked_pullback_vjp(self, X, params, cot_value, tangents, cot_tangents,
                              tape):
-        """``pullback_vjp`` for each row of ``X``, on
-        ``stacked_value_jacobian_tape``'s tape, with ``(N, d)`` value and
-        ``(N, d, T)`` tangent cotangents; weight rows as
-        ``stacked_value_vjp``."""
+        """``pullback_vjp`` at one input or each row of a stack ``X``, on
+        its ``value_jacobian_tape``, with ``(..., d)`` value and
+        ``(..., d, T)`` tangent cotangents; rows as ``stacked_value_vjp``."""
         if not self.is_learnable:
             return []
         pushed = self._pushed_tangents(tape, tangents)

@@ -9,13 +9,12 @@ velocity and metric; the handcrafted damper/attractor/barrier are thin
 constructors over these two classes.
 
 Every leaf also exposes the reverse-mode hook used by the gradient
-engine, the per-leaf baseline and ``gradcheck``: ``vjp`` accumulates
-weight gradients given cotangents on ``(p, M)`` and returns the
-cotangent with respect to the leaf's input coordinate (needed when the
-leaf hangs below a learnable edge map). It is built from one reverse
-rule per component: ``Potential.grad_param_vjp`` and
-``Metric.param_vjp`` each add their weight gradient into ``grad_out``
-and return the cotangent on their own input.
+engine, the per-leaf baseline and ``gradcheck``: given cotangents on
+``(p, M)``, ``vjp`` returns ``(c_z, rows)``, the cotangent on the leaf's
+input (needed below a learnable edge map) and the weight gradient as
+``(slice, R)`` pairs to add, in order, into ``grad[slice]``. It is built
+from one reverse rule per component, ``Potential.grad_param_vjp`` and
+``Metric.param_vjp``, each returning its input's cotangent and its rows.
 
 Every forward returns its record, which may be ``None``, and the
 matching reverse rule receives it as ``tape``: ``Potential.grad_tape``
@@ -24,21 +23,14 @@ feeds ``grad_param_vjp``, ``Metric.value_tape`` feeds ``param_vjp``, and
 which hands each component its own part. No reverse rule evaluates its
 forward again.
 
-Each forward and reverse rule has a stacked twin on ``(N, d)`` inputs
-with a leading sample axis: ``stacked_grad_tape``, ``stacked_value_tape``
-and ``stacked_evaluate`` -> ``(P, M, record)`` keep a record, and
-``stacked_grad_param_vjp``, ``stacked_param_vjp`` and ``stacked_vjp``
-read it and return ``(cotangents, rows)`` instead of adding into a
-gradient. ``rows`` lists ``(slice, R)`` pairs in the order the
-per-sample rule adds them: row ``k`` of ``R`` is sample ``k``'s
-addition into ``grad[slice]``. The inherited twins loop the per-sample
-method (their records are lists of per-sample records, their rows
-full-width), so a custom component implements only the per-sample
-contract; the overrides here give the same bits as that loop. A class
-that overrides a stacked forward overrides its stacked reverse too, as
-the two share the record's layout. The Cholesky metric net writes its
-forward (``decompose``) and reverse (``stacked_param_vjp``) once, over an
-optional leading sample axis; its per-sample rules call them.
+Each rule has a ``stacked_*`` twin on ``(N, d)`` inputs with a leading
+sample axis, whose rows ``R`` are ``(N, n)``: row ``k`` is sample ``k``'s.
+The inherited twins loop the per-sample method (their records are lists
+of per-sample records, their rows full-width), so a custom component
+implements only the per-sample contract. The built-ins write each
+reverse rule once, a leaf's calling its components' rules by rank, with
+the bits of that loop. A class that overrides a stacked forward
+overrides its stacked reverse too, as the two share the record's layout.
 """
 
 from __future__ import annotations
@@ -51,14 +43,19 @@ from .params import Learnable
 
 
 def _looped_rows(params, n, vjp):
-    """A stacked reverse rule from a per-sample one: ``vjp(k, grad_row)``
-    adds sample ``k``'s weight gradient into ``grad_row``, row ``k`` of a
-    zeroed ``(n, params.size)`` buffer, and returns its cotangent. Returns
-    the stacked cotangents and the buffer as full-width rows; adding row
-    ``k`` gives the same bits as the per-sample rule adding in place when
+    """A stacked reverse rule from a per-sample one, ``vjp(k)`` -> sample
+    ``k``'s ``(cotangent, rows)``: the stacked cotangents, and each sample's
+    rows added in order into row ``k`` of a zeroed ``(n, params.size)``
+    buffer, returned as full-width rows. That gives each sample's bits when
     the rule adds into each weight at most once, as every rule here does."""
     G = np.zeros((n, params.size))
-    return np.stack([vjp(k, G[k]) for k in range(n)]), [(slice(None), G)]
+    cots = []
+    for k in range(n):
+        c, rows = vjp(k)
+        for where, R in rows:
+            G[k, where] += R
+        cots.append(c)
+    return np.stack(cots), [(slice(None), G)]
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +85,15 @@ class Potential:
         pairs = [self.grad_tape(z, params) for z in Z]
         return np.stack([g for g, _ in pairs]), [t for _, t in pairs]
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape) -> np.ndarray:
-        """Add ``(d grad / d theta)^T cot`` into ``grad_out`` and return
-        the Hessian-vector product ``(d grad / d z)^T cot``, on the tape
-        ``grad_tape`` recorded at ``z`` and the same weights."""
+    def grad_param_vjp(self, z, params, cot, tape):
+        """``((d grad / d z)^T cot, rows of (d grad / d theta)^T cot)``, on
+        the tape ``grad_tape`` recorded at ``z`` and the same weights."""
         raise NotImplementedError
 
     def stacked_grad_param_vjp(self, Z, params, cot, tape):
-        """``grad_param_vjp`` of each row, on ``stacked_grad_tape``'s tape:
-        ``(cotangents, rows)``."""
-        return _looped_rows(params, len(Z), lambda k, g: self.grad_param_vjp(
-            Z[k], params, cot[k], g, tape[k]))
+        """``grad_param_vjp`` of each row, on ``stacked_grad_tape``'s tape."""
+        return _looped_rows(params, len(Z), lambda k: self.grad_param_vjp(
+            Z[k], params, cot[k], tape[k]))
 
 
 class ZeroPotential(Potential):
@@ -110,11 +105,10 @@ class ZeroPotential(Potential):
 
     stacked_grad_tape = Potential.grad_tape  # grad takes a stack too
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape):
-        return np.zeros_like(np.asarray(cot, dtype=float))
+    def grad_param_vjp(self, z, params, cot, tape):
+        return np.zeros_like(np.asarray(cot, dtype=float)), []
 
-    def stacked_grad_param_vjp(self, Z, params, cot, tape):
-        return np.zeros_like(cot), []
+    stacked_grad_param_vjp = grad_param_vjp
 
 
 class QuadraticPotential(Potential):
@@ -135,11 +129,10 @@ class QuadraticPotential(Potential):
 
     stacked_grad_tape = Potential.grad_tape  # grad takes a stack too
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape):
-        return self.gain * cot
-
-    def stacked_grad_param_vjp(self, Z, params, cot, tape):
+    def grad_param_vjp(self, z, params, cot, tape):
         return self.gain * cot, []
+
+    stacked_grad_param_vjp = grad_param_vjp
 
 
 class LatentQuadraticPotential(Potential):
@@ -194,15 +187,15 @@ class LatentQuadraticPotential(Potential):
 
     stacked_grad_tape = grad_tape
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape):
-        # grad Phi = z - chain(goal): only the goal image carries weights.
+    def grad_param_vjp(self, z, params, cot, tape):
+        # grad Phi = z - chain(goal): only the goal image carries weights,
+        # and every row of a stack reverses the one goal tape.
         cot = np.asarray(cot, dtype=float)
-        self.chain.value_vjp(self.goal, params, -cot, grad_out, tape)
-        return cot
+        chain = self.chain
+        value_vjp = chain.stacked_value_vjp if cot.ndim > 1 else chain.value_vjp
+        return cot, value_vjp(self.goal, params, -cot, tape)
 
-    def stacked_grad_param_vjp(self, Z, params, cot, tape):
-        # Every row reverses the one goal tape.
-        return cot, self.chain.stacked_value_vjp(self.goal, params, -cot, tape)
+    stacked_grad_param_vjp = grad_param_vjp
 
 
 class BarrierPotential(Potential):
@@ -239,11 +232,11 @@ class BarrierPotential(Potential):
             return np.zeros(1)
         return np.array([-self.gain * (self.margin**2 - z0**2) / z0**2])
 
-    def grad_param_vjp(self, z, params, cot, grad_out, tape):
+    def grad_param_vjp(self, z, params, cot, tape):
         z0 = self._z(z)
         if z0 >= self.margin:
-            return np.zeros(1)
-        return np.array([2.0 * self.gain * self.margin**2 / z0**3]) * cot
+            return np.zeros(1), []
+        return np.array([2.0 * self.gain * self.margin**2 / z0**3]) * cot, []
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +264,16 @@ class Metric(Learnable):
         pairs = [self.value_tape(x, params) for x in X]
         return np.stack([M for M, _ in pairs]), [t for _, t in pairs]
 
-    def param_vjp(self, x, params, S, grad_out, tape) -> np.ndarray:
-        """Add the weight gradient of ``<S, M(x)>`` into ``grad_out`` (if
-        the metric is learnable and ``grad_out`` is not None) and return
-        its gradient with respect to ``x``, on the tape ``value_tape``
-        recorded at ``x`` and the same weights."""
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def param_vjp(self, x, params, S, tape):
+        """The gradient of ``<S, M(x)>`` with respect to ``x`` and the rows
+        of its weight gradient, on the tape ``value_tape`` recorded at
+        ``x`` and the same weights; here zeros and no rows."""
+        return np.zeros_like(np.asarray(x, dtype=float)), []
 
     def stacked_param_vjp(self, X, params, S, tape):
-        """``param_vjp`` of each row, on ``stacked_value_tape``'s tape:
-        ``(cotangents, rows)``."""
-        return _looped_rows(params, len(X), lambda k, g: self.param_vjp(
-            X[k], params, S[k], g, tape[k]))
+        """``param_vjp`` of each row, on ``stacked_value_tape``'s tape."""
+        return _looped_rows(params, len(X), lambda k: self.param_vjp(
+            X[k], params, S[k], tape[k]))
 
 
 class ConstantMetric(Metric):
@@ -310,8 +301,7 @@ class ConstantMetric(Metric):
     def stacked_value_tape(self, X, params):
         return np.broadcast_to(self.matrix, (len(X), *self.matrix.shape)), None
 
-    def stacked_param_vjp(self, X, params, S, tape):
-        return np.zeros_like(X), []
+    stacked_param_vjp = Metric.param_vjp
 
 
 class InverseSquareMetric(Metric):
@@ -333,10 +323,10 @@ class InverseSquareMetric(Metric):
         z0 = self._z(x)
         return np.array([[self.weight * (self.margin / z0) ** 2]])
 
-    def param_vjp(self, x, params, S, grad_out, tape):
+    def param_vjp(self, x, params, S, tape):
         z0 = self._z(x)
         dm = -2.0 * self.weight * self.margin**2 / z0**3
-        return np.array([float(S[0, 0]) * dm])
+        return np.array([float(S[0, 0]) * dm]), []
 
 
 class CholeskyMetricNet(Metric):
@@ -445,14 +435,9 @@ class CholeskyMetricNet(Metric):
 
     stacked_value_tape = value_tape
 
-    def param_vjp(self, x, params, S, grad_out, tape):
-        """:meth:`Metric.param_vjp` on ``decompose``'s record at ``x``:
-        ``stacked_param_vjp``'s one row, added into ``grad_out``."""
-        ch, rows = self.stacked_param_vjp(x, params, S, tape)
-        if grad_out is not None:
-            for where, row in rows:
-                grad_out[where] += row
-        return ch
+    def param_vjp(self, x, params, S, tape):
+        """:meth:`Metric.param_vjp` on ``decompose``'s record at ``x``."""
+        return self.stacked_param_vjp(x, params, S, tape)
 
     def stacked_param_vjp(self, X, params, S, tape):
         """``param_vjp`` on ``decompose``'s record, for one input or a
@@ -487,7 +472,7 @@ class CholeskyMetricNet(Metric):
 
     def input_vjp(self, x, params, S):
         # Kept only as a target of the perfbench per-layer tracer.
-        return self.param_vjp(x, params, S, None, self.decompose(x, params)[2])
+        return self.param_vjp(x, params, S, self.decompose(x, params)[2])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +504,16 @@ class LeafPolicy:
         """Potential value, or None for leaves without one."""
         return None
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, tape, parent_coord=None):
-        """Accumulate weight gradients; return the cotangent on ``z``.
-        ``tape`` is the record ``evaluate`` returned at ``z``."""
+    def vjp(self, z, params, cot_p, cot_M, tape, parent_coord=None):
+        """``(cotangent on z, rows)``: the leaf's weight gradient as rows,
+        on the record ``tape`` that ``evaluate`` returned at ``z``."""
         raise NotImplementedError
 
     def stacked_vjp(self, Z, params, cot_p, cot_M, tape, parent_coords=None):
-        """``vjp`` of each row on ``stacked_evaluate``'s record:
-        ``(cotangents on Z, rows)``."""
+        """``vjp`` of each row on ``stacked_evaluate``'s record."""
         parents = [None] * len(Z) if parent_coords is None else parent_coords
-        return _looped_rows(params, len(Z), lambda k, g: self.vjp(
-            Z[k], params, cot_p[k], cot_M[k], g, tape=tape[k], parent_coord=parents[k]))
+        return _looped_rows(params, len(Z), lambda k: self.vjp(
+            Z[k], params, cot_p[k], cot_M[k], tape=tape[k], parent_coord=parents[k]))
 
     def components(self):
         """Every weight-carrying part ``(p, M)`` reads, as ``(suffix,
@@ -538,8 +522,8 @@ class LeafPolicy:
         return []
 
     def reads_weights(self) -> bool:
-        """Whether ``(p, M)`` depends on learnable weights; ``vjp`` adds
-        nothing to ``grad_out`` when it does not."""
+        """Whether ``(p, M)`` depends on learnable weights; ``vjp`` returns
+        no rows when it does not."""
         return any(comp.is_learnable for _, comp in self.components())
 
 
@@ -582,22 +566,20 @@ class RawVMLeaf(LeafPolicy, Learnable):
     def potential(self, z, params):
         return 0.0 if self._zero_potential else None
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, tape, parent_coord=None):
-        M, metric_tape = tape
-        v = self.weights(params)
-        # p = M v couples the force cotangent into the metric cotangent.
-        S = cot_M + cot_p[:, None] * v
-        c_z = self.metric.param_vjp(z, params, S, grad_out, metric_tape)
-        if self.is_learnable:
-            grad_out[self.param_slice] += M @ cot_p
-        return c_z
+    def vjp(self, z, params, cot_p, cot_M, tape, parent_coord=None):
+        return self.stacked_vjp(z, params, cot_p, cot_M, tape)
 
     def stacked_vjp(self, Z, params, cot_p, cot_M, tape, parent_coords=None):
+        """The one reverse body of ``vjp``, for one input or a stack."""
         M, metric_tape = tape
-        S = cot_M + cot_p[:, :, None] * self.weights(params)
-        c_z, rows = self.metric.stacked_param_vjp(Z, params, S, metric_tape)
+        metric, stacked = self.metric, cot_p.ndim > 1
+        # p = M v couples the force cotangent into the metric cotangent.
+        S = cot_M + cot_p[AS_COLUMN] * self.weights(params)
+        param_vjp = metric.stacked_param_vjp if stacked else metric.param_vjp
+        c_z, rows = param_vjp(Z, params, S, metric_tape)
         if self.is_learnable:
-            rows = rows + [(self.param_slice, stacked_mv(M, cot_p))]
+            mv = stacked_mv if stacked else np.matmul
+            rows = rows + [(self.param_slice, mv(M, cot_p))]
         return c_z, rows
 
     def components(self):
@@ -649,20 +631,18 @@ class NaturalGradientLeaf(LeafPolicy):
     def potential(self, z, params):
         return self.pot.value(z, params)
 
-    def vjp(self, z, params, cot_p, cot_M, grad_out, tape, parent_coord=None):
-        pot_tape, metric_tape = tape
-        x_m = self._metric_coord(z, parent_coord)
-        c_z = self.pot.grad_param_vjp(z, params, -cot_p, grad_out, pot_tape)
-        c_m = self.metric.param_vjp(x_m, params, cot_M, grad_out, metric_tape)
-        if self.metric_input == "latent":
-            c_z = c_z + c_m
-        return c_z
+    def vjp(self, z, params, cot_p, cot_M, tape, parent_coord=None):
+        return self.stacked_vjp(z, params, cot_p, cot_M, tape, parent_coord)
 
     def stacked_vjp(self, Z, params, cot_p, cot_M, tape, parent_coords=None):
+        """The one reverse body of ``vjp``, for one input or a stack."""
         pot_tape, metric_tape = tape
         X_m = self._metric_coord(Z, parent_coords)
-        c_z, rows = self.pot.stacked_grad_param_vjp(Z, params, -cot_p, pot_tape)
-        c_m, metric_rows = self.metric.stacked_param_vjp(X_m, params, cot_M, metric_tape)
+        pot, metric, stacked = self.pot, self.metric, cot_p.ndim > 1
+        grad_param_vjp = pot.stacked_grad_param_vjp if stacked else pot.grad_param_vjp
+        param_vjp = metric.stacked_param_vjp if stacked else metric.param_vjp
+        c_z, rows = grad_param_vjp(Z, params, -cot_p, pot_tape)
+        c_m, metric_rows = param_vjp(X_m, params, cot_M, metric_tape)
         if self.metric_input == "latent":
             c_z = c_z + c_m
         return c_z, rows + metric_rows

@@ -5,7 +5,8 @@ leaf spaces where policies live. The one policy evaluation,
 ``run_pipeline``, runs four stages and keeps their node states:
 
 1. forward pass: push coordinates root-to-leaves, keeping each edge's
-   Jacobian and forward tape (``value_jacobian_tape``);
+   Jacobian and forward tape (``value_jacobian_tape``), the value's and
+   the Jacobian's shapes checked;
 2. leaf evaluation: each leaf reports its weighted force ``p = M v``,
    weight ``M`` and forward record, ``(p, M)`` checked finite and of the
    leaf's shape (stage 3 may pass them on without a product);
@@ -275,6 +276,10 @@ class TransformTree:
             latent = edge if edge is not None and isinstance(edge.map, DiffeoChain) else None
             self.leaf_table[leaf] = LeafRow(leaf, self.leaf_policies[leaf], edge, path,
                                             path[:-1] if latent else path, latent)
+        # The forward stage's order: (edge, value shape, Jacobian shape) per edge.
+        dims = self.node_dims
+        self._forward_order = [(e, (dims[e.child],), (dims[e.child], dims[e.parent]))
+                               for e in self.edges]
         # The backward stage's order: (parent, child, identity, first) per edge,
         # last child first; ``first`` marks a parent's first child in it.
         self._backward_order, started = [], set()
@@ -360,14 +365,16 @@ def forward_pass(tree: TransformTree, q, params: ParamVector | None = None,
     lead = q.shape[:-1]
     # Edges are sorted by child and every node past the root has exactly
     # one, so edge k ends at node k + 1 and the states fill in order.
+    order = tree._forward_order
+    if lead:  # every shape gains the leading axis
+        order = [(e, lead + y_shape, lead + J_shape) for e, y_shape, J_shape in order]
     states = [NodeState(coord=q)]
-    for e in tree.edges:
+    for e, y_shape, J_shape in order:
         y, J, tape = getattr(e.map, kernel)(states[e.parent].coord, params)
-        if y.shape != lead + (tree.node_dims[e.child],):
-            raise StructureError(
-                f"{e.name()}: map produced shape {y.shape[len(lead):]}, node dim is "
-                f"{tree.node_dims[e.child]}"
-            )
+        if y.shape != y_shape or J.shape != J_shape:
+            k = len(lead)
+            raise StructureError(f"{e.name()}: map produced shapes {y.shape[k:]} and "
+                                 f"{J.shape[k:]}, expected {y_shape[k:]} and {J_shape[k:]}")
         states.append(NodeState(y, J, tape))
     return states
 

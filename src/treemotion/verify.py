@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StructureError, TreeMotionError
+from .errors import StructureError, TreeMotionError, as_integer
 from .learning import loss_and_gradient
 from .losses import DemoSet, LossSpec, loss_value
 from .params import ParamVector
@@ -40,9 +40,10 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
     to ``max(1, max |J_fd|)``).
 
     Returns a JSON-ready report with per-failure detail; ``"status"`` is
-    ``"pass"`` or ``"numeric_failure"``. A negative ``seed`` or
-    ``n_points`` raises ``StructureError``.
+    ``"pass"`` or ``"numeric_failure"``. A negative or fractional
+    ``seed`` or ``n_points`` raises ``StructureError``.
     """
+    seed, n_points = as_integer(seed, "seed"), as_integer(n_points, "n_points")
     if seed < 0:
         raise StructureError(f"seed must be >= 0, got {seed}")
     if n_points < 0:

@@ -84,19 +84,26 @@ def test_leaf_reverse_on_the_forward_record_matches_a_fresh_evaluation(case):
     assert (pot_tape is not None) == case["latent_goal"]
     before = snapshot(record)
 
-    grad = params.zeros_like()
-    c_x = net.param_vjp(x_m, params, S, grad, metric_tape)
-    ref_grad = params.zeros_like()
-    ref_c_x = net.param_vjp(x_m, params, S, ref_grad, ref_record[1])
+    c_x, rows = net.param_vjp(x_m, params, S, metric_tape)
+    grad = added(params.zeros_like(), rows)
+    ref_c_x, ref_rows = net.param_vjp(x_m, params, S, ref_record[1])
+    ref_grad = added(params.zeros_like(), ref_rows)
     assert np.abs(grad).max() > 0.0
     assert np.array_equal(grad, ref_grad) and np.array_equal(c_x, ref_c_x)
 
-    grad = params.zeros_like()
-    c_z = leaf.vjp(z, params, cot_p, S, grad, parent_coord=x, tape=record)
-    ref_grad = params.zeros_like()
-    ref_c_z = leaf.vjp(z, params, cot_p, S, ref_grad, parent_coord=x, tape=ref_record)
+    c_z, rows = leaf.vjp(z, params, cot_p, S, parent_coord=x, tape=record)
+    grad = added(params.zeros_like(), rows)
+    ref_c_z, ref_rows = leaf.vjp(z, params, cot_p, S, parent_coord=x, tape=ref_record)
+    ref_grad = added(params.zeros_like(), ref_rows)
     assert np.array_equal(grad, ref_grad) and np.array_equal(c_z, ref_c_z)
     assert snapshot(record) == before
+
+
+def added(grad, rows):
+    """Weight rows of one input added, in order, into ``grad``."""
+    for where, R in rows:
+        grad[where] += R
+    return grad
 
 
 def count_forward_kernels(monkeypatch):
@@ -178,11 +185,12 @@ def per_trial_baseline(tree, params, demos, opts):
                 if grad is not None:
                     rho = np.linalg.solve(M, r)
                     fresh = policy.evaluate(w, th, parent_coord=x)[2]
-                    c_w = policy.vjp(w, th, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
-                                     parent_coord=x, tape=fresh)
+                    c_w, rows = policy.vjp(w, th, -2.0 * rho, 2.0 * np.outer(rho, v),
+                                           parent_coord=x, tape=fresh)
                     if chain is not None and chain.is_learnable:
-                        chain.pullback_vjp(x, th, c_w, zdot[:, None],
-                                           (2.0 * r)[:, None], grad, tape=tape)
+                        rows = rows + chain.pullback_vjp(x, th, c_w, zdot[:, None],
+                                                         (2.0 * r)[:, None], tape=tape)
+                    added(grad, rows)
                 yield float(r @ r)
 
         def loss_grad(th, batch):

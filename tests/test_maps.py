@@ -332,19 +332,24 @@ def test_fused_chain_kernel_is_bit_identical_to_layer_composition(dim):
         assert np.array_equal(chain.value(x, params), y)
 
 
+def _added(params, rows):
+    """Weight rows of one input added, in order, into a zero gradient."""
+    grad = params.zeros_like()
+    for where, R in rows:
+        grad[where] += R
+    return grad
+
+
 def _value_vjp(chain, x, params, cot):
     """``value_vjp`` on a tape from a fresh forward pass at ``x``."""
-    grad = params.zeros_like()
-    chain.value_vjp(x, params, cot, grad, chain.value_jacobian_tape(x, params)[2])
-    return grad
+    return _added(params, chain.value_vjp(x, params, cot,
+                                          chain.value_jacobian_tape(x, params)[2]))
 
 
 def _goal_vjp(pot, params, cot):
     """``value_vjp`` at ``pot``'s goal, on the tape the potential keeps."""
-    grad = params.zeros_like()
     _, tape = pot.grad_tape(pot.goal, params)
-    pot.grad_param_vjp(None, params, -cot, grad, tape)
-    return grad
+    return _added(params, pot.grad_param_vjp(None, params, -cot, tape)[1])
 
 
 def test_value_vjp_memo_follows_weights_and_input(rng):

@@ -88,7 +88,7 @@ def test_unbound_learnable_components_raise_in_their_recording_forwards():
     # Frozen components have nothing to differentiate and stay silent.
     frozen_chain = DiffeoChain(2, n_layers=1, n_features=3, learnable=False)
     _, tape = frozen_chain.value_tape(np.zeros(2), None)
-    frozen_chain.value_vjp(np.zeros(2), None, np.ones(2), np.zeros(0), tape)
+    assert frozen_chain.value_vjp(np.zeros(2), None, np.ones(2), tape) == []
     frozen_net = CholeskyMetricNet(2, hidden=(3,), learnable=False)
     _, tape = frozen_net.value_tape(np.zeros(2), None)
-    frozen_net.param_vjp(np.zeros(2), None, np.eye(2), np.zeros(0), tape)
+    assert frozen_net.param_vjp(np.zeros(2), None, np.eye(2), tape)[1] == []

@@ -30,11 +30,14 @@ from treemotion.learning import (
 )
 from treemotion.losses import LossSpec, loss_value, sample_loss, sample_losses
 from treemotion.maps import DiffeoChain, DistanceToPoint, IdentityMap, PlanarArmFK, stacked_mv
+from treemotion.params import Learnable
 from treemotion.policies import (
     CholeskyMetricNet,
     ConstantMetric,
+    LeafPolicy,
     Metric,
     NaturalGradientLeaf,
+    Potential,
     QuadraticPotential,
     RawVMLeaf,
     handcrafted_attractor,
@@ -68,12 +71,20 @@ def per_sample_baseline_terms(tree, params, leaf, samples, grad=None):
         r = y - v
         if grad is not None:
             rho = np.linalg.solve(M, r)
-            c_w = policy.vjp(w, params, -2.0 * rho, 2.0 * np.outer(rho, v), grad,
-                             parent_coord=x, tape=record)
+            c_w, rows = policy.vjp(w, params, -2.0 * rho, 2.0 * np.outer(rho, v),
+                                   parent_coord=x, tape=record)
             if chain is not None and chain.is_learnable:
-                chain.pullback_vjp(x, params, c_w, zdot[:, None], (2.0 * r)[:, None], grad,
-                                   tape=tape)
+                rows = rows + chain.pullback_vjp(x, params, c_w, zdot[:, None],
+                                                 (2.0 * r)[:, None], tape=tape)
+            add_rows(grad, rows)
         yield float(r @ r)
+
+
+def add_rows(grad, rows):
+    """One input's weight rows added, in order, into ``grad``; returns it."""
+    for where, R in rows:
+        grad[where] += R
+    return grad
 
 
 def per_sample_leaf_samples(tree, params, leaf, samples):
@@ -387,26 +398,43 @@ def test_stacked_reverse_kernels_match_the_per_sample_ones(perturbed_fixture, le
             assert all(np.array_equal(a[k], b) for a, b in zip(stacked_entry[:5], entry[:5]))
             assert all(np.array_equal(a, b) for a, b in zip(stacked_entry[5:], entry[5:]))
 
-        grad = params.zeros_like()
-        chain.pullback_vjp(X[k], params, cot_y[k], V[k], cot_V[k], grad, tape_k)
+        grad = add_rows(params.zeros_like(),
+                        chain.pullback_vjp(X[k], params, cot_y[k], V[k], cot_V[k], tape_k))
         assert np.abs(grad).max() > 0.0
         assert np.array_equal(added(params, pulled, k), grad)
 
-        grad = params.zeros_like()
-        chain.value_vjp(goal, params, cot_y[k], grad, goal_tape)
+        grad = add_rows(params.zeros_like(),
+                        chain.value_vjp(goal, params, cot_y[k], goal_tape))
         assert np.array_equal(added(params, goal_rows, k), grad)
 
         p, M_k, record_k = policy.evaluate(y, params, parent_coord=X[k])
         assert np.array_equal(P[k], p) and np.array_equal(M[k], M_k)
-        grad = params.zeros_like()
-        c = metric.param_vjp(y, params, S[k], grad, record_k[1])
+        c, rows = metric.param_vjp(y, params, S[k], record_k[1])
         assert np.array_equal(c_metric[k], c)
-        assert np.array_equal(added(params, metric_rows, k), grad)
+        assert np.array_equal(added(params, metric_rows, k),
+                              add_rows(params.zeros_like(), rows))
 
-        grad = params.zeros_like()
-        c = policy.vjp(y, params, cot_p[k], S[k], grad, parent_coord=X[k], tape=record_k)
+        c, rows = policy.vjp(y, params, cot_p[k], S[k], parent_coord=X[k], tape=record_k)
         assert np.array_equal(c_leaf[k], c)
-        assert np.array_equal(added(params, leaf_rows, k), grad)
+        assert np.array_equal(added(params, leaf_rows, k), add_rows(params.zeros_like(), rows))
+
+
+def assert_leaf_reverse_matches(policy, params, Z, X, rng):
+    """``policy.stacked_vjp`` on its stacked record at the rows ``Z``
+    (parent coordinates ``X``, or ``None``) against ``vjp`` of each row on
+    its own record: the same cotangents, and the same rows added into
+    zeros."""
+    n = len(Z)
+    _, _, record = policy.stacked_evaluate(Z, params, parent_coords=X)
+    cot_p = rng.normal(0.0, 1.0, Z.shape)
+    S = rng.normal(0.0, 1.0, (n, policy.dim, policy.dim))
+    C, rows = policy.stacked_vjp(Z, params, cot_p, S, record, parent_coords=X)
+    for k in range(n):
+        x = None if X is None else X[k]
+        record_k = policy.evaluate(Z[k], params, parent_coord=x)[2]
+        c, rows_k = policy.vjp(Z[k], params, cot_p[k], S[k], tape=record_k, parent_coord=x)
+        assert np.array_equal(C[k], c)
+        assert np.array_equal(added(params, rows, k), add_rows(params.zeros_like(), rows_k))
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
@@ -422,18 +450,7 @@ def test_stacked_leaf_reverse_and_baseline_gradient_match_on_random_trees(seed, 
         for node, policy, edge, _, _, _ in tree.leaf_table.values():
             Z = states[node].coord
             X = states[edge.parent].coord if edge is not None else None
-            _, _, record = policy.stacked_evaluate(Z, params, parent_coords=X)
-            cot_p = rng.normal(0.0, 1.0, Z.shape)
-            S = rng.normal(0.0, 1.0, (n, policy.dim, policy.dim))
-            C, rows = policy.stacked_vjp(Z, params, cot_p, S, record, parent_coords=X)
-            for k in range(n):
-                x = None if X is None else X[k]
-                record_k = policy.evaluate(Z[k], params, parent_coord=x)[2]
-                grad = params.zeros_like()
-                c = policy.vjp(Z[k], params, cot_p[k], S[k], grad, tape=record_k,
-                               parent_coord=x)
-                assert np.array_equal(C[k], c)
-                assert np.array_equal(added(params, rows, k), grad)
+            assert_leaf_reverse_matches(policy, params, Z, X, rng)
 
     samples = list(zip(qs, rng.uniform(-1.0, 1.0, (n, tree.root_dim))))
     for leaf, _, _, _, _, _ in tree._reverse_leaves:
@@ -444,6 +461,66 @@ def test_stacked_leaf_reverse_and_baseline_gradient_match_on_random_trees(seed, 
                                                   expected_grad))
         assert bit_equal(terms, expected)
         assert np.array_equal(grad, expected_grad)
+
+
+class GainLeaf(LeafPolicy, Learnable):
+    """A custom leaf with only the per-sample contract, ``evaluate`` and
+    ``vjp``: ``p = -w * z`` with learnable gains ``w``, ``M = diag(1 + z^2)``."""
+
+    kind = "gain"
+
+    def __init__(self, dim):
+        self.dim = self.n_params = dim
+
+    def init_values(self):
+        return np.linspace(0.5, 1.5, self.dim)
+
+    def evaluate(self, z, params, parent_coord=None):
+        return -self.weights(params) * z, np.diag(1.0 + z * z), z
+
+    def vjp(self, z, params, cot_p, cot_M, tape, parent_coord=None):
+        c_z = -self.weights(params) * cot_p + 2.0 * tape * np.diag(cot_M)
+        return c_z, [(self.param_slice, -tape * cot_p)]
+
+    def components(self):
+        return [("gain", self)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("case", ["barrier-inert", "barrier-active", "custom-leaf"])
+def test_inherited_stacked_reverse_loops_match_the_per_sample_rules(case, n):
+    # The base-class loops: Potential.stacked_grad_param_vjp (the barrier
+    # potential), Metric.stacked_param_vjp (the inverse-square metric) and
+    # LeafPolicy.stacked_vjp (a custom leaf, the second of two, so its
+    # rows start past 0).
+    tree = TransformTree([2, 2, 2], [Edge(0, 1, IdentityMap(2)), Edge(0, 2, IdentityMap(2))],
+                         {1: GainLeaf(2), 2: GainLeaf(2)})
+    params = tree.init_params()
+    rng = np.random.default_rng(n)
+    if case == "custom-leaf":
+        policy = tree.leaf_policies[2]
+        assert type(policy).stacked_vjp is LeafPolicy.stacked_vjp
+        assert_leaf_reverse_matches(policy, params, rng.uniform(-1.0, 1.0, (n, 2)), None, rng)
+        return
+    policy = handcrafted_barrier(0.5, gain=1.3, weight=0.7)
+    pot, metric = policy.pot, policy.metric
+    assert type(pot).stacked_grad_param_vjp is Potential.stacked_grad_param_vjp
+    assert type(metric).stacked_param_vjp is Metric.stacked_param_vjp
+    Z = rng.uniform(0.6, 2.0, (n, 1)) if case == "barrier-inert" else rng.uniform(0.05, 0.45, (n, 1))
+    assert_leaf_reverse_matches(policy, params, Z, None, rng)
+    cot, S = rng.normal(0.0, 1.0, (n, 1)), rng.normal(0.0, 1.0, (n, 1, 1))
+    C, rows = pot.stacked_grad_param_vjp(Z, params, cot, pot.stacked_grad_tape(Z, params)[1])
+    D, metric_rows = metric.stacked_param_vjp(Z, params, S,
+                                              metric.stacked_value_tape(Z, params)[1])
+    for k in range(n):
+        c, rows_k = pot.grad_param_vjp(Z[k], params, cot[k], pot.grad_tape(Z[k], params)[1])
+        d, metric_rows_k = metric.param_vjp(Z[k], params, S[k],
+                                            metric.value_tape(Z[k], params)[1])
+        assert np.array_equal(C[k], c) and np.array_equal(D[k], d)
+        assert (c.any() and d.any()) == (case == "barrier-active")
+        assert np.array_equal(added(params, rows, k), add_rows(params.zeros_like(), rows_k))
+        assert np.array_equal(added(params, metric_rows, k),
+                              add_rows(params.zeros_like(), metric_rows_k))
 
 
 def test_the_baseline_gradient_of_the_fixture_matches_the_per_sample_route(perturbed_fixture):

@@ -11,6 +11,7 @@ from treemotion.fixtures import (
     three_link_stability_fixture,
 )
 from treemotion.gradients import policy_param_jacobian, policy_vjp, run_pipeline
+from treemotion.losses import LossSpec, loss_value
 from treemotion.maps import (
     DifferentiableMap,
     DistanceToPoint,
@@ -659,3 +660,38 @@ def test_check_tree_verifies_the_jacobian_the_forward_pass_uses():
     report = check_tree(arm_tree(SkewedFK([1.0, 1.0, 1.0])))
     assert report["status"] == "numeric_failure"
     assert {f["kind"] for f in report["failures"]} == {"jacobian_mismatch"}
+
+
+def test_check_tree_takes_whole_float_counts_and_rejects_others():
+    tree, params, _ = three_link_stability_fixture()
+    assert check_tree(tree, params, n_points=2.0, seed=1.0) == check_tree(
+        tree, params, n_points=2, seed=1)
+    for bad in (dict(n_points=2.5), dict(seed=2.5), dict(seed="3"), dict(n_points="3")):
+        with pytest.raises(StructureError, match="must be an integer"):
+            check_tree(tree, params, **bad)
+
+
+class NarrowJacobian(DifferentiableMap):
+    """A 2 -> 2 map whose Jacobian has one column too few."""
+
+    in_dim = out_dim = 2
+
+    def value_and_jacobian(self, x, params=None):
+        return np.asarray(x, dtype=float), np.ones((2, 1))
+
+
+def test_forward_pass_rejects_a_misshapen_jacobian():
+    # Between an identity edge and an attractor, the (2, 1) Jacobian once
+    # gave pi = [0.14, 0.14] without an error.
+    tree = TransformTree(
+        [2, 2, 2, 2],
+        [Edge(0, 1, IdentityMap(2)), Edge(1, 2, NarrowJacobian()), Edge(0, 3, IdentityMap(2))],
+        {2: handcrafted_attractor([0.5, 0.5]), 3: handcrafted_damper(1.0, 2)})
+    message = "edge 1->2: map produced shapes (2,) and (2, 1), expected (2,) and (2, 2)"
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        evaluate_policy(tree, [0.2, 0.1])
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+        run_stacked(tree, np.zeros((3, 2)))
+    with pytest.raises(StructureError, match=f"^sample 0: {re.escape(message)}$"):
+        loss_value(LossSpec("subtask_space", np.ones(2)), tree, None,
+                   [(np.array([0.2, 0.1]), np.zeros(2))])

@@ -86,7 +86,8 @@ def test_signed_zero_and_nan_goal_weights_match_an_uncached_goal():
     def results(pot):
         grad, tape = pot.grad_tape(z, params)
         weights = params.zeros_like()
-        pot.grad_param_vjp(z, params, cot, weights, tape)
+        for where, R in pot.grad_param_vjp(z, params, cot, tape)[1]:
+            weights[where] += R
         return grad.tobytes(), weights.tobytes()
 
     cached = LatentQuadraticPotential(goal, chain)

@@ -12,8 +12,9 @@ neither side imports from a cache the other lacks. For every seed, one
 ``perfbench/run.py --seconds S --trace 0`` run per side makes a pair, ``S``
 being the ``run_seconds`` of ``BENCHMARK.json``; even seeds run the base
 first, odd seeds the change. ``--trace-seed`` adds one ``--trace 1`` run
-per side and records the ``.calls`` counts and, per traced function
-called on both sides, its self time per call in microseconds.
+per side and records the ``.calls`` counts, the names of those whose two
+sides differ (``calls_differ``) and, per traced function called on both
+sides, its self time per call in microseconds.
 
 Writes ``BENCH_<label>.json`` (default label: the first workload) in the
 repository root: per workload and end-to-end metric, each side's runs,
@@ -152,13 +153,15 @@ def main(argv=None):
             for workload in args.workload:
                 traced = {side: run(checkouts[side], workload, args.trace_seed,
                                     seconds, 1)[0] for side in SIDES}
-                calls, self_us = {}, {}
+                calls, differ, self_us = {}, [], {}
                 for name in traced["parent"]["metrics"]:
                     if name.endswith(".calls"):
                         pair = {side: traced[side]["metrics"][name]["value"]
                                 for side in SIDES}
                         if any(pair.values()):
                             calls[name] = pair
+                        if pair["parent"] != pair["change"]:
+                            differ.append(name)
                         self_s = name[:-len("calls")] + "self_s"
                         if self_s in traced["parent"]["metrics"] and all(pair.values()):
                             self_us[self_s[:-2] + "_us_per_call"] = {
@@ -168,6 +171,7 @@ def main(argv=None):
                     "seed": args.trace_seed,
                     "correct": [traced[side]["correct"] for side in SIDES],
                     "calls": calls,
+                    "calls_differ": differ,
                     "self_us_per_call": self_us}
 
     out["host"] = {"nproc": meta["nproc"], "python": meta["python"],

@@ -328,6 +328,14 @@ def check_outputs(tm, src_dir, dig):
                 _attempt(lambda: potential_gradient_fd(tree, q, params)))
 
 
+def _added(params, rows):
+    """One input's weight rows added, in order, into a zero gradient."""
+    grad = params.zeros_like()
+    for where, R in rows:
+        grad[where] += R
+    return grad
+
+
 def kernel_outputs(tm, dig):
     from treemotion.policies import CholeskyMetricNet
 
@@ -347,10 +355,9 @@ def kernel_outputs(tm, dig):
                 V, C = rng.normal(0.0, 1.0, (2, *X.shape, 2))
                 if n is None:
                     y, J, tape = chain.value_jacobian_tape(X, params)
-                    rows = [params.zeros_like() for _ in range(3)]
-                    chain.value_vjp(X, params, cot, rows[0], tape)
-                    chain.pullback_vjp(X, params, cot, V, C, rows[1], tape)
-                    chain.value_vjp(X, params, cot, rows[2], goal_tape)
+                    rows = [_added(params, chain.value_vjp(X, params, cot, tape)),
+                            _added(params, chain.pullback_vjp(X, params, cot, V, C, tape)),
+                            _added(params, chain.value_vjp(X, params, cot, goal_tape))]
                 else:
                     y, J, tape = chain.stacked_value_jacobian_tape(X, params)
                     rows = [chain.stacked_value_vjp(X, params, cot, tape),
@@ -364,9 +371,9 @@ def kernel_outputs(tm, dig):
                 S = rng.normal(0.0, 1.0, lead + (net.dim, net.dim))
                 if n is None:
                     M, record = net.value_tape(X, params)
-                    grad = params.zeros_like()
-                    rows = [net.param_vjp(X, params, S, grad, record), grad,
-                            net.param_vjp(X, params, S, None, record)]
+                    ch, one_rows = net.param_vjp(X, params, S, record)
+                    rows = [ch, _added(params, one_rows),
+                            net.param_vjp(X, params, S, record)[0]]
                 else:
                     M, record = net.stacked_value_tape(X, params)
                     rows = net.stacked_param_vjp(X, params, S, record)
