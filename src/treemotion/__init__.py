@@ -8,7 +8,18 @@ natural gradient flow with a summed Lyapunov function, and every weight
 in the construction (coupling-layer chains, Cholesky metric networks,
 learnable velocities) can be trained end-to-end from demonstrations by
 back-propagating through the composition.
+
+Importing the package loads what evaluating and rolling out a policy
+needs. The names of ``fixtures``, ``gradients`` and ``learning`` (the
+testbeds, the reverse pass and the trainers) are in ``__all__`` and
+``dir()`` but load on first use, through the module ``__getattr__``
+(PEP 562). A lazy name is looked up in its module on every access and
+never stored here, so patching the defining module's binding (as a
+tracer does) patches what the package returns, and undoing the patch
+undoes it here too.
 """
+
+import importlib
 
 from .errors import (
     DomainError,
@@ -17,27 +28,6 @@ from .errors import (
     SpecFormatError,
     StructureError,
     TreeMotionError,
-)
-from .fixtures import (
-    conflicting_demo_fixture,
-    gradcheck_cases,
-    random_tree,
-    stability_seed_states,
-    synthesize_conflicting_demos,
-    three_link_stability_fixture,
-)
-from .gradients import (
-    PolicyGradient,
-    policy_param_jacobian,
-    policy_vjp,
-)
-from .learning import (
-    TrainOptions,
-    TrainResult,
-    loss_and_gradient,
-    suggest_length_scale,
-    train,
-    train_independent_baseline,
 )
 from .losses import (
     DemoSet,
@@ -95,6 +85,30 @@ from .tree import (
 )
 
 __version__ = "0.1.0"
+
+#: names that load on first use, and the module that defines each
+_LAZY = {
+    **dict.fromkeys(["conflicting_demo_fixture", "gradcheck_cases", "random_tree",
+                     "stability_seed_states", "synthesize_conflicting_demos",
+                     "three_link_stability_fixture"], "fixtures"),
+    **dict.fromkeys(["PolicyGradient", "policy_param_jacobian", "policy_vjp"],
+                    "gradients"),
+    **dict.fromkeys(["TrainOptions", "TrainResult", "loss_and_gradient",
+                     "suggest_length_scale", "train", "train_independent_baseline"],
+                    "learning"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "BarrierPotential",

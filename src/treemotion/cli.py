@@ -8,7 +8,9 @@ configuration).
 
 Exit codes: 0 pass, 1 usage error, 2 validation error (bad files or
 wiring), 3 numeric failure. All outputs are deterministic given
-``--seed``.
+``--seed``. ``train``, ``check`` and ``gradcheck`` import the training
+and verification stack themselves, so ``eval`` and ``rollout`` never
+load it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ import numpy as np
 
 from . import io as tmio
 from .errors import NumericError, SpecFormatError, StructureError
-from .learning import TrainOptions, train, train_independent_baseline
 from .losses import LossSpec, subtask_loss
 from .rollout import integrate
 from .tree import evaluate_policy
-from .verify import check_tree, gradcheck_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,6 +136,8 @@ def _default_lam(tree) -> np.ndarray:
 
 
 def _cmd_check(args) -> int:
+    from .verify import check_tree
+
     tree, params = _load_tree_and_params(args)
     report = check_tree(tree, params, n_points=args.points, seed=args.seed)
     print(json.dumps(report, indent=1))
@@ -143,6 +145,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .learning import TrainOptions, train, train_independent_baseline
+
     tree, params = _load_tree_and_params(args)
     demos = tmio.load_demos(args.demos)
     if args.config:
@@ -207,6 +211,8 @@ def _cmd_rollout(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    from .verify import gradcheck_report
+
     tree, params = _load_tree_and_params(args)
     demos = tmio.load_demos(args.demos)
     if args.loss == "joint":

@@ -33,12 +33,17 @@ class DomainError(NumericError):
     """A map or potential was evaluated outside its domain."""
 
 
-def as_integer(value, name: str) -> int:
+def as_integer(value, name: str, minimum=None) -> int:
     """The one integer rule of constructors and spec reader: a float passes
-    only when whole (JSON ``3.0``), where ``int`` would truncate 2.7 to 2."""
+    only when whole (JSON ``3.0``), where ``int`` would truncate 2.7 to 2;
+    below ``minimum`` (when given) is a ``StructureError`` too."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise StructureError(f"{name} must be an integer, got {value!r}") from None
+        result = int(value)
+    else:
+        try:
+            result = operator.index(value)
+        except TypeError:
+            raise StructureError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and result < minimum:
+        raise StructureError(f"{name} must be >= {minimum}, got {result}")
+    return result

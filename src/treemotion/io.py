@@ -28,7 +28,6 @@ import os
 import numpy as np
 
 from .errors import SpecFormatError, StructureError, as_integer
-from .learning import TrainOptions
 from .losses import DemoSet, LossSpec, Trajectory, velocities_by_central_difference
 from .maps import (
     DiffeoChain,
@@ -394,7 +393,10 @@ def write_rollout(path_csv, result: RolloutResult) -> None:
 def parse_training_config(data: dict):
     """``{"loss": {"kind": ..., "lambda": [...]}, "alpha": ..., ...}`` ->
     ``(LossSpec, TrainOptions)``. A key outside ``TRAINING_CONFIG_FIELDS``
-    (or, in ``"loss"``, ``TRAINING_LOSS_KEYS``) raises ``SpecFormatError``."""
+    (or, in ``"loss"``, ``TRAINING_LOSS_KEYS``) raises ``SpecFormatError``.
+    It imports the training stack itself, which reading a tree never needs."""
+    from .learning import TrainOptions
+
     _reject_unknown_keys(data, tuple(TRAINING_CONFIG_FIELDS), "training config")
     loss_spec = data.get("loss", {"kind": "subtask_space"})
     _reject_unknown_keys(loss_spec, TRAINING_LOSS_KEYS, "training config loss")

@@ -87,16 +87,12 @@ class TrainOptions:
         step climbs the loss, an empty minibatch trains on nothing, a
         fractional count is not a count), and store the counts as the
         integers ``errors.as_integer`` makes of them (7.0 trains as 7)."""
-        self.iterations = as_integer(self.iterations, "iterations")
-        self.seed = as_integer(self.seed, "seed")
+        self.iterations = as_integer(self.iterations, "iterations", minimum=0)
+        self.seed = as_integer(self.seed, "seed", minimum=0)
         if self.minibatch is not None:
             self.minibatch = as_integer(self.minibatch, "minibatch")
         if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0):
             raise StructureError(f"alpha must be None or finite > 0, got {self.alpha}")
-        if self.iterations < 0:
-            raise StructureError(f"iterations must be >= 0, got {self.iterations}")
-        if self.seed < 0:
-            raise StructureError(f"seed must be >= 0, got {self.seed}")
         if self.minibatch is not None and self.minibatch < 1:
             raise StructureError(f"minibatch must be None or >= 1, got {self.minibatch}")
         if not 0.0 <= self.momentum < 1.0:

@@ -250,11 +250,11 @@ class RFFNet:
                  frequencies=None, phases=None):
         self.in_dim = as_integer(in_dim, "in_dim")
         self.out_dim = as_integer(out_dim, "out_dim")
-        self.n_features = as_integer(n_features, "n_features")
+        self.n_features = as_integer(n_features, "n_features", minimum=1)
         if length_scale <= 0:
             raise StructureError("length scale must be positive")
         self.length_scale = float(length_scale)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(as_integer(seed, "seed", minimum=0))
         if frequencies is None:
             frequencies = rng.normal(0.0, 1.0 / self.length_scale,
                                      size=(self.n_features, self.in_dim))
@@ -440,7 +440,7 @@ class DiffeoChain(DifferentiableMap):
             )
         n_layers = as_integer(n_layers, "n_layers")
         n_features = as_integer(n_features, "n_features")
-        seed = as_integer(seed, "seed")
+        seed = as_integer(seed, "seed", minimum=0)
         if n_layers < 1:
             raise StructureError("diffeo chains need at least one layer")
         self.in_dim = self.out_dim = dim

@@ -352,7 +352,7 @@ class CholeskyMetricNet(Metric):
         # the strictly-lower and the diagonal entries of (..., dim, dim)
         self._tril = (Ellipsis, *np.tril_indices(self.dim, -1))
         self._diag = (Ellipsis, *np.diag_indices(self.dim))
-        self._seed = as_integer(seed, "seed")
+        self._seed = as_integer(seed, "seed", minimum=0)
         self._shapes = []
         fan_in = self.in_dim
         for h in self.hidden:

@@ -60,9 +60,7 @@ def integrate(tree: TransformTree, params: ParamVector | None, q0,
     """
     if not 0.0 < dt < np.inf:  # also false for NaN
         raise StructureError(f"dt must be finite and > 0, got {dt}")
-    max_steps = as_integer(max_steps, "max_steps")
-    if max_steps < 0:
-        raise StructureError(f"max_steps must be >= 0, got {max_steps}")
+    max_steps = as_integer(max_steps, "max_steps", minimum=0)
     if not 0.0 <= grad_tol < np.inf:
         raise StructureError(f"grad_tol must be finite and >= 0, got {grad_tol}")
     q = np.asarray(q0, dtype=float).copy()

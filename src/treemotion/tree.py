@@ -21,9 +21,11 @@ leaf spaces where policies live. The one policy evaluation,
    velocity (``solve_root``, the one SPD solve and singularity check,
    with or without the regularization ``reg``; its Cholesky factor also
    serves the reverse pass). It calls LAPACK ``dpotrf``/``dpotrs`` from
-   scipy's ``_flapack`` extension, loaded from its file to skip the init
-   of ``scipy.linalg``: the routines ``cho_factor``/``cho_solve`` wrap,
-   minus their per-call validation, so the results are the same bits.
+   scipy's ``_flapack`` extension, loaded from its file in the folder
+   ``importlib.util.find_spec`` reports for scipy, so importing this
+   module runs neither scipy's package init nor ``scipy.linalg``'s: the
+   routines ``cho_factor``/``cho_solve`` wrap, minus their per-call
+   validation, so the results are the same bits.
 
 Each leaf's place in the tree is decided once, in ``TransformTree``'s
 ``leaf_table`` of ``LeafRow``s; leaf evaluation, the flat solver, the
@@ -69,13 +71,13 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import NumericError, SingularMetricError, StructureError, as_integer
 from .maps import DiffeoChain, DifferentiableMap, IdentityMap, stacked_mv
@@ -87,8 +89,16 @@ SINGULAR_EIG_TOL = 1e-12
 
 
 def _load_flapack():
-    """scipy's ``linalg/_flapack`` extension, without importing ``scipy.linalg``."""
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    """scipy's ``linalg/_flapack`` extension, without importing scipy.
+
+    ``find_spec`` locates a top-level package without running its
+    ``__init__``; the extension is then loaded from its file in the
+    package's ``linalg`` folder. ``ImportError`` names the folder searched.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy's LAPACK extension _flapack not found: no scipy package")
+    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_flapack" + suffix)
         if os.path.isfile(path):
@@ -428,6 +438,9 @@ def backward_pass(tree: TransformTree, states: list[NodeState]) -> list[NodeStat
 
 
 def _check_regularization(reg) -> None:
+    # ``type(reg) is float`` spares the common case the ABC check.
+    if type(reg) is not float and not isinstance(reg, numbers.Real):
+        raise StructureError(f"regularization must be a real number, got {reg!r}")
     if not 0.0 <= reg < math.inf:  # also false for NaN
         raise StructureError(f"regularization must be finite and >= 0, got {reg}")
 
@@ -442,15 +455,15 @@ def solve_root(M: np.ndarray, p: np.ndarray,
                regularization: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``(M + reg I) u = p``; returns ``(u, factor)``.
 
-    ``regularization`` must be finite and >= 0, else ``StructureError``.
-    It shifts the diagonal of the one Cholesky solve; the shifted matrix
-    must be positive definite, else ``SingularMetricError``. The solve
-    calls LAPACK ``potrf``/``potrs`` from scipy's ``_flapack`` extension,
-    loaded without ``scipy.linalg``'s init: the routines ``cho_factor``/
-    ``cho_solve`` wrap, with the same arguments, minus the wrappers'
-    per-call validation. ``factor`` is ``potrf``'s lower
-    Cholesky factor of ``M + reg I`` (its upper triangle is left
-    unused), kept for the reverse pass.
+    ``regularization`` must be a real number, finite and >= 0, else
+    ``StructureError``. It shifts the diagonal of the one Cholesky solve;
+    the shifted matrix must be positive definite, else
+    ``SingularMetricError``. The solve calls LAPACK ``potrf``/``potrs``
+    from scipy's ``_flapack`` extension, loaded without the init of scipy
+    or ``scipy.linalg``: the routines ``cho_factor``/``cho_solve`` wrap,
+    with the same arguments, minus the wrappers' per-call validation.
+    ``factor`` is ``potrf``'s lower Cholesky factor of ``M + reg I`` (its
+    upper triangle is left unused), kept for the reverse pass.
     """
     _check_regularization(regularization)
     if not _all_finite(M, p):

@@ -43,11 +43,8 @@ def check_tree(tree: TransformTree, params: ParamVector | None = None,
     ``"pass"`` or ``"numeric_failure"``. A negative or fractional
     ``seed`` or ``n_points`` raises ``StructureError``.
     """
-    seed, n_points = as_integer(seed, "seed"), as_integer(n_points, "n_points")
-    if seed < 0:
-        raise StructureError(f"seed must be >= 0, got {seed}")
-    if n_points < 0:
-        raise StructureError(f"n_points must be >= 0, got {n_points}")
+    seed = as_integer(seed, "seed", minimum=0)
+    n_points = as_integer(n_points, "n_points", minimum=0)
     rng = np.random.default_rng(seed)
     points = [np.zeros(tree.root_dim)]
     points += [0.5 * rng.standard_normal(tree.root_dim) for _ in range(n_points)]

@@ -265,8 +265,10 @@ def _cli_exit_and_stderr(capsys, *argv):
     lambda s: s["nodes"][2].update(dim=2.7),
     lambda s: s["edges"][1]["map"].update(layers=2.9, features=3.5),
     lambda s: s["leaves"][0]["policy"]["metric"].update(hidden=[6.5]),
+    lambda s: s["edges"][1]["map"].update(features_D=0),
+    lambda s: s["leaves"][0]["policy"]["metric"].update(seed=-1),
 ], ids=["dim", "layers", "ragged_matrix", "nodes", "fractional_dim", "fractional_layers",
-        "fractional_hidden"])
+        "fractional_hidden", "zero_features", "negative_metric_seed"])
 def test_cli_malformed_spec_is_a_validation_error(tmp_path, capsys, edit):
     spec = json.loads(json.dumps(VALID_SPEC))
     edit(spec)

@@ -223,11 +223,20 @@ def test_coupling_jacobian_matches_fd(rng):
     lambda: ConstantMetric.scaled_identity(1.0, 2.5),
     lambda: handcrafted_damper(1.0, 2.5),
     lambda: TransformTree([2.9], [], {0: handcrafted_damper(1.0, 2)}),
+    # No features, and negative seeds, are rejected at construction.
+    lambda: RFFNet(1, 1, 0),
+    lambda: DiffeoChain(2, n_features=0),
+    lambda: DiffeoChain(2, n_features=-3),
+    lambda: RFFNet(1, 1, 4, seed=-2),
+    lambda: DiffeoChain(2, seed=-1, init_scale=0.1),
+    lambda: CholeskyMetricNet(2, seed=-1),
 ], ids=["one-dimensional-chain", "fractional-layers", "fractional-hidden",
         "fractional-point", "fractional-chain-dim", "fractional-identity-dim",
         "fractional-rff-in-dim", "fractional-rff-out-dim", "fractional-rff-features",
         "fractional-coupling-dim", "fractional-leaf-dim", "fractional-metric-dim",
-        "fractional-damper-dim", "fractional-node-dim"])
+        "fractional-damper-dim", "fractional-node-dim", "zero-rff-features",
+        "zero-chain-features", "negative-chain-features", "negative-rff-seed",
+        "negative-chain-seed", "negative-metric-seed"])
 def test_constructors_reject_bad_sizes(build):
     with pytest.raises(StructureError):
         build()

@@ -431,6 +431,19 @@ def test_root_solves_reject_negative_or_nonfinite_regularization(bad):
         flat_solve(tree, np.zeros(2), regularization=bad)
 
 
+@pytest.mark.parametrize("bad", ["x", None, [], "3", {}],
+                         ids=["string", "none", "list", "numeric-string", "dict"])
+def test_root_solves_reject_a_regularization_that_is_not_a_real_number(bad):
+    tree = single_leaf_tree(2, raw_leaf([1.0, 0.0], np.eye(2)))
+    q = np.zeros(2)
+    for solve in (lambda: evaluate_policy(tree, q, tree.init_params(), bad),
+                  lambda: run_pipeline(tree, q, tree.init_params(), bad),
+                  lambda: solve_root(np.eye(2), np.ones(2), bad),
+                  lambda: flat_solve(tree, q, regularization=bad)):
+        with pytest.raises(StructureError, match="regularization must be a real number"):
+            solve()
+
+
 def test_evaluate_policy_reads_run_pipeline(rng):
     for seed in range(10):
         tree, params = random_tree(seed + 700, max_depth=3)

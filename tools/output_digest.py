@@ -2,11 +2,11 @@
 
 Usage::
 
-    python tools/output_digest.py <src-dir>
+    python tools/output_digest.py <src-dir> [--write PATH]
 
 ``<src-dir>`` is the ``src`` directory of the checkout to digest (for
-example ``src`` here, or ``../parent/src`` of a ``git worktree`` of the
-parent commit). Two checkouts whose library and CLI outputs are
+example ``src`` here, or ``../parent/src`` of a checkout of the parent
+commit). Two checkouts whose library and CLI outputs are
 bit-identical print the same digest. The digest covers:
 
 - parameter registries and initial values of every tree below;
@@ -66,13 +66,23 @@ its type and message, so a checkout that starts or stops raising
 changes the digest; any other exception stops the script. Per-section
 digests go to standard error, to show where two checkouts differ. One
 run takes about 20 s on two cores.
+
+``--write PATH`` also writes the section digests, the total and the
+versions they were made with (``versions()``: Python, numpy, scipy and
+the machine) as JSON. ``tests/output_digest.json`` is that record for
+this checkout; ``tests/test_output_digest.py`` runs the sections
+(``run``) in process and compares them with it. A section whose outputs
+change by design is re-recorded with ``--write tests/output_digest.json``.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import importlib.metadata
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -128,6 +138,7 @@ class Digest:
     def __init__(self):
         self.total = hashlib.sha256()
         self.section = None
+        self.sections = {}  # name -> hex digest of each finished section
 
     def start(self, name):
         self.finish()
@@ -141,6 +152,7 @@ class Digest:
     def finish(self):
         if self.section is not None:
             name, h = self.section
+            self.sections[name] = h.hexdigest()
             print(f"{name}: {h.hexdigest()}", file=sys.stderr)
             self.section = None
 
@@ -495,19 +507,17 @@ def root_system_outputs(tm, dig):
                 _attempt(lambda: _stacked_root_systems(tree, Q, params)))
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1 or not (Path(argv[0]) / "treemotion").is_dir():
-        print("usage: python tools/output_digest.py <src-dir containing treemotion/>",
-              file=sys.stderr)
-        return 1
-    src_dir = Path(argv[0]).resolve()
-    sys.path.insert(0, str(src_dir))
-    import treemotion as tm
+def versions():
+    """What the digests depend on besides the source: the versions of
+    Python, numpy and scipy, and the machine."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": importlib.metadata.version("scipy"),
+            "machine": platform.machine()}
 
-    if Path(tm.__file__).resolve().parent != src_dir / "treemotion":
-        print(f"imported treemotion from {tm.__file__}, not {src_dir}", file=sys.stderr)
-        return 1
+
+def run(tm, src_dir):
+    """Every section on the imported package ``tm`` from ``src_dir``; the
+    finished ``Digest``."""
     dig = Digest()
     library_outputs(tm, dig)
     cli_outputs(src_dir, dig)
@@ -520,7 +530,30 @@ def main(argv=None) -> int:
     stacked_loss_outputs(tm, dig)
     root_system_outputs(tm, dig)
     dig.finish()
-    print(dig.total.hexdigest())
+    return dig
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_dir", type=Path, help="src directory containing treemotion/")
+    parser.add_argument("--write", type=Path, metavar="PATH",
+                        help="also write the section digests, the total and the versions")
+    args = parser.parse_args(argv)
+    if not (args.src_dir / "treemotion").is_dir():
+        parser.error(f"{args.src_dir} has no treemotion/ directory")
+    src_dir = args.src_dir.resolve()
+    sys.path.insert(0, str(src_dir))
+    import treemotion as tm
+
+    if Path(tm.__file__).resolve().parent != src_dir / "treemotion":
+        print(f"imported treemotion from {tm.__file__}, not {src_dir}", file=sys.stderr)
+        return 1
+    dig = run(tm, src_dir)
+    total = dig.total.hexdigest()
+    if args.write is not None:
+        record = {"sections": dig.sections, "total": total, "versions": versions()}
+        args.write.write_text(json.dumps(record, indent=1) + "\n")
+    print(total)
     return 0
 
 
