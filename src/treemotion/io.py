@@ -66,18 +66,9 @@ def _floats(value):
     return np.asarray(value, dtype=float)
 
 
-def _integer(name):
-    """The converter of an integer field: ``as_integer``, naming ``name``."""
-    return lambda value: as_integer(value, name)
-
-
-def _optional(convert):
-    return lambda value: None if value is None else convert(value)
-
-
 # One table per component kind: spec key -> (constructor keyword, converter
 # or None to pass the value as given, required; the constructors check their
-# counts and seeds with ``as_integer``). Only the keys a spec holds
+# numbers with ``as_integer`` and ``as_real``). Only the keys a spec holds
 # are passed, so the constructors' defaults are the only defaults; a key
 # outside "kind" and its kind's table is a SpecFormatError. A keyword of None
 # marks a key the builder reads itself: a nested spec, or a policy's
@@ -95,9 +86,9 @@ MAP_FIELDS = {
     "diffeo_chain": {"features": ("n_features", None, False),
                      "features_D": ("n_features", None, False),
                      "layers": ("n_layers", None, False),
-                     "length_scale": ("length_scale", float, False),
+                     "length_scale": ("length_scale", None, False),
                      "seed": ("seed", None, False), "learnable": ("learnable", bool, False),
-                     "init_scale": ("init_scale", float, False)},
+                     "init_scale": ("init_scale", None, False)},
 }
 POLICY_FIELDS = {
     "natural_gradient": {"potential": (None, None, True), "metric": (None, None, True),
@@ -105,37 +96,36 @@ POLICY_FIELDS = {
                          "metric_space": ("metric_input", None, False)},
     "raw_vm": {"velocity": ("velocity", _floats, True), "metric": (None, None, True),
                "learnable": ("learnable", bool, False)},
-    "damper": {"gain": ("gain", float, False)},
-    "attractor": {"goal": ("goal", _floats, True), "gain": ("gain", float, False),
-                  "weight": ("weight", float, False)},
-    "barrier": {"margin": ("margin", float, True), "gain": ("gain", float, False),
-                "weight": ("weight", float, False)},
+    "damper": {"gain": ("gain", None, False)},
+    "attractor": {"goal": ("goal", _floats, True), "gain": ("gain", None, False),
+                  "weight": ("weight", None, False)},
+    "barrier": {"margin": ("margin", None, True), "gain": ("gain", None, False),
+                "weight": ("weight", None, False)},
 }
 METRIC_FIELDS = {
-    "constant": {"matrix": ("matrix", _floats, False), "scale": ("scale", float, False)},
+    "constant": {"matrix": ("matrix", _floats, False), "scale": ("scale", None, False)},
     "cholesky_net": {"in_dim": ("in_dim", None, False), "hidden": ("hidden", None, False),
-                     "eps": ("eps", float, False), "seed": ("seed", None, False),
+                     "eps": ("eps", None, False), "seed": ("seed", None, False),
                      "learnable": ("learnable", bool, False)},
-    "inverse_square": {"weight": ("weight", float, True),
-                       "margin": ("margin", float, True)},
+    "inverse_square": {"weight": ("weight", None, True),
+                       "margin": ("margin", None, True)},
 }
 POTENTIAL_FIELDS = {
     "zero": {},
-    "quadratic": {"goal": ("goal", _floats, True), "gain": ("gain", float, False)},
+    "quadratic": {"goal": ("goal", _floats, True), "gain": ("gain", None, False)},
     "latent_quadratic": {"goal": ("goal", _floats, True)},
-    "barrier": {"margin": ("margin", float, True), "gain": ("gain", float, False)},
+    "barrier": {"margin": ("margin", None, True), "gain": ("gain", None, False)},
 }
 # Short loss names accepted by training configs and ``tree-motion train --loss``.
 LOSS_KIND_ALIASES = {"subtask": "subtask_space", "joint": "joint_space",
                      "independent": "independent_baseline"}
 # A training config's table, as above ("loss" is read by the parser, whose
-# default kind is subtask_space), and the keys its "loss" object may hold.
+# default kind is subtask_space; ``TrainOptions.validate`` checks the rest),
+# and the keys its "loss" object may hold.
 TRAINING_CONFIG_FIELDS = {
-    "loss": (None, None, False), "alpha": ("alpha", _optional(float), False),
-    "iterations": ("iterations", _integer("iterations"), False),
-    "seed": ("seed", _integer("seed"), False),
-    "minibatch": ("minibatch", _optional(_integer("minibatch")), False),
-    "momentum": ("momentum", float, False),
+    "loss": (None, None, False), "alpha": ("alpha", None, False),
+    "iterations": ("iterations", None, False), "seed": ("seed", None, False),
+    "minibatch": ("minibatch", None, False), "momentum": ("momentum", None, False),
 }
 TRAINING_LOSS_KEYS = ("kind", "lambda")
 
@@ -143,7 +133,7 @@ TRAINING_LOSS_KEYS = ("kind", "lambda")
 @contextlib.contextmanager
 def _field_types(context: str):
     """Report a field of the wrong type or shape (``as_integer(2.5, ...)``,
-    ``float([1])``, a ragged matrix) as a ``SpecFormatError``."""
+    ``as_real("4", ...)``, a ragged matrix) as a ``SpecFormatError``."""
     try:
         yield
     except SpecFormatError:
@@ -409,6 +399,7 @@ def parse_training_config(data: dict):
         except StructureError as exc:
             raise SpecFormatError(str(exc)) from exc
         opts = TrainOptions(**_keywords(data, TRAINING_CONFIG_FIELDS, "training config"))
+        opts.validate()
     return loss, opts
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, SingularMetricError, StructureError, as_integer
+from .errors import NumericError, SingularMetricError, StructureError, as_integer, as_real
 from .gradients import pipeline_vjp
 from .losses import (
     DemoSet,
@@ -85,18 +85,16 @@ class TrainOptions:
     def validate(self) -> None:
         """Reject settings that would train silently wrong (a negative
         step climbs the loss, an empty minibatch trains on nothing, a
-        fractional count is not a count), and store the counts as the
-        integers ``errors.as_integer`` makes of them (7.0 trains as 7)."""
+        fractional count is not a count), and store the values
+        ``errors.as_integer`` and ``errors.as_real`` make of them (7.0
+        trains as 7)."""
         self.iterations = as_integer(self.iterations, "iterations", minimum=0)
         self.seed = as_integer(self.seed, "seed", minimum=0)
         if self.minibatch is not None:
-            self.minibatch = as_integer(self.minibatch, "minibatch")
-        if self.alpha is not None and not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise StructureError(f"alpha must be None or finite > 0, got {self.alpha}")
-        if self.minibatch is not None and self.minibatch < 1:
-            raise StructureError(f"minibatch must be None or >= 1, got {self.minibatch}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise StructureError(f"momentum must be in [0, 1), got {self.momentum}")
+            self.minibatch = as_integer(self.minibatch, "minibatch", minimum=1)
+        if self.alpha is not None:
+            self.alpha = as_real(self.alpha, "alpha", "> 0")
+        self.momentum = as_real(self.momentum, "momentum", "in [0, 1)")
 
 
 @dataclass

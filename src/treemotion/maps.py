@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, StructureError, as_integer
+from .errors import DomainError, StructureError, as_integer, as_real
 from .params import Learnable, ParamVector
 
 
@@ -126,7 +126,7 @@ class DifferentiableMap(Learnable):
 
 class IdentityMap(DifferentiableMap):
     def __init__(self, dim: int):
-        self.in_dim = self.out_dim = as_integer(dim, "dim")
+        self.in_dim = self.out_dim = as_integer(dim, "dim", minimum=1)
         self._eye = np.eye(self.in_dim)
 
     def value_and_jacobian(self, x, params=None):
@@ -248,12 +248,10 @@ class RFFNet:
 
     def __init__(self, in_dim, out_dim, n_features, length_scale=1.0, seed=0,
                  frequencies=None, phases=None):
-        self.in_dim = as_integer(in_dim, "in_dim")
-        self.out_dim = as_integer(out_dim, "out_dim")
+        self.in_dim = as_integer(in_dim, "in_dim", minimum=1)
+        self.out_dim = as_integer(out_dim, "out_dim", minimum=1)
         self.n_features = as_integer(n_features, "n_features", minimum=1)
-        if length_scale <= 0:
-            raise StructureError("length scale must be positive")
-        self.length_scale = float(length_scale)
+        self.length_scale = as_real(length_scale, "length_scale", "> 0")
         rng = np.random.default_rng(as_integer(seed, "seed", minimum=0))
         if frequencies is None:
             frequencies = rng.normal(0.0, 1.0 / self.length_scale,
@@ -438,11 +436,10 @@ class DiffeoChain(DifferentiableMap):
                 "diffeo chains need dimension >= 2 (the coupling split is "
                 "impossible in 1-D)"
             )
-        n_layers = as_integer(n_layers, "n_layers")
+        n_layers = as_integer(n_layers, "n_layers", minimum=1)
         n_features = as_integer(n_features, "n_features")
         seed = as_integer(seed, "seed", minimum=0)
-        if n_layers < 1:
-            raise StructureError("diffeo chains need at least one layer")
+        self._init_scale = as_real(init_scale, "init_scale", ">= 0")
         self.in_dim = self.out_dim = dim
         self.layers = [
             CouplingLayer(dim, flip=bool(m % 2), n_features=n_features,
@@ -455,7 +452,6 @@ class DiffeoChain(DifferentiableMap):
             lo, mid, hi = hi, hi + ly.s_net.n_weights, hi + ly.n_weights
             self._spans.append((lo, mid, hi, (ly.s_net.n_features, ly.s_net.out_dim)))
         self.n_params = hi
-        self._init_scale = float(init_scale)
         self._seed = seed
         if not learnable:
             self.freeze()

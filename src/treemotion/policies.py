@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, StructureError, as_integer
+from .errors import DomainError, StructureError, as_integer, as_real
 from .maps import AS_COLUMN, AS_ROW, DiffeoChain, stacked_mv
 from .params import Learnable
 
@@ -116,9 +116,7 @@ class QuadraticPotential(Potential):
 
     def __init__(self, goal, gain=1.0):
         self.goal = np.asarray(goal, dtype=float)
-        if gain <= 0:
-            raise StructureError("quadratic potential gain must be positive")
-        self.gain = float(gain)
+        self.gain = as_real(gain, "gain", "> 0")
 
     def value(self, z, params):
         d = z - self.goal
@@ -208,10 +206,8 @@ class BarrierPotential(Potential):
     """
 
     def __init__(self, margin, gain=1.0):
-        if margin <= 0 or gain <= 0:
-            raise StructureError("barrier margin and gain must be positive")
-        self.margin = float(margin)
-        self.gain = float(gain)
+        self.margin = as_real(margin, "margin", "> 0")
+        self.gain = as_real(gain, "gain", "> 0")
 
     def _z(self, z) -> float:
         z0 = float(np.asarray(z).reshape(-1)[0])
@@ -291,9 +287,7 @@ class ConstantMetric(Metric):
 
     @classmethod
     def scaled_identity(cls, scale, dim):
-        if scale <= 0:
-            raise StructureError("metric scale must be positive")
-        return cls(float(scale) * np.eye(as_integer(dim, "dim")))
+        return cls(as_real(scale, "scale", "> 0") * np.eye(as_integer(dim, "dim", minimum=1)))
 
     def value(self, x, params):
         return self.matrix
@@ -308,10 +302,8 @@ class InverseSquareMetric(Metric):
     """1-D weight ``w * (d0 / z)^2``: vanishingly small far away, large near 0."""
 
     def __init__(self, weight, margin):
-        if weight <= 0 or margin <= 0:
-            raise StructureError("inverse-square metric needs positive weight/margin")
-        self.weight = float(weight)
-        self.margin = float(margin)
+        self.weight = as_real(weight, "weight", "> 0")
+        self.margin = as_real(margin, "margin", "> 0")
 
     def _z(self, x) -> float:
         z0 = float(np.asarray(x).reshape(-1)[0])
@@ -340,14 +332,10 @@ class CholeskyMetricNet(Metric):
 
     def __init__(self, dim, in_dim=None, hidden=(64, 64), eps=1e-4, seed=0,
                  learnable=True):
-        self.dim = as_integer(dim, "dim")
-        self.in_dim = self.dim if in_dim is None else as_integer(in_dim, "in_dim")
-        if eps <= 0:
-            raise StructureError("Cholesky diagonal bias eps must be positive")
-        self.eps = float(eps)
-        self.hidden = tuple(as_integer(h, "hidden") for h in hidden)
-        if any(h < 1 for h in self.hidden):
-            raise StructureError("hidden layer sizes must be positive")
+        self.dim = as_integer(dim, "dim", minimum=1)
+        self.in_dim = self.dim if in_dim is None else as_integer(in_dim, "in_dim", minimum=1)
+        self.eps = as_real(eps, "eps", "> 0")
+        self.hidden = tuple(as_integer(h, "hidden", minimum=1) for h in hidden)
         self.n_off = self.dim * (self.dim - 1) // 2
         # the strictly-lower and the diagonal entries of (..., dim, dim)
         self._tril = (Ellipsis, *np.tril_indices(self.dim, -1))
@@ -599,7 +587,7 @@ class NaturalGradientLeaf(LeafPolicy):
 
     def __init__(self, dim, potential: Potential, metric: Metric,
                  metric_input: str = "latent"):
-        self.dim = as_integer(dim, "dim")
+        self.dim = as_integer(dim, "dim", minimum=1)
         self.pot = potential
         self.metric = metric
         if metric_input not in ("latent", "subtask"):
@@ -661,11 +649,8 @@ class NaturalGradientLeaf(LeafPolicy):
 def handcrafted_damper(gain, dim) -> RawVMLeaf:
     """Zero-velocity leaf with weight ``gain * I``; pulls the composed
     policy toward rest. Carries the constant potential 0."""
-    if gain <= 0:
-        raise StructureError("damper gain must be positive")
-    dim = as_integer(dim, "dim")
-    return RawVMLeaf(np.zeros(dim), ConstantMetric.scaled_identity(gain, dim),
-                     zero_potential=True)
+    metric = ConstantMetric.scaled_identity(as_real(gain, "gain", "> 0"), dim)
+    return RawVMLeaf(np.zeros(len(metric.matrix)), metric, zero_potential=True)
 
 
 def handcrafted_attractor(goal, gain=1.0, weight=1.0) -> NaturalGradientLeaf:
@@ -674,7 +659,7 @@ def handcrafted_attractor(goal, gain=1.0, weight=1.0) -> NaturalGradientLeaf:
     return NaturalGradientLeaf(
         goal.size,
         QuadraticPotential(goal, gain),
-        ConstantMetric.scaled_identity(weight, goal.size),
+        ConstantMetric.scaled_identity(as_real(weight, "weight", "> 0"), goal.size),
     )
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructureError, as_integer
+from .errors import NumericError, as_integer, as_real
 from .losses import Trajectory
 from .params import ParamVector
-from .tree import TransformTree, evaluate_policy, leaf_potential_sum, run_pipeline
+from .tree import TransformTree, evaluate_policy, leaf_potential_sum, one_state, run_pipeline
 
 
 @dataclass
@@ -51,19 +51,17 @@ def integrate(tree: TransformTree, params: ParamVector | None, q0,
     vanishes (``||grad Phi_root|| = ||p_root|| <= grad_tol``) or the step
     budget runs out.
 
-    ``dt`` must be finite and > 0, ``max_steps`` an integer >= 0 (a
-    whole float counts as its integer, ``errors.as_integer``) and
-    ``grad_tol`` finite and >= 0; anything else raises ``StructureError``
-    before the first step. ``record_potential`` requires every leaf to
-    carry a potential; a policy failure mid-rollout returns the partial
-    trajectory with status ``"error"``.
+    ``q0`` must be one state (``one_state``), ``dt`` a real number > 0,
+    ``max_steps`` an integer >= 0 and ``grad_tol`` a real number >= 0
+    (``errors.as_real``, ``errors.as_integer``); anything else raises
+    ``StructureError`` before the first step. ``record_potential``
+    requires every leaf to carry a potential; a policy failure
+    mid-rollout returns the partial trajectory with status ``"error"``.
     """
-    if not 0.0 < dt < np.inf:  # also false for NaN
-        raise StructureError(f"dt must be finite and > 0, got {dt}")
+    q = one_state(tree, q0, "q0")
+    dt = as_real(dt, "dt", "> 0")
     max_steps = as_integer(max_steps, "max_steps", minimum=0)
-    if not 0.0 <= grad_tol < np.inf:
-        raise StructureError(f"grad_tol must be finite and >= 0, got {grad_tol}")
-    q = np.asarray(q0, dtype=float).copy()
+    grad_tol = as_real(grad_tol, "grad_tol", ">= 0")
     ts, qs, qds, phis = [], [], [], []
     status = "max_steps"
     message = ""
@@ -110,7 +108,10 @@ def lyapunov_check(result: RolloutResult, slack_coeff: float = 1.0) -> LyapunovR
 
     ``slack = slack_coeff * dt**2`` absorbs the integrator's local error;
     the continuous flow itself never increases the potential.
+    ``slack_coeff`` must be a real number >= 0 (``errors.as_real``): a NaN
+    slack would pass every step unchecked.
     """
+    slack_coeff = as_real(slack_coeff, "slack_coeff", ">= 0")
     if result.potential_trace is None:
         raise NumericError("rollout was run without a potential trace")
     trace = result.potential_trace

@@ -71,7 +71,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -79,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, SingularMetricError, StructureError, as_integer
+from .errors import NumericError, SingularMetricError, StructureError, as_integer, as_real
 from .maps import DiffeoChain, DifferentiableMap, IdentityMap, stacked_mv
 from .params import Learnable, ParamRegistryBuilder, ParamVector
 from .policies import LeafPolicy
@@ -217,12 +216,10 @@ class TransformTree:
     """
 
     def __init__(self, node_dims, edges, leaf_policies):
-        self.node_dims = [as_integer(d, "node dimension") for d in node_dims]
+        self.node_dims = [as_integer(d, "node dimension", minimum=1) for d in node_dims]
         self.n_nodes = len(self.node_dims)
         if self.n_nodes == 0:
             raise StructureError("tree needs at least a root node")
-        if any(d <= 0 for d in self.node_dims):
-            raise StructureError("all node dimensions must be positive")
         self.root_dim = self.node_dims[0]
 
         self.edges: list[Edge] = sorted(edges, key=lambda e: e.child)
@@ -354,7 +351,10 @@ def one_state(tree: TransformTree, q, name: str = "q") -> np.ndarray:
     """``q`` as a float array of shape ``(root_dim,)``, else
     ``StructureError`` naming it ``name``: the check of every entry point
     that takes one state (or velocity), so a stack is rejected there too."""
-    q = np.asarray(q, dtype=float)
+    try:
+        q = np.asarray(q, dtype=float)
+    except (TypeError, ValueError) as exc:  # not numbers, or ragged rows
+        raise StructureError(f"{name} is not an array of real numbers: {exc}") from None
     if q.shape != (tree.root_dim,):
         raise StructureError(
             f"{name} has shape {q.shape}, root dimension is {tree.root_dim}")
@@ -437,14 +437,6 @@ def backward_pass(tree: TransformTree, states: list[NodeState]) -> list[NodeStat
     return states
 
 
-def _check_regularization(reg) -> None:
-    # ``type(reg) is float`` spares the common case the ABC check.
-    if type(reg) is not float and not isinstance(reg, numbers.Real):
-        raise StructureError(f"regularization must be a real number, got {reg!r}")
-    if not 0.0 <= reg < math.inf:  # also false for NaN
-        raise StructureError(f"regularization must be finite and >= 0, got {reg}")
-
-
 def _singular_hint(regularization: float) -> str:
     if regularization > 0.0:
         return f"regularization {regularization:.3e} is too small to make it definite"
@@ -455,17 +447,18 @@ def solve_root(M: np.ndarray, p: np.ndarray,
                regularization: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``(M + reg I) u = p``; returns ``(u, factor)``.
 
-    ``regularization`` must be a real number, finite and >= 0, else
-    ``StructureError``. It shifts the diagonal of the one Cholesky solve;
-    the shifted matrix must be positive definite, else
-    ``SingularMetricError``. The solve calls LAPACK ``potrf``/``potrs``
-    from scipy's ``_flapack`` extension, loaded without the init of scipy
-    or ``scipy.linalg``: the routines ``cho_factor``/``cho_solve`` wrap,
-    with the same arguments, minus the wrappers' per-call validation.
+    ``regularization`` must be a real number, finite and >= 0
+    (``errors.as_real``), else ``StructureError``. It shifts the diagonal
+    of the one Cholesky solve; the shifted matrix must be positive
+    definite, else ``SingularMetricError``. The solve calls LAPACK
+    ``potrf``/``potrs`` from scipy's ``_flapack`` extension, loaded
+    without the init of scipy or ``scipy.linalg``: the routines
+    ``cho_factor``/``cho_solve`` wrap, with the same arguments, minus the
+    wrappers' per-call validation.
     ``factor`` is ``potrf``'s lower Cholesky factor of ``M + reg I`` (its
     upper triangle is left unused), kept for the reverse pass.
     """
-    _check_regularization(regularization)
+    regularization = as_real(regularization, "regularization", ">= 0")
     if not _all_finite(M, p):
         raise NumericError("root system contains non-finite entries")
     if regularization > 0.0:
@@ -558,7 +551,7 @@ def flat_solve(tree: TransformTree, q, params: ParamVector | None = None,
     from the staged algorithm is reused, so agreement between the two
     routes is a meaningful check.
     """
-    _check_regularization(regularization)
+    regularization = as_real(regularization, "regularization", ">= 0")
     q = one_state(tree, q)
     d = tree.root_dim
     A = np.zeros((d, d))

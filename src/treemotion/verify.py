@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StructureError, TreeMotionError, as_integer
+from .errors import TreeMotionError, as_integer, as_real
 from .learning import loss_and_gradient
 from .losses import DemoSet, LossSpec, loss_value
 from .params import ParamVector
@@ -109,11 +109,10 @@ def gradcheck_report(tree: TransformTree, params: ParamVector, demos: DemoSet,
                      loss: LossSpec, h: float = 1e-5, tol: float = 1e-4) -> dict:
     """The trainer's analytic loss gradient (``loss_and_gradient``)
     against central differences of step ``h``, passing below relative
-    error ``tol``; both must be finite and > 0, or ``StructureError``."""
-    if not (np.isfinite(h) and h > 0):
-        raise StructureError(f"fd_step must be finite and > 0, got {h}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise StructureError(f"tol must be finite and > 0, got {tol}")
+    error ``tol``; both must be real numbers > 0 (``errors.as_real``), or
+    ``StructureError``."""
+    h = as_real(h, "fd_step", "> 0")
+    tol = as_real(tol, "tol", "> 0")
     analytic = loss_and_gradient(tree, params, demos, loss)[1]
     fd = np.zeros_like(analytic)
     for i in range(params.size):

@@ -28,6 +28,14 @@ def fd_grad_wrt_params(f, params, h=1e-5):
     return g
 
 
+def add_rows(grad, rows):
+    """One input's weight rows ``(slice, R)`` added, in order, into
+    ``grad``; returns it."""
+    for where, R in rows:
+        grad[where] += R
+    return grad
+
+
 def arrays(obj):
     """Every array in nested lists and tuples, in order."""
     if isinstance(obj, np.ndarray):

@@ -32,7 +32,7 @@ from treemotion.policies import (
 )
 from treemotion.tree import Edge, TransformTree, evaluate_policy, run_pipeline
 
-from conftest import arrays, fd_grad_wrt_params
+from conftest import add_rows, arrays, fd_grad_wrt_params
 
 
 def snapshot(obj):
@@ -85,25 +85,18 @@ def test_leaf_reverse_on_the_forward_record_matches_a_fresh_evaluation(case):
     before = snapshot(record)
 
     c_x, rows = net.param_vjp(x_m, params, S, metric_tape)
-    grad = added(params.zeros_like(), rows)
+    grad = add_rows(params.zeros_like(), rows)
     ref_c_x, ref_rows = net.param_vjp(x_m, params, S, ref_record[1])
-    ref_grad = added(params.zeros_like(), ref_rows)
+    ref_grad = add_rows(params.zeros_like(), ref_rows)
     assert np.abs(grad).max() > 0.0
     assert np.array_equal(grad, ref_grad) and np.array_equal(c_x, ref_c_x)
 
     c_z, rows = leaf.vjp(z, params, cot_p, S, parent_coord=x, tape=record)
-    grad = added(params.zeros_like(), rows)
+    grad = add_rows(params.zeros_like(), rows)
     ref_c_z, ref_rows = leaf.vjp(z, params, cot_p, S, parent_coord=x, tape=ref_record)
-    ref_grad = added(params.zeros_like(), ref_rows)
+    ref_grad = add_rows(params.zeros_like(), ref_rows)
     assert np.array_equal(grad, ref_grad) and np.array_equal(c_z, ref_c_z)
     assert snapshot(record) == before
-
-
-def added(grad, rows):
-    """Weight rows of one input added, in order, into ``grad``."""
-    for where, R in rows:
-        grad[where] += R
-    return grad
 
 
 def count_forward_kernels(monkeypatch):
@@ -190,7 +183,7 @@ def per_trial_baseline(tree, params, demos, opts):
                     if chain is not None and chain.is_learnable:
                         rows = rows + chain.pullback_vjp(x, th, c_w, zdot[:, None],
                                                          (2.0 * r)[:, None], tape=tape)
-                    added(grad, rows)
+                    add_rows(grad, rows)
                 yield float(r @ r)
 
         def loss_grad(th, batch):

@@ -21,7 +21,7 @@ from treemotion.policies import (
 )
 from treemotion.tree import TransformTree
 
-from conftest import fd_jacobian
+from conftest import add_rows, fd_jacobian
 
 
 def make_learnable_chain(dim, seed, theta_scale=0.3, **kw):
@@ -341,24 +341,16 @@ def test_fused_chain_kernel_is_bit_identical_to_layer_composition(dim):
         assert np.array_equal(chain.value(x, params), y)
 
 
-def _added(params, rows):
-    """Weight rows of one input added, in order, into a zero gradient."""
-    grad = params.zeros_like()
-    for where, R in rows:
-        grad[where] += R
-    return grad
-
-
 def _value_vjp(chain, x, params, cot):
     """``value_vjp`` on a tape from a fresh forward pass at ``x``."""
-    return _added(params, chain.value_vjp(x, params, cot,
-                                          chain.value_jacobian_tape(x, params)[2]))
+    tape = chain.value_jacobian_tape(x, params)[2]
+    return add_rows(params.zeros_like(), chain.value_vjp(x, params, cot, tape))
 
 
 def _goal_vjp(pot, params, cot):
     """``value_vjp`` at ``pot``'s goal, on the tape the potential keeps."""
     _, tape = pot.grad_tape(pot.goal, params)
-    return _added(params, pot.grad_param_vjp(None, params, -cot, tape)[1])
+    return add_rows(params.zeros_like(), pot.grad_param_vjp(None, params, -cot, tape)[1])
 
 
 def test_value_vjp_memo_follows_weights_and_input(rng):

@@ -30,7 +30,7 @@ from treemotion.tree import (
 )
 from treemotion.verify import potential_gradient_fd
 
-from conftest import fd_grad_wrt_params, fd_jacobian
+from conftest import add_rows, fd_grad_wrt_params, fd_jacobian
 
 
 def standalone_net(dim, **kw):
@@ -339,13 +339,6 @@ def bind(component=None):
     return builder.build()
 
 
-def added(grad, rows):
-    """Weight rows of one input added, in order, into ``grad``."""
-    for where, R in rows:
-        grad[where] += R
-    return grad
-
-
 def metric_cases():
     rng = np.random.default_rng(5)
     B = rng.normal(size=(2, 2))
@@ -372,7 +365,7 @@ def test_metric_param_vjp_returns_input_cotangent_and_adds_weight_gradient(case)
 
     _, tape = metric.value_tape(x, params)
     c_x, rows = metric.param_vjp(x, params, S, tape)
-    grad = added(params.zeros_like(), rows)
+    grad = add_rows(params.zeros_like(), rows)
     np.testing.assert_allclose(
         c_x, fd_jacobian(lambda xx: pairing(xx, params), x), atol=1e-7)
     np.testing.assert_allclose(
@@ -408,7 +401,7 @@ def test_potential_grad_param_vjp_returns_input_cotangent_and_adds_weight_gradie
 
     _, tape = pot.grad_tape(z, params)
     c_z, rows = pot.grad_param_vjp(z, params, cot, tape)
-    grad = added(params.zeros_like(), rows)
+    grad = add_rows(params.zeros_like(), rows)
     np.testing.assert_allclose(
         c_z, fd_jacobian(lambda zz: pairing(zz, params), z), atol=1e-7)
     np.testing.assert_allclose(

@@ -47,6 +47,8 @@ from treemotion.policies import (
 from treemotion.tree import Edge, TransformTree, run_pipeline, run_stacked
 from treemotion.verify import gradcheck_report
 
+from conftest import add_rows
+
 
 def per_sample_losses(loss, tree, params, samples, lam):
     """Reference: the per-sample loop ``sample_losses`` ran before it stacked."""
@@ -78,13 +80,6 @@ def per_sample_baseline_terms(tree, params, leaf, samples, grad=None):
                                                  (2.0 * r)[:, None], tape=tape)
             add_rows(grad, rows)
         yield float(r @ r)
-
-
-def add_rows(grad, rows):
-    """One input's weight rows added, in order, into ``grad``; returns it."""
-    for where, R in rows:
-        grad[where] += R
-    return grad
 
 
 def per_sample_leaf_samples(tree, params, leaf, samples):

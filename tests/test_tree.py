@@ -453,18 +453,19 @@ def test_evaluate_policy_reads_run_pipeline(rng):
                                   run_pipeline(tree, q, params, reg).pi)
 
 
-@pytest.mark.parametrize("entry", [
-    run_pipeline, evaluate_policy, root_potential, flat_solve,
-    lambda tree, q, params: policy_vjp(tree, q, params, np.ones(3)),
-    policy_param_jacobian, lambda tree, q, params: integrate(tree, params, q),
+@pytest.mark.parametrize("entry, name", [
+    (run_pipeline, "q"), (evaluate_policy, "q"), (root_potential, "q"), (flat_solve, "q"),
+    (lambda tree, q, params: policy_vjp(tree, q, params, np.ones(3)), "q"),
+    (policy_param_jacobian, "q"), (lambda tree, q, params: integrate(tree, params, q), "q0"),
 ], ids=["run_pipeline", "evaluate_policy", "root_potential", "flat_solve", "policy_vjp",
         "policy_param_jacobian", "integrate"])
-def test_single_state_entry_points_reject_a_stack(entry):
+def test_single_state_entry_points_reject_a_stack(entry, name):
     # The stages take a stack too; an entry point that takes one state
     # must not pass one on.
     tree, params, _ = three_link_stability_fixture()
     Q = np.stack(stability_seed_states(10, seed=0)[:2])
-    with pytest.raises(StructureError, match=r"^q has shape \(2, 3\), root dimension is 3$"):
+    with pytest.raises(StructureError,
+                       match=rf"^{name} has shape \(2, 3\), root dimension is 3$"):
         entry(tree, Q, params)
 
 
