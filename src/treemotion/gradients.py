@@ -65,8 +65,8 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
     pi_at[0] = pi
     for e in tree.edges:
         J = states[e.child].jac_to_parent
-        u_at[e.child] = J @ u_at[e.parent]
-        pi_at[e.child] = J @ pi_at[e.parent]
+        u_at[e.child] = J.dot(u_at[e.parent])
+        pi_at[e.child] = J.dot(pi_at[e.parent])
 
     for leaf, policy, edge, _, _, _ in tree._reverse_leaves:
         u_k = u_at[leaf]
@@ -84,7 +84,7 @@ def pipeline_vjp(tree: TransformTree, cache: PipelineCache, params: ParamVector,
             tangents = np.concatenate(
                 (u_at[edge.parent][:, None], pi_at[edge.parent][:, None]), axis=1)
             cot_tangents = np.concatenate(
-                ((p_k - M_k @ pi_k)[:, None], -(M_k @ u_k)[:, None]), axis=1)
+                ((p_k - M_k.dot(pi_k))[:, None], -M_k.dot(u_k)[:, None]), axis=1)
             rows = rows + edge.map.pullback_vjp(states[edge.parent].coord, params, c_z,
                                                 tangents, cot_tangents,
                                                 tape=states[leaf].tape)

@@ -21,7 +21,6 @@ column when a potential trace is available.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
 
@@ -66,6 +65,13 @@ def _floats(value):
     return np.asarray(value, dtype=float)
 
 
+def _learnable(value):
+    """A spec's ``"learnable"``: a JSON bool (``bool`` reads ``"no"`` as true)."""
+    if type(value) is not bool:
+        raise SpecFormatError(f"'learnable' must be true or false, not {value!r}")
+    return value
+
+
 # One table per component kind: spec key -> (constructor keyword, converter
 # or None to pass the value as given, required; the constructors check their
 # numbers with ``as_integer`` and ``as_real``). Only the keys a spec holds
@@ -87,7 +93,7 @@ MAP_FIELDS = {
                      "features_D": ("n_features", None, False),
                      "layers": ("n_layers", None, False),
                      "length_scale": ("length_scale", None, False),
-                     "seed": ("seed", None, False), "learnable": ("learnable", bool, False),
+                     "seed": ("seed", None, False), "learnable": ("learnable", _learnable, False),
                      "init_scale": ("init_scale", None, False)},
 }
 POLICY_FIELDS = {
@@ -95,7 +101,7 @@ POLICY_FIELDS = {
                          "learnable": (None, None, False),
                          "metric_space": ("metric_input", None, False)},
     "raw_vm": {"velocity": ("velocity", _floats, True), "metric": (None, None, True),
-               "learnable": ("learnable", bool, False)},
+               "learnable": ("learnable", _learnable, False)},
     "damper": {"gain": ("gain", None, False)},
     "attractor": {"goal": ("goal", _floats, True), "gain": ("gain", None, False),
                   "weight": ("weight", None, False)},
@@ -106,7 +112,7 @@ METRIC_FIELDS = {
     "constant": {"matrix": ("matrix", _floats, False), "scale": ("scale", None, False)},
     "cholesky_net": {"in_dim": ("in_dim", None, False), "hidden": ("hidden", None, False),
                      "eps": ("eps", None, False), "seed": ("seed", None, False),
-                     "learnable": ("learnable", bool, False)},
+                     "learnable": ("learnable", _learnable, False)},
     "inverse_square": {"weight": ("weight", None, True),
                        "margin": ("margin", None, True)},
 }
@@ -233,7 +239,7 @@ def build_policy(spec: dict, dim: int, parent_map):
         return RawVMLeaf(metric=build_metric(spec["metric"], dim), **kw)
     potential = build_potential(spec["potential"], parent_map)
     metric = build_metric(spec["metric"], dim,
-                          default_learnable=bool(spec.get("learnable", True)))
+                          default_learnable=_learnable(spec.get("learnable", True)))
     return NaturalGradientLeaf(dim, potential, metric, **kw)
 
 
@@ -293,7 +299,7 @@ def load_tree(path) -> TransformTree:
 
 
 # ---------------------------------------------------------------------------
-# Demo / trajectory CSV
+# Demo / trajectory CSV (each reader and writer imports ``csv`` for itself)
 # ---------------------------------------------------------------------------
 
 
@@ -311,6 +317,8 @@ def _parse_demo_header(header):
 
 
 def load_trajectory_csv(path) -> Trajectory:
+    import csv
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row]
@@ -355,6 +363,8 @@ def load_demos(path) -> DemoSet:
 
 
 def write_trajectory_csv(path, trajectory: Trajectory, phi=None) -> None:
+    import csv
+
     d = trajectory.dim
     header = ["t"] + [f"q{i}" for i in range(d)] + [f"qd{i}" for i in range(d)]
     if phi is not None:
@@ -413,6 +423,8 @@ def load_training_config(path):
 
 
 def write_history_csv(path, history) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "loss"])

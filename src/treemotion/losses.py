@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError, TreeMotionError
-from .maps import squared_norms, stacked_mv
+from .maps import products, squared_norms
 from .params import ParamVector
 from .tree import LeafRow, PipelineCache, TransformTree, run_stacked
 
@@ -175,7 +175,7 @@ def sample_loss(tree: TransformTree, loss: LossSpec, lam, cache: PipelineCache,
     r = qdot - cache.pi
     if loss.kind == "joint_space":
         return squared_norms(r), -2.0 * r
-    mv = stacked_mv if r.ndim > 1 else np.matmul  # one sample: the plain A @ x
+    mv, _ = products(r.ndim > 1)
     value = np.zeros(r.shape[:-1])
     g = np.zeros_like(cache.pi)
     for lk, row in zip(lam, tree.leaf_table.values()):

@@ -25,10 +25,10 @@ Conventions
   ``value_and_jacobian``; the identity, arm kinematics, distance and
   chains override it with stacked arrays whose every entry is the same
   bits as the per-sample call: products are stacked ``np.matmul`` calls
-  with a per-sample or a broadcast operand, and sums run along the last
-  axis. ``stacked_value_jacobian_tape`` is what the forward stage calls
-  on a stack; the inherited one has tape ``None``. A custom map
-  implements only the per-sample contract.
+  with a per-sample or a broadcast operand (on one input ``ndarray.dot``,
+  ``products``), and sums run along the last axis. The forward stage
+  calls ``stacked_value_jacobian_tape`` on a stack; the inherited one has
+  tape ``None``. A custom map implements only the per-sample contract.
 * A reverse rule returns its weight gradient as rows, ``(slice, R)``
   pairs to add into ``grad[slice]``, ``R`` being ``(N, n)`` on a stack.
   The chain's ``value_vjp`` and ``pullback_vjp`` call their ``stacked_*``
@@ -56,13 +56,19 @@ AS_ROW = (Ellipsis, None, slice(None))
 
 def stacked_mv(A, X):
     """``A @ x`` for each row ``x`` of ``X``: one stacked matrix-vector
-    product per row, the same bits as the per-sample ``A @ x``.
+    product per row, the same bits as the per-sample ``A.dot(x)``.
 
     The promise holds for a C-contiguous stack only, because the product
     kernel numpy picks depends on the strides of the rows: a column-major
     ``(N, 3)`` stack, as fancy indexing returns, gave other last bits. So
     ``X`` is made C-contiguous here, which copies nothing when it is."""
     return np.matmul(A, np.ascontiguousarray(X)[..., None])[..., 0]
+
+
+def products(stacked):
+    """A kernel's ``(mv, mm)`` by rank: ``stacked_mv`` and ``np.matmul`` for a
+    stack, ``np.ndarray.dot`` (``@``'s bits without its ufunc dispatch) for one input."""
+    return (stacked_mv, np.matmul) if stacked else (np.ndarray.dot, np.ndarray.dot)
 
 
 def squared_norms(R: np.ndarray) -> np.ndarray:
@@ -369,16 +375,16 @@ class CouplingLayer:
         D = self._D
         a = y[self._sa]
         b = y[self._sb]
-        f, g = self._features(self._bank @ a)
-        E = np.exp(theta_s.T @ f[:D])
+        f, g = self._features(self._bank.dot(a))
+        E = np.exp(theta_s.T.dot(f[:D]))
         bE = b * E
         out = y.copy()
-        out[self._sb] = bE + theta_t.T @ f[D:]
+        out[self._sb] = bE + theta_t.T.dot(f[D:])
         J = self._eye.copy()
         J[self.ib, self.ib] = E
         G = g[:, None] * self._bank
-        dba = bE[:, None] * (theta_s.T @ G[:D])
-        dba += theta_t.T @ G[D:]
+        dba = bE[:, None] * theta_s.T.dot(G[:D])
+        dba += theta_t.T.dot(G[D:])
         J[self._sb, self._sa] = dba
         return out, J, (b, bE, f, g, E, theta_s, theta_t)
 
@@ -506,13 +512,14 @@ class DiffeoChain(DifferentiableMap):
         """``(y, J, tape)`` through each layer's fused kernel, its stacked
         one for a stack ``(N, d)``, with each layer's ``(theta_s,
         theta_t)`` from ``thetas``."""
+        stacked = y.ndim > 1
+        _, mm = products(stacked)
         J = self._eye
         tape = []
         for ly, (ts, tt) in zip(self.layers, thetas):
-            kernel = (ly.stacked_value_jacobian_tape if y.ndim > 1
-                      else ly.value_jacobian_tape)
+            kernel = ly.stacked_value_jacobian_tape if stacked else ly.value_jacobian_tape
             y, J_layer, entry = kernel(y, ts, tt)
-            J = J_layer @ J
+            J = mm(J_layer, J)
             tape.append(entry)
         return y, J, tape
 
@@ -521,13 +528,14 @@ class DiffeoChain(DifferentiableMap):
         layers; returns each layer's ``(Vb, U, W, P, Q)`` for ``_reverse_rows``,
         with the bank's ``U = [A_s; A_t] Va`` and ``W = g * U``."""
         V = np.asarray(V, dtype=float)
+        _, mm = products(V.ndim > 2)
         pushed = []
         for ly, (b, bE, f, g, E, ts, tt) in zip(self.layers, tape):
             Vb = V[ly._rows_b]
-            U = np.matmul(ly._bank, V[ly._rows_a])
+            U = mm(ly._bank, V[ly._rows_a])
             W = g[AS_COLUMN] * U
-            P = np.matmul(ts.T, W[ly._rows_s])           # (..., nb, T)
-            Q = np.matmul(tt.T, W[ly._rows_t])
+            P = mm(ts.T, W[ly._rows_s])                  # (..., nb, T)
+            Q = mm(tt.T, W[ly._rows_t])
             pushed.append((Vb, U, W, P, Q))
             if len(pushed) < len(tape):
                 V = V.copy()
@@ -549,7 +557,7 @@ class DiffeoChain(DifferentiableMap):
         cy, cV = np.asarray(cot_y, dtype=float), cot_V
         width = 0 if pushed is None else cV.shape[-1]
         lead = cy.shape[:-1]
-        mv = stacked_mv if lead else np.matmul  # one input: the plain A @ x
+        mv, mm = products(cy.ndim > 1)
         rows = np.empty(lead + (self.n_params,))
         for m in range(len(self.layers) - 1, -1, -1):
             ly = self.layers[m]
@@ -574,8 +582,8 @@ class DiffeoChain(DifferentiableMap):
             gtheta_t = ft[AS_COLUMN] * cb_out[AS_ROW]
             if width:
                 # P = ts^T (gs * (As Va)),  Q likewise for the t-net
-                gtheta_s += np.matmul(W[ly._rows_s], CP.swapaxes(-1, -2))
-                gtheta_t += np.matmul(W[ly._rows_t], Cb_out.swapaxes(-1, -2))
+                gtheta_s += mm(W[ly._rows_s], CP.swapaxes(-1, -2))
+                gtheta_t += mm(W[ly._rows_t], Cb_out.swapaxes(-1, -2))
             lo, mid, hi, _ = self._spans[m]
             rows[..., lo: mid] = gtheta_s.reshape(lead + (-1,))
             rows[..., mid: hi] = gtheta_t.reshape(lead + (-1,))
@@ -589,13 +597,12 @@ class DiffeoChain(DifferentiableMap):
             if width:
                 CVb = Cb_out * E[AS_COLUMN]
                 cb += E * rowsum_P
-                CWs = np.matmul(ts, CP)                      # (..., D, T)
+                CWs = mm(ts, CP)                             # (..., D, T)
                 dfs -= fs * np.einsum("...it,...it->...i", CWs, U[ly._rows_s])
-                CVa = cV[ly._rows_a] + np.matmul(ly.s_net.frequencies.T,
-                                                 gs[AS_COLUMN] * CWs)
-                CWt = np.matmul(tt, Cb_out)
+                CVa = cV[ly._rows_a] + mm(ly.s_net.frequencies.T, gs[AS_COLUMN] * CWs)
+                CWt = mm(tt, Cb_out)
                 dft -= ft * np.einsum("...it,...it->...i", CWt, U[ly._rows_t])
-                CVa += np.matmul(ly.t_net.frequencies.T, gt[AS_COLUMN] * CWt)
+                CVa += mm(ly.t_net.frequencies.T, gt[AS_COLUMN] * CWt)
             ca = cy[ly._at_a] + mv(ly.s_net.frequencies.T, dfs)
             ca += mv(ly.t_net.frequencies.T, dft)
 

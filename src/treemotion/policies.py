@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, StructureError, as_integer, as_real
-from .maps import AS_COLUMN, AS_ROW, DiffeoChain, stacked_mv
+from .maps import AS_COLUMN, AS_ROW, DiffeoChain, products, stacked_mv
 from .params import Learnable
 
 
@@ -399,7 +399,7 @@ class CholeskyMetricNet(Metric):
         ``(weights, acts, pres, d_raw, L)``."""
         weights = self._weights(params)
         h = np.asarray(x, dtype=float)
-        mv = stacked_mv if h.ndim > 1 else np.matmul  # one input: the plain A @ x
+        mv, mm = products(h.ndim > 1)
         acts, pres = [h], []
         for i in range(len(self.hidden)):
             pre = mv(weights[2 * i], h) + weights[2 * i + 1]
@@ -412,7 +412,7 @@ class CholeskyMetricNet(Metric):
         L[self._diag] = np.abs(d_raw) + self.eps
         if self.n_off:
             L[self._tril] = mv(weights[k + 2], h) + weights[k + 3]
-        M = L @ L.swapaxes(-1, -2)
+        M = mm(L, L.swapaxes(-1, -2))
         return L, 0.5 * (M + M.swapaxes(-1, -2)), (weights, acts, pres, d_raw, L)
 
     def value(self, x, params):
@@ -432,10 +432,10 @@ class CholeskyMetricNet(Metric):
         stack: ``(input cotangents, rows)``, the net's one reverse body."""
         weights, acts, pres, d_raw, L = tape
         lead, k = d_raw.shape[:-1], 2 * len(self.hidden)
-        mv = stacked_mv if lead else np.matmul  # one input: the plain A @ x
+        mv, mm = products(d_raw.ndim > 1)
         # M = L L^T: cotangent on L is (S + S^T) L for any (possibly
         # asymmetric) cotangent S on M.
-        GL = np.matmul(S + S.swapaxes(-1, -2), L)
+        GL = mm(S + S.swapaxes(-1, -2), L)
         cd = np.sign(d_raw) * GL[self._diag]
         grads = [None] * len(self._shapes)
         grads[k] = cd[AS_COLUMN] * acts[-1][AS_ROW]
@@ -545,7 +545,7 @@ class RawVMLeaf(LeafPolicy, Learnable):
         """``(p, M, (M, metric tape))``."""
         v = self.weights(params)
         M, metric_tape = self.metric.value_tape(z, params)
-        return M @ v, M, (M, metric_tape)
+        return M.dot(v), M, (M, metric_tape)
 
     def stacked_evaluate(self, Z, params, parent_coords=None):
         M, metric_tape = self.metric.stacked_value_tape(Z, params)
@@ -566,7 +566,7 @@ class RawVMLeaf(LeafPolicy, Learnable):
         param_vjp = metric.stacked_param_vjp if stacked else metric.param_vjp
         c_z, rows = param_vjp(Z, params, S, metric_tape)
         if self.is_learnable:
-            mv = stacked_mv if stacked else np.matmul
+            mv, _ = products(stacked)
             rows = rows + [(self.param_slice, mv(M, cot_p))]
         return c_z, rows
 

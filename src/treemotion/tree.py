@@ -63,7 +63,7 @@ provably the same bits: the wrapper computes that very expression (the
 norm of a vector ``v`` is ``sqrt(v.dot(v))``, an outer product is
 ``a[:, None] * b``), or the result is exact whatever the order (a
 minimum), or it only decides a check (``_all_finite``). ``einsum`` and
-``matmul`` stay as they are, since reassociating them moves last bits.
+products (``maps.products``) keep operands and order: reassociating moves bits.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, SingularMetricError, StructureError, as_integer, as_real
-from .maps import DiffeoChain, DifferentiableMap, IdentityMap, stacked_mv
+from .maps import DiffeoChain, DifferentiableMap, IdentityMap, products
 from .params import Learnable, ParamRegistryBuilder, ParamVector
 from .policies import LeafPolicy
 
@@ -347,15 +347,17 @@ class TransformTree:
 # ---------------------------------------------------------------------------
 
 
-def one_state(tree: TransformTree, q, name: str = "q") -> np.ndarray:
-    """``q`` as a float array of shape ``(root_dim,)``, else
-    ``StructureError`` naming it ``name``: the check of every entry point
-    that takes one state (or velocity), so a stack is rejected there too."""
+def one_state(tree: TransformTree, q, name: str = "q", stack: bool = False) -> np.ndarray:
+    """``q`` as a float array of shape ``(root_dim,)`` (or, if ``stack``,
+    ``(N, root_dim)``), else ``StructureError`` naming it ``name``: the
+    check of every entry point that takes one state (or velocity), so a
+    stack is rejected there too."""
     try:
         q = np.asarray(q, dtype=float)
     except (TypeError, ValueError) as exc:  # not numbers, or ragged rows
         raise StructureError(f"{name} is not an array of real numbers: {exc}") from None
-    if q.shape != (tree.root_dim,):
+    if q.shape != (tree.root_dim,) and not (
+            stack and q.ndim == 2 and q.shape[1] == tree.root_dim):
         raise StructureError(
             f"{name} has shape {q.shape}, root dimension is {tree.root_dim}")
     return q
@@ -367,10 +369,7 @@ def forward_pass(tree: TransformTree, q, params: ParamVector | None = None,
     ``q`` is a stack ``(N, root_dim)``, every array then gaining its
     leading axis, or else (always, if ``stack`` is false) one state
     (``one_state``)."""
-    if stack:
-        q = np.asarray(q, dtype=float)
-    if not (stack and q.ndim == 2 and q.shape[1] == tree.root_dim):
-        q = one_state(tree, q)
+    q = one_state(tree, q, stack=stack)
     kernel = "stacked_value_jacobian_tape" if q.ndim == 2 else "value_jacobian_tape"
     lead = q.shape[:-1]
     # Edges are sorted by child and every node past the root has exactly
@@ -415,18 +414,19 @@ _STACKED_TRANSPOSED = operator.methodcaller("transpose", 0, 2, 1)
 
 def backward_pass(tree: TransformTree, states: list[NodeState]) -> list[NodeState]:
     """Pull forces/metrics to the root: ``p += J^T p_c``, ``M += J^T M_c J``,
-    with the plain products for one state and ``stacked_mv`` and stacked
-    transposes for a stack, so each row is the per-sample bits. Identity
-    edges and first children: see stage 3 of the module docstring."""
-    mv, transposed = ((stacked_mv, _STACKED_TRANSPOSED) if states[0].coord.ndim == 2
-                      else (operator.matmul, _TRANSPOSED))
+    with ``maps.products`` and the transposes of one state or of a stack,
+    so each row of a stack is the per-sample bits. Identity edges and first
+    children: see stage 3 of the module docstring."""
+    stacked = states[0].coord.ndim == 2
+    mv, mm = products(stacked)
+    transposed = _STACKED_TRANSPOSED if stacked else _TRANSPOSED
     for i, c, identity, first in tree._backward_order:
         child, parent = states[c], states[i]
         p, M = child.pulled_force, child.pulled_metric
         if not identity:
             J = child.jac_to_parent
             JT = transposed(J)
-            p, M = mv(JT, p), JT @ M @ J
+            p, M = mv(JT, p), mm(mm(JT, M), J)
         if first:
             parent.pulled_force = p + 0.0
             M = M + 0.0
@@ -521,7 +521,7 @@ def run_stacked(tree: TransformTree, Q,
     """
     try:
         Q = np.asarray(Q, dtype=float)
-    except ValueError as exc:  # rows of different lengths
+    except (TypeError, ValueError) as exc:  # not numbers, or rows of different lengths
         raise StructureError(f"stacked states do not form one array: {exc}") from exc
     if Q.ndim != 2 or Q.shape[1] != tree.root_dim or not len(Q):
         raise StructureError(

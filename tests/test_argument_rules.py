@@ -3,7 +3,9 @@
 Each call either succeeds or raises a ``TreeMotionError`` subclass (a
 ``SpecFormatError`` through a spec or a training config), and it
 succeeds exactly when the argument's rule admits the value: the real
-rule of ``errors.as_real`` or the integer rule of ``errors.as_integer``.
+rule of ``errors.as_real``, the integer rule of ``errors.as_integer``, a
+JSON bool for a spec's ``"learnable"``, or none of the values for a
+state argument, which takes an array of the root's dimension.
 """
 
 import copy
@@ -30,12 +32,22 @@ from treemotion.policies import (
     handcrafted_damper,
 )
 from treemotion.rollout import integrate, lyapunov_check
-from treemotion.tree import Edge, TransformTree, evaluate_policy, flat_solve, run_pipeline
+from treemotion.tree import (
+    Edge,
+    TransformTree,
+    evaluate_policy,
+    flat_solve,
+    forward_pass,
+    run_pipeline,
+    run_stacked,
+)
 from treemotion.verify import check_tree, gradcheck_report
 
 from test_io_cli import ARM_SPEC, VALID_SPEC
 
-VALUES = [None, True, "x", "3", 2.5, -1, 0, math.nan, math.inf, -math.inf, [], {}]
+# [[0.0], [0.0, 1.0]] is a ragged array: no rule admits it.
+VALUES = [None, True, False, "x", "3", 2.5, -1, 0, math.nan, math.inf, -math.inf, [], {},
+          [[0.0], [0.0, 1.0]]]
 
 
 def real(bound):
@@ -55,6 +67,8 @@ def or_none(rule):
     return lambda v: v is None or rule(v)
 
 
+FLAG = lambda v: type(v) is bool  # a JSON true or false
+NEVER = lambda v: False  # a state argument: no value of the table is a state
 POSITIVE = real(lambda v: v > 0)
 NONNEGATIVE = real(lambda v: v >= 0)
 COUNT, SEED = integer(1), integer(0)
@@ -132,6 +146,9 @@ CALLS = [
     ("evaluate_policy.regularization",
      lambda a, l, v: evaluate_policy(a, Q, regularization=v), NONNEGATIVE),
     ("run_pipeline.regularization", lambda a, l, v: run_pipeline(a, Q, None, v), NONNEGATIVE),
+    ("forward_pass.q", lambda a, l, v: forward_pass(a, v), NEVER),
+    ("forward_pass.q.one_state", lambda a, l, v: forward_pass(a, v, stack=False), NEVER),
+    ("run_stacked.Q", lambda a, l, v: run_stacked(a, v), NEVER),
     ("flat_solve.regularization",
      lambda a, l, v: flat_solve(a, Q, regularization=v), NONNEGATIVE),
     ("TrainOptions.alpha", lambda a, l, v: TrainOptions(alpha=v).validate(),
@@ -183,6 +200,14 @@ def _arm_spec():
         return json.load(fh)
 
 
+# A raw leaf behind an identity edge: the one spec here with a raw_vm policy.
+RAW_SPEC = {
+    "nodes": [{"id": 0, "dim": 2}, {"id": 1, "dim": 2}],
+    "edges": [{"parent": 0, "child": 1, "map": {"kind": "identity"}}],
+    "leaves": [{"node": 1, "policy": {"kind": "raw_vm", "velocity": [0.1, 0.2],
+                                      "metric": {"kind": "constant", "scale": 2.0}}}],
+}
+
 # (spec name, spec, path to one scalar key, rule); the spec is built
 # from its JSON text, so NaN and infinity arrive as JSON reads them.
 SPEC_KEYS = [
@@ -200,6 +225,10 @@ SPEC_KEYS = [
     ("learned", VALID_SPEC, ("leaves", 0, "policy", "metric", "seed"), SEED),
     ("learned", VALID_SPEC, ("leaves", 0, "policy", "metric", "hidden", 0), COUNT),
     ("learned", VALID_SPEC, ("leaves", 1, "policy", "gain"), POSITIVE),
+    ("learned", VALID_SPEC, ("edges", 1, "map", "learnable"), FLAG),
+    ("learned", VALID_SPEC, ("leaves", 0, "policy", "learnable"), FLAG),
+    ("learned", VALID_SPEC, ("leaves", 0, "policy", "metric", "learnable"), FLAG),
+    ("raw", RAW_SPEC, ("leaves", 0, "policy", "learnable"), FLAG),
 ]
 
 

@@ -1,6 +1,7 @@
 """The root solve's LAPACK routines come from scipy's compiled ``_flapack``
 extension, loaded from its file: a cold CLI ``eval`` or ``rollout``
-imports neither scipy nor the training and verification stack, and the
+imports neither scipy nor the training and verification stack (nor
+``csv``, which only the CSV readers and writers load), and the
 routines are the objects ``get_lapack_funcs`` returns whichever package
 is imported first. The package's lazily loaded names resolve as
 eagerly imported ones did."""
@@ -32,7 +33,7 @@ def run_python(code):
 
 
 NOT_LOADED = ["scipy", "scipy.linalg", "treemotion.fixtures", "treemotion.learning",
-              "treemotion.gradients", "treemotion.verify"]
+              "treemotion.gradients", "treemotion.verify", "csv"]
 
 
 def cold_cli_call(argv):

@@ -3,7 +3,7 @@
 Usage::
 
     python tools/bench_pairs.py --base <rev> --workload <w> [--workload <w> ...]
-        --seeds 2-11 [--trace-seed 0] [--label NAME]
+        --seeds 2-11 [--trace-seed 0-4] [--label NAME]
 
 Each side is a fresh copy: the base is ``git archive <rev>``, the change is
 the working tree's tracked and untracked, not-ignored files. Neither copy
@@ -11,10 +11,12 @@ has a bytecode cache, and every run has ``PYTHONDONTWRITEBYTECODE=1``, so
 neither side imports from a cache the other lacks. For every seed, one
 ``perfbench/run.py --seconds S --trace 0`` run per side makes a pair, ``S``
 being the ``run_seconds`` of ``BENCHMARK.json``; even seeds run the base
-first, odd seeds the change. ``--trace-seed`` adds one ``--trace 1`` run
-per side and records the ``.calls`` counts, the names of those whose two
-sides differ (``calls_differ``) and, per traced function called on both
-sides, its self time per call in microseconds.
+first, odd seeds the change. ``--trace-seed`` (one seed or a range, as
+``--seeds``) adds one ``--trace 1`` run per side and traced seed, in the
+same alternating order, and records per seed the ``.calls`` counts, the
+names of those whose two sides differ on any seed (``calls_differ``) and,
+per traced function called on both sides, its self time per call in
+microseconds: each seed's, and per side their median.
 
 Writes ``BENCH_<label>.json`` (default label: the first workload) in the
 repository root: per workload and end-to-end metric, each side's runs,
@@ -41,9 +43,9 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(text):
-    """``"2-11"`` -> ``[2, 3, ..., 11]``."""
-    lo, hi = map(int, text.split("-"))
-    return list(range(lo, hi + 1))
+    """``"2-11"`` -> ``[2, 3, ..., 11]``; ``"0"`` -> ``[0]``."""
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
 
 
 def git(*args):
@@ -97,12 +99,39 @@ def compare(parent, change, better):
             "pairs_won_by_change": won, "pairs": len(parent)}
 
 
+def traced_summary(seeds, traced):
+    """Per traced function, each seed's ``.calls`` on both sides and its
+    self time per call in microseconds, and per side the median of those
+    times over the seeds; ``traced`` holds each side's runs in seed order."""
+    metrics = [{side: traced[side][k]["metrics"] for side in SIDES}
+               for k in range(len(seeds))]
+    calls, differ, self_us = {}, [], {}
+    for name in metrics[0]["parent"]:
+        if not name.endswith(".calls"):
+            continue
+        counts = [{side: m[side][name]["value"] for side in SIDES} for m in metrics]
+        if any(any(pair.values()) for pair in counts):
+            calls[name] = {side: [pair[side] for pair in counts] for side in SIDES}
+        if any(pair["parent"] != pair["change"] for pair in counts):
+            differ.append(name)
+        self_s = name[:-len("calls")] + "self_s"
+        if self_s in metrics[0]["parent"] and all(all(pair.values()) for pair in counts):
+            per_seed = {side: [1e6 * m[side][self_s]["value"] / pair[side]
+                               for m, pair in zip(metrics, counts)] for side in SIDES}
+            self_us[self_s[:-2] + "_us_per_call"] = {
+                **{side: statistics.median(per_seed[side]) for side in SIDES},
+                "per_seed": per_seed}
+    return {"seeds": seeds,
+            "correct": [all(r["correct"] for r in traced[side]) for side in SIDES],
+            "calls": calls, "calls_differ": differ, "self_us_per_call": self_us}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", required=True)
-    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--trace-seed")
     parser.add_argument("--label")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
@@ -149,30 +178,15 @@ def main(argv=None):
             out["workloads"][workload] = entry
 
         if args.trace_seed is not None:
+            trace_seeds = parse_seeds(args.trace_seed)
             out["trace_1"] = {}
             for workload in args.workload:
-                traced = {side: run(checkouts[side], workload, args.trace_seed,
-                                    seconds, 1)[0] for side in SIDES}
-                calls, differ, self_us = {}, [], {}
-                for name in traced["parent"]["metrics"]:
-                    if name.endswith(".calls"):
-                        pair = {side: traced[side]["metrics"][name]["value"]
-                                for side in SIDES}
-                        if any(pair.values()):
-                            calls[name] = pair
-                        if pair["parent"] != pair["change"]:
-                            differ.append(name)
-                        self_s = name[:-len("calls")] + "self_s"
-                        if self_s in traced["parent"]["metrics"] and all(pair.values()):
-                            self_us[self_s[:-2] + "_us_per_call"] = {
-                                side: 1e6 * traced[side]["metrics"][self_s]["value"]
-                                / pair[side] for side in SIDES}
-                out["trace_1"][workload] = {
-                    "seed": args.trace_seed,
-                    "correct": [traced[side]["correct"] for side in SIDES],
-                    "calls": calls,
-                    "calls_differ": differ,
-                    "self_us_per_call": self_us}
+                traced = {side: [] for side in SIDES}
+                for seed in trace_seeds:
+                    for side in SIDES if seed % 2 == 0 else SIDES[::-1]:
+                        traced[side].append(
+                            run(checkouts[side], workload, seed, seconds, 1)[0])
+                out["trace_1"][workload] = traced_summary(trace_seeds, traced)
 
     out["host"] = {"nproc": meta["nproc"], "python": meta["python"],
                    "numpy": meta["numpy"], "scipy": meta["scipy"],
